@@ -457,9 +457,9 @@ def cmd_status(args, out) -> int:
     from .observability import render_status, status_json
     lab, snapshot = _health_snapshot(args)
     if args.as_json:
-        # Deliberately no kernel line here: scheduler stats vary with the
-        # kernel choice and tie-break shuffling, and the canonical JSON is
-        # byte-identical across both (DESIGN §12).
+        # Deliberately no kernel line here: scheduler stats describe the
+        # substrate, and the canonical JSON stays byte-identical under
+        # tie-break shuffling (DESIGN §12).
         out.write(status_json(snapshot, seed=args.seed))
     else:
         out.write(render_status(
@@ -467,10 +467,7 @@ def cmd_status(args, out) -> int:
         sched = lab.env.scheduler_stats()
         out.write(f"\nkernel: {sched['kind']} scheduler, "
                   f"{sched['pending']} pending, pushes={sched['pushes']} "
-                  f"pops={sched['pops']} cancels={sched['cancels']}"
-                  + (f" resizes={sched['resizes']} heals={sched['heals']} "
-                     f"occupancy-hw={sched['occupancy_hw']}"
-                     if "resizes" in sched else "") + "\n")
+                  f"pops={sched['pops']} cancels={sched['cancels']}\n")
     return 0
 
 
@@ -868,13 +865,14 @@ def cmd_restore(args, out) -> int:
         return 0
     if args.spill:
         from .observability import HistoryStore
+        from .sim.scheduler import HeapScheduler
         run_id = args.run_id or f"restore-{program['kind']}"
         kernel = body["state"]["kernel"]
         with HistoryStore(args.spill) as store:
             store.begin_run(
                 run_id, program.get("scenario", "paper-lab"),
                 program.get("seed", program.get("plan", {}).get("seed", 0)),
-                program.get("scheduler") or "heap", replace=True,
+                HeapScheduler.kind, replace=True,
                 restored_from=body["digest"])
             store.finish_run(run_id, checkpoint["at"],
                              kernel["seqs_issued"],

@@ -389,13 +389,12 @@ class HealthModel:
 
 #: Scheduler stats republished as registry instruments each beat.
 #: Monotone operation totals become counters (windowed delta/rate in the
-#: rollups and the spilled history); level signals become gauges. They are
-#: kernel- and tie-break-variant, so they feed dashboards, ``repro trace
+#: rollups and the spilled history); level signals become gauges. They
+#: describe the substrate, so they feed dashboards, ``repro trace
 #: --metrics`` and the history spill — never ``status --json`` or chaos
 #: verdicts (DESIGN §12).
-_KERNEL_COUNTERS = ("pushes", "pops", "cancels", "resizes", "grows",
-                    "shrinks", "heals", "sparse_laps")
-_KERNEL_GAUGES = ("pending", "occupancy_hw", "nbuckets")
+_KERNEL_COUNTERS = ("pushes", "pops", "cancels")
+_KERNEL_GAUGES = ("pending",)
 
 
 class HealthMonitor:
@@ -410,9 +409,13 @@ class HealthMonitor:
                                      retention=retention)
         self.model = HealthModel(network, self.store)
         self.engine = SloEngine(self.store)
-        #: name -> (instrument, is_counter); resolved lazily because the
-        #: heap scheduler exposes fewer stats than the calendar queue.
-        self._kernel_instruments: dict[str, tuple] = {}
+        registry = self.store.registry
+        self._kernel_counters = [
+            (name, registry.counter(f"kernel.scheduler.{name}"))
+            for name in _KERNEL_COUNTERS]
+        self._kernel_gauges = [
+            (name, registry.gauge(f"kernel.scheduler.{name}"))
+            for name in _KERNEL_GAUGES]
         #: Rollups run unless disabled (overhead ablations flip this off).
         self.enabled = True
         from ..resilience.events import resilience_events
@@ -450,24 +453,11 @@ class HealthMonitor:
         """Mirror the scheduler's internals into ``kernel.scheduler.*``
         instruments so they roll into windows and the spilled history."""
         stats = self.env.scheduler_stats()
-        instruments = self._kernel_instruments
-        if not instruments:
-            registry = self.store.registry
-            for name in _KERNEL_COUNTERS:
-                if name in stats:
-                    instruments[name] = (
-                        registry.counter(f"kernel.scheduler.{name}"), True)
-            for name in _KERNEL_GAUGES:
-                if name in stats:
-                    instruments[name] = (
-                        registry.gauge(f"kernel.scheduler.{name}"), False)
-        for name, (instrument, is_counter) in instruments.items():
-            value = stats[name]
-            if is_counter:
-                if value > instrument.value:
-                    instrument.inc(value - instrument.value)
-            else:
-                instrument.set(value)
+        for name, counter in self._kernel_counters:
+            if stats[name] > counter.value:
+                counter.inc(stats[name] - counter.value)
+        for name, gauge in self._kernel_gauges:
+            gauge.set(stats[name])
 
     def snapshot(self) -> dict:
         """The full operator view (plain data, JSON-serializable)."""

@@ -13,9 +13,8 @@ around every event's callbacks, aggregating
 * **rolling throughput** — an (elapsed wall, sim time, events) sample
   every ``sample_every`` events, so a long run yields an events/sec
   trajectory instead of one end-to-end average;
-* **scheduler internals** — the pending-set structure's operation totals
-  (pushes, pops, tombstone cancels, resizes, heals, bucket-occupancy
-  high-water for the calendar queue), read from
+* **scheduler internals** — the pending-event heap's operation totals
+  (pushes, pops, tombstone cancels) and pending count, read from
   :meth:`~repro.sim.Environment.scheduler_stats` at report time;
 * **service-time aggregation** — sim-side per-provider service-time and
   per-host RPC round-trip summaries folded out of the metrics registry,

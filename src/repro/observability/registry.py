@@ -14,9 +14,8 @@ Design constraints, in order:
 * **hot-path cheapness** — instrumented components look their instruments
   up once and keep the handle (``self._m_calls = registry.counter(...)``);
   recording is then an attribute increment;
-* **renderability** — a snapshot feeds both
-  :func:`repro.metrics.table.render_metrics` (operator tables) and
-  :meth:`MetricsRegistry.to_recorder` (the existing benchmark Recorder).
+* **renderability** — a snapshot feeds
+  :func:`repro.metrics.table.render_metrics` (operator tables).
 """
 
 from __future__ import annotations
@@ -241,20 +240,6 @@ class MetricsRegistry:
         return {key: {"type": self._metrics[key].metric_type,
                       "data": self._metrics[key].snapshot()}
                 for key in self.names(prefix)}
-
-    def to_recorder(self, recorder=None):
-        """Fold the registry into a :class:`~repro.metrics.Recorder` so the
-        existing benchmark/table tooling keeps working: counters and gauges
-        become Recorder counters, histogram means become samples."""
-        from ..metrics.recorder import Recorder
-        recorder = recorder if recorder is not None else Recorder()
-        for key in self.names():
-            metric = self._metrics[key]
-            if isinstance(metric, Histogram):
-                recorder.count(key, metric.count)
-            else:
-                recorder.count(key, metric.value)
-        return recorder
 
     def __len__(self) -> int:
         return len(self._metrics)

@@ -8,13 +8,9 @@ exertion runtime and the sensor devices — runs as processes inside one
 Design notes
 ------------
 * Time is a float in simulated seconds. There is no wall clock anywhere.
-* Events are scheduled on a pluggable scheduler (see
-  :mod:`repro.sim.calendar`) keyed by ``(time, priority, tie, seq)`` where
-  ``seq`` is a monotonically increasing counter, which makes the execution
-  order fully deterministic. The default is a bucketed calendar queue with
-  amortized O(1) push/pop; ``scheduler="heap"`` (or the
-  ``REPRO_KERNEL_SCHEDULER`` environment variable) selects the reference
-  binary heap, which produces a byte-identical event order.
+* Events are scheduled on a binary heap (see :mod:`repro.sim.scheduler`)
+  keyed by ``(time, priority, tie, seq)`` where ``seq`` is a monotonically
+  increasing counter, which makes the execution order fully deterministic.
 * A :class:`Process` wraps a generator. The generator yields :class:`Event`
   objects; when a yielded event triggers, the process resumes with the
   event's value (or the event's exception is thrown into the generator).
@@ -31,8 +27,8 @@ from itertools import count
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from . import sanitizer as _san
-from .calendar import make_scheduler
 from .sanitizer import RaceSanitizer, SanitizerViolation  # noqa: F401 - re-export
+from .scheduler import HeapScheduler
 
 __all__ = [
     "Environment",
@@ -53,14 +49,6 @@ __all__ = [
 #: ``tie_break_seed`` is passed — lets a test run (or CI job) shuffle every
 #: scenario it builds without threading a parameter through the builders.
 SHUFFLE_SEED_ENV = "REPRO_SHUFFLE_SEED"
-
-#: Environment variable selecting the kernel scheduler ("calendar" or
-#: "heap") when no explicit ``scheduler=`` is passed. Used by the
-#: equivalence suite to run whole scenarios on the reference heap.
-KERNEL_SCHEDULER_ENV = "REPRO_KERNEL_SCHEDULER"
-
-#: Default kernel scheduler.
-DEFAULT_SCHEDULER = "calendar"
 
 #: Priority for "urgent" events (used internally for interrupts).
 URGENT = 0
@@ -384,22 +372,13 @@ class Environment:
     preserved. Tests use it to prove results do not depend on the
     tie-breaker. When ``None``, the ``REPRO_SHUFFLE_SEED`` environment
     variable is consulted so whole suites can be shuffled externally.
-
-    ``scheduler`` selects the pending-event structure: ``"calendar"`` (the
-    default, amortized O(1)) or ``"heap"`` (the reference binary heap).
-    Both honour the same ``(time, priority, tie, seq)`` total order, so
-    every run is byte-identical across the two. When ``None``, the
-    ``REPRO_KERNEL_SCHEDULER`` environment variable is consulted.
     """
 
     def __init__(self, initial_time: float = 0.0,
                  sanitize: bool | str = False,
-                 tie_break_seed: Optional[int] = None,
-                 scheduler: Optional[str] = None):
+                 tie_break_seed: Optional[int] = None):
         self._now = float(initial_time)
-        if scheduler is None:
-            scheduler = os.environ.get(KERNEL_SCHEDULER_ENV) or DEFAULT_SCHEDULER
-        self._scheduler = make_scheduler(scheduler)
+        self._scheduler = HeapScheduler()
         self._seq = count()
         self._active_process: Optional[Process] = None
         if tie_break_seed is None:
@@ -469,16 +448,15 @@ class Environment:
         return self._scheduler.peek_time()
 
     def scheduler_stats(self) -> dict:
-        """The pending-event structure's internals snapshot (operation
-        totals, occupancy shape). Read-only and wall-clock-free; see
-        the scheduler ``stats()`` docstrings for the determinism caveat."""
+        """The pending-event heap's internals snapshot: ``kind``,
+        ``pending`` and the ``pushes``/``pops``/``cancels`` totals.
+        Read-only and wall-clock-free."""
         return self._scheduler.stats()
 
     def pending(self) -> list:
         """Every live pending occurrence as ``(time, priority, tie, seq,
         event)`` tuples in pop order, without disturbing the queue. The
-        snapshot capture enumerates the event set through this (both
-        scheduler kinds implement the same non-mutating ``entries()``)."""
+        snapshot capture enumerates the event set through this."""
         return self._scheduler.entries()
 
     def step(self) -> None:

@@ -2,12 +2,12 @@
 
 :func:`capture_state` walks a live :class:`repro.sim.Environment` and
 produces one JSON-able document describing everything the federation
-holds at this instant: the kernel section (sim clock, scheduler kind and
-operation counters, tie-break RNG position, every pending event in pop
-order) plus one section per registered snapshot participant
+holds at this instant: the kernel section (sim clock, seqs issued,
+tie-break RNG position, every pending event in pop order) plus one
+section per registered snapshot participant
 (:mod:`repro.snapshot.registry`), in sorted key order.
 
-Capture is strictly **non-mutating**: it uses the schedulers'
+Capture is strictly **non-mutating**: it uses the scheduler's
 non-destructive ``entries()`` view, reads counters without moving them,
 and hashes RNG state instead of drawing from it. A run is byte-identical
 with capture enabled or disabled — that property is what makes the
@@ -68,15 +68,13 @@ def _describe_event(entry) -> dict:
 
 def capture_state(env) -> dict:
     """One declarative document covering kernel + every participant."""
-    stats = env.scheduler_stats()
     tie_rng = getattr(env, "_tie_rng", None)
     kernel = {
         "now": env.now,
         # Every `_schedule` issues exactly one seq and one push, so the
         # push counter *is* the next-seq position without peeking the
         # itertools.count.
-        "seqs_issued": stats["pushes"],
-        "scheduler": stats["kind"],
+        "seqs_issued": env.scheduler_stats()["pushes"],
         "tie_break_seed": env.tie_break_seed,
         "tie_rng_crc32": (zlib.crc32(repr(tie_rng.getstate()).encode("utf-8"))
                           if tie_rng is not None else None),

@@ -2,7 +2,7 @@
 
 A snapshot file is exactly two ``\\n``-terminated lines of JSON:
 
-* **header** — ``{"format": "repro-snapshot", "version": 1,
+* **header** — ``{"format": "repro-snapshot", "version": 2,
   "length": <body bytes>, "sha256": <body digest>}`` with canonical key
   order;
 * **body** — the canonical JSON state document produced by
@@ -40,7 +40,9 @@ __all__ = [
 ]
 
 FORMAT = "repro-snapshot"
-VERSION = 1
+#: 2: the kernel section and program spec no longer carry a ``scheduler``
+#: field (there is one scheduler), which changed the digested body.
+VERSION = 2
 
 
 class SnapshotError(Exception):

@@ -3,7 +3,7 @@
 CPython cannot pickle generator frames, so a snapshot does not try to
 freeze in-flight processes. Instead every snapshot records a **program
 spec** — a small JSON document naming a program kind plus the exact
-inputs (seed, scenario, plan, kernel scheduler, tie-break seed) that
+inputs (seed, scenario, plan, tie-break seed) that
 deterministically reproduce the run. Restore rebuilds the program from
 the spec, replays it with an identically-scheduled
 :class:`~repro.snapshot.checkpoint.Checkpointer`, verifies the replayed
@@ -19,11 +19,11 @@ Two program kinds cover the repo's end-to-end surfaces:
   :class:`~repro.chaos.plan.ChaosPlan`; outputs the canonical verdict
   JSON.
 
-The kernel scheduler and tie-break seed live in the spec because they
-are inputs to event ordering: drivers force the recorded values through
-the environment variables for the duration of the scenario build, then
-restore whatever the process had (so a restore on a machine configured
-for the other kernel still replays faithfully).
+The tie-break seed lives in the spec because it is an input to event
+ordering: drivers force the recorded value through the environment
+variable for the duration of the scenario build, then restore whatever
+the process had (so a restore in a process shuffled with another seed
+still replays faithfully).
 """
 
 from __future__ import annotations
@@ -44,15 +44,10 @@ __all__ = [
 
 
 @contextmanager
-def forced_kernel(scheduler, tie_break_seed):
-    """Force the kernel scheduler / shuffle seed for a scenario build."""
-    from repro.sim.core import KERNEL_SCHEDULER_ENV, SHUFFLE_SEED_ENV
-    saved = {
-        KERNEL_SCHEDULER_ENV: os.environ.get(KERNEL_SCHEDULER_ENV),
-        SHUFFLE_SEED_ENV: os.environ.get(SHUFFLE_SEED_ENV),
-    }
-    if scheduler is not None:
-        os.environ[KERNEL_SCHEDULER_ENV] = scheduler
+def forced_kernel(tie_break_seed):
+    """Force the kernel's shuffle seed for a scenario build."""
+    from repro.sim.core import SHUFFLE_SEED_ENV
+    saved = os.environ.get(SHUFFLE_SEED_ENV)
     if tie_break_seed is None:
         os.environ.pop(SHUFFLE_SEED_ENV, None)
     else:
@@ -60,17 +55,15 @@ def forced_kernel(scheduler, tie_break_seed):
     try:
         yield
     finally:
-        for key, value in sorted(saved.items()):
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
+        if saved is None:
+            os.environ.pop(SHUFFLE_SEED_ENV, None)
+        else:
+            os.environ[SHUFFLE_SEED_ENV] = saved
 
 
 def spec_from_env(spec: dict, env) -> dict:
-    """Stamp the live kernel's scheduler/tie seed into a program spec."""
+    """Stamp the live kernel's tie seed into a program spec."""
     out = dict(spec)
-    out["scheduler"] = env.scheduler_stats()["kind"]
     out["tie_break_seed"] = env.tie_break_seed
     return out
 
@@ -95,11 +88,10 @@ def six_step_experiment(browser):
 # -- spec constructors -------------------------------------------------------
 
 def status_spec(seed: int = 2009, until: float = 30.0,
-                six_steps: bool = True, scheduler: str | None = None,
+                six_steps: bool = True,
                 tie_break_seed: int | None = None) -> dict:
     return {
         "kind": "status",
-        "scheduler": scheduler,
         "seed": int(seed),
         "six_steps": bool(six_steps),
         "tie_break_seed": tie_break_seed,
@@ -108,13 +100,11 @@ def status_spec(seed: int = 2009, until: float = 30.0,
 
 
 def campaign_spec(plan_dict: dict, scenario: str = "paper-lab",
-                  scheduler: str | None = None,
                   tie_break_seed: int | None = None) -> dict:
     return {
         "kind": "campaign",
         "plan": plan_dict,
         "scenario": scenario,
-        "scheduler": scheduler,
         "tie_break_seed": tie_break_seed,
     }
 
@@ -125,7 +115,7 @@ def _run_status(spec: dict, checkpoint_at, sink, on_capture):
     from repro.observability import status_json, trace_to_jsonl, tracer_of
     from repro.scenarios import build_paper_lab
 
-    with forced_kernel(spec.get("scheduler"), spec.get("tie_break_seed")):
+    with forced_kernel(spec.get("tie_break_seed")):
         lab = build_paper_lab(seed=spec["seed"])
     env = lab.env
     recorded = spec_from_env(spec, env)
@@ -162,7 +152,7 @@ def _run_campaign(spec: dict, checkpoint_at, sink, on_capture):
         holder.append(checkpointer)
         return checkpointer
 
-    with forced_kernel(spec.get("scheduler"), spec.get("tie_break_seed")):
+    with forced_kernel(spec.get("tie_break_seed")):
         verdict = runner.run_plan(
             plan, checkpointer=factory if checkpoint_at else None)
     outputs = {"verdict": verdict_json(verdict)}

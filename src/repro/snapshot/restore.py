@@ -4,9 +4,8 @@ The restore contract (DESIGN §14): given a snapshot taken at sim time T
 during some run, ``restore_run`` in a *fresh process* must produce,
 for the continuation beyond T, byte-identical outputs — ``status
 --json``, trace JSONL, chaos verdicts — to the original uninterrupted
-run. That holds for both kernel schedulers and any tie-break shuffle
-seed, because the snapshot records them in its program spec and the
-replay forces them.
+run. That holds for any tie-break shuffle seed, because the snapshot
+records it in its program spec and the replay forces it.
 
 Mechanically restore is record/replay: read and validate the envelope
 (:func:`repro.snapshot.format.read_snapshot` — torn files raise

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.metrics import Recorder, render_metrics
+from repro.metrics import render_metrics
 from repro.observability import Histogram, MetricsRegistry, metrics_registry
 
 
@@ -83,16 +83,6 @@ def test_snapshot_is_sorted_and_complete(registry):
     assert snap["c.lat"]["data"]["counts"] == [1, 0]
     assert registry.names(prefix="a") == ["a.depth"]
     assert list(registry.snapshot(prefix="c")) == ["c.lat"]
-
-
-def test_to_recorder_folds_into_existing_tooling(registry):
-    registry.counter("rpc.calls").inc(7)
-    registry.gauge("depth").set(3)
-    registry.histogram("lat").observe(0.2)
-    recorder = registry.to_recorder(Recorder())
-    assert recorder.counter("rpc.calls") == 7.0
-    assert recorder.counter("depth") == 3.0
-    assert recorder.counter("lat") == 1.0
 
 
 def test_render_metrics_table(registry):

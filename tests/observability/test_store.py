@@ -77,7 +77,7 @@ _rings = st.dictionaries(
 @given(series=_rings)
 def test_spilled_windows_round_trip_exactly(series):
     with HistoryStore(":memory:") as store:
-        store.begin_run("r", "test", 1, "calendar")
+        store.begin_run("r", "test", 1, "heap")
         store.spill_windows("r", StubRing(series))
         assert store.keys("r") == sorted(series)
         for key, windows in series.items():
@@ -96,7 +96,7 @@ def test_periodic_spill_equals_one_shot_spill(series, data):
     with HistoryStore(":memory:") as periodic, \
             HistoryStore(":memory:") as oneshot:
         for store in (periodic, oneshot):
-            store.begin_run("r", "test", 1, "calendar")
+            store.begin_run("r", "test", 1, "heap")
         cuts = data.draw(st.lists(st.integers(0, 12), min_size=1,
                                   max_size=4))
         retention = data.draw(st.integers(min_value=3, max_value=12))
@@ -123,7 +123,7 @@ def test_periodic_spill_equals_one_shot_spill(series, data):
        limit=st.integers(1, 10))
 def test_series_filters_are_consistent(series, since, until, limit):
     with HistoryStore(":memory:") as store:
-        store.begin_run("r", "test", 1, "calendar")
+        store.begin_run("r", "test", 1, "heap")
         store.spill_windows("r", StubRing(series))
         for key, windows in series.items():
             expected = [w.to_dict() for w in windows
@@ -139,9 +139,9 @@ def test_series_filters_are_consistent(series, since, until, limit):
 
 def test_begin_run_rejects_duplicates_unless_replaced():
     with HistoryStore(":memory:") as store:
-        store.begin_run("r", "soak", 7, "calendar")
+        store.begin_run("r", "soak", 7, "heap")
         with pytest.raises(ValueError):
-            store.begin_run("r", "soak", 7, "calendar")
+            store.begin_run("r", "soak", 7, "heap")
         store.spill_windows("r", StubRing(
             {"k": [window(1, delta=2.0)]}))
         store.begin_run("r", "soak", 8, "heap", replace=True)
@@ -151,7 +151,7 @@ def test_begin_run_rejects_duplicates_unless_replaced():
 
 def test_finish_run_merges_meta_and_seals():
     with HistoryStore(":memory:") as store:
-        store.begin_run("r", "soak", 7, "calendar", meta={"a": 1})
+        store.begin_run("r", "soak", 7, "heap", meta={"a": 1})
         store.finish_run("r", sim_end=21600.0, events=1_000_000,
                          meta={"b": 2})
         entry = store.run("r")
@@ -162,7 +162,7 @@ def test_finish_run_merges_meta_and_seals():
 
 def test_delete_run_drops_all_tables_and_watermarks():
     with HistoryStore(":memory:") as store:
-        store.begin_run("r", "t", 1, "calendar")
+        store.begin_run("r", "t", 1, "heap")
         store.spill_windows("r", StubRing({"k": [window(5, delta=1.0)]}))
         store.spill_profile("r", {
             "attribution": [{"event_type": "Timeout", "target": "p",
@@ -172,7 +172,7 @@ def test_delete_run_drops_all_tables_and_watermarks():
         assert store.runs() == []
         assert store.profile("r") == [] and store.throughput("r") == []
         # A fresh same-name run starts from a clean watermark.
-        store.begin_run("r", "t", 1, "calendar")
+        store.begin_run("r", "t", 1, "heap")
         store.spill_windows("r", StubRing({"k": [window(5, delta=9.0)]}))
         assert store.series("r", "k") == [
             {"t": 5.0, "kind": "counter", "delta": 9.0}]
@@ -195,7 +195,7 @@ def test_spill_profile_converges_instead_of_duplicating():
         "throughput": [{"wall_s": 0.1, "sim_t": 10.0, "events": 4096},
                        {"wall_s": 0.2, "sim_t": 20.0, "events": 8192}]}
     with HistoryStore(":memory:") as store:
-        store.begin_run("r", "t", 1, "calendar")
+        store.begin_run("r", "t", 1, "heap")
         store.spill_profile("r", report_early)
         store.spill_profile("r", report_final)
         profile = store.profile("r")
@@ -212,7 +212,7 @@ def test_stats_aggregates_a_horizon():
                       window(2, "histogram", count=2, p50=0.02, p95=0.03),
                       window(9, "histogram", count=1, p50=0.01, p95=0.09)]}
     with HistoryStore(":memory:") as store:
-        store.begin_run("r", "t", 1, "calendar")
+        store.begin_run("r", "t", 1, "heap")
         store.spill_windows("r", StubRing(series))
         full = store.stats("r", "lat")
         assert full["windows"] == 3
@@ -229,7 +229,7 @@ def test_stats_aggregates_a_horizon():
 def test_reopened_store_keeps_spilling_incrementally(tmp_path):
     path = str(tmp_path / "h.sqlite")
     with HistoryStore(path) as store:
-        store.begin_run("r", "t", 1, "calendar")
+        store.begin_run("r", "t", 1, "heap")
         store.spill_windows("r", StubRing({"k": [window(1, delta=1.0)]}))
     with HistoryStore(path) as store:  # fresh process: cold watermarks
         wrote = store.spill_windows("r", StubRing(

@@ -54,7 +54,7 @@ def test_migration_is_idempotent(tmp_path):
 def test_restored_from_round_trips(tmp_path):
     with HistoryStore(tmp_path / "new.db") as store:
         store.begin_run("plain", "paper-lab", 1, "heap")
-        store.begin_run("resumed", "paper-lab", 2, "calendar",
+        store.begin_run("resumed", "paper-lab", 2, "heap",
                         restored_from="d" * 64)
         runs = {run["run_id"]: run["restored_from"] for run in store.runs()}
     assert runs == {"plain": None, "resumed": "d" * 64}

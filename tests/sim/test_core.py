@@ -3,6 +3,8 @@
 import pytest
 
 from repro.sim import (
+    NORMAL,
+    URGENT,
     Environment,
     Event,
     Interrupt,
@@ -88,6 +90,17 @@ def test_same_time_fifo_order():
         env.process(proc(name))
     env.run()
     assert order == list("abcde")
+
+
+def test_urgent_fires_before_normal_at_same_instant():
+    env = Environment()
+    fired = []
+    env.timeout(1.0, priority=NORMAL).callbacks.append(
+        lambda ev: fired.append("normal"))
+    env.timeout(1.0, priority=URGENT).callbacks.append(
+        lambda ev: fired.append("urgent"))
+    env.run()
+    assert fired == ["urgent", "normal"]
 
 
 def test_run_until_time_advances_clock():

@@ -1,8 +1,9 @@
 """Scheduler soak: a million random occurrences against the invariants.
 
-Full tier pushes ~1M occurrences through the calendar queue with a heap
-shadow checking every pop; ``REPRO_BENCH_SMOKE=1`` (the CI smoke tier)
-drops to 50k. Invariants under load:
+Full tier pushes ~1M occurrences through the heap scheduler with a plain
+sorted list of ``(time, priority, tie, seq)`` keys as the oracle checking
+every pop; ``REPRO_BENCH_SMOKE=1`` (the CI smoke tier) drops to 50k.
+Invariants under load:
 
 * monotone time — pops never go backwards;
 * FIFO within ties — same ``(time, priority, tie)`` keys drain in
@@ -12,12 +13,14 @@ drops to 50k. Invariants under load:
 """
 
 import os
+from bisect import bisect_left, insort
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.sim import Environment
-from repro.sim.calendar import CalendarQueue, HeapScheduler
+from repro.sim.scheduler import HeapScheduler
 
 SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
 SOAK_EVENTS = 50_000 if SMOKE else 1_000_000
@@ -25,67 +28,94 @@ ENV_EVENTS = 20_000 if SMOKE else 200_000
 
 
 @pytest.mark.slow
-def test_soak_against_heap_shadow():
-    """Random push/pop/cancel storm; the heap reference checks each pop."""
+def test_soak_against_sorted_oracle():
+    """Random push/pop/cancel storm; a sorted key list checks each pop."""
     rng = np.random.default_rng(0xC0FFEE)
-    cal, heap = CalendarQueue(), HeapScheduler()
-    # O(1) bookkeeping: membership in `alive`, cancel victims drawn from
-    # `candidates` (may hold stale seqs already popped — checked against
-    # `alive` before use, compacted when mostly stale).
-    alive: set[int] = set()
+    heap = HeapScheduler()
+    # The oracle: live keys kept in sorted order, so its head *is* the
+    # contract's next pop. Cancel victims are drawn from `candidates`
+    # (may hold stale seqs already popped — checked against `alive`
+    # before use, compacted when mostly stale).
+    oracle: list[tuple] = []
+    alive: dict[int, tuple] = {}
     candidates: list[int] = []
     seq = 0
     now = 0.0
     pops = cancels = 0
-    # Weighted op mix: pushes slightly outnumber pops so the queue grows
-    # through resizes, then the drain at the end shrinks it back.
+    # Weighted op mix: pushes slightly outnumber pops so the queue grows,
+    # then the drain at the end empties it.
     op_draw = rng.random(SOAK_EVENTS)
     time_draw = rng.random(SOAK_EVENTS)
+
+    def pop_checked():
+        nonlocal now
+        time, priority, tie, got_seq, event = heap.pop()
+        assert (time, priority, tie, got_seq) == oracle.pop(0)
+        assert event == got_seq
+        assert time >= now, "time went backwards"
+        now = time
+        assert got_seq in alive, "popped a cancelled or duplicate seq"
+        del alive[got_seq]
+
     for i in range(SOAK_EVENTS):
         op = op_draw[i]
         if op < 0.52 or not alive:
             # Push at or after *now* (the kernel's contract) on a coarse
             # lattice so same-instant ties are common.
             t = now + round(float(time_draw[i]) * 50.0, 1)
-            priority = i % 3
-            tie = (0.0, 0.25, 0.5)[i % 3]
-            cal.push(t, priority, tie, seq, seq)
-            heap.push(t, priority, tie, seq, seq)
-            alive.add(seq)
+            key = (t, i % 3, (0.0, 0.25, 0.5)[i % 3], seq)
+            heap.push(*key, seq)
+            insort(oracle, key)
+            alive[seq] = key
             candidates.append(seq)
             seq += 1
         elif op < 0.92:
-            assert cal.peek_time() == heap.peek_time()
-            got = cal.pop()
-            assert got == heap.pop()
-            assert got[0] >= now, "time went backwards"
-            now = got[0]
-            assert got[3] in alive, "popped a cancelled or duplicate seq"
-            alive.discard(got[3])
+            assert heap.peek_time() == oracle[0][0]
+            pop_checked()
             pops += 1
         else:
             victim = candidates.pop(int(op_draw[i] * 7919) % len(candidates))
             if victim not in alive:
                 continue  # already popped; skip this cancel op
-            alive.discard(victim)
-            cal.cancel(victim)
+            del oracle[bisect_left(oracle, alive.pop(victim))]
             heap.cancel(victim)
             cancels += 1
         if len(candidates) > 2 * len(alive) + 64:
             candidates = [s for s in candidates if s in alive]
-    assert cal.size == heap.size == len(alive)
+    assert heap.size == len(oracle) == len(alive)
     drained = 0
-    while cal.size:
-        got = cal.pop()
-        assert got == heap.pop()
-        assert got[0] >= now
-        now = got[0]
-        assert got[3] in alive
-        alive.discard(got[3])
+    while heap.size:
+        pop_checked()
         drained += 1
     # Conservation: every scheduled occurrence either popped or cancelled.
     assert pops + drained + cancels == seq
-    assert not alive
+    assert not alive and not oracle
+    assert heap.peek_time() == float("inf")
+    with pytest.raises(IndexError):
+        heap.pop()
+
+
+@given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 2),
+                          st.sampled_from((0.0, 0.25, 0.5))), max_size=40),
+       st.sets(st.integers(0, 39)))
+def test_entries_is_non_mutating_under_cancels(program, cancelled):
+    """``entries()`` lists the live set in pop order and moves nothing —
+    no counter, no tombstone — so snapshot capture cannot perturb a run."""
+    heap = HeapScheduler()
+    for seq, (time, priority, tie) in enumerate(program):
+        heap.push(float(time), priority, tie, seq, f"ev{seq}")
+    cancelled = {seq for seq in cancelled if seq < len(program)}
+    for seq in cancelled:
+        heap.cancel(seq)
+    before = heap.stats()
+    listed = heap.entries()
+    assert heap.entries() == listed
+    assert heap.stats() == before
+    assert [entry[:4] for entry in listed] == sorted(
+        (float(time), priority, tie, seq)
+        for seq, (time, priority, tie) in enumerate(program)
+        if seq not in cancelled)
+    assert [heap.pop() for _ in range(heap.size)] == listed
 
 
 @pytest.mark.slow
@@ -94,7 +124,7 @@ def test_environment_soak_invariants():
     a tie-heavy lattice; the clock never regresses, every timer fires
     exactly as often as its schedule allows, and same-instant direct
     timeouts fire in scheduling order."""
-    env = Environment(scheduler="calendar")
+    env = Environment()
     rng = np.random.default_rng(2009)
     n_procs = 200
     per_proc = max(ENV_EVENTS // n_procs, 1)

@@ -3,9 +3,8 @@
 Snapshot a run at time T, restore from the file, continue to the end:
 every canonical output (``status --json`` document, trace JSONL, chaos
 verdict JSON) must be byte-identical to the same run left uninterrupted —
-under *both* kernel schedulers and multiple tie-break shuffle seeds,
-because the snapshot records kernel configuration in its program spec and
-the replay forces it.
+under multiple tie-break shuffle seeds, because the snapshot records the
+seed in its program spec and the replay forces it.
 """
 
 import json
@@ -26,9 +25,8 @@ CHECKPOINT_AT = 12.0
 UNTIL = 24.0
 
 
-def _status_round_trip(tmp_path, scheduler, tie_break_seed):
-    spec = status_spec(seed=2009, until=UNTIL, scheduler=scheduler,
-                       tie_break_seed=tie_break_seed)
+def _status_round_trip(tmp_path, tie_break_seed=None):
+    spec = status_spec(seed=2009, until=UNTIL, tie_break_seed=tie_break_seed)
     path = tmp_path / "run.snap"
     baseline, checkpointer = run_program(spec, checkpoint_at=[CHECKPOINT_AT],
                                          sink=str(path))
@@ -38,12 +36,8 @@ def _status_round_trip(tmp_path, scheduler, tie_break_seed):
 
 
 @pytest.mark.parametrize("tie_break_seed", [None, 1, 2])
-@pytest.mark.parametrize("scheduler", ["heap", "calendar"])
-def test_status_restore_is_byte_identical(tmp_path, scheduler,
-                                          tie_break_seed):
-    baseline, restored, body = _status_round_trip(tmp_path, scheduler,
-                                                  tie_break_seed)
-    assert body["program"]["scheduler"] == scheduler
+def test_status_restore_is_byte_identical(tmp_path, tie_break_seed):
+    baseline, restored, body = _status_round_trip(tmp_path, tie_break_seed)
     assert body["program"]["tie_break_seed"] == tie_break_seed
     assert sorted(restored) == ["status", "trace"]
     assert restored["status"] == baseline["status"]
@@ -51,7 +45,7 @@ def test_status_restore_is_byte_identical(tmp_path, scheduler,
 
 
 def test_snapshot_state_is_substantial(tmp_path):
-    _, _, body = _status_round_trip(tmp_path, "heap", None)
+    _, _, body = _status_round_trip(tmp_path)
     state = body["state"]
     assert state["kernel"]["now"] == CHECKPOINT_AT
     # The whole federation is in the file, not just the kernel clock.
@@ -78,7 +72,7 @@ def test_campaign_restore_reproduces_the_verdict(tmp_path):
 
 
 def test_tampered_state_fails_before_replay(tmp_path):
-    _, _, body = _status_round_trip(tmp_path, "heap", None)
+    _, _, body = _status_round_trip(tmp_path)
     body["state"]["metrics"] = {"forged": True}
     path = tmp_path / "tampered.snap"
     write_snapshot(path, body)
@@ -89,7 +83,7 @@ def test_tampered_state_fails_before_replay(tmp_path):
 
 
 def test_divergent_state_raises_restore_mismatch(tmp_path):
-    _, _, body = _status_round_trip(tmp_path, "heap", None)
+    _, _, body = _status_round_trip(tmp_path)
     body["state"]["metrics"] = {"forged": True}
     body["digest"] = state_digest(body["state"])  # consistent but wrong
     path = tmp_path / "divergent.snap"
@@ -99,7 +93,7 @@ def test_divergent_state_raises_restore_mismatch(tmp_path):
 
 
 def test_missing_section_fields_are_typed(tmp_path):
-    _, _, body = _status_round_trip(tmp_path, "heap", None)
+    _, _, body = _status_round_trip(tmp_path)
     del body["program"]
     path = tmp_path / "gutted.snap"
     write_snapshot(path, body)
@@ -108,7 +102,7 @@ def test_missing_section_fields_are_typed(tmp_path):
 
 
 def test_verify_only_stops_at_the_checkpoint(tmp_path):
-    _, _, body = _status_round_trip(tmp_path, "heap", None)
+    _, _, body = _status_round_trip(tmp_path)
     path = tmp_path / "verify.snap"
     write_snapshot(path, body)
     outputs, verified_body = restore_run(path, continue_run=False)
@@ -129,7 +123,7 @@ def test_unknown_program_kind_rejected():
 
 
 def test_snapshot_file_round_trips_through_reader(tmp_path):
-    _, _, body = _status_round_trip(tmp_path, "calendar", 1)
+    _, _, body = _status_round_trip(tmp_path, 1)
     path = tmp_path / "reread.snap"
     digest = write_snapshot(path, body)
     reread = read_snapshot(path)

@@ -93,6 +93,13 @@ def test_unknown_version_is_typed(tmp_path):
     path.write_bytes(canonical_dumps(doc).encode("utf-8") + body)
     with pytest.raises(SnapshotVersionError, match="version"):
         read_snapshot(path)
+    # A file written before the scheduler fields left the body: the v1
+    # header verbatim, intact length and checksum, still refused.
+    v1_header = (b'{"format":"repro-snapshot","length":%d,"sha256":"%s",'
+                 b'"version":1}\n' % (doc["length"], doc["sha256"].encode()))
+    path.write_bytes(v1_header + body)
+    with pytest.raises(SnapshotVersionError, match="version 1"):
+        read_snapshot(path)
 
 
 def test_foreign_json_file_is_typed(tmp_path):

@@ -286,7 +286,7 @@ def test_profile_reports_attribution_and_scheduler(tmp_path):
     assert code == 0
     assert "flight recorder: six-steps" in output
     assert "attributed" in output and "kernel" in output
-    assert "scheduler[calendar]:" in output
+    assert "scheduler[heap]:" in output
     assert "providers (sim-side service time):" in output
     # Detail mode: the dispatch cost is an explicit named row.
     assert "scheduler+dispatch" in output
@@ -300,7 +300,7 @@ def test_profile_json_is_canonical_and_attributed(tmp_path):
     # that most of the wall clock landed in named rows.
     assert report["attributed_share"] >= 0.75
     assert report["events"] > 1000
-    assert report["scheduler"]["kind"] == "calendar"
+    assert report["scheduler"]["kind"] == "heap"
 
 
 def test_profile_closes_store_when_the_run_fails(tmp_path, monkeypatch):
@@ -347,8 +347,8 @@ def test_history_list_reflects_the_finished_run(tmp_path):
     runs = json.loads(output)
     assert len(runs) == 1
     entry = runs[0]
-    # Kernel internals in meta vary by scheduler choice; the stable
-    # fields pin run identity and the sim-side outcome.
+    # Kernel internals in meta are substrate detail; the stable fields
+    # pin run identity and the sim-side outcome.
     assert entry["run_id"] == "six-steps-seed2009"
     assert entry["scenario"] == "six-steps" and entry["seed"] == 2009
     assert entry["sim_end"] == 30.0 and entry["finished"]
