@@ -69,7 +69,7 @@ def _timed_run(env: Environment, until: float) -> dict:
 def paper_tick(mode: str, n: int, ticks: int) -> dict:
     """One fleet reading per sensor per simulated second, measured end to end."""
     env = Environment()
-    world = PhysicalEnvironment(seed=5, vectorize=(mode == "new"))
+    world = PhysicalEnvironment(seed=5)
     locations = grid_locations(n)
     reads = [0]
 

@@ -19,12 +19,12 @@ CI-sized 3-point sweep (same assertions). The curve is persisted as a
 canonical-JSON artifact next to the table for plotting/CI upload.
 """
 
-import json
 import os
 
 from repro.load import SWEEP_FULL, SWEEP_SMOKE, saturation_curve
 from repro.metrics import render_table
 from repro.util.atomicio import atomic_write_text
+from repro.util.canonical import canonical_document
 
 SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
 SWEEP = SWEEP_SMOKE if SMOKE else SWEEP_FULL
@@ -38,15 +38,11 @@ def _sweep():
     return saturation_curve(seed=SEED, multipliers=SWEEP, duration=DURATION)
 
 
-def _canonical(curve) -> str:
-    return json.dumps(curve, sort_keys=True, separators=(",", ":")) + "\n"
-
-
 def test_load_graceful_saturation(benchmark, report, results_dir):
     curve = benchmark.pedantic(_sweep, rounds=1, iterations=1)
     points = curve["points"]
 
-    blob = _canonical(curve)
+    blob = canonical_document(curve)
     atomic_write_text(results_dir / "e_load_curve.json", blob)
 
     rows = []
@@ -65,7 +61,7 @@ def test_load_graceful_saturation(benchmark, report, results_dir):
               f"{DURATION:g}s per point"))
 
     # Determinism: the same seed re-sweeps to the identical curve.
-    assert _canonical(_sweep()) == blob
+    assert canonical_document(_sweep()) == blob
 
     # The sweep actually crossed the knee: the top point sheds load.
     top = points[-1]

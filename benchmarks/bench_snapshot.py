@@ -20,7 +20,6 @@ to 1.3x (CI runners share cores; the equality gates stay exact).
 
 # repro: allow-file[DET001] - benchmarks time real work on the wall clock
 
-import json
 import os
 import time
 
@@ -31,6 +30,7 @@ from repro.snapshot.format import read_snapshot
 from repro.snapshot.programs import run_program, status_spec
 from repro.snapshot.restore import restore_run
 from repro.util.atomicio import atomic_write_text
+from repro.util.canonical import canonical_document
 
 SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
 #: Warm ddmin must beat cold by this factor on the late-fault plan.
@@ -150,8 +150,8 @@ def test_snapshot_round_trip_and_warm_shrink(benchmark, report, results_dir,
     results = benchmark.pedantic(body, rounds=1, iterations=1)
     trip, shrink = results["round_trip"], results["shrink"]
 
-    blob = json.dumps(results, sort_keys=True, separators=(",", ":")) + "\n"
-    atomic_write_text(results_dir / "e_snap.json", blob)
+    atomic_write_text(results_dir / "e_snap.json",
+                      canonical_document(results))
 
     report(render_table(
         ["quantity", "value"],

@@ -15,9 +15,7 @@ from .campaign import (
     CampaignRunner,
     ScenarioContext,
     WarmSession,
-    campaign_json,
     mttr_from_transitions,
-    verdict_json,
 )
 from .injectors import InjectorEngine
 from .invariants import (
@@ -34,7 +32,7 @@ from .shrink import ShrinkResult, shrink_failing_seed, shrink_plan
 
 __all__ = [
     "CampaignConfig", "CampaignRunner", "ScenarioContext", "SCENARIOS",
-    "WarmSession", "campaign_json", "verdict_json", "mttr_from_transitions",
+    "WarmSession", "mttr_from_transitions",
     "InjectorEngine", "ChaosLink",
     "Invariant", "InvariantResult", "OverloadGraceful", "RunRecord",
     "builtin_invariants", "evaluate_invariants",

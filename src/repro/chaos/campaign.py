@@ -19,13 +19,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..sim import Interrupt
+from ..util.canonical import canonical_json
 from .injectors import InjectorEngine
 from .invariants import RunRecord, builtin_invariants, evaluate_invariants
 from .plan import ChaosPlan, TargetCatalog
 
 __all__ = ["CampaignConfig", "CampaignRunner", "ScenarioContext",
-           "SCENARIOS", "WarmSession", "verdict_json", "campaign_json",
-           "mttr_from_transitions"]
+           "SCENARIOS", "WarmSession", "mttr_from_transitions"]
 
 
 @dataclass
@@ -434,8 +434,7 @@ class WarmSession:
             try:
                 os.close(read_fd)
                 verdict = self._probe(candidate, invariants)
-                payload = json.dumps(verdict, sort_keys=True,
-                                     separators=(",", ":")).encode("utf-8")
+                payload = canonical_json(verdict).encode("utf-8")
                 with os.fdopen(write_fd, "wb") as pipe:
                     pipe.write(payload)
                 status = 0
@@ -462,13 +461,3 @@ class WarmSession:
         context.env.run(until=candidate.horizon)
         return runner._judge(context, candidate, engine, self.counts,
                              invariants)
-
-
-def verdict_json(verdict: dict) -> str:
-    """Canonical byte-stable JSON for one run verdict."""
-    return json.dumps(verdict, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def campaign_json(summary: dict) -> str:
-    """Canonical byte-stable JSON for a whole campaign."""
-    return json.dumps(summary, sort_keys=True, separators=(",", ":")) + "\n"

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from ..util.canonical import canonical_document
 from ..util.rng import substream
 
 __all__ = ["FaultEvent", "ChaosPlan", "FAULT_KINDS"]
@@ -99,8 +100,7 @@ class ChaosPlan:
 
     def to_json(self) -> str:
         """Canonical byte-stable JSON (one trailing newline)."""
-        return json.dumps(self.to_dict(), sort_keys=True,
-                          separators=(",", ":")) + "\n"
+        return canonical_document(self.to_dict())
 
     @classmethod
     def from_dict(cls, data: dict) -> "ChaosPlan":

@@ -32,6 +32,8 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
+from .util.canonical import canonical_document
+
 __all__ = ["main", "build_parser"]
 
 
@@ -481,11 +483,6 @@ def cmd_health(args, out) -> int:
     return 0
 
 
-def _canonical_json(obj) -> str:
-    import json
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
-
-
 def _fmt_latency(latency: dict) -> tuple:
     return tuple("-" if latency[q] is None else f"{latency[q]:.3f}"
                  for q in ("p50", "p95", "p99"))
@@ -499,7 +496,7 @@ def cmd_load(args, out) -> int:
         curve = saturation_curve(seed=args.seed, multipliers=sweep,
                                  duration=args.duration)
         if args.as_json:
-            out.write(_canonical_json(curve))
+            out.write(canonical_document(curve))
             return 0
         rows = []
         for point in curve["points"]:
@@ -520,7 +517,7 @@ def cmd_load(args, out) -> int:
                               scale=args.scale)
     summary = load_lab.run()
     if args.as_json:
-        out.write(_canonical_json(summary))
+        out.write(canonical_document(summary))
         return 0
     rows = []
     for name, entry in summary["tenants"].items():
@@ -567,9 +564,7 @@ def cmd_profile(args, out) -> int:
     if until is None:
         until = 21600.0 if args.scenario == "soak" else 30.0
     lab = _lab(args.seed)
-    # An explicit profiling run wants the exact two-stamp callback/kernel
-    # split; the cheap sampled mode is for always-on recording.
-    recorder = FlightRecorder(detail=True)
+    recorder = FlightRecorder()
     store = None
     run_id = args.run_id or f"{args.scenario}-seed{args.seed}"
     if args.spill:
@@ -599,7 +594,7 @@ def cmd_profile(args, out) -> int:
         if store is not None:
             store.close()
     if args.as_json:
-        out.write(_canonical_json(report))
+        out.write(canonical_document(report))
         return 0
     _render_profile(out, args, report, run_id if store else None)
     return 0
@@ -610,13 +605,9 @@ def _render_profile(out, args, report: dict, spilled_run: Optional[str]) -> None
     out.write(f"flight recorder: {args.scenario} (seed {args.seed}), "
               f"{report['events']} events in {report['wall_s']:.3f}s wall "
               f"({report['events_per_sec']:,.0f} events/s)\n")
-    attributed = f"attributed {report['attributed_share']:.1%} of wall time"
-    if report["mode"] == "detail":
-        attributed += (f" (callbacks {report['callback_share']:.1%}, "
-                       f"kernel {report['kernel_share']:.1%})")
-    else:
-        attributed += f" (sampled, every {report['sample_period']} events)"
-    out.write(attributed + "\n\n")
+    out.write(f"attributed {report['attributed_share']:.1%} of wall time "
+              f"(callbacks {report['callback_share']:.1%}, "
+              f"kernel {report['kernel_share']:.1%})\n\n")
     rows = [[row["event_type"], row["target"], row["count"],
              f"{row['wall_s'] * 1000:.2f}", f"{row['share']:.1%}"]
             for row in report["attribution"]]
@@ -657,7 +648,7 @@ def cmd_history(args, out) -> int:
         if args.history_command == "list":
             runs = store.runs()
             if args.as_json:
-                out.write(_canonical_json(runs))
+                out.write(canonical_document(runs))
                 return 0
             rows = [[r["run_id"], r["scenario"], str(r["seed"]),
                      r["scheduler"],
@@ -679,7 +670,7 @@ def cmd_history(args, out) -> int:
         if args.history_command == "keys":
             keys = store.keys(args.run, prefix=args.prefix)
             if args.as_json:
-                out.write(_canonical_json(keys))
+                out.write(canonical_document(keys))
             else:
                 for key in keys:
                     out.write(key + "\n")
@@ -687,7 +678,7 @@ def cmd_history(args, out) -> int:
         if args.history_command == "profile":
             rows = store.profile(args.run)
             if args.as_json:
-                out.write(_canonical_json(rows))
+                out.write(canonical_document(rows))
                 return 0
             out.write(render_table(
                 ["event type", "target", "count", "wall ms", "share"],
@@ -700,7 +691,7 @@ def cmd_history(args, out) -> int:
             stats = store.stats(args.run, args.key,
                                 since=args.since, until=args.until)
             if args.as_json:
-                out.write(_canonical_json(stats))
+                out.write(canonical_document(stats))
                 return 0
             if not stats["windows"]:
                 out.write(f"{args.key}: no windows in horizon\n")
@@ -717,7 +708,7 @@ def cmd_history(args, out) -> int:
         windows = store.series(args.run, args.key, since=args.since,
                                until=args.until, limit=args.limit)
         if args.as_json:
-            out.write(_canonical_json(windows))
+            out.write(canonical_document(windows))
             return 0
         fields = ("value", "delta", "rate", "count", "p50", "p95", "max")
         rows = [[f"{w['t']:g}", w["kind"]]
@@ -753,13 +744,13 @@ def _write_run_line(out, run) -> None:
 
 
 def cmd_chaos(args, out) -> int:
-    from .chaos import ChaosPlan, campaign_json, shrink_failing_seed, verdict_json
+    from .chaos import ChaosPlan, shrink_failing_seed
     runner = _chaos_runner(args)
     if args.chaos_command == "run":
         seeds = list(range(args.seed_start, args.seed_start + args.seeds))
         summary = runner.run(seeds)
         if args.as_json:
-            out.write(campaign_json(summary))
+            out.write(canonical_document(summary))
         else:
             out.write(f"chaos campaign: {args.scenario}, "
                       f"{len(seeds)} seed(s), horizon {args.horizon:g}s\n")
@@ -807,7 +798,7 @@ def cmd_chaos(args, out) -> int:
         plan = ChaosPlan.from_json(fh.read())
     run = runner.run_plan(plan)
     if args.as_json:
-        out.write(verdict_json(run))
+        out.write(canonical_document(run))
     else:
         out.write(f"replaying {len(plan.events)} event(s) from "
                   f"{args.plan}\n")

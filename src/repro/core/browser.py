@@ -219,12 +219,6 @@ class SensorBrowser:
         self.model["topology"] = snapshot
         return snapshot
 
-    def get_health(self):
-        """Fetch the management plane's health snapshot via the façade."""
-        snapshot = yield from self._facade_call("networkHealth", {})
-        self.model["health"] = snapshot
-        return snapshot
-
     def subscribe_health_alerts(self, listener):
         """Route SLO alert edges to ``listener`` (a RemoteRef with a
         ``notify`` method — hand it a mailbox slot to read them later)."""
@@ -287,14 +281,6 @@ class SensorBrowser:
         if len(lines) == 2:
             lines.append("  (no attributes)")
         return "\n".join(lines)
-
-    def render_health_pane(self) -> str:
-        """Network health pane: the ``repro status`` tree, browser-side."""
-        snapshot = self.model.get("health")
-        if not snapshot:
-            return "Network Health\n(no health snapshot)"
-        from ..observability.status import render_status
-        return render_status(snapshot, title="Network Health")
 
     def render_topology(self) -> str:
         """Logical sensor network tree (Fig 3's composition view)."""

@@ -89,7 +89,6 @@ class SensorcerFacade(ServiceProvider):
         self.add_operation("applyNetworkPlan", self._op_apply_network_plan)
         self.add_operation("enableSelfHealing", self._op_enable_self_healing)
         self.add_operation("disableSelfHealing", self._op_disable_self_healing)
-        self.add_operation("networkHealth", self._op_network_health)
         self.add_operation("subscribeHealthAlerts",
                            self._op_subscribe_health_alerts)
         self._healing_plan: Optional[CompositionPlan] = None
@@ -282,20 +281,13 @@ class SensorcerFacade(ServiceProvider):
 
     # -- network health (management plane) ------------------------------------------
 
-    def _health(self):
-        from ..observability.health import health_monitor
-        return health_monitor(self.host.network)
-
-    def _op_network_health(self, ctx):
-        """The operator's one-call view: statuses, SLOs, alerts."""
-        return self._health().snapshot()
-
     def _op_subscribe_health_alerts(self, ctx):
         """Surface SLO alerts as distributed events: every firing/resolved
         edge is pushed to ``arg/listener`` (typically a mailbox slot, so
         offline operators still get the full alert history)."""
         listener = ctx.get_value("arg/listener")
-        monitor = self._health()
+        from ..observability.health import health_monitor
+        monitor = health_monitor(self.host.network)
         if not self._alerts_hooked:
             monitor.engine.subscribe(self._on_health_alert)
             self._alerts_hooked = True

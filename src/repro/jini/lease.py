@@ -134,12 +134,6 @@ class Landlord:
             raise UnknownLeaseError(f"lease {lease_id} unknown")
         return record.resource_id
 
-    def resource_of(self, lease_id: int) -> Any:
-        record = self._leases.get(lease_id)
-        if record is None:
-            raise UnknownLeaseError(f"lease {lease_id} unknown")
-        return record.resource_id
-
     def is_active(self, lease_id: int) -> bool:
         record = self._leases.get(lease_id)
         return record is not None and record.expiration > self.env.now

@@ -45,9 +45,6 @@ class Host:
     def close_port(self, port: str) -> None:
         self._ports.pop(port, None)
 
-    def has_port(self, port: str) -> bool:
-        return port in self._ports
-
     # -- sending -------------------------------------------------------------
 
     def send(self, dst: str, port: str, kind: str, payload: Any = None,

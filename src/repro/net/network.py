@@ -190,9 +190,6 @@ class Network:
     def leave_group(self, group: str, host_name: str) -> None:
         self.groups[group].discard(host_name)
 
-    def group_members(self, group: str) -> set[str]:
-        return set(self.groups.get(group, ()))
-
     # -- partitions -----------------------------------------------------------
 
     def cut_link(self, a: str, b: str) -> None:

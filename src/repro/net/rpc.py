@@ -146,9 +146,6 @@ class RpcEndpoint:
         self._objects.pop(object_id, None)
         self._allowed.pop(object_id, None)
 
-    def is_exported(self, object_id: str) -> bool:
-        return object_id in self._objects
-
     def _on_request(self, msg: Message) -> None:
         request_id, reply_to, object_id, method, args, kwargs = msg.payload
         dedup_key = (reply_to, request_id)

@@ -9,30 +9,27 @@ and is what makes traces diffable artifacts.
 
 from __future__ import annotations
 
-import json
 from typing import Optional
 
+from ..util.canonical import canonical_json
 from .registry import MetricsRegistry
 from .tracer import Tracer
 
 __all__ = ["trace_to_jsonl", "metrics_to_jsonl", "dump_jsonl"]
 
 
-def _line(record: dict) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
-
-
 def trace_to_jsonl(tracer: Tracer) -> str:
     """Every span as one ``{"record": "span", ...}`` JSON line."""
-    return "\n".join(_line({"record": "span", **span.to_dict()})
+    return "\n".join(canonical_json({"record": "span", **span.to_dict()})
                      for span in tracer.spans)
 
 
 def metrics_to_jsonl(registry: MetricsRegistry) -> str:
     """Every instrument as one ``{"record": "metric", ...}`` JSON line."""
     snapshot = registry.snapshot()
-    return "\n".join(_line({"record": "metric", "name": name, **entry})
-                     for name, entry in snapshot.items())
+    return "\n".join(
+        canonical_json({"record": "metric", "name": name, **entry})
+        for name, entry in snapshot.items())
 
 
 def dump_jsonl(path, tracer: Optional[Tracer] = None,

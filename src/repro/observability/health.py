@@ -46,7 +46,6 @@ DOWN = "DOWN"
 
 #: Gauge encoding of a status (the SLO engine alerts on these).
 STATUS_VALUE = {UP: 0.0, DEGRADED: 1.0, DOWN: 2.0}
-_SEVERITY = {UP: 0, DEGRADED: 1, DOWN: 2}
 
 # Reason codes (stable strings — they appear in snapshots and goldens).
 R_HOST_DOWN = "host-down"
@@ -62,14 +61,6 @@ R_NODES_DEGRADED = "nodes-degraded"
 R_DEADLINE_MISSES = "deadline-misses"
 R_EXERTION_ERRORS = "exertion-errors"
 R_PROVISION_SHORTFALL = "provision-shortfall"
-
-
-def _worst(statuses) -> str:
-    worst = UP
-    for status in statuses:
-        if _SEVERITY[status] > _SEVERITY[worst]:
-            worst = status
-    return worst
 
 
 class _TrackedProvider:
@@ -109,7 +100,6 @@ class HealthModel:
         self.deadline_rate_threshold = deadline_rate_threshold
         self.window = window
         self.registry = metrics_registry(network)
-        self._luses: list = []
         self._providers: dict[str, _TrackedProvider] = {}
         #: Names seen live on more than one host at once (two cybernodes
         #: both called "Cybernode"): such entities are keyed ``name@host``,
@@ -128,16 +118,9 @@ class HealthModel:
 
     # -- wiring ---------------------------------------------------------------
 
-    def register_lus(self, lus) -> None:
-        """Add one LookupService explicitly (tests); started LUSs announce
-        themselves on ``network._lookup_services`` and are found anyway."""
-        if lus not in self._luses:
-            self._luses.append(lus)
-
     def _all_luses(self) -> list:
-        announced = getattr(self.network, "_lookup_services", [])
-        return self._luses + [lus for lus in announced
-                              if lus not in self._luses]
+        """Started LUSs announce themselves on ``network._lookup_services``."""
+        return getattr(self.network, "_lookup_services", [])
 
     def on_event(self, kind: str, fields: dict) -> None:
         """Resilience-event hook: lease expiry marks the provider for an

@@ -11,7 +11,7 @@ around every event's callbacks, aggregating
   ``Process._resume`` callback belongs to (``process:health-monitor``),
   the condition instance for fan-in events, or the bare event type;
 * **rolling throughput** — an (elapsed wall, sim time, events) sample
-  every ``sample_every`` events, so a long run yields an events/sec
+  every ``SAMPLE_EVERY`` events, so a long run yields an events/sec
   trajectory instead of one end-to-end average;
 * **scheduler internals** — the pending-event heap's operation totals
   (pushes, pops, tombstone cancels) and pending count, read from
@@ -21,26 +21,11 @@ around every event's callbacks, aggregating
   so one report ties wall-clock hot spots to the simulated services that
   caused them.
 
-Two recording modes trade precision for cost:
-
-* **sampled** (the default): a statistical profile. The recorder leaves
-  ``exit`` as ``None``, which tells the kernel to run its own countdown
-  inline — all but every ``period``-th event pay one integer decrement,
-  no hook call, no bracketing ``try/finally``. A triggered sample takes
-  one clock stamp and charges the whole stretch since the previous
-  stamp — scheduler pops, dispatch and callbacks for ``period`` events —
-  to the event caught at the stamp. Exactly the semantics of an
-  interrupt-driven sampling profiler: per-row shares converge on the
-  true distribution while the per-event cost stays near the kernel's
-  fast path. Attribution covers ~100% of the run by construction (every
-  stretch is charged to some row; at most ``period - 1`` trailing
-  events go unattributed). ``period=1`` degenerates to exact per-event
-  timing. This is the always-on mode E-PROF gates at ≤5% wall clock.
-* **detail** (``detail=True``): exact, not sampled — two stamps per
-  event, splitting callback time from kernel dispatch time (reported as
-  an explicit ``kernel/scheduler+dispatch`` row) with exact per-row
-  event counts. Costs 15-25% on event-dense workloads, which is fine
-  for its user: the explicit ``repro profile`` CLI run.
+Recording is exact, not sampled: two stamps per event split callback
+time from kernel dispatch time (reported as an explicit
+``kernel/scheduler+dispatch`` row) with exact per-row event counts. That
+costs 15-25% on event-dense workloads, which is fine for its users: the
+explicit ``repro profile`` CLI run and the E-E2E traced pass.
 
 Determinism contract (DESIGN §12): profiling data is a **side channel**.
 The recorder only ever *reads* simulation state — it never schedules,
@@ -66,43 +51,37 @@ from ..sim.core import Process
 
 __all__ = ["FlightRecorder", "profile_run", "service_times"]
 
+#: Rolling-throughput granularity: one sample every this many events.
+SAMPLE_EVERY = 4096
+
 
 class FlightRecorder:
     """Aggregating wall-clock profiler for one simulation run.
 
     ``clock`` is injectable (tests pass a fake counter); it must be a
     zero-argument callable returning monotonically increasing seconds.
-    ``sample_every`` sets the rolling-throughput granularity in events.
-    ``period`` is the sampled mode's countdown: one clock stamp every
-    ``period`` events (1 = exact per-event timing). ``detail`` selects
-    the exact two-stamp callback/kernel split (see the module
-    docstring); leave it off for always-on recording.
+    ``detail`` is vestigial: exact two-stamp bracketing is the only
+    behaviour, and the keyword survives only because the frozen E-E2E
+    harness passes ``detail=True``.
     """
 
     def __init__(self, clock: Callable[[], float] = time.perf_counter,
-                 sample_every: int = 4096, period: int = 32,
-                 detail: bool = False):
-        if sample_every < 1:
-            raise ValueError("sample_every must be >= 1")
-        if period < 1:
-            raise ValueError("period must be >= 1")
+                 detail: bool = True):
+        if detail is not True:
+            raise ValueError(
+                "detail=True is the only recording mode (ISSUE 13 deleted "
+                "sampled recording)")
         self._clock = clock
-        self.sample_every = sample_every
-        self.period = period
-        self.detail = detail
         self.env = None
         #: (event class, target) -> [count, wall_seconds]; target is a
         #: process name, a pre-formatted 1-tuple (cold path) or None.
-        #: In sampled mode ``count`` is the number of *samples*; report()
-        #: scales it by ``period`` into an event-count estimate.
         self._agg: dict[tuple, list] = {}
         #: Rolling throughput samples: (elapsed_wall_s, sim_t, events).
         self._throughput: list[tuple] = []
         self._events = 0
         self._attached_at: Optional[float] = None
         self._run_wall = 0.0       # wall seconds covered while attached
-        self._attributed_wall = 0.0  # wall seconds charged to event rows
-        self._kernel_wall = 0.0    # detail mode: dispatch between callbacks
+        self._kernel_wall = 0.0    # dispatch between callbacks
         # Kernel hook slots; real closures are installed by attach().
         self.enter = self._not_attached
         self.exit = self._not_attached
@@ -126,8 +105,6 @@ class FlightRecorder:
         self.env = env
         self._attached_at = self._clock()
         self._install_hooks(env)
-        if not self.detail:
-            env._prof_countdown = self.period
         env._profiler = self
         return self
 
@@ -136,62 +113,22 @@ class FlightRecorder:
 
         They run once per kernel event; keeping the mutable counters in
         closure cells instead of instance attributes is what keeps the
-        combined mode inside its overhead budget. ``_sync`` publishes the
-        cells back onto the instance for report()/detach().
+        recorder's own cost down. They start from the instance totals (so
+        re-attaching never double-counts) and ``_sync`` publishes them
+        back for report()/detach().
         """
         clock = self._clock
         agg = self._agg
         agg_get = agg.get
-        sample_every = self.sample_every
-        period = self.period
         throughput_append = self._throughput.append
         attached_at = self._attached_at
-        base_events = self._events
-        events = base_events
-        samples = 0
-        # Throughput cadence, expressed in triggers so the hot path never
-        # tracks a second counter.
-        throughput_every = max(1, sample_every // period)
-        kernel_wall = 0.0
+        events = self._events
+        kernel_wall = self._kernel_wall
         last_mark = attached_at
         label = None
         t0 = attached_at
 
-        def sampled_enter(event):
-            # Called by the kernel only on every period-th event (its
-            # inline countdown gates the rest). A trigger charges the
-            # stretch since the previous stamp — period events of pops,
-            # dispatch and callbacks — to the event caught here, while
-            # its callback list is intact (_run_callbacks clears it).
-            nonlocal samples, last_mark
-            now = clock()
-            dt = now - last_mark
-            last_mark = now
-            cb = event.callbacks
-            if cb:
-                try:
-                    owner = cb[0].__self__
-                except AttributeError:
-                    owner = None
-                if type(owner) is Process:
-                    key = (event.__class__, owner.name)
-                else:  # cold: condition checks, run()'s stop hook, ...
-                    key = (event.__class__, (_cold_target(cb[0], owner),))
-            else:
-                key = (event.__class__, None)
-            entry = agg_get(key)
-            if entry is None:
-                agg[key] = [1, dt]
-            else:
-                entry[0] += 1
-                entry[1] += dt
-            samples += 1
-            if not samples % throughput_every:
-                throughput_append(
-                    (now - attached_at, env._now,
-                     base_events + samples * period))
-
-        def detail_enter(event):
+        def enter(event):
             nonlocal label, t0, kernel_wall
             callbacks = event.callbacks
             if callbacks:
@@ -208,7 +145,7 @@ class FlightRecorder:
             kernel_wall += now - last_mark
             t0 = now
 
-        def detail_exit(event):
+        def exit(event):
             nonlocal last_mark, events
             now = clock()
             dt = now - t0
@@ -220,45 +157,14 @@ class FlightRecorder:
                 entry[0] += 1
                 entry[1] += dt
             events += 1
-            if not events % sample_every:
+            if not events % SAMPLE_EVERY:
                 throughput_append((now - attached_at, env._now, events))
 
-        # Attributed wall equals the sum charged into the aggregation table
-        # in both modes, so the hot path never maintains a separate total —
-        # sync() derives it on demand. Seed the baseline with whatever a
-        # previous attach already published so re-attaching never
-        # double-counts.
-        synced_attributed = sum(entry[1] for entry in agg.values())
-        synced_kernel = 0.0
-
-        detail = self.detail
-
         def sync():
-            # Idempotent: publishes only the growth since the last sync,
-            # so live report()/events reads never double-count. The
-            # sampled mode reconstructs the exact event count from the
-            # countdown instead of paying a counter on every call.
-            nonlocal synced_attributed, synced_kernel
-            if detail:
-                self._events = events
-            else:
-                # The kernel's countdown says how far into the current
-                # period the run is, making the count exact.
-                self._events = (base_events + samples * period
-                                + (period - env._prof_countdown))
-            attributed = sum(entry[1] for entry in agg.values())
-            self._attributed_wall += attributed - synced_attributed
-            self._kernel_wall += kernel_wall - synced_kernel
-            synced_attributed = attributed
-            synced_kernel = kernel_wall
+            self._events = events
+            self._kernel_wall = kernel_wall
 
-        if detail:
-            self.enter, self.exit = detail_enter, detail_exit
-        else:
-            # exit=None tells the kernel this recorder is observe-only:
-            # it runs its inline countdown and calls enter only on every
-            # period-th event, skipping the try/finally entirely.
-            self.enter, self.exit = sampled_enter, None
+        self.enter, self.exit = enter, exit
         self._sync = sync
 
     def detach(self) -> None:
@@ -298,22 +204,18 @@ class FlightRecorder:
         wall = self._run_wall
         if self._attached_at is not None:  # still attached: live view
             wall += self._clock() - self._attached_at
-        attributed = self._attributed_wall
         kernel_wall = self._kernel_wall
-        # Sampled mode stores sample counts; scale them into event-count
-        # estimates so the column means the same thing in both modes.
-        scale = 1 if self.detail else self.period
-        rows = sorted(
-            ((cls.__name__, _display_target(target), count * scale, seconds)
-             for (cls, target), (count, seconds) in self._agg.items()),
-            key=lambda row: (-row[3], row[0], row[1]))
-        if self.detail:
-            # Detail mode measured dispatch separately — surface it as an
-            # explicit named row, not unaccounted mystery time.
-            rows.insert(
-                _insertion_index(rows, kernel_wall),
-                ("kernel", "scheduler+dispatch", self._events, kernel_wall))
-            attributed += kernel_wall
+        # Callback wall is whatever was charged into the aggregation
+        # table, so the hot path never maintains a separate total.
+        attributed = kernel_wall + sum(
+            seconds for _count, seconds in self._agg.values())
+        rows = [(cls.__name__, _display_target(target), count, seconds)
+                for (cls, target), (count, seconds) in self._agg.items()]
+        # Dispatch is measured separately — surface it as an explicit
+        # named row, not unaccounted mystery time.
+        rows.append(("kernel", "scheduler+dispatch", self._events,
+                     kernel_wall))
+        rows.sort(key=lambda row: (-row[3], row[0], row[1]))
         truncated = None
         if top is not None and len(rows) > top:
             tail = rows[top:]
@@ -329,7 +231,6 @@ class FlightRecorder:
              "share": round(seconds / wall, 4) if wall > 0 else 0.0}
             for etype, target, count, seconds in rows]
         report = {
-            "mode": "detail" if self.detail else "sampled",
             "events": self._events,
             "wall_s": round(wall, 6),
             "events_per_sec": (round(self._events / wall, 1)
@@ -347,13 +248,10 @@ class FlightRecorder:
             "scheduler": (self.env.scheduler_stats()
                           if self.env is not None else None),
         }
-        if self.detail:
-            if wall > 0:
-                report["kernel_share"] = round(kernel_wall / wall, 4)
-                report["callback_share"] = round(
-                    (attributed - kernel_wall) / wall, 4)
-        else:
-            report["sample_period"] = self.period
+        if wall > 0:
+            report["kernel_share"] = round(kernel_wall / wall, 4)
+            report["callback_share"] = round(
+                (attributed - kernel_wall) / wall, 4)
         if truncated is not None:
             report["truncated"] = truncated
         if registry is not None:
@@ -414,19 +312,10 @@ def _display_target(target) -> str:
     return f"process:{target}"
 
 
-def _insertion_index(rows: list, seconds: float) -> int:
-    """Where a row with ``seconds`` of wall time slots into the
-    descending-by-wall attribution table."""
-    for i, row in enumerate(rows):
-        if seconds > row[3]:
-            return i
-    return len(rows)
-
-
 class profile_run:
     """Context manager: attach a recorder to ``env`` for the ``with`` body.
 
-    >>> recorder = FlightRecorder(detail=True)
+    >>> recorder = FlightRecorder()
     >>> with profile_run(env, recorder):
     ...     env.run(until=30.0)
     >>> recorder.report()

@@ -1,10 +1,9 @@
 """Metrics registry — named counters, gauges and fixed-bucket histograms.
 
 One :class:`MetricsRegistry` exists per network (via
-:func:`metrics_registry`), replacing ad-hoc ``Recorder.count`` call sites
-with a single namespace the whole run shares: exertion latency, RPC round
-trips, retries, breaker transitions, lease renewals, provider load and
-buffer depths all land here under stable names with optional labels
+:func:`metrics_registry`): a single namespace the whole run shares —
+exertion latency, RPC round trips, retries, breaker transitions, lease
+renewals, provider load and buffer depths all land here under stable names with optional labels
 (``rpc.calls{host=facade-host}``).
 
 Design constraints, in order:

@@ -94,7 +94,7 @@ class Span:
     @property
     def annotations(self) -> list[tuple]:
         """Ordered (time, name, sorted (key, value) tuple) entries — the
-        same shape as :class:`~repro.metrics.Recorder` events, so span
+        same shape as :attr:`ResilienceEvents.trace` entries, so span
         annotations compare with plain ``==``."""
         return self._annotations if self._annotations is not None else []
 

@@ -9,7 +9,7 @@ output, which is what the golden-file CLI tests pin down.
 
 from __future__ import annotations
 
-import json
+from ..util.canonical import canonical_document
 
 __all__ = ["render_status", "render_health", "status_json"]
 
@@ -101,5 +101,4 @@ def status_json(snapshot: dict, **meta) -> str:
     newline — byte-identical across same-seed runs."""
     document = dict(meta)
     document.update(snapshot)
-    return json.dumps(document, sort_keys=True,
-                      separators=(",", ":")) + "\n"
+    return canonical_document(document)

@@ -82,10 +82,3 @@ class WeightedFairQueue:
 
     def __bool__(self) -> bool:
         return bool(self._heap)
-
-    def tenants_queued(self) -> dict:
-        """tenant -> queued count (sorted; for snapshots/debugging)."""
-        counts: dict[str, int] = {}
-        for _tag, tenant, _seq, _item in self._heap:
-            counts[tenant] = counts.get(tenant, 0) + 1
-        return dict(sorted(counts.items()))

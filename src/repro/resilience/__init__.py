@@ -18,8 +18,9 @@ Components (each usable on its own):
   nested CSP→ESP hops via the service context (``DEADLINE_PATH``);
 * :class:`CircuitBreaker` / :class:`BreakerRegistry` — per-provider
   closed → open → half-open breakers consulted by the exerter;
-* :class:`ResilienceEvents` — retry/breaker/stale/deadline events recorded
-  through :class:`~repro.metrics.Recorder` for benchmarks and the browser.
+* :class:`ResilienceEvents` — retry/breaker/stale/deadline events counted
+  in the metrics registry and kept as an ordered ``==``-comparable trace
+  for benchmarks and the browser.
 """
 
 from .breaker import BreakerRegistry, BreakerState, CircuitBreaker, CircuitOpenError

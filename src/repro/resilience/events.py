@@ -4,8 +4,8 @@ Every resilience decision (retry scheduled, breaker opened/half-open/closed,
 stale substitution, deadline exceeded, lease renewal retried) is emitted
 here. Counters land in the run's shared
 :class:`~repro.observability.MetricsRegistry` (``resilience.<kind>``);
-the timestamped event trace stays in a :class:`~repro.metrics.Recorder`
-so whole traces still compare with plain ``==``. Benchmarks assert on the
+the timestamped event trace is a plain list of ``(time, kind, fields)``
+tuples so whole traces compare with plain ``==``. Benchmarks assert on the
 counters; determinism tests compare whole traces; the browser can render
 the trace as a timeline.
 
@@ -19,7 +19,6 @@ from __future__ import annotations
 import zlib
 from typing import Optional
 
-from ..metrics.recorder import Recorder
 from ..observability.registry import MetricsRegistry
 from ..sim import Environment
 from ..snapshot.registry import register_participant
@@ -28,12 +27,14 @@ __all__ = ["ResilienceEvents", "resilience_events"]
 
 
 class ResilienceEvents:
-    """Clock-stamped emitter over a :class:`Recorder` + metrics registry."""
+    """Clock-stamped emitter over an ordered trace + metrics registry."""
 
-    def __init__(self, env: Environment, recorder: Optional[Recorder] = None,
+    def __init__(self, env: Environment,
                  metrics: Optional[MetricsRegistry] = None):
         self.env = env
-        self.recorder = recorder if recorder is not None else Recorder()
+        #: Ordered (time, kind, fields) tuples; fields is a sorted tuple of
+        #: (key, value) pairs so two traces compare with plain ``==``.
+        self._trace: list[tuple] = []
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._listeners: list = []
         # emit() runs per kernel event on fault-heavy paths; resolving the
@@ -53,7 +54,8 @@ class ResilienceEvents:
             counter = self._counters[kind] = self.metrics.counter(
                 f"resilience.{kind}")
         counter.inc()
-        self.recorder.event(kind, self.env.now, **fields)
+        self._trace.append((float(self.env.now), kind,
+                            tuple(sorted(fields.items()))))
         for listener in self._listeners:
             listener(kind, fields)
 
@@ -63,7 +65,7 @@ class ResilienceEvents:
     @property
     def trace(self) -> list:
         """The full ordered event trace: ``(time, kind, fields)`` tuples."""
-        return self.recorder.events()
+        return list(self._trace)
 
 
 def resilience_events(network) -> ResilienceEvents:

@@ -15,38 +15,24 @@ lets tests compare sensor aggregates against exact ground truth.
 Events (a heater switching on, a cold front) add localized step changes.
 
 :meth:`PhysicalEnvironment.sample_many` reads a whole probe fleet in one
-call. With numpy present the spatial terms are array operations over cached
-per-fleet coordinate arrays and the noise knots are cached per correlation
-window, so a 100k-probe tick costs a handful of array ops; without numpy it
-falls back to the scalar loop. Both paths produce bitwise-identical floats
-to per-probe :meth:`~PhysicalEnvironment.sample` calls — every elementwise
-operation mirrors the scalar expression tree exactly (IEEE-754 doubles round
-identically either way), and the transcendental terms (``sin``,
-``hypot``) are always computed scalar-side.
+call: the spatial terms are array operations over cached per-fleet
+coordinate arrays and the noise knots are cached per correlation window, so
+a 100k-probe tick costs a handful of array ops. It produces
+bitwise-identical floats to per-probe :meth:`~PhysicalEnvironment.sample`
+calls — every elementwise operation mirrors the scalar expression tree
+exactly (IEEE-754 doubles round identically either way), and the
+transcendental terms (``sin``, ``hypot``) are always computed scalar-side.
 """
 
 from __future__ import annotations
 
 import math
-import random as _random
 from dataclasses import dataclass, field
 from typing import Optional
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - the CI image always has numpy
-    np = None
+import numpy as np
 
 __all__ = ["FieldSpec", "FieldEvent", "PhysicalEnvironment"]
-
-
-def _box_muller(seed: int) -> float:  # pragma: no cover - numpy-less installs
-    """Stdlib stand-in for the seeded unit normal when numpy is missing.
-
-    Only self-consistency matters on such installs; matching numpy's
-    bit stream is not required (nor possible).
-    """
-    return _random.Random(seed).gauss(0.0, 1.0)  # repro: allow[DET005]
 
 
 @dataclass(frozen=True)
@@ -106,17 +92,12 @@ class PhysicalEnvironment:
                               noise_tau=600.0),
     }
 
-    def __init__(self, seed: int = 0, fields: Optional[dict] = None,
-                 vectorize: Optional[bool] = None):
+    def __init__(self, seed: int = 0, fields: Optional[dict] = None):
         self.seed = seed
         self.fields: dict[str, FieldSpec] = dict(self.DEFAULT_FIELDS)
         if fields:
             self.fields.update(fields)
         self.events: list[FieldEvent] = []
-        #: Use numpy array ops in :meth:`sample_many`; ``None`` means "if
-        #: numpy is importable". Forcing ``False`` exercises the pure-python
-        #: fallback (the bitwise-equivalence tests do).
-        self.vectorize = (np is not None) if vectorize is None else vectorize
         # Noise knots keyed quantity -> knot index -> (x, y) -> value.
         # Knot RNG construction dominates scalar sampling cost; knots only
         # change every `noise_tau` seconds, so caching amortizes them across
@@ -171,8 +152,6 @@ class PhysicalEnvironment:
         spec = self.fields.get(quantity)
         if spec is None:
             raise KeyError(f"unknown quantity {quantity!r}")
-        if not self.vectorize or np is None:
-            return [self.sample(quantity, loc, t) for loc in locations]
         xs, ys = self._block(locations)
         values = spec.base + (spec.gradient[0] * xs + spec.gradient[1] * ys)
         if spec.amplitude:
@@ -199,10 +178,7 @@ class PhysicalEnvironment:
 
     def mean_over(self, quantity: str, locations: list, t: float) -> float:
         """Ground-truth average across several locations (test oracle)."""
-        samples = self.sample_many(quantity, locations, t)
-        if np is None:  # pragma: no cover - the CI image always has numpy
-            return sum(samples) / len(samples)
-        return float(np.mean(samples))
+        return float(np.mean(self.sample_many(quantity, locations, t)))
 
     # -- internals ------------------------------------------------------------------
 
@@ -222,12 +198,8 @@ class PhysicalEnvironment:
         if cached is None:
             key = hash((self.seed, quantity,
                         round(location[0], 6), round(location[1], 6), index))
-            if np is not None:
-                cached = float(
-                    np.random.default_rng(key & 0xFFFFFFFF).standard_normal())
-            else:  # pragma: no cover - the CI image always has numpy
-                cached = _box_muller(key & 0xFFFFFFFF)
-            generation[location] = cached
+            cached = generation[location] = float(
+                np.random.default_rng(key & 0xFFFFFFFF).standard_normal())
         return cached
 
     def _smooth_noise(self, quantity: str, location: tuple, t: float,

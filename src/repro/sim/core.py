@@ -394,17 +394,7 @@ class Environment:
         if sanitize:
             mode = sanitize if isinstance(sanitize, str) else "raise"
             self.sanitizer = RaceSanitizer(mode=mode)
-        #: Wall-clock flight recorder hook (see
-        #: :mod:`repro.observability.profile`). ``None`` keeps :meth:`step`
-        #: on the branch-free fast path; when set, the recorder's
-        #: ``enter``/``exit`` pair brackets every event's callbacks. The
-        #: kernel itself never reads a wall clock — the recorder owns it —
-        #: and the recorder only observes, so simulation state and event
-        #: order are bit-identical with or without it.
         self._profiler = None
-        #: Sampled-mode countdown to the next profiler stamp; owned by
-        #: :meth:`step` (see there), reset by the recorder's ``attach``.
-        self._prof_countdown = 1
 
     # -- clock --------------------------------------------------------------
 
@@ -470,50 +460,27 @@ class Environment:
             if profiler is None:
                 event._run_callbacks()
                 return
-            if profiler.exit is None:
-                # Observe-only recorder (sampled mode). The kernel owns
-                # the countdown so the off-sample path is pure integer
-                # arithmetic — no hook call, no bracketing. The counter
-                # is deterministic state (no wall clock enters the
-                # kernel) and exists only while a recorder is attached.
-                countdown = self._prof_countdown - 1
-                if countdown:
-                    self._prof_countdown = countdown
-                    event._run_callbacks()
-                    return
-                self._prof_countdown = profiler.period
-                profiler.enter(event)
-                event._run_callbacks()
-                return
-            profiler.enter(event)
-            try:
-                event._run_callbacks()
-            finally:
-                profiler.exit(event)
-            return
-        # Sanitize mode: make this environment's sanitizer visible to
+        # Observed path: a flight recorder (``_profiler``, see
+        # :mod:`repro.observability.profile`), the sanitizer, or both. The
+        # recorder's ``enter``/``exit`` pair brackets the callbacks; the
+        # kernel itself never reads a wall clock and the recorder only
+        # observes, so event order is bit-identical with or without it.
+        # Sanitizing makes this environment's sanitizer visible to
         # instrumented shared state for the duration of the callbacks.
-        self.sanitizer.begin_event(when, prio, seq, event)
-        previous = _san._active
-        _san._active = self.sanitizer
-        bracketed = None
+        sanitizer = self.sanitizer
+        if sanitizer is not None:
+            sanitizer.begin_event(when, prio, seq, event)
+            previous = _san._active
+            _san._active = sanitizer
         if profiler is not None:
-            if profiler.exit is None:
-                countdown = self._prof_countdown - 1
-                if countdown:
-                    self._prof_countdown = countdown
-                else:
-                    self._prof_countdown = profiler.period
-                    profiler.enter(event)
-            else:
-                bracketed = profiler
-                profiler.enter(event)
+            profiler.enter(event)
         try:
             event._run_callbacks()
         finally:
-            _san._active = previous
-            if bracketed is not None:
-                bracketed.exit(event)
+            if sanitizer is not None:
+                _san._active = previous
+            if profiler is not None:
+                profiler.exit(event)
 
     def run(self, until: float | Event | None = None) -> Any:
         """Run the simulation.

@@ -28,8 +28,8 @@ from __future__ import annotations
 import hashlib
 import zlib
 
-from repro.snapshot.format import canonical_dumps
 from repro.snapshot.registry import participants
+from repro.util.canonical import canonical_document
 
 __all__ = ["capture_state", "state_digest", "jsonable"]
 
@@ -88,4 +88,4 @@ def capture_state(env) -> dict:
 
 def state_digest(body: dict) -> str:
     """sha256 of the canonical serialisation of a captured document."""
-    return hashlib.sha256(canonical_dumps(body).encode("utf-8")).hexdigest()
+    return hashlib.sha256(canonical_document(body).encode("utf-8")).hexdigest()

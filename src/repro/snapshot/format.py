@@ -26,6 +26,7 @@ import json
 from pathlib import Path
 
 from repro.util.atomicio import atomic_write_bytes
+from repro.util.canonical import canonical_document
 
 __all__ = [
     "FORMAT",
@@ -34,7 +35,6 @@ __all__ = [
     "SnapshotCorrupt",
     "SnapshotVersionError",
     "RestoreMismatch",
-    "canonical_dumps",
     "write_snapshot",
     "read_snapshot",
 ]
@@ -61,16 +61,11 @@ class RestoreMismatch(SnapshotError):
     """Replayed state disagrees with the captured state at the checkpoint."""
 
 
-def canonical_dumps(obj) -> str:
-    """Canonical JSON: sorted keys, no whitespace, trailing newline."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
-
-
 def write_snapshot(path, body: dict) -> str:
     """Write ``body`` to ``path`` atomically; return the body sha256."""
-    body_bytes = canonical_dumps(body).encode("utf-8")
+    body_bytes = canonical_document(body).encode("utf-8")
     digest = hashlib.sha256(body_bytes).hexdigest()
-    header = canonical_dumps({
+    header = canonical_document({
         "format": FORMAT,
         "length": len(body_bytes),
         "sha256": digest,

@@ -32,6 +32,7 @@ import os
 from contextlib import contextmanager
 
 from repro.snapshot.checkpoint import Checkpointer
+from repro.util.canonical import canonical_document
 
 __all__ = [
     "forced_kernel",
@@ -138,7 +139,7 @@ def _run_status(spec: dict, checkpoint_at, sink, on_capture):
 
 
 def _run_campaign(spec: dict, checkpoint_at, sink, on_capture):
-    from repro.chaos import CampaignRunner, ChaosPlan, verdict_json
+    from repro.chaos import CampaignRunner, ChaosPlan
 
     plan = ChaosPlan.from_dict(spec["plan"])
     runner = CampaignRunner(scenario=spec.get("scenario", "paper-lab"))
@@ -155,7 +156,7 @@ def _run_campaign(spec: dict, checkpoint_at, sink, on_capture):
     with forced_kernel(spec.get("tie_break_seed")):
         verdict = runner.run_plan(
             plan, checkpointer=factory if checkpoint_at else None)
-    outputs = {"verdict": verdict_json(verdict)}
+    outputs = {"verdict": canonical_document(verdict)}
     return outputs, (holder[0] if holder else None)
 
 

@@ -26,10 +26,10 @@ from repro.snapshot.capture import state_digest
 from repro.snapshot.format import (
     RestoreMismatch,
     SnapshotCorrupt,
-    canonical_dumps,
     read_snapshot,
 )
 from repro.snapshot.programs import run_program
+from repro.util.canonical import canonical_json
 
 __all__ = ["restore_run", "diff_sections"]
 
@@ -42,7 +42,7 @@ def diff_sections(expected: dict, actual: dict) -> list:
             differing.append(f"+{key}")
         elif key not in actual:
             differing.append(f"-{key}")
-        elif canonical_dumps(expected[key]) != canonical_dumps(actual[key]):
+        elif canonical_json(expected[key]) != canonical_json(actual[key]):
             differing.append(key)
     return differing
 

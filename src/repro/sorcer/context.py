@@ -105,11 +105,6 @@ class ServiceContext(WireSized):
             raise ContextError(f"cannot mark unknown path {path!r}")
         self._in_paths.add(path)
 
-    def mark_out(self, path: str) -> None:
-        if path not in self._data:
-            raise ContextError(f"cannot mark unknown path {path!r}")
-        self._out_paths.add(path)
-
     def in_paths(self) -> list[str]:
         return sorted(self._in_paths)
 

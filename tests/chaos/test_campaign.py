@@ -3,21 +3,22 @@ shuffling), the pytest harness, and recovery accounting."""
 
 import pytest
 
-from repro.chaos import CampaignRunner, mttr_from_transitions, verdict_json
+from repro.chaos import CampaignRunner, mttr_from_transitions
 from repro.chaos.testing import chaos_campaign
+from repro.util.canonical import canonical_document
 
 
 def test_verdict_is_byte_identical_across_runs():
     a = CampaignRunner("paper-lab").run_seed(3)
     b = CampaignRunner("paper-lab").run_seed(3)
-    assert verdict_json(a) == verdict_json(b)
+    assert canonical_document(a) == canonical_document(b)
 
 
 def test_verdict_is_shuffle_invariant(shuffle_seed):
     """The whole campaign pipeline — plan, injection, invariants, recovery
     accounting — must not depend on same-timestamp tie-break order."""
     shuffled = CampaignRunner("paper-lab").run_seed(3)
-    assert verdict_json(shuffled) == _BASELINE
+    assert canonical_document(shuffled) == _BASELINE
 
 
 def _baseline():
@@ -25,7 +26,7 @@ def _baseline():
     env_key = "REPRO_SHUFFLE_SEED"
     saved = os.environ.pop(env_key, None)
     try:
-        return verdict_json(CampaignRunner("paper-lab").run_seed(3))
+        return canonical_document(CampaignRunner("paper-lab").run_seed(3))
     finally:
         if saved is not None:
             os.environ[env_key] = saved
@@ -93,7 +94,7 @@ def test_load_scenario_verdict_carries_traffic_accounting():
 def test_load_scenario_verdict_byte_identical_across_runs():
     a = CampaignRunner("paper-lab-load").run_seed(2)
     b = CampaignRunner("paper-lab-load").run_seed(2)
-    assert verdict_json(a) == verdict_json(b)
+    assert canonical_document(a) == canonical_document(b)
 
 
 @chaos_campaign(seeds=[1, 2, 3], scenario="paper-lab-load")

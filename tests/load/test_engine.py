@@ -1,21 +1,16 @@
 """Open-loop engine: seeded determinism, substream isolation, burst
 composition and drained accounting."""
 
-import json
-
 import pytest
 
 from repro.load import DEFAULT_TENANTS, TenantSpec, build_load_lab
 from repro.scenarios.paper_lab import SENSOR_NAMES
+from repro.util.canonical import canonical_json as canonical
 
 
 def run_summary(seed=2009, **kwargs):
     kwargs.setdefault("duration", 2.0)
     return build_load_lab(seed=seed, **kwargs).run()
-
-
-def canonical(summary):
-    return json.dumps(summary, sort_keys=True, separators=(",", ":"))
 
 
 def test_same_seed_same_summary_bytes():

@@ -1,61 +1,6 @@
-"""Recorder and table rendering."""
+"""Table rendering."""
 
-import numpy as np
-import pytest
-
-from repro.metrics import Recorder, format_value, render_table
-
-
-def test_record_and_summary():
-    rec = Recorder()
-    for v in (1.0, 2.0, 3.0, 4.0, 5.0):
-        rec.record("latency", v)
-    s = rec.summary("latency")
-    assert s["count"] == 5
-    assert s["mean"] == 3.0
-    assert s["p50"] == 3.0
-    assert s["min"] == 1.0
-    assert s["max"] == 5.0
-    assert s["total"] == 15.0
-
-
-def test_empty_summary():
-    rec = Recorder()
-    s = rec.summary("nothing")
-    assert s["count"] == 0
-    assert s["mean"] is None
-
-
-def test_p95():
-    rec = Recorder()
-    for v in range(100):
-        rec.record("x", float(v))
-    assert rec.summary("x")["p95"] == pytest.approx(94.05)
-
-
-def test_counters():
-    rec = Recorder()
-    rec.count("errors")
-    rec.count("errors", 2)
-    assert rec.counter("errors") == 3
-    assert rec.counter("unknown") == 0
-
-
-def test_merge():
-    a, b = Recorder(), Recorder()
-    a.record("x", 1.0)
-    b.record("x", 3.0)
-    b.count("n", 5)
-    a.merge(b)
-    assert a.summary("x")["mean"] == 2.0
-    assert a.counter("n") == 5
-
-
-def test_series_names_sorted():
-    rec = Recorder()
-    rec.record("b", 1)
-    rec.record("a", 1)
-    assert rec.series_names() == ["a", "b"]
+from repro.metrics import format_value, render_table
 
 
 def test_format_value():
@@ -104,35 +49,3 @@ def test_render_traffic():
     assert "data" in table and "ctl" in table
     # Sorted by total bytes descending: data row above ctl row.
     assert table.index("data") < table.index("ctl")
-
-
-def test_counter_read_does_not_mutate():
-    """Regression: reading an unknown counter must not insert it.
-
-    ``_counters`` is a defaultdict; ``counter()`` subscripting it would
-    create the key as a side effect, so merely *inspecting* a recorder
-    changed its state (and broke equality-based trace comparisons).
-    """
-    rec = Recorder()
-    assert rec.counter("never.incremented") == 0.0
-    assert "never.incremented" not in rec._counters
-    # Same bug class for sample series reads.
-    assert rec.samples("never.recorded") == []
-    assert "never.recorded" not in rec._series
-    assert rec.series_names() == []
-
-
-def test_samples_returns_a_copy():
-    rec = Recorder()
-    rec.record("x", 1.0)
-    rec.samples("x").append(99.0)
-    assert rec.samples("x") == [1.0]
-
-
-def test_events_trace():
-    rec = Recorder()
-    rec.event("retry", 1.5, attempt=0)
-    rec.event("open", 2.0)
-    assert rec.events() == [(1.5, "retry", (("attempt", 0),)),
-                            (2.0, "open", ())]
-    assert rec.events("retry") == [(1.5, "retry", (("attempt", 0),))]

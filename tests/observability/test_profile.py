@@ -5,16 +5,18 @@ Wall-clock *values* are machine noise, so every aggregation test injects
 a fake clock that advances a fixed step per read: the recorder's sums,
 counts and shares become exact arithmetic. The determinism tests then
 pin the contract that matters in production — a run's simulation-side
-output is byte-identical with no recorder, a sampled recorder and a
-detail recorder, under tie-break shuffling too.
+output is byte-identical with and without a recorder attached, under
+tie-break shuffling too.
 """
 
 import pytest
 
 from repro.observability import (FlightRecorder, MetricsRegistry,
                                  profile_run, service_times, status_json)
+from repro.observability.profile import SAMPLE_EVERY
 from repro.scenarios import build_paper_lab
 from repro.sim import Environment
+from repro.sim import sanitizer as _san
 
 
 class FakeClock:
@@ -29,9 +31,9 @@ class FakeClock:
         return self.now
 
 
-def ticker_env(rounds: int = 50, procs: int = 2) -> Environment:
+def ticker_env(rounds: int = 50, procs: int = 2, **env_kwargs) -> Environment:
     """An Environment with ``procs`` named tickers of ``rounds`` timeouts."""
-    env = Environment()
+    env = Environment(**env_kwargs)
 
     def tick():
         for _ in range(rounds):
@@ -81,78 +83,27 @@ def test_profile_run_detaches_on_exit():
     assert recorder.events == events_of(env)
 
 
-# -- sampled mode --------------------------------------------------------------
-
-
-@pytest.mark.parametrize("period", [1, 3, 7, 32, 1000])
-def test_sampled_event_count_is_exact_for_any_period(period):
-    env = ticker_env()
-    recorder = FlightRecorder(clock=FakeClock(), period=period).attach(env)
-    env.run()
-    recorder.detach()
-    # The kernel countdown makes the count exact even mid-period (and for
-    # a period longer than the whole run).
-    assert recorder.events == events_of(env)
-
-
-def test_sampled_period_one_is_exact_per_event_timing():
-    clock = FakeClock(step=0.5)
-    env = ticker_env(rounds=20, procs=1)
-    recorder = FlightRecorder(clock=clock, period=1).attach(env)
-    env.run()
-    recorder.detach()
-    report = recorder.report()
-    events = events_of(env)
-    # Every event took one stamp; each stamp advanced the fake clock one
-    # step and charged exactly that step to a row.
-    assert report["mode"] == "sampled"
-    assert report["events"] == events
-    assert sum(row["count"] for row in report["attribution"]) == events
-    total = sum(row["wall_s"] for row in report["attribution"])
-    assert total == pytest.approx(events * clock.step)
-    targets = {row["target"] for row in report["attribution"]}
-    assert "process:tick-0" in targets
-
-
-def test_sampled_attribution_covers_the_run():
-    env = ticker_env(rounds=200, procs=3)
-    recorder = FlightRecorder(clock=FakeClock(), period=4).attach(env)
-    env.run()
-    recorder.detach()
-    report = recorder.report()
-    assert report["sample_period"] == 4
-    # Every sample charges the full stretch since the previous stamp, so
-    # attribution covers the run except the attach/detach framing and at
-    # most period-1 trailing events.
-    assert report["attributed_share"] >= 0.90
-    # Sample counts scale into event estimates: off by at most one
-    # period's worth per row boundary, exact in total.
-    estimated = sum(row["count"] for row in report["attribution"])
-    assert estimated == pytest.approx(report["events"], abs=4)
+# -- recording -----------------------------------------------------------------
 
 
 def test_throughput_samples_ride_along():
-    env = ticker_env(rounds=300, procs=2)
-    recorder = FlightRecorder(clock=FakeClock(), period=2,
-                              sample_every=64).attach(env)
+    env = ticker_env(rounds=SAMPLE_EVERY + 100, procs=2)
+    recorder = FlightRecorder(clock=FakeClock()).attach(env)
     env.run()
     recorder.detach()
     samples = recorder.report()["throughput"]
     assert len(samples) >= 2
     events = [s["events"] for s in samples]
-    assert events == sorted(events)           # monotone
-    assert all(n % 64 == 0 for n in events)   # on the configured grid
+    assert events == sorted(events)                     # monotone
+    assert all(n % SAMPLE_EVERY == 0 for n in events)   # on the grid
     assert all(s["sim_t"] <= env.now for s in samples)
 
 
-def test_period_validation():
-    with pytest.raises(ValueError):
-        FlightRecorder(period=0)
-    with pytest.raises(ValueError):
-        FlightRecorder(sample_every=0)
-
-
-# -- detail mode ---------------------------------------------------------------
+def test_deleted_knobs_are_rejected():
+    with pytest.raises(TypeError):
+        FlightRecorder(period=32)
+    with pytest.raises(ValueError, match="ISSUE 13"):
+        FlightRecorder(detail=False)
 
 
 def test_detail_mode_counts_are_exact_with_kernel_row():
@@ -163,7 +114,7 @@ def test_detail_mode_counts_are_exact_with_kernel_row():
     recorder.detach()
     report = recorder.report()
     events = events_of(env)
-    assert report["mode"] == "detail"
+    assert "mode" not in report
     assert report["events"] == events
     rows = {(r["event_type"], r["target"]): r for r in report["attribution"]}
     kernel = rows.pop(("kernel", "scheduler+dispatch"))
@@ -176,7 +127,7 @@ def test_detail_mode_counts_are_exact_with_kernel_row():
 
 def test_report_truncation_sums_the_tail():
     env = ticker_env(rounds=10, procs=6)
-    recorder = FlightRecorder(clock=FakeClock(), period=1).attach(env)
+    recorder = FlightRecorder(clock=FakeClock()).attach(env)
     env.run()
     recorder.detach()
     full = recorder.report()
@@ -192,7 +143,7 @@ def test_report_truncation_sums_the_tail():
 def test_reattach_accumulates_without_double_counting():
     clock = FakeClock()
     env = ticker_env(rounds=100, procs=1)
-    recorder = FlightRecorder(clock=clock, period=1).attach(env)
+    recorder = FlightRecorder(clock=clock).attach(env)
     env.run(until=20.0)
     recorder.detach()
     first_events = recorder.events
@@ -206,6 +157,60 @@ def test_reattach_accumulates_without_double_counting():
     assert report["wall_s"] > first_wall
     # Shares still sum to <= 1: nothing was charged twice.
     assert report["attributed_share"] <= 1.0
+
+
+# -- the observed path with the sanitizer on -----------------------------------
+
+
+def racy_env() -> Environment:
+    """Tickers plus two same-instant writers of one gauge, so record-mode
+    sanitizing has a finding to report."""
+    env = ticker_env(rounds=10, procs=2, sanitize="record")
+    gauge = MetricsRegistry().gauge("depth")
+
+    def writer(value):
+        yield env.timeout(5.0)
+        gauge.set(value)
+
+    env.process(writer(1), name="writer-1")
+    env.process(writer(2), name="writer-2")
+    return env
+
+
+def test_recorder_and_sanitizer_share_the_observed_path():
+    bare = racy_env()
+    bare.run()
+    env = racy_env()
+    recorder = FlightRecorder(clock=FakeClock()).attach(env)
+    env.run()
+    recorder.detach()
+    report = recorder.report()
+    assert report["events"] == events_of(env) == events_of(bare)
+    rows = {(r["event_type"], r["target"]): r for r in report["attribution"]}
+    assert rows[("kernel", "scheduler+dispatch")]["count"] == events_of(env)
+    findings = [str(v) for v in env.sanitizer.violations]
+    assert findings and findings == [str(v) for v in bare.sanitizer.violations]
+
+
+def test_raising_callback_still_exits_and_restores_sanitizer():
+    env = Environment(sanitize="record")
+    boom = env.event()
+    boom.callbacks.append(lambda ev: 1 / 0)
+    boom.succeed()
+    recorder = FlightRecorder(clock=FakeClock()).attach(env)
+    sentinel = object()
+    previous, _san._active = _san._active, sentinel
+    try:
+        with pytest.raises(ZeroDivisionError):
+            env.step()
+        assert _san._active is sentinel
+    finally:
+        _san._active = previous
+    recorder.detach()
+    report = recorder.report()
+    assert report["events"] == 1
+    assert sum(r["count"] for r in report["attribution"]
+               if r["event_type"] != "kernel") == 1
 
 
 # -- service-time aggregation --------------------------------------------------
@@ -229,13 +234,10 @@ def test_service_times_summarizes_histograms():
 # -- the side-channel contract (DESIGN §12) ------------------------------------
 
 
-def _status_after_run(mode, seed=2009, until=30.0):
+def _status_after_run(attached, seed=2009, until=30.0):
     lab = build_paper_lab(seed=seed)
     lab.settle(6.0)
-    recorder = (None if mode == "off"
-                else FlightRecorder(detail=(mode == "detail")))
-    if recorder is not None:
-        recorder.attach(lab.env)
+    recorder = FlightRecorder().attach(lab.env) if attached else None
     lab.env.run(until=until)
     if recorder is not None:
         recorder.detach()
@@ -243,12 +245,10 @@ def _status_after_run(mode, seed=2009, until=30.0):
 
 
 def test_recorder_never_changes_simulation_output():
-    off = _status_after_run("off")
-    assert off == _status_after_run("sampled")
-    assert off == _status_after_run("detail")
+    assert _status_after_run(False) == _status_after_run(True)
 
 
 def test_recorder_is_shuffle_invariant(shuffle_seed):
     """Tie-break shuffling exercises different same-time event orders;
     the recorder must stay a pure observer under every order."""
-    assert _status_after_run("off") == _status_after_run("sampled")
+    assert _status_after_run(False) == _status_after_run(True)

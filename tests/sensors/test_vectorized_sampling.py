@@ -1,7 +1,6 @@
 """Vectorized field sampling equivalence: ``sample_many`` must be
-*bitwise* identical to per-probe ``sample`` loops — both with numpy array
-ops and on the pure-python fallback — because sensor readings feed golden
-snapshots where a 1-ulp drift is a visible diff.
+*bitwise* identical to per-probe ``sample`` loops, because sensor readings
+feed golden snapshots where a 1-ulp drift is a visible diff.
 """
 
 import math
@@ -21,8 +20,7 @@ def _scalar_reference(world, quantity, locations, t):
 @pytest.mark.parametrize("quantity",
                          sorted(PhysicalEnvironment.DEFAULT_FIELDS))
 def test_vectorized_bitwise_equals_scalar(quantity):
-    world = PhysicalEnvironment(seed=7, vectorize=True)
-    assert world.vectorize, "numpy expected in the test environment"
+    world = PhysicalEnvironment(seed=7)
     locations = grid_locations(500)
     for t in TIMES:
         vector = world.sample_many(quantity, locations, t)
@@ -32,23 +30,11 @@ def test_vectorized_bitwise_equals_scalar(quantity):
         assert [v.hex() for v in vector] == [s.hex() for s in scalar]
 
 
-@pytest.mark.parametrize("quantity",
-                         sorted(PhysicalEnvironment.DEFAULT_FIELDS))
-def test_fallback_bitwise_equals_scalar(quantity):
-    vectorized = PhysicalEnvironment(seed=7, vectorize=True)
-    fallback = PhysicalEnvironment(seed=7, vectorize=False)
-    locations = grid_locations(200)
-    for t in TIMES:
-        fast = vectorized.sample_many(quantity, locations, t)
-        slow = fallback.sample_many(quantity, locations, t)
-        assert [v.hex() for v in fast] == [s.hex() for s in slow]
-
-
 def test_vectorized_with_active_events_bitwise():
     """Event contributions run scalar-side in both paths (math.hypot has
     no bitwise-equal numpy spelling) — including events contributing an
     exact 0.0, which must not flip any -0.0 signs."""
-    world = PhysicalEnvironment(seed=11, vectorize=True)
+    world = PhysicalEnvironment(seed=11)
     world.add_event(FieldEvent("temperature", center=(40.0, 40.0),
                                radius=35.0, delta=9.5, start=10.0, end=50.0))
     world.add_event(FieldEvent("temperature", center=(0.0, 0.0),
@@ -78,18 +64,18 @@ def test_mean_over_uses_batch_path():
 def test_knot_cache_reuse_is_exact_across_ticks():
     """Inside one correlation window the cached knots must reproduce the
     uncached values exactly, tick after tick."""
-    cached = PhysicalEnvironment(seed=5, vectorize=True)
+    cached = PhysicalEnvironment(seed=5)
     locations = grid_locations(100)
     for tick in range(12):
         t = float(tick)
-        fresh = PhysicalEnvironment(seed=5, vectorize=True)
+        fresh = PhysicalEnvironment(seed=5)
         a = cached.sample_many("temperature", locations, t)
         b = fresh.sample_many("temperature", locations, t)
         assert [x.hex() for x in a] == [y.hex() for y in b]
 
 
 def test_knot_cache_prunes_old_generations():
-    world = PhysicalEnvironment(seed=5, vectorize=False)
+    world = PhysicalEnvironment(seed=5)
     tau = world.fields["temperature"].noise_tau
     for window in range(6):
         world.sample("temperature", (0.0, 0.0), window * tau + 1.0)
@@ -100,7 +86,7 @@ def test_knot_cache_prunes_old_generations():
 
 
 def test_block_cache_keyed_by_identity_not_content():
-    world = PhysicalEnvironment(seed=5, vectorize=True)
+    world = PhysicalEnvironment(seed=5)
     locations = grid_locations(50)
     world.sample_many("temperature", locations, 1.0)
     assert id(locations) in world._blocks
@@ -122,7 +108,7 @@ def test_probe_location_matches_grid_prefix():
 def test_sin_term_matches_math_module():
     """The diurnal term is computed scalar-side with math.sin; spot-check
     the composed value against a hand-built expression."""
-    world = PhysicalEnvironment(seed=0, vectorize=True)
+    world = PhysicalEnvironment(seed=0)
     spec = world.fields["light"]
     t = 4321.0
     expected = spec.base + spec.amplitude * math.sin(

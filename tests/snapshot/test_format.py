@@ -16,10 +16,10 @@ from repro.snapshot.format import (
     SnapshotCorrupt,
     SnapshotError,
     SnapshotVersionError,
-    canonical_dumps,
     read_snapshot,
     write_snapshot,
 )
+from repro.util.canonical import canonical_document
 
 BODY = {"program": {"kind": "status", "seed": 2009},
         "state": {"kernel": {"now": 12.0}, "metrics": {"a": 1}},
@@ -46,7 +46,7 @@ def test_file_is_two_canonical_lines(tmp_path):
     header = json.loads(lines[0])
     assert header == {"format": FORMAT, "version": VERSION,
                       "length": len(lines[1]) + 1, "sha256": digest}
-    assert lines[1] + b"\n" == canonical_dumps(BODY).encode("utf-8")
+    assert lines[1] + b"\n" == canonical_document(BODY).encode("utf-8")
 
 
 def test_rewrite_is_byte_stable(tmp_path):
@@ -90,7 +90,7 @@ def test_unknown_version_is_typed(tmp_path):
     header, body = path.read_bytes().split(b"\n", 1)
     doc = json.loads(header)
     doc["version"] = VERSION + 1
-    path.write_bytes(canonical_dumps(doc).encode("utf-8") + body)
+    path.write_bytes(canonical_document(doc).encode("utf-8") + body)
     with pytest.raises(SnapshotVersionError, match="version"):
         read_snapshot(path)
     # A file written before the scheduler fields left the body: the v1

@@ -288,13 +288,12 @@ def test_profile_reports_attribution_and_scheduler(tmp_path):
     assert "attributed" in output and "kernel" in output
     assert "scheduler[heap]:" in output
     assert "providers (sim-side service time):" in output
-    # Detail mode: the dispatch cost is an explicit named row.
+    # The dispatch cost is an explicit named row.
     assert "scheduler+dispatch" in output
 
 
 def test_profile_json_is_canonical_and_attributed(tmp_path):
     db, report = _spill_six_steps(tmp_path)
-    assert report["mode"] == "detail"
     # The >= 90% acceptance bar is gated on E-PROF's long run; a 30s run
     # pays proportionally more attach/report framing, so just require
     # that most of the wall clock landed in named rows.
