@@ -7,10 +7,11 @@ space and time:
     value(q, x, t) = base + gradient . x + amplitude * sin(2 pi (t+phase)/period)
                      + sigma * smooth_noise(q, x, t) + sum(active events)
 
-``smooth_noise`` is deterministic: a hash of (seed, quantity, location,
-floor(t/tau)) seeds a unit normal per knot, linearly interpolated between
-knots — so any (location, time) resample reproduces the same value, which
-lets tests compare sensor aggregates against exact ground truth.
+``smooth_noise`` is deterministic: a process-stable hash of (seed,
+quantity, location, floor(t/tau)) seeds a unit normal per knot, linearly
+interpolated between knots — so any (location, time) resample reproduces
+the same value, in any process, which lets tests compare sensor aggregates
+against exact ground truth.
 
 Events (a heater switching on, a cold front) add localized step changes.
 
@@ -31,6 +32,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+
+from ..util.rng import stream_hash
 
 __all__ = ["FieldSpec", "FieldEvent", "PhysicalEnvironment"]
 
@@ -196,10 +199,13 @@ class PhysicalEnvironment:
             generation = per_quantity[index] = {}
         cached = generation.get(location)
         if cached is None:
-            key = hash((self.seed, quantity,
-                        round(location[0], 6), round(location[1], 6), index))
+            # Not builtin hash(): str hashes move with PYTHONHASHSEED, which
+            # made the modelled world differ between processes. One tuple,
+            # not five names, so "1.0","25.0" and "1.02","5.0" stay apart.
+            key = stream_hash((self.seed, quantity, round(location[0], 6),
+                               round(location[1], 6), index))
             cached = generation[location] = float(
-                np.random.default_rng(key & 0xFFFFFFFF).standard_normal())
+                np.random.default_rng(key).standard_normal())
         return cached
 
     def _smooth_noise(self, quantity: str, location: tuple, t: float,

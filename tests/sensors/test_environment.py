@@ -1,6 +1,9 @@
 """Physical environment model."""
 
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -101,3 +104,27 @@ def test_custom_field_definition():
     env = PhysicalEnvironment()
     env.define_field("co2", FieldSpec(base=410.0, unit="ppm"))
     assert env.sample("co2", (0, 0), 0.0) == pytest.approx(410.0)
+
+
+_HEX_SAMPLES = """
+from repro.sensors import PhysicalEnvironment
+world = PhysicalEnvironment(seed=42)
+locations = [(3.0, 4.0), (10.0, 5.0)]
+print(world.sample("temperature", locations[0], 77.0).hex(),
+      *(v.hex() for v in world.sample_many("humidity", locations, 77.0)))
+"""
+
+
+def test_world_does_not_depend_on_python_hash_seed():
+    """Regression: knot seeds came from builtin ``hash()`` of a tuple
+    holding the quantity *string*, so the modelled world moved with
+    ``PYTHONHASHSEED`` from one process to the next."""
+    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+
+    def samples(hash_seed):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed)
+        return subprocess.run([sys.executable, "-c", _HEX_SAMPLES], env=env,
+                              capture_output=True, text=True, check=True,
+                              timeout=120).stdout
+
+    assert samples("1") == samples("2") != ""
