@@ -29,7 +29,7 @@ from ..observability.span import NULL_SPAN
 from ..observability.tracer import tracer_of
 from ..sim import Event, Interrupt
 from ..sim import sanitizer as _san
-from .errors import NoSuchObjectError, RemoteError, RpcTimeout
+from .errors import NetworkError, NoSuchObjectError, RemoteError, RpcTimeout
 from .host import Host
 from .message import Message
 from .wire import Protocol, WireSized
@@ -53,8 +53,14 @@ class RemoteRef(WireSized):
     object_id: str
     type_names: tuple = ()
 
+    def __post_init__(self) -> None:
+        # Frozen, so the size is fixed at construction; a proxy is sized
+        # every time it crosses the wire.
+        object.__setattr__(self, "_wire_size", 48 + len(self.host)
+                           + sum(len(t) for t in self.type_names))
+
     def wire_size(self) -> int:
-        return 48 + len(self.host) + sum(len(t) for t in self.type_names)
+        return self._wire_size
 
     def implements(self, type_name: str) -> bool:
         return type_name in self.type_names
@@ -238,7 +244,7 @@ class RpcEndpoint:
         try:
             self.host.send(ref.host, REQUEST_PORT, kind=kind,
                            payload=payload, protocol=Protocol.JERI)
-        except Exception as exc:
+        except NetworkError as exc:
             self._pending.pop(request_id, None)
             timer.callbacks.clear()
             span.end("send_failed")

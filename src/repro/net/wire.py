@@ -68,34 +68,108 @@ def estimate_size(obj: Any) -> int:
     Handles the payload vocabulary used throughout the framework: scalars,
     strings, containers, dataclasses and :class:`WireSized` objects. Unknown
     objects are charged a flat descriptor cost plus their ``__dict__``.
+
+    Dispatch is on ``type(obj)``: :func:`_sizer_for` classifies each class
+    once, and the sizer it picks is used for that class from then on.
     """
-    if obj is None:
-        return 1
-    if isinstance(obj, bool):
-        return 1
-    if isinstance(obj, int):
-        return 8
-    if isinstance(obj, float):
-        return 8
-    if isinstance(obj, str):
-        return _ITEM_OVERHEAD + len(obj.encode("utf-8"))
-    if isinstance(obj, (bytes, bytearray)):
+    return _SIZERS[type(obj)](obj)
+
+
+def _size_1(obj: Any) -> int:
+    return 1
+
+
+def _size_8(obj: Any) -> int:
+    return 8
+
+
+def _size_str(obj: str) -> int:
+    # ASCII text (nearly every path, name and unit) encodes to len() bytes.
+    if obj.isascii():
         return _ITEM_OVERHEAD + len(obj)
-    if isinstance(obj, WireSized):
-        return obj.wire_size()
-    if isinstance(obj, Enum):
-        return _ITEM_OVERHEAD + len(str(obj.value))
-    if isinstance(obj, dict):
-        return _ITEM_OVERHEAD + sum(
-            estimate_size(k) + estimate_size(v) + _ITEM_OVERHEAD
-            for k, v in obj.items())
-    if isinstance(obj, (list, tuple, set, frozenset)):
-        return _ITEM_OVERHEAD + sum(
-            estimate_size(item) + _ITEM_OVERHEAD for item in obj)
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return _OBJECT_OVERHEAD + sum(
-            estimate_size(getattr(obj, f.name))
-            for f in dataclasses.fields(obj))
+    return _ITEM_OVERHEAD + len(obj.encode("utf-8"))
+
+
+def _size_bytes(obj) -> int:
+    return _ITEM_OVERHEAD + len(obj)
+
+
+def _size_wire_sized(obj: WireSized) -> int:
+    return obj.wire_size()
+
+
+def _size_enum(obj: Enum) -> int:
+    return _ITEM_OVERHEAD + len(str(obj.value))
+
+
+def _size_dict(obj: dict) -> int:
+    sizers = _SIZERS
+    total = _ITEM_OVERHEAD
+    for key, value in obj.items():
+        total += (sizers[type(key)](key) + sizers[type(value)](value)
+                  + _ITEM_OVERHEAD)
+    return total
+
+
+def _size_sequence(obj) -> int:
+    sizers = _SIZERS
+    total = _ITEM_OVERHEAD
+    for item in obj:
+        total += sizers[type(item)](item) + _ITEM_OVERHEAD
+    return total
+
+
+def _dataclass_sizer(cls: type):
+    names = tuple(f.name for f in dataclasses.fields(cls))
+
+    def size_dataclass(obj: Any) -> int:
+        sizers = _SIZERS
+        total = _OBJECT_OVERHEAD
+        for name in names:
+            value = getattr(obj, name)
+            total += sizers[type(value)](value)
+        return total
+
+    return size_dataclass
+
+
+def _size_object(obj: Any) -> int:
     if hasattr(obj, "__dict__"):
         return _OBJECT_OVERHEAD + estimate_size(vars(obj))
     return _OBJECT_OVERHEAD
+
+
+def _sizer_for(cls: type):
+    """Classify ``cls``. The order is the estimator's precedence: an
+    ``IntEnum`` is an int, a ``str``-mixin enum a str, a dataclass that is
+    :class:`WireSized` answers for itself."""
+    if cls is type(None) or issubclass(cls, bool):
+        return _size_1
+    if issubclass(cls, (int, float)):
+        return _size_8
+    if issubclass(cls, str):
+        return _size_str
+    if issubclass(cls, (bytes, bytearray)):
+        return _size_bytes
+    if issubclass(cls, WireSized):
+        return _size_wire_sized
+    if issubclass(cls, Enum):
+        return _size_enum
+    if issubclass(cls, dict):
+        return _size_dict
+    if issubclass(cls, (list, tuple, set, frozenset)):
+        return _size_sequence
+    if dataclasses.is_dataclass(cls) and not issubclass(cls, type):
+        return _dataclass_sizer(cls)
+    return _size_object
+
+
+class _SizerTable(dict):
+    """``type -> sizer``; a miss classifies the class once and keeps it."""
+
+    def __missing__(self, cls: type):
+        sizer = self[cls] = _sizer_for(cls)
+        return sizer
+
+
+_SIZERS = _SizerTable()

@@ -11,12 +11,15 @@ exertion's context (§IV.D).
 from __future__ import annotations
 
 import copy
-from typing import Any, Iterator, Optional
+import dataclasses
+from enum import Enum
+from typing import Any, Callable, Iterator, Optional
 
 from ..net.wire import WireSized, estimate_size
 from ..sim import sanitizer as _san
 
-__all__ = ["ServiceContext", "ContextError"]
+__all__ = ["ServiceContext", "ContextError", "structural_copy",
+           "register_plain_shapes"]
 
 _MISSING = object()
 
@@ -150,21 +153,153 @@ class ServiceContext(WireSized):
         return self
 
     def copy(self) -> "ServiceContext":
-        return copy.deepcopy(self)
+        return structural_copy(self, {})
 
     def wire_size(self) -> int:
         # Sizes exactly as the generic __dict__ fallback charged before this
         # class grew __slots__ — the golden traces depend on these bytes.
-        return 16 + estimate_size({
-            "name": self.name,
-            "_data": self._data,
-            "_in_paths": self._in_paths,
-            "_out_paths": self._out_paths,
-            "return_path": self.return_path,
-        })
+        return (_SLOTS_WIRE_BYTES + estimate_size(self.name)
+                + estimate_size(self._data) + estimate_size(self._in_paths)
+                + estimate_size(self._out_paths)
+                + estimate_size(self.return_path))
 
     def as_dict(self) -> dict:
         return dict(self._data)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<ServiceContext {self.name!r} {len(self._data)} paths>"
+
+
+#: What an object holding a five-entry ``{slot name: value}`` dict is charged
+#: before the values themselves: object + dict overhead, then key + item
+#: overhead per slot.
+_SLOTS_WIRE_BYTES = 16 + 4 + sum(estimate_size(slot) + 4
+                                 for slot in ServiceContext.__slots__)
+
+
+# -- structural copy -------------------------------------------------------------
+#
+# An exertion crossing a provider boundary is deep-copied (§IV.D). The shapes
+# that cross are few and known, so each gets a copier that rebuilds exactly
+# what ``copy.deepcopy`` would; anything else *is* handed to ``copy.deepcopy``
+# with the same memo, so aliasing holds across both.
+
+def structural_copy(value: Any, memo: dict) -> Any:
+    """Deep copy of ``value``; ``memo`` maps ``id(original) -> copy`` as
+    ``copy.deepcopy``'s does."""
+    copier = _COPIERS[type(value)]
+    return value if copier is None else copier(value, memo)
+
+
+def _copy_list(x: list, memo: dict) -> list:
+    y = memo.get(id(x))
+    if y is None:
+        y = memo[id(x)] = []
+        for item in x:
+            y.append(structural_copy(item, memo))
+    return y
+
+
+def _copy_dict(x: dict, memo: dict) -> dict:
+    y = memo.get(id(x))
+    if y is None:
+        y = memo[id(x)] = {}
+        for key, value in x.items():
+            y[structural_copy(key, memo)] = structural_copy(value, memo)
+    return y
+
+
+def _copy_set(x: set, memo: dict) -> set:
+    y = memo.get(id(x))
+    if y is None:
+        y = memo[id(x)] = set()
+        for item in x:
+            y.add(structural_copy(item, memo))
+    return y
+
+
+def _copy_tuple(x: tuple, memo: dict) -> tuple:
+    y = memo.get(id(x))
+    if y is not None:
+        return y
+    items = [structural_copy(item, memo) for item in x]
+    # A tuple reachable from its own elements was memoized while they copied.
+    y = memo.get(id(x))
+    if y is not None:
+        return y
+    for old, new in zip(x, items):
+        if old is not new:
+            y = memo[id(x)] = tuple(items)
+            return y
+    return x  # nothing inside changed identity: immutable all the way down
+
+
+def _copy_context(x: ServiceContext, memo: dict) -> ServiceContext:
+    y = memo.get(id(x))
+    if y is None:
+        y = memo[id(x)] = ServiceContext.__new__(ServiceContext)
+        for slot in ServiceContext.__slots__:
+            setattr(y, slot, structural_copy(getattr(x, slot), memo))
+    return y
+
+
+def _copy_plain_instance(x: Any, memo: dict) -> Any:
+    y = memo.get(id(x))
+    if y is None:
+        cls = type(x)
+        y = memo[id(x)] = cls.__new__(cls)
+        state = y.__dict__
+        for name, value in x.__dict__.items():
+            state[name] = structural_copy(value, memo)
+    return y
+
+
+def _copy_frozen(x: Any, memo: dict) -> Any:
+    """A frozen dataclass is shared when everything it holds is."""
+    for value in x.__dict__.values():
+        if structural_copy(value, memo) is not value:
+            return copy.deepcopy(x, memo)
+    return x
+
+
+#: A class that customises copying or pickling is not a plain value:
+#: ``copy.deepcopy`` honours the hook, so it gets the instance.
+_COPY_HOOKS = ("__deepcopy__", "__reduce_ex__", "__reduce__")
+
+
+class _CopierTable(dict):
+    """``type -> copier(value, memo)``, ``None`` for immutable leaves that
+    are shared. Keys are exact types: a subclass may add state or hooks, so a
+    miss is classified on its own — once — and, unless it is an enum or a
+    plain frozen dataclass, left to ``copy.deepcopy``."""
+
+    def __missing__(self, cls: type) -> Optional[Callable]:
+        if issubclass(cls, Enum):
+            copier = None
+        elif (dataclasses.is_dataclass(cls)
+                and cls.__dataclass_params__.frozen
+                and cls.__dictoffset__  # state is the __dict__: no __slots__
+                and all(getattr(cls, hook, None) is getattr(object, hook, None)
+                        for hook in _COPY_HOOKS)):
+            copier = _copy_frozen
+        else:
+            copier = copy.deepcopy
+        self[cls] = copier
+        return copier
+
+
+_COPIERS = _CopierTable({
+    type(None): None, bool: None, int: None, float: None, str: None,
+    bytes: None,
+    list: _copy_list, dict: _copy_dict, set: _copy_set, tuple: _copy_tuple,
+    ServiceContext: _copy_context,
+})
+
+
+def register_plain_shapes(*classes: type) -> None:
+    """Add classes whose instances are fully described by their ``__dict__``
+    (no ``__slots__``, no copy or pickle hooks) to the known shapes: copied
+    as a new instance, without ``__init__``, holding a copy of each
+    attribute. Exactly these classes — not their subclasses."""
+    for cls in classes:
+        _COPIERS[cls] = _copy_plain_instance

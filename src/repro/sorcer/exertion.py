@@ -14,13 +14,12 @@ forming the exertion federation (§IV.D).
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Optional
 
 from ..resilience import Deadline, RetryPolicy
-from .context import ServiceContext
+from .context import ServiceContext, register_plain_shapes, structural_copy
 from .signature import Signature
 
 __all__ = ["Exertion", "Task", "Job", "ControlContext", "Strategy", "Access",
@@ -118,7 +117,7 @@ class Exertion:
 
     def copy(self) -> "Exertion":
         """Deep copy — models serialization across the network boundary."""
-        return copy.deepcopy(self)
+        return structural_copy(self, {})
 
     def get_return_value(self, default: Any = None) -> Any:
         return self.context.get_return_value(default)
@@ -183,3 +182,6 @@ class Job(Exertion):
                 f"pipe must flow forward: {from_exertion!r} -> {to_exertion!r}")
         self.pipes.append(Pipe(from_exertion, from_path, to_exertion, to_path))
         return self
+
+
+register_plain_shapes(Task, Job, ControlContext, TraceRecord, Pipe)

@@ -7,13 +7,16 @@ from repro.sim import Environment
 from repro.net import (
     FixedLatency,
     Host,
+    HostDownError,
     Network,
     NoSuchObjectError,
     RemoteError,
     RemoteRef,
     RpcTimeout,
+    UnreachableError,
     rpc_endpoint,
 )
+from repro.net.wire import WireSized
 
 
 class Calculator:
@@ -314,3 +317,35 @@ def test_nested_rpc_server_calls_another_server():
 
     p = env.process(caller())
     assert env.run(until=p) == 103
+
+
+def test_send_failure_is_a_failed_event_not_a_raise():
+    # A modelled network failure (the caller's own host is down, the
+    # destination is unknown) comes back through the event, like a timeout.
+    env, net, sh, ch, server, client = setup()
+    ref = server.export(Calculator(), "calc")
+    for broken_ref, error in ((RemoteRef("nowhere", "calc"), UnreachableError),
+                              (ref, HostDownError)):
+        if error is HostDownError:
+            ch.fail()
+
+        def caller(target=broken_ref, expected=error):
+            with pytest.raises(expected):
+                yield client.call(target, "add", 1, 2)
+            return "failed as an event"
+
+        assert env.run(until=env.process(caller())) == "failed as an event"
+    assert not client._pending
+
+
+def test_a_bug_while_sending_raises_at_the_call_site():
+    # Not a NetworkError: a programming error inside a payload's sizer must
+    # not be dressed up as a send_failed span and a failed event.
+    class BrokenSizer(WireSized):
+        def wire_size(self):
+            raise ZeroDivisionError("sizer bug")
+
+    env, net, sh, ch, server, client = setup()
+    ref = server.export(Calculator(), "calc")
+    with pytest.raises(ZeroDivisionError, match="sizer bug"):
+        client.call(ref, "add", BrokenSizer(), 2)

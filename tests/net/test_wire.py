@@ -26,21 +26,21 @@ def test_bytes_size():
 
 
 def test_list_size_includes_items_and_overhead():
-    empty = estimate_size([])
-    one = estimate_size([1])
-    two = estimate_size([1, 2])
-    assert one > empty
-    assert two - one == one - empty  # linear in item count
+    assert estimate_size([]) == 4
+    assert estimate_size([1]) == 4 + (8 + 4)
+    assert estimate_size([1, 2]) == 4 + 2 * (8 + 4)  # linear in item count
 
 
 def test_dict_size():
     assert estimate_size({}) == 4
-    assert estimate_size({"k": 1}) > estimate_size({})
+    assert estimate_size({"k": 1}) == 4 + (5 + 8 + 4)
 
 
 def test_nested_structures():
-    nested = {"a": [1, 2, {"b": "c"}]}
-    assert estimate_size(nested) > estimate_size({"a": []})
+    assert estimate_size({"a": []}) == 4 + (5 + 4 + 4)
+    inner = 4 + (5 + 5 + 4)
+    items = 4 + (8 + 4) + (8 + 4) + (inner + 4)
+    assert estimate_size({"a": [1, 2, {"b": "c"}]}) == 4 + (5 + items + 4) == 63
 
 
 def test_dataclass_size_sums_fields():
@@ -66,7 +66,7 @@ def test_plain_object_uses_dict():
         def __init__(self):
             self.x = 1
 
-    assert estimate_size(Obj()) > 16
+    assert estimate_size(Obj()) == 16 + 4 + (5 + 8 + 4)
 
 
 def test_header_sizes_ordering():
