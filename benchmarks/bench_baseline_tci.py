@@ -23,7 +23,7 @@ services to use, and what computation to be done".
 import numpy as np
 import pytest
 
-from repro.metrics import render_table
+from repro.util.table import render_table
 from repro.sim import Environment, Interrupt
 from repro.net import FixedLatency, Host, Network, rpc_endpoint
 from repro.jini import LookupService

@@ -18,7 +18,7 @@ campaign (same assertions — the invariants are not load-dependent).
 import os
 
 from repro.chaos import CampaignRunner
-from repro.metrics import render_table
+from repro.util.table import render_table
 
 SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
 SEEDS = range(1, 11) if SMOKE else range(1, 51)

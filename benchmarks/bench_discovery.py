@@ -19,7 +19,7 @@ maintenance round.
 import numpy as np
 import pytest
 
-from repro.metrics import render_table
+from repro.util.table import render_table
 from repro.sim import Environment
 from repro.net import FixedLatency, Host, Network
 from repro.jini import LookupService, ServiceTemplate

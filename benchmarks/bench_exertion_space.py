@@ -21,7 +21,7 @@ tasks.
 import numpy as np
 import pytest
 
-from repro.metrics import render_table
+from repro.util.table import render_table
 from repro.sim import Environment
 from repro.net import FixedLatency, Host, Network
 from repro.jini import LookupService, Name, TransactionManager

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.expr import Expression, compile_expression, evaluate
-from repro.metrics import render_table
+from repro.util.table import render_table
 
 PAPER_EXPRESSION = "(a + b + c)/3"
 CORPUS = [

@@ -6,7 +6,7 @@ Rio provisioning services, four temperature ESPs, one composite, one
 façade). Timed quantity: building + settling the whole deployment.
 """
 
-from repro.metrics import render_table
+from repro.util.table import render_table
 from repro.scenarios import SENSOR_NAMES, build_paper_lab
 
 EXPECTED = {

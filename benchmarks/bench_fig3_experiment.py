@@ -7,7 +7,7 @@ Timed quantity: the full six steps end to end (including Rio provisioning).
 Reported: per-step simulated latency.
 """
 
-from repro.metrics import render_table
+from repro.util.table import render_table
 from repro.scenarios import build_paper_lab
 
 

@@ -24,7 +24,7 @@ import time
 
 import pytest
 
-from repro.metrics import render_table
+from repro.util.table import render_table
 from repro.observability import DOWN, Slo, UP
 from repro.scenarios import build_paper_lab
 

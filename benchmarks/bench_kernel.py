@@ -32,7 +32,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.metrics import render_table  # noqa: E402
+from repro.util.table import render_table  # noqa: E402
 from repro.scenarios.grids import grid_locations  # noqa: E402
 from repro.sensors import PhysicalEnvironment  # noqa: E402
 from repro.sim import Environment  # noqa: E402

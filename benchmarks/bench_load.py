@@ -22,7 +22,7 @@ canonical-JSON artifact next to the table for plotting/CI upload.
 import os
 
 from repro.load import SWEEP_FULL, SWEEP_SMOKE, saturation_curve
-from repro.metrics import render_table
+from repro.util.table import render_table
 from repro.util.atomicio import atomic_write_text
 from repro.util.canonical import canonical_document
 

@@ -16,7 +16,7 @@ because the exerter invalidates the cache when every candidate fails.
 import numpy as np
 import pytest
 
-from repro.metrics import render_table
+from repro.util.table import render_table
 from repro.sim import Environment
 from repro.net import FixedLatency, Host, Network
 from repro.jini import LookupService

@@ -23,7 +23,7 @@ import time
 
 import pytest
 
-from repro.metrics import render_table
+from repro.util.table import render_table
 from repro.net import Host
 from repro.observability import tracer_of
 from repro.scenarios import build_direct_grid, build_sensorcer_grid

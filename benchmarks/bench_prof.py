@@ -24,7 +24,7 @@ import time
 from statistics import median
 # repro: allow-file[DET001] - benchmarks time real work on the wall clock
 
-from repro.metrics import render_table
+from repro.util.table import render_table
 from repro.observability import (FlightRecorder, HistoryStore,
                                  metrics_registry, profile_run, status_json)
 from repro.scenarios import build_paper_lab

@@ -16,9 +16,10 @@ big nodes can take 4x the load of the small ones)."""
 import numpy as np
 import pytest
 
-from repro.metrics import render_table
+from repro.util.table import render_table
 from repro.sim import Environment
 from repro.net import FixedLatency, Host, Network
+from repro.observability import metrics_registry
 from repro.jini import LookupService, ServiceTemplate
 from repro.rio import (
     CapacityWeightedRandom,
@@ -88,7 +89,8 @@ def run_policy(policy_name):
         "placed": placed,
         "imbalance": float(utilizations.std()),
         "max_util": float(utilizations.max()),
-        "failures": monitor.stats["provision_failures"],
+        "failures": metrics_registry(net).value(
+            "monitor.provision_failures", monitor=monitor.name),
     }
 
 

@@ -20,7 +20,7 @@ import os
 
 import pytest
 
-from repro.metrics import render_table
+from repro.util.table import render_table
 from repro.net import Host
 from repro.baselines import DirectPollingCollector
 from repro.scenarios import (build_direct_grid, build_sensorcer_grid,

@@ -25,7 +25,7 @@ import time
 
 from repro.chaos import CampaignConfig, CampaignRunner, ChaosPlan, FaultEvent
 from repro.chaos.shrink import _matches_failure, shrink_plan
-from repro.metrics import render_table
+from repro.util.table import render_table
 from repro.snapshot.format import read_snapshot
 from repro.snapshot.programs import run_program, status_spec
 from repro.snapshot.restore import restore_run

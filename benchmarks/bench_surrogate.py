@@ -16,7 +16,7 @@ and its device reads stay at the sampling rate regardless of load.
 import numpy as np
 import pytest
 
-from repro.metrics import render_table
+from repro.util.table import render_table
 from repro.sim import Environment, Interrupt
 from repro.net import FixedLatency, Host, Network, rpc_endpoint
 from repro.jini import LookupService

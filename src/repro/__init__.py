@@ -14,13 +14,24 @@ Layers (bottom up):
 * :mod:`repro.sensors` — environment model, probes, Sun SPOT, faults;
 * :mod:`repro.resilience` — retry/backoff policies, deadlines, circuit
   breakers and the resilience event stream;
+* :mod:`repro.observability` — spans, metrics, health/SLOs, profiling;
 * :mod:`repro.core` — SenSORCER proper: ESP, CSP, façade, browser,
   network manager, provisioner;
 * :mod:`repro.baselines` — direct-IP collection and TCI/SSP/ASP;
-* :mod:`repro.scenarios` — canned deployments (the paper-lab of Fig 2);
-* :mod:`repro.metrics` — experiment recording and tables;
-* :mod:`repro.chaos` — seeded fault campaigns, end-to-end invariants and
-  failure-schedule shrinking over all of the above.
+* :mod:`repro.scenarios` — canned deployments (the paper-lab of Fig 2).
+
+Planes — leaf packages the layers above never import; each brings its
+CLI verbs through one line of the table in :mod:`repro.cli`:
+
+* :mod:`repro.overload` + :mod:`repro.load` — admission control and the
+  open-loop load engine (``load``);
+* :mod:`repro.chaos` — seeded fault campaigns, invariants, shrinking
+  (``chaos``);
+* :mod:`repro.snapshot` — checkpoint/restore (``snapshot``, ``restore``);
+* :mod:`repro.analysis` — stdlib-only static analysis (``lint``).
+
+Importing :mod:`repro` imports no subpackage, so ``repro lint`` runs in
+environments without numpy.
 
 Quick start::
 
@@ -41,39 +52,4 @@ Quick start::
 
 __version__ = "0.1.0"
 
-import importlib
-
-#: Re-exported subpackages, resolved lazily (PEP 562). Laziness matters:
-#: the static analysis surface (``repro lint``, :mod:`repro.analysis`) is
-#: stdlib-only and must import in environments without numpy/scenario
-#: dependencies installed.
-_SUBPACKAGES = frozenset({
-    "analysis",
-    "baselines",
-    "chaos",
-    "core",
-    "expr",
-    "jini",
-    "metrics",
-    "net",
-    "observability",
-    "resilience",
-    "rio",
-    "scenarios",
-    "sensors",
-    "sim",
-    "snapshot",
-    "sorcer",
-})
-
-__all__ = ["__version__", *sorted(_SUBPACKAGES)]
-
-
-def __getattr__(name: str):
-    if name in _SUBPACKAGES:
-        return importlib.import_module(f".{name}", __name__)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(set(globals()) | _SUBPACKAGES)
+__all__ = ["__version__"]

@@ -25,10 +25,10 @@ import numpy as np
 
 from ..jini.entries import Name
 from ..jini.template import ServiceTemplate
+from ..net.errors import NetworkError
 from ..net.host import Host
 from ..net.rpc import rpc_endpoint
 from ..sensors.probe import ProbeError, SensorProbe
-from ..sim import Interrupt
 from ..sorcer.accessor import ServiceAccessor
 from ..sorcer.provider import join_service
 
@@ -120,9 +120,7 @@ class TciSensorServiceProvider:
             try:
                 values = yield self._endpoint.call(item.service, "read_all",
                                                    kind="tci-read", timeout=5.0)
-            except Interrupt:
-                raise
-            except Exception:
+            except NetworkError:
                 continue
             structured[item.name()] = values
         return structured

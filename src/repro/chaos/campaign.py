@@ -359,7 +359,7 @@ class CampaignRunner:
         except Interrupt:
             counts["inflight"] -= 1
             raise
-        except Exception:
+        except Exception:  # whatever it was, the request failed: count it
             counts["failed"] += 1
             counts["inflight"] -= 1
             return

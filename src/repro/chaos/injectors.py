@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from ..sim import Interrupt
+from ..jini.txn import CannotCommitError, UnknownTransactionError
 from .link import ChaosLink
 
 __all__ = ["InjectorEngine"]
@@ -123,9 +123,7 @@ class InjectorEngine:
                 continue
             try:
                 yield from manager.abort(txn_id)
-            except Interrupt:
-                raise
-            except Exception:
+            except (CannotCommitError, UnknownTransactionError):
                 pass  # racing a commit that just finished — fine
 
     # -- refcounted primitives -------------------------------------------------

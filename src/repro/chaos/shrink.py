@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
+from .campaign import WarmSession
 from .plan import ChaosPlan, FaultEvent
 
 __all__ = ["ShrinkResult", "shrink_plan", "shrink_failing_seed"]
@@ -137,8 +138,7 @@ def _matches_failure(trial: dict, failed_names: set) -> bool:
                for result in trial["invariants"])
 
 
-def shrink_failing_seed(runner, seed: int, max_runs: int = 60,
-                        warm: bool = False) -> tuple:
+def shrink_failing_seed(runner, seed: int, max_runs: int = 60) -> tuple:
     """Run ``seed`` under ``runner``; if it fails, shrink its plan.
 
     Returns ``(ShrinkResult | None, original_verdict)`` — ``None`` when
@@ -146,14 +146,15 @@ def shrink_failing_seed(runner, seed: int, max_runs: int = 60,
     demands the *same* invariant(s) keep failing, so the minimal plan
     reproduces the original violation class, not just any failure.
 
-    ``warm=True`` answers each probe by forking from one shared settled
-    prefix (:meth:`~repro.chaos.campaign.CampaignRunner.warm_session`)
-    instead of rebuilding the federation per probe. Warm probes can
-    interleave slightly differently from cold runs (fault processes are
-    created at the fork point), so the warm minimum is re-validated with
-    a cold run; if it does not reproduce, shrinking silently falls back
-    to cold probes. On platforms without ``os.fork`` warm mode is a
-    no-op.
+    Where the platform can fork (:meth:`WarmSession.supported`) each
+    probe forks from one shared settled prefix
+    (:meth:`~repro.chaos.campaign.CampaignRunner.warm_session`) instead
+    of rebuilding the federation — same minimal plan at about a third of
+    the wall time (E-SNAP). Warm probes can interleave slightly
+    differently from cold runs (fault processes are created at the fork
+    point), so the warm minimum is re-validated with a cold run; if it
+    does not reproduce, shrinking falls back to cold probes.
+    ``ShrinkResult.mode`` reports which path ran.
     """
     verdict = runner.run_seed(seed)
     if verdict["ok"]:
@@ -165,8 +166,7 @@ def shrink_failing_seed(runner, seed: int, max_runs: int = 60,
     def cold_fails(candidate: ChaosPlan) -> bool:
         return _matches_failure(runner.run_plan(candidate), failed_names)
 
-    from .campaign import WarmSession
-    if warm and plan.events and WarmSession.supported():
+    if plan.events and WarmSession.supported():
         session = runner.warm_session(plan)
 
         def warm_fails(candidate: ChaosPlan) -> bool:

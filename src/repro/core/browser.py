@@ -13,13 +13,13 @@ from __future__ import annotations
 from typing import Optional
 
 from ..jini.template import ServiceTemplate
+from ..net.errors import NetworkError
 from ..net.host import Host
-from ..overload import Overloaded, rejection_marker
-from ..sim import Interrupt
 from ..sorcer.accessor import ServiceAccessor
 from ..sorcer.context import ServiceContext
 from ..sorcer.exerter import Exerter
 from ..sorcer.exertion import Task
+from ..sorcer.rejection import Overloaded, rejection_marker
 from ..sorcer.signature import Signature
 from .interfaces import FACADE
 
@@ -163,9 +163,7 @@ class SensorBrowser:
             try:
                 rows = yield self.exerter._endpoint.call(
                     ref, "registrations", kind="lus-admin", timeout=3.0)
-            except Interrupt:
-                raise
-            except Exception:
+            except NetworkError:
                 continue
             out[lus_id] = rows
         self.model["admin"] = out

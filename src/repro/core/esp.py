@@ -14,13 +14,13 @@ from typing import Optional
 
 from ..jini.entries import Location, SensorType
 from ..jini.lease import Landlord
+from ..net.errors import NetworkError
 from ..net.host import Host
 from ..net.rpc import RemoteRef
 from ..observability import metrics_registry
 from ..resilience import DEADLINE_PATH, Deadline
 from ..sensors.buffer import ReadingBuffer
 from ..sensors.probe import ProbeError, Reading, SensorProbe
-from ..sim import Interrupt
 from ..sorcer.provider import ServiceProvider
 from .events import SensorReadingEvent, Subscription
 from .interfaces import (
@@ -144,9 +144,7 @@ class ElementarySensorProvider(ServiceProvider):
                                       kind="sensor-event", timeout=3.0)
             self.events_pushed += 1
             self._m_events_pushed.inc()
-        except Interrupt:
-            raise
-        except Exception:
+        except NetworkError:
             pass  # unreachable subscriber: its lease will lapse
 
     def _drop_subscription(self, event_id: int) -> None:

@@ -27,15 +27,16 @@ from typing import Optional
 
 from ..jini.entries import Name, SensorType
 from ..jini.template import ServiceItem, ServiceTemplate
+from ..net.errors import NetworkError
 from ..net.host import Host
 from ..observability import propagate_trace
-from ..overload import Overloaded, rejection_marker
 from ..resilience import DEADLINE_PATH, Deadline
 from ..sim import Interrupt
 from ..sorcer.context import ServiceContext
 from ..sorcer.exerter import Exerter
 from ..sorcer.exertion import Task
 from ..sorcer.provider import ServiceProvider
+from ..sorcer.rejection import Overloaded, rejection_marker
 from ..sorcer.signature import Signature
 from .interfaces import (
     FACADE,
@@ -50,7 +51,7 @@ from .interfaces import (
     SENSOR_DATA_ACCESSOR,
 )
 from .interfaces import OP_LIST_SERVICES
-from .manager import SensorNetworkManager
+from .manager import NetworkModelError, SensorNetworkManager
 from .plan import CompositionPlan, PlanEntry
 from .provisioner import ProvisionError, SensorServiceProvisioner
 
@@ -253,7 +254,7 @@ class SensorcerFacade(ServiceProvider):
                                   parent_ctx=ctx)
         try:
             self.manager.decompose(composite.service_id, child.service_id)
-        except Exception:
+        except NetworkModelError:
             pass  # model may not have tracked this edge; the CSP is truth
         return True
 
@@ -313,9 +314,7 @@ class SensorcerFacade(ServiceProvider):
         try:
             yield self._endpoint.call(listener, "notify", event,
                                       kind="health-event", timeout=3.0)
-        except Interrupt:
-            raise
-        except Exception:
+        except NetworkError:
             # At-most-once Jini delivery: an unreachable listener misses
             # the edge; its mailbox lease will eventually lapse anyway.
             pass
@@ -373,7 +372,7 @@ class SensorcerFacade(ServiceProvider):
                 self.healing_actions += applied
             except Interrupt:
                 raise
-            except Exception:
+            except Exception:  # healing must outlive any one failed pass
                 continue
 
     def _apply_plan(self, plan: CompositionPlan, strict: bool,
@@ -410,8 +409,8 @@ class SensorcerFacade(ServiceProvider):
                 parent_ctx=parent_ctx)
             try:
                 self.manager.compose(composite.service_id, child.service_id)
-            except Exception:
-                pass
+            except NetworkModelError:
+                pass  # edge already modelled (re-applied plan)
             actions += 1
         if entry.expression is not None:
             info = yield from self._exert_on(composite, OP_GET_INFO, {},

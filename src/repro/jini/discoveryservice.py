@@ -8,9 +8,9 @@ when registrars come and go.
 
 from __future__ import annotations
 
+from ..net.errors import NetworkError
 from ..net.host import Host
 from ..net.rpc import RemoteRef, rpc_endpoint
-from ..sim import Interrupt
 from .discovery import lookup_discovery
 
 __all__ = ["LookupDiscoveryService"]
@@ -67,7 +67,5 @@ class LookupDiscoveryService:
         try:
             yield self._endpoint.call(listener, "notify", payload,
                                       kind="lds-event", timeout=3.0)
-        except Interrupt:
-            raise
-        except Exception:
+        except NetworkError:
             pass

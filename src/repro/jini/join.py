@@ -16,7 +16,6 @@ from __future__ import annotations
 from ..net.errors import NetworkError, RemoteError
 from ..net.host import Host
 from ..net.rpc import RemoteRef, rpc_endpoint
-from ..sim import Interrupt
 from .discovery import LookupDiscovery, lookup_discovery
 from .lease import Lease
 from .template import ServiceItem
@@ -78,9 +77,7 @@ class JoinManager:
             try:
                 yield self._endpoint.call(reg.lus_ref, "cancel_lease",
                                           reg.lease.lease_id, timeout=2.0)
-            except Interrupt:
-                raise
-            except Exception:
+            except NetworkError:
                 pass
         self._registrations.clear()
 

@@ -20,7 +20,6 @@ from ..net.host import Host
 from ..net.rpc import RemoteRef, rpc_endpoint
 from ..observability import metrics_registry
 from ..resilience import RetryPolicy, backoff_rng, resilience_events
-from ..snapshot.registry import register_participant
 from .lease import Lease
 
 __all__ = ["LeaseRenewalService"]
@@ -70,8 +69,8 @@ class LeaseRenewalService:
         self._rng = backoff_rng(host.name, salt=2)
         self.ref = self._endpoint.export(self, f"norm:{host.name}",
                                          methods=self.REMOTE_METHODS)
-        register_participant(host.env, f"jini.norm.{host.name}",
-                             self.checkpoint_state)
+        host.env.register_state(f"jini.norm.{host.name}",
+                                self.checkpoint_state)
 
     def checkpoint_state(self) -> dict:
         """Snapshot section: every managed lease, including ones mid-backoff

@@ -16,12 +16,11 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
+from ..net.errors import NetworkError
 from ..net.host import Host
 from ..net.message import Message
 from ..net.rpc import RemoteRef, rpc_endpoint
-from ..sim import Interrupt
 from ..sim import sanitizer as _san
-from ..snapshot.registry import register_participant
 from .discovery import ANNOUNCE_PORT, DISCOVERY_GROUP, PROBE_PORT
 from .events import (
     ALL_TRANSITIONS,
@@ -93,8 +92,8 @@ class LookupService:
                                    methods=self.REMOTE_METHODS)
         self._started = False
         host.on_fail(self._on_host_fail)
-        register_participant(host.env, f"jini.lus.{self.lus_id}",
-                             self.checkpoint_state)
+        host.env.register_state(f"jini.lus.{self.lus_id}",
+                                self.checkpoint_state)
 
     def checkpoint_state(self) -> dict:
         """Snapshot section: registry contents, interests, lease table."""
@@ -335,9 +334,7 @@ class LookupService:
         try:
             yield endpoint.call(interest.listener, "notify", event,
                                 kind="service-event", timeout=3.0)
-        except Interrupt:
-            raise
-        except Exception:
+        except NetworkError:
             # Unreachable listener: Jini drops the event; the lease mechanism
             # eventually reaps dead registrations.
             pass

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..net.errors import NetworkError
 from ..net.host import Host
 from ..net.rpc import RemoteRef, rpc_endpoint
-from ..sim import Interrupt
 from .events import RemoteEvent
 from .lease import Landlord, Lease
 
@@ -123,9 +123,7 @@ class EventMailbox:
             try:
                 yield self._endpoint.call(target, "notify", event,
                                           kind="mailbox-event", timeout=3.0)
-            except Interrupt:
-                raise
-            except Exception:
+            except NetworkError:
                 # Push failed: requeue and stop pushing until re-enabled.
                 self._events[registration_id] = (
                     [event] + self._events[registration_id])

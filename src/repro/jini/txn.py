@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+from ..net.errors import NetworkError
 from ..net.host import Host
 from ..net.rpc import RemoteRef, rpc_endpoint
-from ..sim import Interrupt
 from .lease import Landlord, Lease
 
 __all__ = ["TransactionManager", "TxnState", "CannotCommitError",
@@ -103,9 +103,7 @@ class TransactionManager:
                 vote = yield self._endpoint.call(
                     participant, "prepare", txn_id, kind="txn-prepare",
                     timeout=3.0)
-            except Interrupt:
-                raise
-            except Exception:
+            except NetworkError:
                 vote = Vote.ABORTED
             votes.append((participant, vote))
             if vote is Vote.ABORTED:
@@ -120,9 +118,7 @@ class TransactionManager:
             try:
                 yield self._endpoint.call(participant, "commit", txn_id,
                                           kind="txn-commit", timeout=3.0)
-            except Interrupt:
-                raise
-            except Exception:
+            except NetworkError:
                 # Phase-2 failures cannot roll back; real managers retry
                 # until durable. We retry once, then give up (participant
                 # crash loses its changes — acceptable for this model).
@@ -160,9 +156,7 @@ class TransactionManager:
             try:
                 yield self._endpoint.call(participant, "abort", txn.txn_id,
                                           kind="txn-abort", timeout=3.0)
-            except Interrupt:
-                raise
-            except Exception:
+            except NetworkError:
                 pass
 
     def _on_lease_expired(self, txn_id: int) -> None:

@@ -24,13 +24,12 @@ from typing import Optional
 
 from ..core.interfaces import FACADE
 from ..observability import metrics_registry
-from ..overload import rejection_marker
 from ..resilience import Deadline
 from ..sorcer.accessor import ServiceAccessor
 from ..sorcer.context import ServiceContext
 from ..sorcer.exerter import Exerter
 from ..sorcer.exertion import Task
-from ..snapshot.registry import register_participant
+from ..sorcer.rejection import rejection_marker
 from ..sorcer.signature import Signature
 from ..util.rng import substream
 
@@ -99,7 +98,7 @@ class OpenLoopEngine:
         self._hist = {n: registry.histogram("load.latency", tenant=n)
                       for n in names}
         self._hist_all = registry.histogram("load.latency", tenant="_total")
-        register_participant(self.env, "load.engine", self.checkpoint_state)
+        self.env.register_state("load.engine", self.checkpoint_state)
 
     def checkpoint_state(self) -> dict:
         """Snapshot section: per-tenant counters, bursts, open-loop gate."""

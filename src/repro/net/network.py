@@ -17,7 +17,6 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from ..sim import Environment
-from ..snapshot.registry import register_participant
 from ..util.ids import IdSource
 from .errors import HostDownError, UnreachableError
 from .latency import LanLatency, LatencyModel, LossModel, NoLoss
@@ -132,7 +131,7 @@ class Network:
         #: Link filters: chaos-injection hooks consulted per message after
         #: the loss model; each returns ``None`` or a :class:`LinkDecision`.
         self._link_filters: list = []
-        register_participant(env, "net", self.checkpoint_state)
+        env.register_state("net", self.checkpoint_state)
 
     def checkpoint_state(self) -> dict:
         """Snapshot section: topology, partitions, traffic, RNG positions."""

@@ -31,7 +31,8 @@ from .registry import (
 from .span import (NULL_SPAN, TRACE_PARENT_PATH, Span, get_trace_parent,
                    propagate_trace, set_trace_parent)
 from .tracer import Tracer, render_span_tree, tracer_of
-from .export import dump_jsonl, metrics_to_jsonl, trace_to_jsonl
+from .export import (dump_jsonl, metrics_to_jsonl, render_metrics,
+                     trace_to_jsonl)
 from .timeseries import TimeSeriesStore, Window
 from .slo import Alert, Slo, SloEngine
 from .health import (DEGRADED, DOWN, UP, HealthModel, HealthMonitor,
@@ -67,6 +68,7 @@ __all__ = [
     "health_monitor",
     "overload_slos",
     "render_health",
+    "render_metrics",
     "render_status",
     "status_json",
     "metrics_registry",

@@ -1,4 +1,4 @@
-"""JSON-lines export of traces and metrics.
+"""JSON-lines export of traces and metrics, plus the metrics table.
 
 One line per span (creation order) and one line per metric (sorted name
 order), serialized with sorted keys and compact separators — the output is
@@ -12,10 +12,13 @@ from __future__ import annotations
 from typing import Optional
 
 from ..util.canonical import canonical_json
+from ..util.table import render_table
+from .quantiles import quantile_from_buckets
 from .registry import MetricsRegistry
 from .tracer import Tracer
 
-__all__ = ["trace_to_jsonl", "metrics_to_jsonl", "dump_jsonl"]
+__all__ = ["trace_to_jsonl", "metrics_to_jsonl", "dump_jsonl",
+           "render_metrics"]
 
 
 def trace_to_jsonl(tracer: Tracer) -> str:
@@ -45,3 +48,24 @@ def dump_jsonl(path, tracer: Optional[Tracer] = None,
         if text:
             fh.write(text + "\n")
     return text.count("\n") + 1 if text else 0
+
+
+def render_metrics(snapshot: dict, title: str = "Metrics") -> str:
+    """Render a :meth:`MetricsRegistry.snapshot` mapping as a table.
+
+    Counters/gauges show their value; histograms show count, mean and
+    the interpolated p95 estimate.
+    """
+    rows = []
+    for name, entry in snapshot.items():
+        kind, data = entry["type"], entry["data"]
+        if kind == "counter":
+            rows.append([name, kind, data, None, None])
+        elif kind == "gauge":
+            rows.append([name, kind, data["value"], data["max"], None])
+        else:  # histogram
+            mean = data["total"] / data["count"] if data["count"] else None
+            p95 = quantile_from_buckets(data["buckets"], data["counts"], 0.95)
+            rows.append([name, kind, data["count"], mean, p95])
+    return render_table(["metric", "type", "value/count", "mean/max", "p95"],
+                        rows, title=title)

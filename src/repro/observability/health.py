@@ -404,8 +404,7 @@ class HealthMonitor:
         from ..resilience.events import resilience_events
         resilience_events(network).subscribe(self._on_event)
         self.env.process(self._loop(), name="health-monitor")
-        from ..snapshot.registry import register_participant
-        register_participant(self.env, "health", self.snapshot)
+        self.env.register_state("health", self.snapshot)
 
     def _on_event(self, kind: str, fields: dict) -> None:
         self.model.on_event(kind, fields)

@@ -24,13 +24,12 @@ __all__ = ["quantile_from_buckets", "max_from_buckets"]
 
 
 def quantile_from_buckets(bounds: Sequence[float], counts: Sequence[int],
-                          q: float, interpolate: bool = True) -> Optional[float]:
+                          q: float) -> Optional[float]:
     """Estimate the ``q``-quantile of a cumulative-bucket histogram.
 
     ``bounds`` are the finite upper bucket bounds; ``counts`` has one extra
     trailing slot for the implicit +inf bucket. Returns ``None`` for an
-    empty histogram. With ``interpolate=False`` the (historical) upper
-    bucket bound is reported instead of the interpolated estimate.
+    empty histogram.
     """
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"quantile must be in [0, 1], got {q}")
@@ -45,15 +44,10 @@ def quantile_from_buckets(bounds: Sequence[float], counts: Sequence[int],
         if seen < target:
             continue
         if index >= len(bounds):
-            # +inf bucket: the interpolating estimator stays finite and
-            # conservative (the sample is at least the largest bound); the
-            # plain bucket-bound form reports the bucket honestly as +inf.
-            if interpolate and bounds:
-                return bounds[-1]
-            return float("inf")
+            # +inf bucket: stay finite and conservative (the sample is
+            # at least the largest bound).
+            return bounds[-1] if bounds else float("inf")
         upper = bounds[index]
-        if not interpolate:
-            return upper
         lower = bounds[index - 1] if index > 0 else 0.0
         if n == 0:  # target == seen on an empty bucket boundary
             return upper

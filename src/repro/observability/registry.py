@@ -14,16 +14,15 @@ Design constraints, in order:
   up once and keep the handle (``self._m_calls = registry.counter(...)``);
   recording is then an attribute increment;
 * **renderability** — a snapshot feeds
-  :func:`repro.metrics.table.render_metrics` (operator tables).
+  :func:`repro.observability.export.render_metrics` (operator tables).
 """
 
 from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from ..metrics.quantiles import max_from_buckets, quantile_from_buckets
 from ..sim import sanitizer as _san
-from ..snapshot.registry import register_participant
+from .quantiles import max_from_buckets, quantile_from_buckets
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry",
            "metrics_registry", "DEFAULT_LATENCY_BUCKETS"]
@@ -144,14 +143,9 @@ class Histogram:
     def mean(self) -> Optional[float]:
         return self.total / self.count if self.count else None
 
-    def quantile(self, q: float) -> Optional[float]:
-        """Upper bound of the bucket holding the q-quantile sample."""
-        return quantile_from_buckets(self.buckets, self.counts, q,
-                                     interpolate=False)
-
     def quantile_interpolated(self, q: float) -> Optional[float]:
         """Linearly interpolated q-quantile estimate (see
-        :func:`repro.metrics.quantiles.quantile_from_buckets`)."""
+        :func:`repro.observability.quantiles.quantile_from_buckets`)."""
         return quantile_from_buckets(self.buckets, self.counts, q)
 
     @property
@@ -258,5 +252,5 @@ def metrics_registry(network) -> MetricsRegistry:
         # networks — only a real simulated network joins the snapshot.
         env = getattr(network, "env", None)
         if env is not None:
-            register_participant(env, "metrics", registry.snapshot)
+            env.register_state("metrics", registry.snapshot)
     return registry

@@ -24,7 +24,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Optional
 
-from ..metrics.quantiles import max_from_buckets, quantile_from_buckets
+from .quantiles import max_from_buckets, quantile_from_buckets
 from .registry import Counter, Gauge, Histogram, MetricsRegistry
 
 __all__ = ["TimeSeriesStore", "Window"]

@@ -19,7 +19,6 @@ import zlib
 from itertools import count
 from typing import Callable, Iterable, Optional
 
-from ..snapshot.registry import register_participant
 from .span import NULL_SPAN, Span
 
 __all__ = ["Tracer", "tracer_of", "render_span_tree"]
@@ -121,7 +120,7 @@ def tracer_of(network) -> Tracer:
                         trace_to_jsonl(tracer).encode("utf-8")),
                     "spans": len(tracer)}
 
-        register_participant(network.env, "trace", _trace_state)
+        network.env.register_state("trace", _trace_state)
     return tracer
 
 

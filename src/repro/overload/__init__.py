@@ -26,7 +26,7 @@ table.
 
 from .admission import AdmissionController
 from .dispatch import WeightedFairQueue
-from .errors import (
+from ..sorcer.rejection import (
     OVERLOAD_PATH,
     Overloaded,
     mark_overloaded,

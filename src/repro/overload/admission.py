@@ -24,9 +24,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Optional
 
-from ..snapshot.registry import register_participant
+from ..sorcer.rejection import Overloaded
 from .dispatch import WeightedFairQueue
-from .errors import Overloaded
 from .quota import QuotaRegistry
 
 __all__ = ["AdmissionController"]
@@ -83,8 +82,8 @@ class AdmissionController:
         self._m_depth = registry.gauge("overload.queue_depth", provider=name)
         self._m_wait = registry.histogram("overload.queue_wait",
                                           provider=name)
-        register_participant(env, f"overload.admission.{name}",
-                             self.checkpoint_state)
+        env.register_state(f"overload.admission.{name}",
+                           self.checkpoint_state)
 
     def checkpoint_state(self) -> dict:
         """Snapshot section: admission gate plus quota/fair-queue state."""

@@ -16,8 +16,6 @@ from it), mirroring how circuit breakers attach via
 
 from __future__ import annotations
 
-from ..snapshot.registry import register_participant
-
 __all__ = ["RetryBudget", "retry_budget_of"]
 
 
@@ -65,6 +63,6 @@ def retry_budget_of(host) -> RetryBudget:
         # network joins the snapshot.
         env = getattr(host, "env", None)
         if env is not None:
-            register_participant(env, f"resilience.budget.{host.name}",
-                                 budget.snapshot)
+            env.register_state(f"resilience.budget.{host.name}",
+                               budget.snapshot)
     return budget

@@ -21,7 +21,6 @@ from typing import Optional
 
 from ..observability.registry import MetricsRegistry
 from ..sim import Environment
-from ..snapshot.registry import register_participant
 
 __all__ = ["ResilienceEvents", "resilience_events"]
 
@@ -85,5 +84,5 @@ def resilience_events(network) -> ResilienceEvents:
             return {"count": len(trace),
                     "crc32": zlib.crc32(repr(trace).encode("utf-8"))}
 
-        register_participant(network.env, "resilience.events", _events_state)
+        network.env.register_state("resilience.events", _events_state)
     return events

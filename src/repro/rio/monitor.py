@@ -68,7 +68,6 @@ class ProvisionMonitor:
         self._join: Optional[JoinManager] = None
         self._lease_duration = lease_duration
         self._started = False
-        self.stats = {"provisioned": 0, "released": 0, "provision_failures": 0}
         self.tracer = tracer_of(host.network)
         registry = metrics_registry(host.network)
         self._m_provisioned = registry.counter("monitor.provisioned",
@@ -212,13 +211,11 @@ class ProvisionMonitor:
                     service_id=service_id, opstring=opstring.name,
                     element=element.name, instance_name=instance_name,
                     cybernode=choice.ref, provisioned_at=self.env.now)
-                self.stats["provisioned"] += 1
                 self._m_provisioned.inc()
                 self._m_managed.set(len(self._records))
                 span.set_attribute("instance", instance_name)
                 span.end("ok")
                 return True
-            self.stats["provision_failures"] += 1
             self._m_failures.inc()
             span.end("failed")
             return False
@@ -229,7 +226,6 @@ class ProvisionMonitor:
             raise
 
     def _converge_failed(self) -> None:
-        self.stats["provision_failures"] += 1
         self._m_failures.inc()
 
     def _release(self, record: ProvisionRecord):
@@ -240,7 +236,6 @@ class ProvisionMonitor:
         except (RemoteError, NetworkError):
             pass
         self._records.pop(record.service_id, None)
-        self.stats["released"] += 1
         self._m_released.inc()
         self._m_managed.set(len(self._records))
 

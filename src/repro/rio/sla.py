@@ -23,10 +23,10 @@ from __future__ import annotations
 
 from typing import Callable, Optional, Union
 
+from ..net.errors import NetworkError
 from ..net.host import Host
 from ..net.rpc import RemoteRef, rpc_endpoint
 from ..observability.registry import Counter, Gauge, metrics_registry
-from ..sim import Interrupt
 
 __all__ = ["SlaScaler"]
 
@@ -114,9 +114,7 @@ class SlaScaler:
                     yield self._endpoint.call(
                         self.monitor_ref, "set_planned", self.opstring_name,
                         self.element_name, target, kind="sla-scale")
-                except Interrupt:
-                    raise
-                except Exception:
+                except NetworkError:
                     continue
                 self.planned = target
                 self.history.append((self.env.now, load, target))

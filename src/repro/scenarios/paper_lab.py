@@ -42,7 +42,8 @@ from ..core import (
 )
 from ..jini.entries import Location
 
-__all__ = ["PaperLab", "build_paper_lab", "SENSOR_NAMES"]
+__all__ = ["PaperLab", "build_paper_lab", "six_step_experiment",
+           "SENSOR_NAMES"]
 
 #: The four Sun SPOT sensors of Fig 2.
 SENSOR_NAMES = ("Neem-Sensor", "Jade-Sensor", "Coral-Sensor", "Diamond-Sensor")
@@ -82,6 +83,11 @@ class PaperLab:
         """Run long enough for discovery/join to converge."""
         self.env.run(until=self.env.now + duration)
 
+    def run_six_steps(self) -> float:
+        """Run :func:`six_step_experiment` through this lab's browser."""
+        return self.env.run(until=self.env.process(
+            six_step_experiment(self.browser), name="six-steps"))
+
     def sensor_locations(self, names=None) -> list:
         names = names if names is not None else list(self.sensors)
         return [SENSOR_LOCATIONS[name] for name in names]
@@ -91,6 +97,24 @@ class PaperLab:
         at = t if t is not None else self.env.now
         return self.world.mean_over("temperature",
                                     self.sensor_locations(names), at)
+
+
+def six_step_experiment(browser):
+    """The §VI six-step browser experiment (single source of truth — the
+    CLI's ``experiment``/``status`` verbs and a snapshot/restore replay
+    run this same body, so they are the same event sequence)."""
+    yield from browser.compose_service(
+        "Composite-Service",
+        ["Neem-Sensor", "Jade-Sensor", "Diamond-Sensor"])
+    yield from browser.add_expression("Composite-Service", "(a + b + c)/3")
+    yield from browser.create_service("New-Composite")
+    yield from browser.compose_service(
+        "New-Composite", ["Composite-Service", "Coral-Sensor"])
+    yield from browser.add_expression("New-Composite", "(a + b)/2")
+    value = yield from browser.get_value("New-Composite")
+    yield from browser.get_info("New-Composite")
+    yield from browser.refresh_topology()
+    return value
 
 
 def build_paper_lab(seed: int = 2009, sample_interval: float = 1.0,

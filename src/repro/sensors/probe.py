@@ -16,7 +16,6 @@ from typing import Optional
 
 from ..net.wire import WireSized
 from ..sim import Environment
-from ..snapshot.registry import register_participant
 from .calibration import Calibration
 from .faults import FaultInjector, ProbeFault
 from .teds import TransducerTEDS
@@ -86,8 +85,8 @@ class BaseProbe(SensorProbe):
         self._connected = False
         self.reads = 0
         self.read_errors = 0
-        register_participant(env, f"sensor.probe.{sensor_id}",
-                             self.checkpoint_state)
+        env.register_state(f"sensor.probe.{sensor_id}",
+                           self.checkpoint_state)
 
     def checkpoint_state(self) -> dict:
         """Snapshot section: connection flag and read counters."""

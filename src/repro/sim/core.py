@@ -395,6 +395,9 @@ class Environment:
             mode = sanitize if isinstance(sanitize, str) else "raise"
             self.sanitizer = RaceSanitizer(mode=mode)
         self._profiler = None
+        #: Named state providers: section key -> zero-arg callable (see
+        #: :meth:`register_state`).
+        self._state_providers: dict[str, Callable[[], Any]] = {}
 
     # -- clock --------------------------------------------------------------
 
@@ -448,6 +451,29 @@ class Environment:
         event)`` tuples in pop order, without disturbing the queue. The
         snapshot capture enumerates the event set through this."""
         return self._scheduler.entries()
+
+    def register_state(self, key: str, provider: Callable[[], Any]) -> None:
+        """Name ``provider`` the owner of state section ``key``.
+
+        Every component that holds federation state registers here on the
+        environment it already runs in; whoever wants the whole picture
+        (a checkpoint, a debugger) walks :meth:`state_providers`. The
+        kernel only keeps the table — it never calls a provider.
+
+        Providers must be **non-mutating** (no counter moves, RNG draws or
+        scheduling: a run is byte-identical whether or not anyone reads
+        them), **deterministic** (same run, same sim time, same value) and
+        return plain dicts/lists/strings/numbers (sets sorted by the
+        provider). Keys are unique per environment: a duplicate means two
+        components claim the same state (DESIGN §14), so it raises.
+        """
+        if key in self._state_providers:
+            raise ValueError(f"state section {key!r} already registered")
+        self._state_providers[key] = provider
+
+    def state_providers(self) -> list:
+        """All registered ``(key, provider)`` pairs in sorted key order."""
+        return sorted(self._state_providers.items())
 
     def step(self) -> None:
         """Process the next scheduled event."""

@@ -5,21 +5,17 @@ registries and leases, resilience and overload state, RNG positions —
 to a canonical, versioned, atomically-written file; restore it in a
 fresh process and continue with byte-identical outputs.
 
-Submodules (resolved lazily, PEP 562 — state owners across the tree
-import :mod:`repro.snapshot.registry` at construction time, and that
-must not drag the scenario/restore machinery into their import graph):
+The plane is a leaf: state owners register named providers on their
+:class:`repro.sim.Environment` (``env.register_state``) and never import
+this package; capture only reads that table.
 
-* :mod:`repro.snapshot.registry` — participant registration (stdlib-only);
 * :mod:`repro.snapshot.format` — the two-line envelope, typed errors;
 * :mod:`repro.snapshot.capture` — declarative state capture + digest;
 * :mod:`repro.snapshot.checkpoint` — the in-sim Checkpointer process;
 * :mod:`repro.snapshot.programs` — recorded program specs and drivers;
-* :mod:`repro.snapshot.restore` — validate, replay, verify, continue.
+* :mod:`repro.snapshot.restore` — validate, replay, verify, continue;
+* :mod:`repro.snapshot.verbs` — the ``snapshot``/``restore`` CLI verbs.
 """
-
-from __future__ import annotations
-
-import importlib
 
 from .format import (
     RestoreMismatch,
@@ -27,33 +23,10 @@ from .format import (
     SnapshotError,
     SnapshotVersionError,
 )
-from .registry import participants, register_participant
-
-_SUBMODULES = frozenset({
-    "capture",
-    "checkpoint",
-    "format",
-    "programs",
-    "registry",
-    "restore",
-})
 
 __all__ = [
     "RestoreMismatch",
     "SnapshotCorrupt",
     "SnapshotError",
     "SnapshotVersionError",
-    "participants",
-    "register_participant",
-    *sorted(_SUBMODULES),
 ]
-
-
-def __getattr__(name: str):
-    if name in _SUBMODULES:
-        return importlib.import_module(f".{name}", __name__)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(set(globals()) | _SUBMODULES)

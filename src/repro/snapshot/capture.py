@@ -4,8 +4,8 @@
 produces one JSON-able document describing everything the federation
 holds at this instant: the kernel section (sim clock, seqs issued,
 tie-break RNG position, every pending event in pop order) plus one
-section per registered snapshot participant
-(:mod:`repro.snapshot.registry`), in sorted key order.
+section per state provider registered on the environment
+(:meth:`repro.sim.Environment.register_state`), in sorted key order.
 
 Capture is strictly **non-mutating**: it uses the scheduler's
 non-destructive ``entries()`` view, reads counters without moving them,
@@ -28,7 +28,6 @@ from __future__ import annotations
 import hashlib
 import zlib
 
-from repro.snapshot.registry import participants
 from repro.util.canonical import canonical_document
 
 __all__ = ["capture_state", "state_digest", "jsonable"]
@@ -81,7 +80,7 @@ def capture_state(env) -> dict:
         "pending": [_describe_event(entry) for entry in env.pending()],
     }
     body = {"kernel": kernel}
-    for key, provider in participants(env):
+    for key, provider in env.state_providers():
         body[key] = jsonable(provider())
     return body
 

@@ -36,7 +36,6 @@ from repro.util.canonical import canonical_document
 
 __all__ = [
     "forced_kernel",
-    "six_step_experiment",
     "status_spec",
     "campaign_spec",
     "run_program",
@@ -67,23 +66,6 @@ def spec_from_env(spec: dict, env) -> dict:
     out = dict(spec)
     out["tie_break_seed"] = env.tie_break_seed
     return out
-
-
-def six_step_experiment(browser):
-    """The §VI six-step browser experiment (single source of truth —
-    the CLI's ``experiment``/``status`` commands run this same body)."""
-    yield from browser.compose_service(
-        "Composite-Service",
-        ["Neem-Sensor", "Jade-Sensor", "Diamond-Sensor"])
-    yield from browser.add_expression("Composite-Service", "(a + b + c)/3")
-    yield from browser.create_service("New-Composite")
-    yield from browser.compose_service(
-        "New-Composite", ["Composite-Service", "Coral-Sensor"])
-    yield from browser.add_expression("New-Composite", "(a + b)/2")
-    value = yield from browser.get_value("New-Composite")
-    yield from browser.get_info("New-Composite")
-    yield from browser.refresh_topology()
-    return value
 
 
 # -- spec constructors -------------------------------------------------------
@@ -127,8 +109,7 @@ def _run_status(spec: dict, checkpoint_at, sink, on_capture):
                                     on_capture=on_capture)
     lab.settle(6.0)
     if spec.get("six_steps", True):
-        env.run(until=env.process(six_step_experiment(lab.browser),
-                                  name="six-steps"))
+        lab.run_six_steps()
     if env.now < spec["until"]:
         env.run(until=spec["until"])
     outputs = {

@@ -23,6 +23,12 @@ from .exertion import (
 )
 from .jobber import Jobber
 from .provider import ServiceProvider, join_service
+from .rejection import (
+    OVERLOAD_PATH,
+    Overloaded,
+    mark_overloaded,
+    rejection_marker,
+)
 from .security import AccessPolicy, AclPolicy, AllowAll, AuthorizationError
 from .signature import Signature
 from .space import Envelope, EnvelopeState, ExertionSpace, SpaceTemplate
@@ -45,6 +51,8 @@ __all__ = [
     "ExertionStatus",
     "Job",
     "Jobber",
+    "OVERLOAD_PATH",
+    "Overloaded",
     "Pipe",
     "ServiceAccessor",
     "ServiceContext",
@@ -58,4 +66,6 @@ __all__ = [
     "Tasker",
     "TraceRecord",
     "join_service",
+    "mark_overloaded",
+    "rejection_marker",
 ]

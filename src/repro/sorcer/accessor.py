@@ -16,7 +16,6 @@ from ..net.errors import NetworkError
 from ..net.host import Host
 from ..net.rpc import rpc_endpoint
 from ..resilience import BreakerRegistry, resilience_events
-from ..snapshot.registry import register_participant
 from .signature import Signature
 
 __all__ = ["ServiceAccessor", "breaker_registry"]
@@ -31,9 +30,8 @@ def breaker_registry(host: Host) -> BreakerRegistry:
     if registry is None:
         registry = BreakerRegistry(events=resilience_events(host.network))
         host._breaker_registry = registry
-        register_participant(host.env,
-                             f"resilience.breakers.{host.name}",
-                             registry.checkpoint_state)
+        host.env.register_state(f"resilience.breakers.{host.name}",
+                                registry.checkpoint_state)
     return registry
 
 

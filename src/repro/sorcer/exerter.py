@@ -35,7 +35,6 @@ from ..observability import (
     set_trace_parent,
     tracer_of,
 )
-from ..overload import rejection_marker
 from ..resilience import (
     DEADLINE_PATH,
     CircuitOpenError,
@@ -48,6 +47,7 @@ from ..resilience import (
 )
 from .accessor import ServiceAccessor
 from .exertion import Access, Exertion, Job, Task
+from .rejection import rejection_marker
 from .signature import Signature
 
 __all__ = ["Exerter"]

@@ -24,10 +24,10 @@ from ..net.host import Host
 from ..net.rpc import RemoteRef, rpc_endpoint
 from ..observability import (get_trace_parent, metrics_registry,
                              set_trace_parent, tracer_of)
-from ..overload import Overloaded, mark_overloaded
 from ..resilience import DEADLINE_PATH, Deadline
 from ..sim import Interrupt, Resource
 from .exertion import Exertion, ExertionStatus, Task, TraceRecord
+from .rejection import Overloaded, mark_overloaded
 from .security import AccessPolicy, AuthorizationError
 
 __all__ = ["ServiceProvider", "join_service"]
@@ -96,7 +96,6 @@ class ServiceProvider:
         #: default) means every request is admitted — existing labs keep
         #: their exact behaviour.
         self.admission = admission
-        self.stats = {"served": 0, "failed": 0, "busy_time": 0.0}
         self.tracer = tracer_of(host.network)
         registry = metrics_registry(host.network)
         self._m_served = registry.counter("provider.served", provider=name)
@@ -193,22 +192,18 @@ class ServiceProvider:
                 return self._shed(exertion, exc, started, span)
             except Exception as exc:  # noqa: BLE001 - reported in the exertion
                 exertion.report_exception(exc)
-                self.stats["failed"] += 1
                 self._m_failed.inc()
                 self._trace(exertion, started, note=f"exception: {exc!r}")
                 span.annotate("exception", error=repr(exc))
                 span.end("failed")
                 return exertion
             if exertion.status is ExertionStatus.FAILED:
-                self.stats["failed"] += 1
                 self._m_failed.inc()
                 span.end("failed")
             else:
                 exertion.status = ExertionStatus.DONE
-                self.stats["served"] += 1
                 self._m_served.inc()
                 span.end("ok")
-            self.stats["busy_time"] += self.env.now - started
             self._m_service_time.observe(self.env.now - started)
             self._trace(exertion, started)
             return result if isinstance(result, Exertion) else exertion

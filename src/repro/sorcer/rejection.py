@@ -16,6 +16,11 @@ boundary as a plain dict at ``OVERLOAD_PATH`` in the service context —
 the same convention ``resilience/deadline`` and ``composite/visited``
 use. :func:`rejection_marker` recovers it on the caller side and
 :meth:`Overloaded.from_marker` re-raises it typed.
+
+This is exertion protocol, so it lives with the exertion runtime: the
+provider, exerter, facade and browser speak it whether or not anything
+ever sheds. The machinery that *decides* to shed (:mod:`repro.overload`)
+is an attachment on ``provider.admission`` and re-exports these names.
 """
 
 from __future__ import annotations
@@ -27,10 +32,6 @@ __all__ = ["OVERLOAD_PATH", "Overloaded", "mark_overloaded",
 
 #: Service-context path carrying the rejection across provider hops.
 OVERLOAD_PATH = "overload/rejection"
-
-#: The closed set of rejection reasons (stable strings — they appear in
-#: metrics labels, markers and verdict JSON).
-REASONS = ("queue-full", "expired", "expired-in-queue", "quota")
 
 
 class Overloaded(Exception):

@@ -1,12 +1,10 @@
-"""Plain-text result tables for the benchmark harness."""
+"""Plain-text result tables for the CLI and the benchmark reports."""
 
 from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .quantiles import quantile_from_buckets
-
-__all__ = ["render_table", "format_value", "render_traffic", "render_metrics"]
+__all__ = ["render_table", "format_value", "render_traffic"]
 
 
 def format_value(value) -> str:
@@ -53,28 +51,6 @@ def render_table(headers: Sequence[str], rows: Sequence[Sequence],
     for row in rendered_rows:
         lines.append(fmt_row(row))
     return "\n".join(lines)
-
-
-def render_metrics(snapshot: dict, title: str = "Metrics") -> str:
-    """Render a :meth:`MetricsRegistry.snapshot` mapping as a table.
-
-    Takes the plain snapshot dict (not the registry) so this module stays
-    free of observability imports. Counters/gauges show their value;
-    histograms show count, mean and the interpolated p95 estimate.
-    """
-    rows = []
-    for name, entry in snapshot.items():
-        kind, data = entry["type"], entry["data"]
-        if kind == "counter":
-            rows.append([name, kind, data, None, None])
-        elif kind == "gauge":
-            rows.append([name, kind, data["value"], data["max"], None])
-        else:  # histogram
-            mean = data["total"] / data["count"] if data["count"] else None
-            p95 = quantile_from_buckets(data["buckets"], data["counts"], 0.95)
-            rows.append([name, kind, data["count"], mean, p95])
-    return render_table(["metric", "type", "value/count", "mean/max", "p95"],
-                        rows, title=title)
 
 
 def render_traffic(stats, title: str = "Network traffic by message kind") -> str:

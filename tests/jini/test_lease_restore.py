@@ -26,7 +26,6 @@ from repro.jini import (
 from repro.net import FixedLatency, Host, Network, rpc_endpoint
 from repro.sim import Environment
 from repro.snapshot.checkpoint import Checkpointer
-from repro.snapshot.registry import register_participant
 
 
 # ---------------------------------------------------------------------------
@@ -39,7 +38,7 @@ def _landlord_run(checkpoint_at, on_capture=None):
     env = Environment()
     expired = []
     landlord = Landlord(env, max_duration=60.0, on_expire=expired.append)
-    register_participant(env, "jini.landlord", landlord.checkpoint_state)
+    env.register_state("jini.landlord", landlord.checkpoint_state)
     checkpointer = Checkpointer(env, checkpoint_at, on_capture=on_capture)
     env.process(landlord.sweeper(2.0), name="sweeper")
 

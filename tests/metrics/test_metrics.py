@@ -1,6 +1,6 @@
 """Table rendering."""
 
-from repro.metrics import format_value, render_table
+from repro.util.table import format_value, render_table
 
 
 def test_format_value():
@@ -33,7 +33,7 @@ def test_render_traffic():
     import numpy as np
     from repro.sim import Environment
     from repro.net import FixedLatency, Host, Network
-    from repro.metrics import render_traffic
+    from repro.util.table import render_traffic
 
     env = Environment()
     net = Network(env, rng=np.random.default_rng(1),

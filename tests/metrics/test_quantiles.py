@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.metrics import max_from_buckets, quantile_from_buckets
+from repro.observability.quantiles import (max_from_buckets,
+                                           quantile_from_buckets)
 from repro.observability import Histogram
 
 
@@ -34,17 +35,9 @@ def test_first_bucket_interpolates_from_zero():
     assert quantile_from_buckets(BOUNDS, counts, 0.5) == pytest.approx(0.5)
 
 
-def test_non_interpolated_reports_bucket_bound():
-    counts = [0, 0, 10, 0, 0]
-    assert quantile_from_buckets(BOUNDS, counts, 0.5,
-                                 interpolate=False) == 4.0
-
-
 def test_inf_bucket_is_clamped_when_interpolating():
     counts = [0, 0, 0, 0, 3]
     assert quantile_from_buckets(BOUNDS, counts, 0.5) == 8.0
-    assert quantile_from_buckets(BOUNDS, counts, 0.5,
-                                 interpolate=False) == float("inf")
 
 
 def test_max_from_buckets_highest_occupied_bound():
@@ -58,7 +51,6 @@ def test_histogram_interpolated_quantile_and_max():
         h.observe(value)
     # 3 of 5 samples in (2, 4]: p50 rank 2.5 sits 0.5/3 into that bucket.
     assert h.quantile_interpolated(0.5) == pytest.approx(2.0 + 2.0 * 0.5 / 3)
-    assert h.quantile(0.5) == 4.0  # bucket-bound form unchanged
     assert h.max_bound == 4.0
     assert Histogram("e", buckets=BOUNDS).max_bound is None
 

@@ -76,7 +76,7 @@ def test_shed_load_stays_out_of_failure_metrics(choked_lab):
     facade_label = f"provider={lab.facade.name}"
     assert snap[f"overload.rejected{{{facade_label},reason=queue-full}}"][
         "data"] == 3
-    assert lab.facade.stats["failed"] == 0
+    assert snap[f"provider.failed{{{facade_label}}}"]["data"] == 0
 
 
 def test_shed_load_does_not_degrade_provider_health(choked_lab):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.net import Host
+from repro.observability import metrics_registry
 from repro.jini import Name, ServiceTemplate
 from repro.rio import (
     Cybernode,
@@ -44,6 +45,10 @@ def make_monitor(net, **kwargs):
     return host, monitor
 
 
+def monitor_count(net, what):
+    return metrics_registry(net).value(f"monitor.{what}", monitor="Monitor")
+
+
 def opstring_with(name="os", element_name="Echo-Service", planned=1,
                   qos=None, max_per_node=1):
     element = ServiceElement(
@@ -71,7 +76,7 @@ def test_deploy_provisions_planned_instance(grid):
     monitor.deploy(opstring_with())
     env.run(until=10.0)
     assert len(live_named(lus, "Echo-Service")) == 1
-    assert monitor.stats["provisioned"] == 1
+    assert monitor_count(net, "provisioned") == 1
 
 
 def test_planned_many_spread_over_nodes(grid):
@@ -109,7 +114,7 @@ def test_no_capable_node_keeps_pending_then_converges(grid):
     monitor.deploy(opstring_with())
     env.run(until=8.0)
     assert len(live_named(lus, "Echo-Service")) == 0
-    assert monitor.stats["provision_failures"] > 0
+    assert monitor_count(net, "provision_failures") > 0
     make_cybernode(net, "Late-Node")  # capacity arrives later
     env.run(until=20.0)
     assert len(live_named(lus, "Echo-Service")) == 1
@@ -130,7 +135,7 @@ def test_cybernode_failure_triggers_reprovision(grid):
     items = lus.lookup(ServiceTemplate.by_type("Echo"), 10)
     assert len(items) == 1
     assert items[0].service.host != victim_host
-    assert monitor.stats["provisioned"] == 2
+    assert monitor_count(net, "provisioned") == 2
 
 
 def test_scale_up_and_down(grid):
@@ -146,7 +151,7 @@ def test_scale_up_and_down(grid):
     monitor.set_planned("os", "Echo-Service", 1)
     env.run(until=60.0)
     assert len(lus.lookup(ServiceTemplate.by_type("Echo"), 64)) == 1
-    assert monitor.stats["released"] == 2
+    assert monitor_count(net, "released") == 2
 
 
 def test_undeploy_releases_instances(grid):
@@ -237,7 +242,7 @@ def test_multi_element_opstring(grid):
     assert len(live_named(lus, "Backend")) == 1
     # Load accounting: 2x1 + 1x2 slots.
     status = [n for n in net.hosts.values()]  # noqa: F841
-    assert monitor.stats["provisioned"] == 3
+    assert monitor_count(net, "provisioned") == 3
 
 
 def test_opstring_duplicate_element_rejected(grid):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.net import Host
+from repro.observability import metrics_registry
 from repro.sorcer import (
     Exerter,
     ExertionStatus,
@@ -225,8 +226,9 @@ def test_provider_stats_count_served(grid):
         yield env.process(exerter.exert(add_task(selector="explode")))
 
     env.run(until=env.process(proc()))
-    assert provider.stats["served"] == 3
-    assert provider.stats["failed"] == 1
+    registry = metrics_registry(net)
+    assert registry.value("provider.served", provider=provider.name) == 3
+    assert registry.value("provider.failed", provider=provider.name) == 1
 
 
 def test_wrong_service_type_rejected(grid):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.net import Host
+from repro.observability import metrics_registry
 from repro.sorcer import (
     AclPolicy,
     AllowAll,
@@ -97,8 +98,9 @@ def test_denial_counts_as_failure_stat(grid):
     provider = GuardedProvider(Host(net, "p-host"), access_policy=acl())
     provider.start()
     exert_as(env, net, "admin", "intruder", "e")
-    assert provider.stats["failed"] == 1
-    assert provider.stats["served"] == 0
+    registry = metrics_registry(net)
+    assert registry.value("provider.failed", provider=provider.name) == 1
+    assert registry.value("provider.served", provider=provider.name) == 0
 
 
 def test_principal_survives_copy():

@@ -307,12 +307,12 @@ def test_profile_closes_store_when_the_run_fails(tmp_path, monkeypatch):
     # HistoryStore's WAL connection (and its lock on the history
     # database) open — found by the RES004 lifecycle lint. The handle
     # must be closed on the error path too.
-    import repro.cli as cli_mod
-    import repro.observability as obs
+    import repro.observability.verbs as verbs
+    from repro.scenarios import PaperLab
 
     created = []
 
-    class RecordingStore(obs.HistoryStore):
+    class RecordingStore(verbs.HistoryStore):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             created.append(self)
@@ -320,8 +320,8 @@ def test_profile_closes_store_when_the_run_fails(tmp_path, monkeypatch):
     def explode(lab):
         raise RuntimeError("scenario exploded")
 
-    monkeypatch.setattr(obs, "HistoryStore", RecordingStore)
-    monkeypatch.setattr(cli_mod, "_run_six_steps", explode)
+    monkeypatch.setattr(verbs, "HistoryStore", RecordingStore)
+    monkeypatch.setattr(PaperLab, "run_six_steps", explode)
     with pytest.raises(RuntimeError, match="scenario exploded"):
         run_cli("profile", "six-steps", "--until", "5",
                 "--spill", str(tmp_path / "hist.db"))

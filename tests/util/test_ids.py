@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.util import IdSource
+from repro.util.ids import IdSource
 
 
 def test_uuid_shape():
