@@ -345,14 +345,13 @@ class OverloadGraceful(Invariant):
 
     name = "overload-graceful"
 
+    FAILURE_CEILING = 0.25  # share of offered load that may fail
+    P99_SLACK = 5.0  # default p99 bound: this far past the longest deadline
+
     def __init__(self, p99_bound: Optional[float] = None,
-                 goodput_floor: float = 0.3,
-                 failure_ceiling: float = 0.25,
-                 p99_slack: float = 5.0):
+                 goodput_floor: float = 0.3):
         self.p99_bound = p99_bound
         self.goodput_floor = goodput_floor
-        self.failure_ceiling = failure_ceiling
-        self.p99_slack = p99_slack
 
     def violations(self, record: RunRecord) -> list:
         load = record.extra.get("load")
@@ -370,7 +369,7 @@ class OverloadGraceful(Invariant):
             out.append(f"{load['inflight']} load request(s) still in flight "
                        "after drain")
         bound = (self.p99_bound if self.p99_bound is not None
-                 else load.get("deadline_max", 0.0) + self.p99_slack)
+                 else load.get("deadline_max", 0.0) + self.P99_SLACK)
         p99 = total["latency"].get("p99")
         if p99 is not None and p99 > bound:
             out.append(f"admitted-work p99 {p99:.3f}s exceeds bound "
@@ -381,9 +380,9 @@ class OverloadGraceful(Invariant):
                 out.append(f"goodput collapsed: {goodput_rate:.3f} of "
                            f"offered load < floor {self.goodput_floor}")
             failure_rate = total["failed"] / offered
-            if failure_rate > self.failure_ceiling:
+            if failure_rate > self.FAILURE_CEILING:
                 out.append(f"failure rate {failure_rate:.3f} over ceiling "
-                           f"{self.failure_ceiling} — overload must shed "
+                           f"{self.FAILURE_CEILING} — overload must shed "
                            "typed rejections, not failures")
         return out
 

@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-import pytest
-
 from .campaign import CampaignConfig, CampaignRunner
 
 __all__ = ["chaos_campaign"]
@@ -33,6 +31,7 @@ def chaos_campaign(seeds, scenario: str = "paper-lab",
     ``config_kwargs`` build a :class:`CampaignConfig` when ``config`` is
     not given (e.g. ``horizon=60.0, max_events=3``).
     """
+    import pytest  # a dev extra: needed to decorate a test, not to import us
     if config is None:
         config = CampaignConfig(**config_kwargs)
     elif config_kwargs:

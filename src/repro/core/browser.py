@@ -16,10 +16,7 @@ from ..jini.template import ServiceTemplate
 from ..net.errors import NetworkError
 from ..net.host import Host
 from ..sorcer.accessor import ServiceAccessor
-from ..sorcer.context import ServiceContext
-from ..sorcer.exerter import Exerter
-from ..sorcer.exertion import Task
-from ..sorcer.rejection import Overloaded, rejection_marker
+from ..sorcer.exerter import Exerter, ExertionFailed
 from ..sorcer.signature import Signature
 from .interfaces import FACADE
 
@@ -47,21 +44,17 @@ class SensorBrowser:
     # -- controller -----------------------------------------------------------------
 
     def _facade_call(self, selector: str, args: dict):
-        ctx = ServiceContext(f"browser->{selector}")
-        for key, value in args.items():
-            ctx.put_in_value(f"arg/{key}", value)
-        task = Task(f"browser-{selector}",
-                    Signature(FACADE, selector,
-                              provider_name=self.facade_name), ctx)
-        result = yield self.env.process(self.exerter.exert(task))
-        if result.is_failed:
-            marker = rejection_marker(result.context)
-            if marker is not None:
-                # Shed, not broken: surface the typed rejection (with its
-                # retry-after hint) instead of a generic browser failure.
-                raise Overloaded.from_marker(marker)
-            raise BrowserError(f"{selector} failed: {result.exceptions}")
-        return result.get_return_value()
+        # Shed, not broken: Overloaded passes through typed (with its
+        # retry-after hint) instead of becoming a generic browser failure.
+        try:
+            value = yield from self.exerter.call(
+                Signature(FACADE, selector, provider_name=self.facade_name),
+                args, name=f"browser-{selector}",
+                context=f"browser->{selector}")
+        except ExertionFailed as exc:
+            raise BrowserError(
+                f"{selector} failed: {exc.exceptions}") from None
+        return value
 
     def get_sensor_list(self):
         sensors = yield from self._facade_call("listSensors", {})

@@ -24,12 +24,12 @@ from typing import Optional
 from ..expr import Expression, ExprError
 from ..jini.entries import SensorType
 from ..net.host import Host
-from ..observability import metrics_registry, propagate_trace
-from ..resilience import DEADLINE_PATH, Deadline, resilience_events
+from ..observability import metrics_registry
+from ..resilience import resilience_events
 from ..sensors.probe import Reading
 from ..sorcer.context import ServiceContext
 from ..sorcer.exerter import Exerter
-from ..sorcer.exertion import Strategy, Task
+from ..sorcer.exertion import Strategy
 from ..sorcer.provider import ServiceProvider
 from ..sorcer.signature import Signature
 from .interfaces import (
@@ -80,7 +80,6 @@ class CompositeSensorProvider(ServiceProvider):
                  child_timeout: float = 10.0,
                  fault_policy: str = "strict",
                  stale_max_age: float = 30.0,
-                 coalesce: bool = False,
                  attributes: tuple = (),
                  **kwargs):
         """``child_timeout`` bounds each child invocation (sensor reads are
@@ -99,13 +98,14 @@ class CompositeSensorProvider(ServiceProvider):
           preserved, so this is legal even with an expression attached;
           substitutions are flagged in the returned context/``Reading``.
 
-        ``coalesce=True`` shares one in-flight child collection among all
-        concurrent ``getValue`` queries: under read pressure N overlapping
-        reads cost one fan-out instead of N (the bindings are identical
-        anyway — the sensors can't have re-sampled mid-collection). Any
-        composition change bumps an epoch so joiners never see a fan-out
-        started against the old child set. Off by default: coalescing
-        trades read isolation for throughput, which only pays under load.
+        Setting the ``coalesce`` attribute shares one in-flight child
+        collection among all concurrent ``getValue`` queries: under read
+        pressure N overlapping reads cost one fan-out instead of N (the
+        bindings are identical anyway — the sensors can't have re-sampled
+        mid-collection). Any composition change bumps an epoch so joiners
+        never see a fan-out started against the old child set. Off unless
+        set: coalescing trades read isolation for throughput, which only
+        pays under load.
         """
         if fault_policy not in ("strict", "skip", "degraded"):
             raise ValueError(f"unknown fault_policy {fault_policy!r}")
@@ -125,10 +125,8 @@ class CompositeSensorProvider(ServiceProvider):
         self.last_value: Optional[float] = None
         #: Degraded-mode cache: child service_id -> (timestamp, value).
         self.last_known_good: dict[str, tuple[float, float]] = {}
-        #: How many stale values this provider has served (observability).
-        self.stale_substitutions = 0
         #: Read coalescing: share one child fan-out among concurrent reads.
-        self.coalesce = coalesce
+        self.coalesce = False
         self._read_epoch = 0
         self._inflight_read: Optional[tuple] = None
         self._m_coalesced = metrics_registry(host.network).counter(
@@ -198,47 +196,37 @@ class CompositeSensorProvider(ServiceProvider):
 
     # -- value aggregation ----------------------------------------------------------
 
-    def _child_task(self, child: _Child, visited: list,
-                    deadline: Optional[Deadline],
-                    parent_ctx: Optional[ServiceContext] = None) -> Task:
+    def _ask(self, child: _Child, visited: list, parent_ctx: ServiceContext,
+             parallel: bool):
+        """Start one child's ``getValue``. The hop serves ``parent_ctx``: a
+        child of this CSP's serve span, inheriting the caller's remaining
+        budget instead of compounding its own waits on top of it."""
         ctx = ServiceContext(f"{self.name}->{child.display_name}")
         ctx.put_value(VISITED_PATH, list(visited))
-        if parent_ctx is not None:
-            # Child collection hops become children of this CSP's serve span.
-            propagate_trace(parent_ctx, ctx)
-        task = Task(f"collect-{child.display_name}",
-                    Signature(SENSOR_DATA_ACCESSOR, OP_GET_VALUE,
-                              service_id=child.service_id), ctx)
-        task.control.provider_wait = self.child_wait
-        task.control.invocation_timeout = self.child_timeout
-        if deadline is not None:
-            # Nested calls inherit the caller's remaining budget instead of
-            # compounding their own waits on top of it.
-            task.control.deadline = deadline
-            now = self.env.now
-            task.control.provider_wait = deadline.clamp(self.child_wait, now)
-            task.control.invocation_timeout = deadline.clamp(
-                self.child_timeout, now)
-        return task
+        name = f"collect-{child.display_name}"
+        return self.exerter.submit(
+            Signature(SENSOR_DATA_ACCESSOR, OP_GET_VALUE,
+                      service_id=child.service_id),
+            name=name, context=ctx, caller=parent_ctx,
+            provider_wait=self.child_wait,
+            invocation_timeout=self.child_timeout,
+            process=f"csp-collect:{name}" if parallel else None)
 
-    def _collect(self, visited: list, deadline: Optional[Deadline] = None,
-                 parent_ctx: Optional[ServiceContext] = None):
+    def _collect(self, visited: list, parent_ctx: ServiceContext):
         """Collect child values; returns ({variable: value}, stale-notes).
         Generator. Under ``fault_policy="degraded"`` an unreachable child's
         binding is served from ``last_known_good`` when fresh enough."""
         if not self.children:
             raise CompositionError(f"{self.name!r} has no composed services")
-        tasks = [self._child_task(child, visited, deadline, parent_ctx)
-                 for child in self.children]
         if self.strategy is Strategy.PARALLEL:
-            procs = [self.env.process(self.exerter.exert(task),
-                                      name=f"csp-collect:{task.name}")
-                     for task in tasks]
-            results = yield self.env.all_of(procs)
+            results = yield self.env.all_of([
+                self._ask(child, visited, parent_ctx, parallel=True)
+                for child in self.children])
         else:
             results = []
-            for task in tasks:
-                result = yield self.env.process(self.exerter.exert(task))
+            for child in self.children:
+                result = yield self._ask(child, visited, parent_ctx,
+                                         parallel=False)
                 results.append(result)
         bindings = {}
         failures = []
@@ -255,7 +243,6 @@ class CompositeSensorProvider(ServiceProvider):
                         stale.append({"variable": variable_name(index),
                                       "child": child.display_name,
                                       "age": age})
-                        self.stale_substitutions += 1
                         self.events.emit("stale_substitution",
                                          composite=self.name,
                                          child=child.display_name,
@@ -281,9 +268,7 @@ class CompositeSensorProvider(ServiceProvider):
                 f"({len(failures)} failures)")
         return bindings, stale
 
-    def _collect_coalesced(self, visited: list,
-                           deadline: Optional[Deadline] = None,
-                           parent_ctx: Optional[ServiceContext] = None):
+    def _collect_coalesced(self, visited: list, parent_ctx: ServiceContext):
         """Like :meth:`_collect`, but concurrent reads share one fan-out.
 
         The first reader (the *leader*) runs the real collection; readers
@@ -295,7 +280,7 @@ class CompositeSensorProvider(ServiceProvider):
         event with multiple observers would escape the scheduler.
         """
         if not self.coalesce:
-            result = yield from self._collect(visited, deadline, parent_ctx)
+            result = yield from self._collect(visited, parent_ctx)
             return result
         token = self._inflight_read
         if token is not None and token[0] == self._read_epoch:
@@ -308,8 +293,7 @@ class CompositeSensorProvider(ServiceProvider):
         event = self.env.event()
         self._inflight_read = (self._read_epoch, event)
         try:
-            bindings, stale = yield from self._collect(visited, deadline,
-                                                       parent_ctx)
+            bindings, stale = yield from self._collect(visited, parent_ctx)
         except BaseException as exc:
             if self._inflight_read is not None \
                     and self._inflight_read[1] is event:
@@ -328,10 +312,7 @@ class CompositeSensorProvider(ServiceProvider):
                 f"composition cycle detected at {self.name!r} "
                 f"(visited: {len(visited)} services)")
         visited.append(self.service_id)
-        expires_at = ctx.get_value(DEADLINE_PATH, None)
-        deadline = Deadline(float(expires_at)) if expires_at is not None else None
-        bindings, stale = yield from self._collect_coalesced(visited, deadline,
-                                                             parent_ctx=ctx)
+        bindings, stale = yield from self._collect_coalesced(visited, ctx)
         if self.expression is not None:
             value = self.expression.evaluate(bindings)
         else:

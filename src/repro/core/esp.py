@@ -18,7 +18,7 @@ from ..net.errors import NetworkError
 from ..net.host import Host
 from ..net.rpc import RemoteRef
 from ..observability import metrics_registry
-from ..resilience import DEADLINE_PATH, Deadline
+from ..resilience import Deadline
 from ..sensors.buffer import ReadingBuffer
 from ..sensors.probe import ProbeError, Reading, SensorProbe
 from ..sorcer.provider import ServiceProvider
@@ -42,10 +42,10 @@ class ElementarySensorProvider(ServiceProvider):
     """Wraps one probe as a network sensor service."""
 
     SERVICE_TYPES = (SENSOR_DATA_ACCESSOR, ELEMENTARY_PROVIDER, DATA_COLLECTION)
+    BUFFER_CAPACITY = 256  # readings kept for getHistory / getStats
 
     def __init__(self, host: Host, name: str, probe: SensorProbe,
                  sample_interval: float = 1.0,
-                 buffer_capacity: int = 256,
                  location: Optional[Location] = None,
                  technology: str = "simulated",
                  attributes: tuple = (),
@@ -60,14 +60,12 @@ class ElementarySensorProvider(ServiceProvider):
                          **kwargs)
         self.probe = probe
         self.sample_interval = sample_interval
-        self.buffer = ReadingBuffer(buffer_capacity)
-        self.sample_errors = 0
+        self.buffer = ReadingBuffer(self.BUFFER_CAPACITY)
         self._sampling = False
         #: Leased push subscriptions (§II.5): event_id -> subscriber state.
         self._subscribers: dict[int, dict] = {}
         self._sub_landlord = Landlord(host.env, max_duration=600.0,
                                       on_expire=self._drop_subscription)
-        self.events_pushed = 0
         registry = metrics_registry(host.network)
         self._m_samples = registry.counter("esp.samples", provider=name)
         self._m_sample_errors = registry.counter("esp.sample_errors",
@@ -113,7 +111,6 @@ class ElementarySensorProvider(ServiceProvider):
                     self._m_buffer_depth.set(len(self.buffer))
                     self._publish(reading)
                 except ProbeError:
-                    self.sample_errors += 1
                     self._m_sample_errors.inc()
             yield self.env.timeout(self.sample_interval)
 
@@ -142,7 +139,6 @@ class ElementarySensorProvider(ServiceProvider):
         try:
             yield self._endpoint.call(listener, "notify", event,
                                       kind="sensor-event", timeout=3.0)
-            self.events_pushed += 1
             self._m_events_pushed.inc()
         except NetworkError:
             pass  # unreachable subscriber: its lease will lapse
@@ -193,10 +189,9 @@ class ElementarySensorProvider(ServiceProvider):
         """Honor a propagated exertion deadline: refuse work on a request
         whose end-to-end budget is already spent (the caller has given up;
         answering would only burn the probe and the network)."""
-        expires_at = ctx.get_value(DEADLINE_PATH, None)
-        if expires_at is not None:
-            Deadline(float(expires_at)).check(self.env.now,
-                                              what=f"read on {self.name!r}")
+        deadline = Deadline.from_context(ctx)
+        if deadline is not None:
+            deadline.check(self.env.now, what=f"read on {self.name!r}")
 
     def _op_get_value(self, ctx):
         self._check_deadline(ctx)

@@ -29,14 +29,11 @@ from ..jini.entries import Name, SensorType
 from ..jini.template import ServiceItem, ServiceTemplate
 from ..net.errors import NetworkError
 from ..net.host import Host
-from ..observability import propagate_trace
-from ..resilience import DEADLINE_PATH, Deadline
 from ..sim import Interrupt
 from ..sorcer.context import ServiceContext
-from ..sorcer.exerter import Exerter
-from ..sorcer.exertion import Task
+from ..sorcer.exerter import Exerter, ExertionFailed
 from ..sorcer.provider import ServiceProvider
-from ..sorcer.rejection import Overloaded, rejection_marker
+from ..sorcer.rejection import Overloaded
 from ..sorcer.signature import Signature
 from .interfaces import (
     FACADE,
@@ -123,36 +120,21 @@ class SensorcerFacade(ServiceProvider):
 
     def _exert_on(self, item: ServiceItem, selector: str, args: dict,
                   parent_ctx: Optional[ServiceContext] = None):
-        ctx = ServiceContext(f"facade->{selector}")
-        if parent_ctx is not None:
-            # Management hops become children of the facade's serve span;
-            # the healing loop passes no context, so its hops root traces.
-            propagate_trace(parent_ctx, ctx)
-        for key, value in args.items():
-            ctx.put_in_value(f"arg/{key}", value)
-        task = Task(f"facade-{selector}",
-                    Signature(SENSOR_DATA_ACCESSOR, selector,
-                              service_id=item.service_id), ctx)
-        task.control.invocation_timeout = self.MGMT_TIMEOUT
-        task.control.provider_wait = 3.0
-        budget = self.MGMT_BUDGET
-        if parent_ctx is not None:
-            # A caller-supplied deadline caps the management budget: the
-            # nested hop must not outlive the request it serves.
-            inherited = parent_ctx.get_value(DEADLINE_PATH, None)
-            if isinstance(inherited, (int, float)):
-                budget = min(budget, max(0.0, float(inherited) - self.env.now))
-        task.control.deadline = Deadline.after(self.env.now, budget)
-        result = yield self.env.process(self.exerter.exert(task))
-        if result.is_failed:
-            marker = rejection_marker(result.context)
-            if marker is not None:
-                # Typed propagation: our own service() wrapper re-marks the
-                # facade's result, so the browser sees Overloaded too.
-                raise Overloaded.from_marker(marker)
-            raise FacadeError(
-                f"{selector} on {item.name()!r} failed: {result.exceptions}")
-        return result.get_return_value()
+        # Management hops serve ``parent_ctx`` (child span, capped by its
+        # deadline); the healing loop passes none, so its hops root traces.
+        # A shed hop raises Overloaded straight through: our own service()
+        # wrapper re-marks the facade's result, so the browser sees it too.
+        try:
+            value = yield from self.exerter.call(
+                Signature(SENSOR_DATA_ACCESSOR, selector,
+                          service_id=item.service_id), args,
+                name=f"facade-{selector}", context=f"facade->{selector}",
+                caller=parent_ctx, budget=self.MGMT_BUDGET,
+                invocation_timeout=self.MGMT_TIMEOUT, provider_wait=3.0)
+        except ExertionFailed as exc:
+            raise FacadeError(f"{selector} on {item.name()!r} failed: "
+                              f"{exc.exceptions}") from None
+        return value
 
     def _kind_of(self, item: ServiceItem) -> str:
         for attr in item.attributes:
@@ -233,15 +215,27 @@ class SensorcerFacade(ServiceProvider):
         self._track(composite)
         assigned = {}
         for child_name in child_names:
-            child = yield from self._find_sensor(child_name)
-            self._track(child)
-            variable = yield from self._exert_on(
-                composite, OP_ADD_SERVICE,
-                {"service_id": child.service_id, "name": child_name},
-                parent_ctx=ctx)
-            self.manager.compose(composite.service_id, child.service_id)
-            assigned[child_name] = variable
+            assigned[child_name] = yield from self._add_child(
+                composite, child_name, ctx)
         return assigned
+
+    def _add_child(self, composite: ServiceItem, child_name: str,
+                   parent_ctx: Optional[ServiceContext]):
+        """Compose one child into ``composite``; returns its variable. Only
+        the model sees ancestors, so it vetoes a cycle *before* the CSP is
+        touched — a refused compose leaves no half-state."""
+        child = yield from self._find_sensor(child_name)
+        self._track(child)
+        self.manager.check_acyclic(composite.service_id, child.service_id)
+        variable = yield from self._exert_on(
+            composite, OP_ADD_SERVICE,
+            {"service_id": child.service_id, "name": child_name},
+            parent_ctx=parent_ctx)
+        try:
+            self.manager.compose(composite.service_id, child.service_id)
+        except NetworkModelError:
+            pass  # edge already modelled (re-applied plan); the CSP is truth
+        return variable
 
     def _op_decompose_service(self, ctx):
         """Remove one child from a composite (runtime re-grouping)."""
@@ -327,12 +321,8 @@ class SensorcerFacade(ServiceProvider):
         Save while the network is healthy; composites are visited
         leaves-first so nested composites re-form bottom-up on apply.
         """
-        import networkx as nx
-        graph = self.manager.graph
-        ordered = [node for node in reversed(list(nx.topological_sort(graph)))
-                   if graph.nodes[node]["kind"] == KIND_COMPOSITE]
         plan = CompositionPlan()
-        for service_id in ordered:
+        for service_id in self.manager.composites_leaves_first():
             name = self.manager.name_of(service_id)
             item = yield from self._find_sensor(name)
             info = yield from self._exert_on(item, OP_GET_INFO, {},
@@ -401,16 +391,7 @@ class SensorcerFacade(ServiceProvider):
                 "(variable bindings would shift)")
         actions = 0
         for child_name in wanted[len(current):]:
-            child = yield from self._find_sensor(child_name)
-            self._track(child)
-            yield from self._exert_on(
-                composite, OP_ADD_SERVICE,
-                {"service_id": child.service_id, "name": child_name},
-                parent_ctx=parent_ctx)
-            try:
-                self.manager.compose(composite.service_id, child.service_id)
-            except NetworkModelError:
-                pass  # edge already modelled (re-applied plan)
+            yield from self._add_child(composite, child_name, parent_ctx)
             actions += 1
         if entry.expression is not None:
             info = yield from self._exert_on(composite, OP_GET_INFO, {},

@@ -1,16 +1,15 @@
 """Sensor network manager — the model of the logical sensor network.
 
 Tracks which sensor services exist and how composites contain them, as a
-directed acyclic graph (networkx): an edge ``parent -> child`` means the
-composite ``parent`` aggregates ``child``. The façade updates this model as
-it executes management requests, and the sensor browser renders it — the M
-of the browser's MVC (§V.B).
+directed acyclic graph held in plain insertion-ordered dicts: an edge
+``parent -> child`` means the composite ``parent`` aggregates ``child``.
+The façade updates this model as it executes management requests, and the
+sensor browser renders it — the M of the browser's MVC (§V.B).
 """
 
 from __future__ import annotations
 
-
-import networkx as nx
+from .interfaces import KIND_COMPOSITE
 
 __all__ = ["SensorNetworkManager", "NetworkModelError"]
 
@@ -23,86 +22,127 @@ class SensorNetworkManager:
     """In-memory DAG of the logical sensor network."""
 
     def __init__(self):
-        self.graph = nx.DiGraph()
+        #: service_id -> {"name", "kind"} in registration order, and each
+        #: service's children as an ordered set (composition order).
+        self._services: dict[str, dict] = {}
+        self._children: dict[str, dict] = {}
 
     # -- nodes ------------------------------------------------------------------
 
     def register_service(self, service_id: str, name: str, kind: str) -> None:
-        if service_id in self.graph:
+        if service_id in self._services:
             # Idempotent refresh of metadata.
-            self.graph.nodes[service_id].update(name=name, kind=kind)
+            self._services[service_id].update(name=name, kind=kind)
             return
-        self.graph.add_node(service_id, name=name, kind=kind)
+        self._services[service_id] = {"name": name, "kind": kind}
+        self._children[service_id] = {}
 
     def unregister_service(self, service_id: str) -> None:
-        if service_id not in self.graph:
-            raise NetworkModelError(f"unknown service {service_id!r}")
-        self.graph.remove_node(service_id)
+        self._require(service_id)
+        del self._services[service_id], self._children[service_id]
+        for children in self._children.values():
+            children.pop(service_id, None)
 
     def has_service(self, service_id: str) -> bool:
-        return service_id in self.graph
+        return service_id in self._services
 
     def name_of(self, service_id: str) -> str:
         self._require(service_id)
-        return self.graph.nodes[service_id]["name"]
+        return self._services[service_id]["name"]
 
     def kind_of(self, service_id: str) -> str:
         self._require(service_id)
-        return self.graph.nodes[service_id]["kind"]
+        return self._services[service_id]["kind"]
 
     def services(self) -> list[str]:
-        return sorted(self.graph.nodes)
+        return sorted(self._services)
 
     # -- composition edges ----------------------------------------------------------
 
-    def compose(self, parent_id: str, child_id: str) -> None:
+    def check_acyclic(self, parent_id: str, child_id: str) -> None:
+        """Refuse an edge that would close a cycle. Only the model can — a
+        composite sees its children, not its ancestors — so the façade asks
+        before it touches the composite."""
         self._require(parent_id)
         self._require(child_id)
-        if parent_id == child_id:
-            raise NetworkModelError("a composite cannot contain itself")
-        if self.graph.has_edge(parent_id, child_id):
-            raise NetworkModelError(
-                f"{self.name_of(child_id)!r} already composed in "
-                f"{self.name_of(parent_id)!r}")
-        if nx.has_path(self.graph, child_id, parent_id):
+        if parent_id in self._descendants(child_id):
             raise NetworkModelError(
                 f"composing {self.name_of(child_id)!r} into "
                 f"{self.name_of(parent_id)!r} would create a cycle")
-        self.graph.add_edge(parent_id, child_id)
+
+    def compose(self, parent_id: str, child_id: str) -> None:
+        self.check_acyclic(parent_id, child_id)
+        if parent_id == child_id:
+            raise NetworkModelError("a composite cannot contain itself")
+        if child_id in self._children[parent_id]:
+            raise NetworkModelError(
+                f"{self.name_of(child_id)!r} already composed in "
+                f"{self.name_of(parent_id)!r}")
+        self._children[parent_id][child_id] = None
 
     def decompose(self, parent_id: str, child_id: str) -> None:
-        if not self.graph.has_edge(parent_id, child_id):
+        if child_id not in self._children.get(parent_id, ()):
             raise NetworkModelError("no such composition edge")
-        self.graph.remove_edge(parent_id, child_id)
+        del self._children[parent_id][child_id]
 
     def children_of(self, service_id: str) -> list[str]:
         self._require(service_id)
-        return sorted(self.graph.successors(service_id))
+        return sorted(self._children[service_id])
 
     def parents_of(self, service_id: str) -> list[str]:
         self._require(service_id)
-        return sorted(self.graph.predecessors(service_id))
+        return sorted(parent for parent, children in self._children.items()
+                      if service_id in children)
 
     def subnet_members(self, root_id: str) -> list[str]:
         """Every service reachable under a composite (the logical subnet)."""
         self._require(root_id)
-        return sorted(nx.descendants(self.graph, root_id))
+        return sorted(self._descendants(root_id))
 
     def roots(self) -> list[str]:
         """Services not contained in any composite (network entry points)."""
-        return sorted(n for n in self.graph.nodes
-                      if self.graph.in_degree(n) == 0)
+        contained = set().union(*self._children.values())
+        return sorted(n for n in self._services if n not in contained)
+
+    def composites_leaves_first(self) -> list[str]:
+        """Composites, each after every composite it contains — the order a
+        saved plan re-forms them in. The reverse of a breadth-first
+        topological order that takes roots in registration order and
+        children in composition order."""
+        waiting = dict.fromkeys(self._services, 0)
+        for children in self._children.values():
+            for child in children:
+                waiting[child] += 1
+        order = [n for n, parents in waiting.items() if parents == 0]
+        for node in order:  # grows while iterated: a FIFO frontier
+            for child in self._children[node]:
+                waiting[child] -= 1
+                if waiting[child] == 0:
+                    order.append(child)
+        return [n for n in reversed(order)
+                if self._services[n]["kind"] == KIND_COMPOSITE]
 
     # -- snapshot ------------------------------------------------------------------
 
     def snapshot(self) -> dict:
         return {
-            "nodes": [{"service_id": n, **self.graph.nodes[n]}
-                      for n in sorted(self.graph.nodes)],
-            "edges": [{"parent": u, "child": v}
-                      for u, v in sorted(self.graph.edges)],
+            "nodes": [{"service_id": n, **self._services[n]}
+                      for n in sorted(self._services)],
+            "edges": [{"parent": parent, "child": child}
+                      for parent in sorted(self._children)
+                      for child in sorted(self._children[parent])],
         }
 
+    def _descendants(self, service_id: str) -> set[str]:
+        seen: set[str] = set()
+        stack = [service_id]
+        while stack:
+            for child in self._children[stack.pop()]:
+                if child not in seen:
+                    seen.add(child)
+                    stack.append(child)
+        return seen
+
     def _require(self, service_id: str) -> None:
-        if service_id not in self.graph:
+        if service_id not in self._services:
             raise NetworkModelError(f"unknown service {service_id!r}")

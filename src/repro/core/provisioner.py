@@ -40,15 +40,13 @@ def composite_factory(host: Host, instance_name: str, attributes: tuple):
 class SensorServiceProvisioner:
     """Requestor-side provisioning helper used by the façade."""
 
-    def __init__(self, host: Host, accessor: Optional[ServiceAccessor] = None,
-                 default_qos: Optional[QosRequirement] = None,
-                 visibility_timeout: float = 20.0):
+    DEFAULT_QOS = QosRequirement(load=1.0, memory_mb=64.0)
+    VISIBILITY_TIMEOUT = 20.0  # seconds for a deployment to be discoverable
+
+    def __init__(self, host: Host, accessor: Optional[ServiceAccessor] = None):
         self.host = host
         self.env = host.env
         self.accessor = accessor if accessor is not None else ServiceAccessor(host)
-        self.default_qos = (default_qos if default_qos is not None
-                            else QosRequirement(load=1.0, memory_mb=64.0))
-        self.visibility_timeout = visibility_timeout
         self._endpoint = rpc_endpoint(host)
 
     def provision_sensor_service(self, name: str,
@@ -62,18 +60,18 @@ class SensorServiceProvisioner:
             raise ProvisionError("no provision monitor on the network")
         element = ServiceElement(
             name=name, factory=factory, planned=1,
-            qos=qos if qos is not None else self.default_qos)
+            qos=qos if qos is not None else self.DEFAULT_QOS)
         opstring = OperationalString(f"sensorcer-{name}", [element])
         yield self._endpoint.call(monitor_item.service, "deploy", opstring,
                                   kind="provision-deploy", timeout=10.0)
         item = yield from self.accessor.find_one(
             ServiceTemplate(types=(SENSOR_DATA_ACCESSOR,),
                             attributes=(Name(name),)),
-            wait=self.visibility_timeout)
+            wait=self.VISIBILITY_TIMEOUT)
         if item is None:
             raise ProvisionError(
                 f"provisioned service {name!r} did not become visible within "
-                f"{self.visibility_timeout}s")
+                f"{self.VISIBILITY_TIMEOUT}s")
         return item
 
     def provision_composite(self, name: str,

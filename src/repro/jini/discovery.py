@@ -51,18 +51,16 @@ class LookupDiscovery:
     #: Default administrative discovery group.
     PUBLIC_GROUP = "public"
 
+    PROBE_INTERVAL = 1.0  # seconds between multicast probes
+    ANNOUNCE_TIMEOUT = 30.0  # a registrar silent this long is discarded
+    REAP_INTERVAL = 5.0  # seconds between sweeps for silent registrars
+
     def __init__(self, host: Host,
                  probe_count: int = 3,
-                 probe_interval: float = 1.0,
-                 announce_timeout: float = 30.0,
-                 reap_interval: float = 5.0,
                  groups: tuple = ("public",)):
         self.host = host
         self.env = host.env
         self.probe_count = probe_count
-        self.probe_interval = probe_interval
-        self.announce_timeout = announce_timeout
-        self.reap_interval = reap_interval
         #: Administrative groups of interest: only registrars serving an
         #: overlapping group set are discovered (Jini's group scoping).
         self.groups = frozenset(groups)
@@ -137,16 +135,16 @@ class LookupDiscovery:
                                         kind="discovery-probe",
                                         payload=(self.host.name,
                                                  tuple(sorted(self.groups))))
-                yield self.env.timeout(self.probe_interval)
+                yield self.env.timeout(self.PROBE_INTERVAL)
         finally:
             self._probing = False
 
     def _reaper(self):
         while True:
-            yield self.env.timeout(self.reap_interval)
+            yield self.env.timeout(self.REAP_INTERVAL)
             if not self.host.up:
                 continue
-            cutoff = self.env.now - self.announce_timeout
+            cutoff = self.env.now - self.ANNOUNCE_TIMEOUT
             stale = [lus_id for lus_id, info in self._registrars.items()
                      if info.last_seen < cutoff]
             for lus_id in stale:

@@ -68,9 +68,10 @@ class LookupService:
                       "lookup_all", "notify", "cancel_notify", "service_ids",
                       "registrations")
 
+    MAX_LEASE = 300.0  # seconds
+    SWEEP_INTERVAL = 1.0
+
     def __init__(self, host: Host, name: str = "Lookup Service",
-                 max_lease: float = 300.0,
-                 sweep_interval: float = 1.0,
                  announce_interval: float = 10.0,
                  groups: tuple = ("public",)):
         self.host = host
@@ -83,10 +84,9 @@ class LookupService:
         self._items: dict[str, ServiceItem] = {}
         self._interests: dict[int, _Interest] = {}
         # One landlord, resources tagged ("reg", service_id) / ("event", event_id).
-        self._landlord = Landlord(host.env, max_duration=max_lease,
+        self._landlord = Landlord(host.env, max_duration=self.MAX_LEASE,
                                   on_expire=self._on_lease_expired)
         self._lease_of_service: dict[str, int] = {}
-        self._sweep_interval = sweep_interval
         endpoint = rpc_endpoint(host)
         self.ref = endpoint.export(self, f"lus:{self.lus_id}",
                                    methods=self.REMOTE_METHODS)
@@ -129,7 +129,7 @@ class LookupService:
             luses.append(self)
         self.host.join_group(DISCOVERY_GROUP)
         self.host.open_port(PROBE_PORT, self._on_probe)
-        self.env.process(self._landlord.sweeper(self._sweep_interval),
+        self.env.process(self._landlord.sweeper(self.SWEEP_INTERVAL),
                          name=f"lus-sweep:{self.lus_id[:8]}")
         self.env.process(self._announcer(), name=f"lus-announce:{self.lus_id[:8]}")
 

@@ -48,19 +48,21 @@ class EventMailbox:
     REMOTE_METHODS = ("register", "collect", "enable_delivery",
                       "disable_delivery", "renew_lease", "cancel_lease")
 
-    def __init__(self, host: Host, max_lease: float = 600.0,
-                 sweep_interval: float = 5.0):
+    MAX_LEASE = 600.0  # seconds
+    SWEEP_INTERVAL = 5.0
+
+    def __init__(self, host: Host):
         self.host = host
         self.env = host.env
         self._endpoint = rpc_endpoint(host)
         self._events: dict[str, list[RemoteEvent]] = {}
         self._targets: dict[str, RemoteRef] = {}
         self._lease_of: dict[str, int] = {}
-        self._landlord = Landlord(host.env, max_duration=max_lease,
+        self._landlord = Landlord(host.env, max_duration=self.MAX_LEASE,
                                   on_expire=self._drop)
         self.ref = self._endpoint.export(self, f"mailbox:{host.name}",
                                          methods=self.REMOTE_METHODS)
-        host.env.process(self._landlord.sweeper(sweep_interval),
+        host.env.process(self._landlord.sweeper(self.SWEEP_INTERVAL),
                          name=f"mailbox-sweep:{host.name}")
 
     # -- remote API -------------------------------------------------------------

@@ -63,17 +63,19 @@ class TransactionManager:
     REMOTE_METHODS = ("create", "join", "commit", "abort", "get_state",
                       "renew_lease", "cancel_lease")
 
-    def __init__(self, host: Host, max_lease: float = 300.0,
-                 sweep_interval: float = 1.0):
+    MAX_LEASE = 300.0  # seconds
+    SWEEP_INTERVAL = 1.0
+
+    def __init__(self, host: Host):
         self.host = host
         self.env = host.env
         self._endpoint = rpc_endpoint(host)
         self._txns: dict[int, _Txn] = {}
-        self._landlord = Landlord(host.env, max_duration=max_lease,
+        self._landlord = Landlord(host.env, max_duration=self.MAX_LEASE,
                                   on_expire=self._on_lease_expired)
         self.ref = self._endpoint.export(self, f"txnmgr:{host.name}",
                                          methods=self.REMOTE_METHODS)
-        host.env.process(self._landlord.sweeper(sweep_interval),
+        host.env.process(self._landlord.sweeper(self.SWEEP_INTERVAL),
                          name=f"txn-sweep:{host.name}")
 
     # -- remote API -------------------------------------------------------------

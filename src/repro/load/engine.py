@@ -24,12 +24,9 @@ from typing import Optional
 
 from ..core.interfaces import FACADE
 from ..observability import metrics_registry
-from ..resilience import Deadline
 from ..sorcer.accessor import ServiceAccessor
-from ..sorcer.context import ServiceContext
-from ..sorcer.exerter import Exerter
-from ..sorcer.exertion import Task
-from ..sorcer.rejection import rejection_marker
+from ..sorcer.exerter import Exerter, ExertionFailed
+from ..sorcer.rejection import Overloaded
 from ..sorcer.signature import Signature
 from ..util.rng import substream
 
@@ -62,9 +59,11 @@ class OpenLoopEngine:
     recorded workload, or hand-craft a pathological one.
     """
 
+    DRAIN_POLL = 0.25  # seconds between checks that the tail has drained
+
     def __init__(self, host, tenants, seed: int = 0, duration: float = 8.0,
                  scale: float = 1.0, facade_name: Optional[str] = None,
-                 trace: Optional[dict] = None, drain_poll: float = 0.25):
+                 trace: Optional[dict] = None):
         self.host = host
         self.env = host.env
         self.tenants = tuple(tenants)
@@ -75,7 +74,6 @@ class OpenLoopEngine:
         self.scale = float(scale)
         self.facade_name = facade_name
         self.trace = dict(trace or {})
-        self.drain_poll = float(drain_poll)
         #: The facade lookup is identical for every request — cache it so
         #: the LUS is not itself an (unmetered) overload victim.
         self.exerter = Exerter(host, ServiceAccessor(host, cache_ttl=5.0))
@@ -142,30 +140,24 @@ class OpenLoopEngine:
     def _request(self, spec: TenantSpec, index: int):
         target = spec.targets[index % len(spec.targets)]
         t0 = self.env.now
-        ctx = ServiceContext(f"load-{spec.name}-{index}")
-        ctx.put_in_value("arg/name", target)
-        task = Task(f"load-{spec.name}-{index}",
-                    Signature(FACADE, "getValue",
-                              provider_name=self.facade_name),
-                    ctx, principal=spec.name)
-        task.control.retries = spec.retries
-        task.control.deadline = Deadline.after(t0, spec.deadline)
-        task.control.provider_wait = min(1.0, spec.deadline)
+        name = spec.name
+        label = f"load-{name}-{index}"
         try:
-            result = yield self.env.process(self.exerter.exert(task))
+            yield from self.exerter.call(
+                Signature(FACADE, "getValue", provider_name=self.facade_name),
+                {"name": target}, name=label, context=label, principal=name,
+                budget=spec.deadline, retries=spec.retries,
+                provider_wait=min(1.0, spec.deadline))
+        except Overloaded as shed:
+            by_reason = self._rejected[name]
+            by_reason[shed.reason] = by_reason.get(shed.reason, 0) + 1
+            return
+        except ExertionFailed:
+            self._failed[name] += 1
+            return
         finally:
             self.inflight -= 1
         elapsed = self.env.now - t0
-        name = spec.name
-        if result.is_failed:
-            marker = rejection_marker(result.context)
-            if marker is not None:
-                reason = marker.get("reason", "?")
-                by_reason = self._rejected[name]
-                by_reason[reason] = by_reason.get(reason, 0) + 1
-            else:
-                self._failed[name] += 1
-            return
         self._completed[name] += 1
         self._hist[name].observe(elapsed)
         self._hist_all.observe(elapsed)
@@ -211,7 +203,7 @@ class OpenLoopEngine:
                  for spec in self.tenants]
         yield self.env.all_of(procs)
         while self.inflight > 0:
-            yield self.env.timeout(self.drain_poll)
+            yield self.env.timeout(self.DRAIN_POLL)
         self.finished_at = self.env.now
 
     # -- results ---------------------------------------------------------------

@@ -16,7 +16,7 @@ resilience events) and this module turns them into that judgement. One
 
 Status derivation (see DESIGN §4e for the full table): a provider is DOWN
 when its host is down or its registration lease expired; DEGRADED when its
-lease is at risk (renewals overdue past ``at_risk_fraction`` of the lease),
+lease is at risk (renewals overdue past ``AT_RISK_FRACTION`` of the lease),
 a circuit breaker on it is open/half-open, or its windowed failure rate
 breaches the threshold; UP otherwise. Nodes aggregate their providers plus
 host-local RPC-timeout rates; the federation aggregates nodes plus
@@ -82,22 +82,18 @@ class _TrackedProvider:
 class HealthModel:
     """Derives entity statuses from lease, breaker and rollup state."""
 
-    def __init__(self, network, store: TimeSeriesStore,
-                 at_risk_fraction: float = 0.4,
-                 at_risk_ticks: int = 2,
-                 error_rate_threshold: float = 0.5,
-                 deadline_rate_threshold: float = 0.5,
-                 window: int = 3):
+    AT_RISK_FRACTION = 0.4  # a lease is thin with less than this left
+    #: A lease must look thin this many consecutive evaluations before
+    #: it degrades the provider — a healthy renewal cycle can briefly
+    #: dip below the fraction (renewal fires at the halfway point, one
+    #: maintenance round late at worst) and that is not a health event.
+    AT_RISK_TICKS = 2
+    ERROR_RATE_THRESHOLD = 0.5  # windowed events/s that degrade an entity
+    DEADLINE_RATE_THRESHOLD = 0.5
+
+    def __init__(self, network, store: TimeSeriesStore, window: int = 3):
         self.network = network
         self.store = store
-        self.at_risk_fraction = at_risk_fraction
-        #: A lease must look thin this many consecutive evaluations before
-        #: it degrades the provider — a healthy renewal cycle can briefly
-        #: dip below the fraction (renewal fires at the halfway point, one
-        #: maintenance round late at worst) and that is not a health event.
-        self.at_risk_ticks = at_risk_ticks
-        self.error_rate_threshold = error_rate_threshold
-        self.deadline_rate_threshold = deadline_rate_threshold
         self.window = window
         self.registry = metrics_registry(network)
         self._providers: dict[str, _TrackedProvider] = {}
@@ -208,17 +204,17 @@ class HealthModel:
         tracked.expired = False  # visible again: any expiry mark is stale
         reasons = []
         _item, remaining, duration = entry
-        if duration > 0 and remaining / duration < self.at_risk_fraction:
+        if duration > 0 and remaining / duration < self.AT_RISK_FRACTION:
             tracked.at_risk += 1
         else:
             tracked.at_risk = 0
-        if tracked.at_risk >= self.at_risk_ticks:
+        if tracked.at_risk >= self.AT_RISK_TICKS:
             reasons.append(R_LEASE_AT_RISK)
         if breakers.get(tracked.service_id) in ("open", "half_open"):
             reasons.append(R_BREAKER_OPEN)
         failed = self.store.rate(
             f"provider.failed{{provider={tracked.name}}}", self.window)
-        if failed > self.error_rate_threshold:
+        if failed > self.ERROR_RATE_THRESHOLD:
             reasons.append(R_ERROR_RATE)
         return (DEGRADED, tuple(reasons)) if reasons else (UP, ())
 
@@ -246,10 +242,10 @@ class HealthModel:
         elif any(status == DEGRADED for status in statuses):
             reasons.append(R_NODES_DEGRADED)
         if (self.store.sum_rate("resilience.deadline_exceeded", self.window)
-                > self.deadline_rate_threshold):
+                > self.DEADLINE_RATE_THRESHOLD):
             reasons.append(R_DEADLINE_MISSES)
         if (self.store.sum_rate("exertion.failures", self.window)
-                > self.error_rate_threshold):
+                > self.ERROR_RATE_THRESHOLD):
             reasons.append(R_EXERTION_ERRORS)
         shortfall = sum(
             self.store.value(key) or 0.0

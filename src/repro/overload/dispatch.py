@@ -27,11 +27,9 @@ __all__ = ["WeightedFairQueue"]
 class WeightedFairQueue:
     """A priority queue that is fair across tenants, by weight."""
 
-    def __init__(self, weights: Optional[dict] = None,
-                 default_weight: float = 1.0):
-        if default_weight <= 0:
-            raise ValueError("weights must be positive")
-        self.default_weight = float(default_weight)
+    DEFAULT_WEIGHT = 1.0  # of a tenant nobody configured
+
+    def __init__(self, weights: Optional[dict] = None):
         self._weights: dict[str, float] = {}
         for tenant, weight in (weights or {}).items():
             self.set_weight(tenant, weight)
@@ -46,7 +44,7 @@ class WeightedFairQueue:
         self._weights[tenant] = float(weight)
 
     def weight_of(self, tenant: str) -> float:
-        return self._weights.get(tenant, self.default_weight)
+        return self._weights.get(tenant, self.DEFAULT_WEIGHT)
 
     def push(self, tenant: str, item) -> None:
         tag = (max(self._vtime, self._last_finish.get(tenant, 0.0))

@@ -93,9 +93,3 @@ class QuotaRegistry:
         if bucket.try_take(now):
             return True, 0.0
         return False, bucket.retry_after(now)
-
-    def snapshot(self, now: float) -> dict:
-        return {tenant: {"tokens": round(self._buckets[tenant].tokens, 6),
-                         "rate": self._buckets[tenant].rate,
-                         "burst": self._buckets[tenant].burst}
-                for tenant in sorted(self._buckets)}

@@ -161,14 +161,6 @@ class BreakerRegistry:
         return {key: breaker.state.value
                 for key, breaker in sorted(self._breakers.items())}
 
-    def states(self) -> dict:
-        """Detailed per-breaker view for the management plane."""
-        return {key: {"state": breaker.state.value,
-                      "consecutive_failures": breaker.consecutive_failures,
-                      "opens": breaker.opens,
-                      "refusals": breaker.refusals}
-                for key, breaker in sorted(self._breakers.items())}
-
     def checkpoint_state(self) -> dict:
         """Snapshot section: full per-breaker timing state (not just the
         management-plane view — ``opened_at`` and probe slots decide how

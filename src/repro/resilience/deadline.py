@@ -11,12 +11,14 @@ The expiry travels two ways: requestor-side in
 :class:`~repro.sorcer.exertion.ControlContext.deadline`, and across the
 provider boundary as a plain float at ``DEADLINE_PATH`` in the service
 context (operations only see the context, mirroring how the CSP's cycle
-guard travels at ``composite/visited``).
+guard travels at ``composite/visited``); only :meth:`Deadline.to_context`
+and :meth:`Deadline.from_context` know that form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 __all__ = ["DEADLINE_PATH", "Deadline", "DeadlineExceeded"]
 
@@ -38,6 +40,19 @@ class Deadline:
     def after(cls, now: float, budget: float) -> "Deadline":
         """A deadline ``budget`` seconds from ``now``."""
         return cls(now + max(0.0, budget))
+
+    @classmethod
+    def from_context(cls, context) -> Optional["Deadline"]:
+        """The deadline a parent hop forwarded in ``context``; ``None`` if
+        absent or not a number (a garbled expiry is no budget, not a crash)."""
+        expires_at = context.get_value(DEADLINE_PATH, None)
+        if isinstance(expires_at, (int, float)):
+            return cls(float(expires_at))
+        return None
+
+    def to_context(self, context) -> None:
+        """Forward this deadline to the provider side of a hop."""
+        context.put_value(DEADLINE_PATH, self.expires_at)
 
     def remaining(self, now: float) -> float:
         return max(0.0, self.expires_at - now)

@@ -52,13 +52,14 @@ class FaultInjector:
     seconds.
     """
 
+    NOISE_RATE = 0.0  # per-read hazard of a transient NOISY fault
+    DRIFT_PER_SECOND = 0.0  # additive bias slope while drifting
+
     def __init__(self, rng: Optional[np.random.Generator] = None,
                  dropout_rate: float = 0.0,
                  stuck_rate: float = 0.0,
-                 noise_rate: float = 0.0,
                  hold: float = 30.0,
                  noisy_sigma: float = 5.0,
-                 drift_per_second: float = 0.0,
                  seed: Optional[int] = None,
                  name: str = "probe"):
         # Preferred seeding: a named substream under the scenario seed, so
@@ -71,10 +72,8 @@ class FaultInjector:
         self.rng = rng
         self.dropout_rate = dropout_rate
         self.stuck_rate = stuck_rate
-        self.noise_rate = noise_rate
         self.hold = hold
         self.noisy_sigma = noisy_sigma
-        self.drift_per_second = drift_per_second
         self.schedules: list[FaultSchedule] = []
         self._transient: Optional[FaultSchedule] = None
         self._last_value: Optional[float] = None
@@ -108,7 +107,7 @@ class FaultInjector:
             self._transient = FaultSchedule(FaultMode.DROPOUT, t, t + self.hold)
         elif roll < self.dropout_rate + self.stuck_rate:
             self._transient = FaultSchedule(FaultMode.STUCK, t, t + self.hold)
-        elif roll < self.dropout_rate + self.stuck_rate + self.noise_rate:
+        elif roll < self.dropout_rate + self.stuck_rate + self.NOISE_RATE:
             self._transient = FaultSchedule(FaultMode.NOISY, t, t + self.hold)
         self._hazard_t = t
         self._hazard_mode = (self._transient.mode if self._transient
@@ -124,9 +123,9 @@ class FaultInjector:
             return self._last_value
         if mode is FaultMode.NOISY:
             value = value + float(self.rng.normal(0.0, self.noisy_sigma))
-        if mode is FaultMode.DRIFT or self.drift_per_second:
+        if mode is FaultMode.DRIFT or self.DRIFT_PER_SECOND:
             if self._drift_started is None:
                 self._drift_started = t
-            value = value + self.drift_per_second * (t - self._drift_started)
+            value = value + self.DRIFT_PER_SECOND * (t - self._drift_started)
         self._last_value = value
         return value

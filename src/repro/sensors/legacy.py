@@ -43,15 +43,15 @@ REGISTERS = {0x01: "temperature", 0x02: "humidity", 0x03: "pressure"}
 class LegacyFieldStation:
     """The device: answers framed binary commands, knows nothing of SOA."""
 
+    RESPONSE_DELAY = 0.05  # seconds: the slow serial bridge
+
     def __init__(self, host: Host, environment: PhysicalEnvironment,
-                 location: tuple, ident: str = "FS-90",
-                 response_delay: float = 0.05):
+                 location: tuple, ident: str = "FS-90"):
         self.host = host
         self.env = host.env
         self.environment = environment
         self.location = tuple(location)
         self.ident = ident
-        self.response_delay = response_delay
         self.commands_served = 0
         host.open_port(STATION_PORT, self._on_frame)
 
@@ -60,7 +60,7 @@ class LegacyFieldStation:
 
     def _answer(self, msg: Message):
         (reply_host, reply_port), seq, frame = msg.payload
-        yield self.env.timeout(self.response_delay)  # slow serial bridge
+        yield self.env.timeout(self.RESPONSE_DELAY)
         if not self.host.up:
             return
         command = frame[0]

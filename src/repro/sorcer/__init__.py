@@ -9,7 +9,7 @@ transactional PULL dispatch.
 
 from .accessor import ServiceAccessor
 from .context import ContextError, ServiceContext
-from .exerter import Exerter
+from .exerter import Exerter, ExertionFailed
 from .exertion import (
     Access,
     ControlContext,
@@ -47,6 +47,7 @@ __all__ = [
     "EnvelopeState",
     "Exerter",
     "Exertion",
+    "ExertionFailed",
     "ExertionSpace",
     "ExertionStatus",
     "Job",

@@ -46,11 +46,11 @@ class ServiceAccessor:
     seconds, which the exerter's failover already tolerates.
     """
 
-    def __init__(self, host: Host, retry_interval: float = 0.5,
-                 cache_ttl: float = 0.0):
+    RETRY_INTERVAL = 0.5  # seconds between lookups while waiting
+
+    def __init__(self, host: Host, cache_ttl: float = 0.0):
         self.host = host
         self.env = host.env
-        self.retry_interval = retry_interval
         self.cache_ttl = cache_ttl
         self.discovery = lookup_discovery(host)
         self._endpoint = rpc_endpoint(host)
@@ -101,7 +101,7 @@ class ServiceAccessor:
                     self._cache[template] = (self.env.now + self.cache_ttl,
                                              list(items))
                 return items
-            yield self.env.timeout(self.retry_interval)
+            yield self.env.timeout(self.RETRY_INTERVAL)
 
     def find_one(self, template: ServiceTemplate, wait: float = 0.0):
         items = yield from self.find_items(template, max_matches=1, wait=wait)

@@ -23,7 +23,7 @@ Failure handling is governed by the resilience layer:
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 from ..net.errors import HostDownError, NetworkError, RpcTimeout, UnreachableError
 from ..net.host import Host
@@ -32,11 +32,11 @@ from ..observability import (
     NULL_SPAN,
     get_trace_parent,
     metrics_registry,
+    propagate_trace,
     set_trace_parent,
     tracer_of,
 )
 from ..resilience import (
-    DEADLINE_PATH,
     CircuitOpenError,
     Deadline,
     DeadlineExceeded,
@@ -46,11 +46,12 @@ from ..resilience import (
     retry_budget_of,
 )
 from .accessor import ServiceAccessor
-from .exertion import Access, Exertion, Job, Task
-from .rejection import rejection_marker
+from .context import ServiceContext
+from .exertion import Access, ControlContext, Exertion, Job, Task
+from .rejection import Overloaded, rejection_marker
 from .signature import Signature
 
-__all__ = ["Exerter"]
+__all__ = ["Exerter", "ExertionFailed"]
 
 JOBBER_TYPE = "Jobber"
 SPACER_TYPE = "Spacer"
@@ -59,6 +60,15 @@ SPACER_TYPE = "Spacer"
 #: the only ones that feed circuit breakers. A RemoteError means the host
 #: answered; tripping its breaker would punish a live provider.
 _BREAKER_FAILURES = (RpcTimeout, HostDownError, UnreachableError)
+
+
+class ExertionFailed(Exception):
+    """A requestor call failed (rather than was shed); ``exceptions`` holds
+    the result's reported exception strings."""
+
+    def __init__(self, exceptions: list):
+        super().__init__(exceptions)
+        self.exceptions = exceptions
 
 
 class Exerter:
@@ -146,6 +156,48 @@ class Exerter:
             span.end("ok")
         return result
 
+    def submit(self, signature: Signature, args: Optional[dict] = None, *,
+               name: str, context: Union[str, ServiceContext],
+               caller: Optional[ServiceContext] = None,
+               budget: Optional[float] = None,
+               principal: str = "anonymous",
+               process: Optional[str] = None, **control):
+        """Start a requestor call (§IV.D: name what to invoke, never whom);
+        returns the kernel process, named ``process``, that triggers with
+        the result exertion. ``context`` names the task's fresh context, or
+        is one the caller already put paths in; ``args`` land under
+        ``arg/``. Serving ``caller``, the context of the request this call
+        is made for, makes the hop a child of its span and caps it at its
+        deadline; ``budget`` seconds from now cap it further. ``control``
+        sets :class:`ControlContext` fields."""
+        ctx = (context if isinstance(context, ServiceContext)
+               else ServiceContext(context))
+        propagate_trace(caller, ctx)
+        for key, value in (args or {}).items():
+            ctx.put_in_value(f"arg/{key}", value)
+        deadline = Deadline.from_context(caller) if caller is not None else None
+        if budget is not None:
+            now = self.env.now
+            if deadline is not None:
+                # The nested hop must not outlive the request it serves.
+                budget = min(budget, deadline.remaining(now))
+            deadline = Deadline.after(now, budget)
+        task = Task(name, signature, ctx, principal=principal)
+        task.control = ControlContext(deadline=deadline, **control)
+        return self.env.process(self.exert(task), name=process)
+
+    def call(self, signature: Signature, args: Optional[dict] = None,
+             **request):
+        """:meth:`submit`, then unwrap (a generator): the operation's value,
+        :class:`Overloaded` if it was shed, else :class:`ExertionFailed`."""
+        result = yield self.submit(signature, args, **request)
+        if result.is_failed:
+            marker = rejection_marker(result.context)
+            if marker is not None:
+                raise Overloaded.from_marker(marker)
+            raise ExertionFailed(result.exceptions)
+        return result.get_return_value()
+
     # -- internals ------------------------------------------------------------------
 
     def _fail(self, exertion: Exertion, message: str) -> Exertion:
@@ -217,7 +269,7 @@ class Exerter:
         if deadline is not None:
             # Forward the expiry so the provider's own nested exertions
             # (a CSP collecting children, say) inherit the same budget.
-            exertion.context.put_value(DEADLINE_PATH, deadline.expires_at)
+            deadline.to_context(exertion.context)
         attempts = 1 + max(0, control.retries)
         last_error: Optional[BaseException] = None
         for attempt in range(attempts):
@@ -274,30 +326,12 @@ class Exerter:
     def _exert_task(self, task: Task, txn_id: Optional[int],
                     span=NULL_SPAN, _fresh_lookup: bool = False):
         signature = task.signature
-        control = task.control
-        deadline = control.deadline
-        if deadline is not None and deadline.expired(self.env.now):
-            self.events.emit("deadline_exceeded", exertion=task.name)
-            span.annotate("deadline_exceeded")
-            return self._fail(task, f"deadline expired before exerting {task.name!r}")
-        wait = control.provider_wait
-        if deadline is not None:
-            wait = deadline.clamp(wait, self.env.now)
-        items = yield from self._find_providers(signature, wait)
-        if not items:
-            return self._fail(
-                task, f"no provider for {signature} within {wait}s")
-        try:
-            result = yield from self._invoke_candidates(
-                task, items, txn_id, failure_label=f"task {task.name!r}",
-                span=span)
+        result, last_error = yield from self._bind_and_invoke(
+            task, signature, txn_id, span, f"task {task.name!r}",
+            "no provider for {signature} within {wait}s")
+        if last_error is None:
             return result
-        except CircuitOpenError as exc:
-            return self._fail(task, str(exc))
-        except DeadlineExceeded as exc:
-            return self._fail(task, str(exc))
-        except NetworkError as exc:
-            last_error = exc
+        deadline = task.control.deadline
         if not _fresh_lookup and getattr(self.accessor, "cache_ttl", 0) > 0 \
                 and not (deadline is not None and deadline.expired(self.env.now)):
             # Every candidate failed: the accessor's cache may be stale
@@ -312,28 +346,43 @@ class Exerter:
     def _exert_job(self, job: Job, txn_id: Optional[int], span=NULL_SPAN):
         rendezvous_type = (SPACER_TYPE if job.control.access is Access.PULL
                            else JOBBER_TYPE)
-        signature = Signature(rendezvous_type, "service")
-        deadline = job.control.deadline
-        if deadline is not None and deadline.expired(self.env.now):
-            self.events.emit("deadline_exceeded", exertion=job.name)
-            span.annotate("deadline_exceeded")
-            return self._fail(job, f"deadline expired before exerting {job.name!r}")
-        wait = job.control.provider_wait
+        result, error = yield from self._bind_and_invoke(
+            job, Signature(rendezvous_type, "service"), txn_id, span,
+            f"job {job.name!r}",
+            f"no {rendezvous_type} rendezvous peer on the network")
+        if error is None:
+            return result
+        return self._fail(job, f"rendezvous invocation failed: {error!r}")
+
+    def _bind_and_invoke(self, exertion: Exertion, signature: Signature,
+                         txn_id: Optional[int], span, label: str, nobody: str):
+        """What tasks and jobs share: refuse a spent deadline, find providers
+        within the clamped wait (none: fail with ``nobody``, a template
+        over ``signature`` and ``wait``), invoke them. Returns ``(result,
+        None)`` — ``result`` possibly a failed copy of ``exertion`` — or
+        ``(None, error)`` when every attempt ended in a network error."""
+        deadline = exertion.control.deadline
+        wait = exertion.control.provider_wait
         if deadline is not None:
-            wait = deadline.clamp(wait, self.env.now)
+            now = self.env.now
+            if deadline.expired(now):
+                self.events.emit("deadline_exceeded", exertion=exertion.name)
+                span.annotate("deadline_exceeded")
+                return self._fail(exertion, "deadline expired before exerting "
+                                            f"{exertion.name!r}"), None
+            wait = deadline.clamp(wait, now)
         items = yield from self._find_providers(signature, wait)
         if not items:
-            return self._fail(
-                job, f"no {rendezvous_type} rendezvous peer on the network")
+            return self._fail(exertion, nobody.format(signature=signature,
+                                                      wait=wait)), None
         try:
             result = yield from self._invoke_candidates(
-                job, items, txn_id, failure_label=f"job {job.name!r}",
-                span=span)
-            return result
+                exertion, items, txn_id, failure_label=label, span=span)
+            return result, None
         except (CircuitOpenError, DeadlineExceeded) as exc:
-            return self._fail(job, str(exc))
+            return self._fail(exertion, str(exc)), None
         except NetworkError as exc:
-            return self._fail(job, f"rendezvous invocation failed: {exc!r}")
+            return None, exc
 
     def _find_providers(self, signature: Signature, wait: float):
         items = yield from self.accessor.find_for(signature, wait=wait)

@@ -1,104 +1,30 @@
 """Jobber — the PUSH rendezvous peer coordinating job execution.
 
-Receives a :class:`~repro.sorcer.exertion.Job`, runs its components
-(sequentially or in parallel per the job's control strategy) by exerting
-each back onto the network, applies data pipes between sequential
-components, and aggregates component results into the job's context under
-``<component>/<return path>``.
+Receives a :class:`~repro.sorcer.exertion.Job` and runs its components as
+every :class:`~repro.sorcer.rendezvous.Rendezvous` does, dispatching each
+by exerting it back onto the network.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..net.host import Host
-from ..observability import propagate_trace
-from .exertion import (
-    Exertion,
-    ExertionStatus,
-    Job,
-    Strategy,
-)
+from .exertion import Exertion
 from .exerter import Exerter
-from .provider import ServiceProvider
+from .rendezvous import Rendezvous
 
 __all__ = ["Jobber"]
 
 
-class Jobber(ServiceProvider):
+class Jobber(Rendezvous):
     """Rendezvous peer for direct (PUSH) federations."""
 
     SERVICE_TYPES = ("Jobber",)
+    SEQUENTIAL_PROCESS = "jobber-seq"
+    PARALLEL_PROCESS = "jobber-par"
 
     def __init__(self, host: Host, name: str = "Jobber", **kwargs):
         super().__init__(host, name, **kwargs)
         self.exerter = Exerter(host)
 
-    def _execute(self, exertion: Exertion, txn_id: Optional[int]):
-        if not isinstance(exertion, Job):
-            raise TypeError(f"Jobber got a {type(exertion).__name__}; jobs only")
-        job = exertion
-        if job.control.strategy is Strategy.PARALLEL and job.pipes:
-            raise ValueError(
-                "pipes between components require SEQUENTIAL strategy")
-        if job.control.strategy is Strategy.PARALLEL:
-            yield from self._run_parallel(job, txn_id)
-        else:
-            yield from self._run_sequential(job, txn_id)
-        failed = [e for e in job.exertions if e.is_failed]
-        if failed:
-            job.report_exception(
-                f"{len(failed)} component exertion(s) failed: "
-                + ", ".join(e.name for e in failed))
-        else:
-            job.status = ExertionStatus.DONE
-        return job
-
-    # -- strategies -----------------------------------------------------------
-
-    def _run_sequential(self, job: Job, txn_id: Optional[int]):
-        for index, component in enumerate(list(job.exertions)):
-            self._apply_pipes(job, component)
-            # Component hops become children of this jobber's serve span.
-            propagate_trace(job.context, component.context)
-            result = yield self.env.process(
-                self.exerter.exert(component, txn_id),
-                name=f"jobber-seq:{component.name}")
-            job.exertions[index] = result
-            self._collect(job, result)
-            if result.is_failed:
-                # Fail fast: downstream components likely depend on this one.
-                for rest in job.exertions[index + 1:]:
-                    rest.report_exception(
-                        f"skipped: upstream {result.name!r} failed")
-                return
-
-    def _run_parallel(self, job: Job, txn_id: Optional[int]):
-        for component in job.exertions:
-            propagate_trace(job.context, component.context)
-        procs = [self.env.process(self.exerter.exert(component, txn_id),
-                                  name=f"jobber-par:{component.name}")
-                 for component in job.exertions]
-        results = yield self.env.all_of(procs)
-        job.exertions = list(results)
-        for result in results:
-            self._collect(job, result)
-
-    # -- data flow ------------------------------------------------------------------
-
-    def _apply_pipes(self, job: Job, component: Exertion) -> None:
-        for pipe in job.pipes:
-            if pipe.to_exertion != component.name:
-                continue
-            source = job.component(pipe.from_exertion)
-            if not source.is_done:
-                raise ValueError(
-                    f"pipe source {pipe.from_exertion!r} has not completed")
-            value = source.context.get_value(pipe.from_path)
-            component.context.put_in_value(pipe.to_path, value)
-
-    def _collect(self, job: Job, result: Exertion) -> None:
-        prefix = result.name
-        return_value = result.context.get_return_value(default=None)
-        job.context.put_value(f"{prefix}/{result.context.return_path}",
-                              return_value)
+    def _dispatch(self, component: Exertion, txn_id):
+        return self.exerter.exert(component, txn_id)

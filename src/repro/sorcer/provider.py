@@ -24,7 +24,7 @@ from ..net.host import Host
 from ..net.rpc import RemoteRef, rpc_endpoint
 from ..observability import (get_trace_parent, metrics_registry,
                              set_trace_parent, tracer_of)
-from ..resilience import DEADLINE_PATH, Deadline
+from ..resilience import Deadline
 from ..sim import Interrupt, Resource
 from .exertion import Exertion, ExertionStatus, Task, TraceRecord
 from .rejection import Overloaded, mark_overloaded
@@ -171,8 +171,11 @@ class ServiceProvider:
             if self.admission is not None:
                 arrived = self.env.now
                 try:
+                    # Travels under its own deadline, or the expiry a
+                    # parent hop forwarded in the service context.
                     yield from self.admission.acquire(
-                        exertion.principal, self._inherited_deadline(exertion))
+                        exertion.principal, exertion.control.deadline
+                        or Deadline.from_context(exertion.context))
                 except Overloaded as exc:
                     return self._shed(exertion, exc, arrived, span)
                 admitted = True
@@ -216,17 +219,6 @@ class ServiceProvider:
                 service_time = (self.env.now - started
                                 if started is not None else None)
                 self.admission.release(service_time=service_time)
-
-    def _inherited_deadline(self, exertion: Exertion) -> Optional[Deadline]:
-        """The end-to-end deadline this exertion travels under: its own
-        control deadline, or the expiry a parent hop forwarded in the
-        service context."""
-        if exertion.control.deadline is not None:
-            return exertion.control.deadline
-        expires_at = exertion.context.get_value(DEADLINE_PATH, None)
-        if isinstance(expires_at, (int, float)):
-            return Deadline(float(expires_at))
-        return None
 
     def _shed(self, exertion: Exertion, exc: Overloaded, started: float,
               span) -> Exertion:

@@ -1,8 +1,10 @@
 """Spacer and space workers — the PULL half of exertion dispatch.
 
 The :class:`Spacer` is the rendezvous peer for jobs with
-``Access.PULL``: it drops every component task into the exertion space and
-waits for results. :class:`SpaceWorker` attaches to a concrete provider and
+``Access.PULL``: it runs them as every
+:class:`~repro.sorcer.rendezvous.Rendezvous` does, dispatching each
+component task by dropping it into the exertion space and waiting for its
+result. :class:`SpaceWorker` attaches to a concrete provider and
 pulls matching envelopes: take under a transaction, execute locally, write
 the result back, commit. A worker crash before commit lets the transaction
 lapse, the space restores the envelope, and another worker picks it up —
@@ -13,13 +15,14 @@ from __future__ import annotations
 
 from typing import Optional
 
+from ..jini.template import ServiceTemplate
 from ..net.errors import NetworkError
 from ..net.host import Host
 from ..net.rpc import RemoteRef, rpc_endpoint
-from ..observability import propagate_trace
 from .accessor import ServiceAccessor
-from .exertion import Exertion, ExertionStatus, Job, Strategy, Task
+from .exertion import Exertion, Task
 from .provider import ServiceProvider
+from .rendezvous import Rendezvous
 from .space import SpaceTemplate
 
 __all__ = ["Spacer", "SpaceWorker"]
@@ -27,10 +30,11 @@ __all__ = ["Spacer", "SpaceWorker"]
 SPACE_TYPE = "ExertionSpace"
 
 
-class Spacer(ServiceProvider):
+class Spacer(Rendezvous):
     """Rendezvous peer for space-based (PULL) federations."""
 
     SERVICE_TYPES = ("Spacer",)
+    PARALLEL_PROCESS = "spacer"
 
     def __init__(self, host: Host, name: str = "Spacer",
                  result_timeout: float = 30.0, **kwargs):
@@ -38,37 +42,20 @@ class Spacer(ServiceProvider):
         self.accessor = ServiceAccessor(host)
         self.result_timeout = result_timeout
 
-    def _find_space(self):
-        from ..jini.template import ServiceTemplate
+    def _route(self, txn_id: Optional[int]):
+        """Every dispatch of one job goes through the same space."""
         item = yield from self.accessor.find_one(
             ServiceTemplate.by_type(SPACE_TYPE), wait=5.0)
-        return item.service if item is not None else None
-
-    def _execute(self, exertion: Exertion, txn_id: Optional[int]):
-        if not isinstance(exertion, Job):
-            raise TypeError(f"Spacer got a {type(exertion).__name__}; jobs only")
-        job = exertion
-        space_ref = yield from self._find_space()
-        if space_ref is None:
+        if item is None:
             raise LookupError("no exertion space on the network")
-        if job.control.strategy is Strategy.PARALLEL and job.pipes:
-            raise ValueError("pipes between components require SEQUENTIAL strategy")
-        if job.control.strategy is Strategy.PARALLEL:
-            yield from self._run_parallel(job, space_ref)
-        else:
-            yield from self._run_sequential(job, space_ref)
-        failed = [e for e in job.exertions if e.is_failed]
-        if failed:
-            job.report_exception(
-                f"{len(failed)} component exertion(s) failed: "
-                + ", ".join(e.name for e in failed))
-        else:
-            job.status = ExertionStatus.DONE
-        return job
+        return item.service
 
-    # -- strategies -----------------------------------------------------------
-
-    def _dispatch_one(self, component: Task, space_ref: RemoteRef):
+    def _dispatch(self, component: Exertion, space_ref: RemoteRef):
+        if not isinstance(component, Task):
+            component = component.copy()
+            component.report_exception(
+                "space-based dispatch supports task components only")
+            return component
         envelope_id = yield self._endpoint.call(
             space_ref, "write", component, kind="space-write")
         result = yield self._endpoint.call(
@@ -80,57 +67,6 @@ class Spacer(ServiceProvider):
                 f"no worker produced a result within {self.result_timeout}s")
             return component
         return result
-
-    def _run_sequential(self, job: Job, space_ref: RemoteRef):
-        for index, component in enumerate(list(job.exertions)):
-            if not isinstance(component, Task):
-                component = component.copy()
-                component.report_exception(
-                    "space-based dispatch supports task components only")
-                job.exertions[index] = component
-                return
-            self._apply_pipes(job, component)
-            # The worker-side serve span parents here even though the hop
-            # goes through the space: the link rides the task's context.
-            propagate_trace(job.context, component.context)
-            result = yield from self._dispatch_one(component, space_ref)
-            job.exertions[index] = result
-            self._collect(job, result)
-            if result.is_failed:
-                for rest in job.exertions[index + 1:]:
-                    rest.report_exception(f"skipped: upstream {result.name!r} failed")
-                return
-
-    def _run_parallel(self, job: Job, space_ref: RemoteRef):
-        procs = []
-        for component in job.exertions:
-            if not isinstance(component, Task):
-                raise TypeError("space-based dispatch supports task components only")
-            propagate_trace(job.context, component.context)
-            procs.append(self.env.process(
-                self._dispatch_one(component, space_ref),
-                name=f"spacer:{component.name}"))
-        results = yield self.env.all_of(procs)
-        job.exertions = list(results)
-        for result in results:
-            self._collect(job, result)
-
-    # -- data flow (same conventions as the Jobber) ------------------------------------
-
-    def _apply_pipes(self, job: Job, component: Exertion) -> None:
-        for pipe in job.pipes:
-            if pipe.to_exertion != component.name:
-                continue
-            source = job.component(pipe.from_exertion)
-            if not source.is_done:
-                raise ValueError(f"pipe source {pipe.from_exertion!r} has not completed")
-            component.context.put_in_value(
-                pipe.to_path, source.context.get_value(pipe.from_path))
-
-    def _collect(self, job: Job, result: Exertion) -> None:
-        job.context.put_value(
-            f"{result.name}/{result.context.return_path}",
-            result.context.get_return_value(default=None))
 
 
 class SpaceWorker:

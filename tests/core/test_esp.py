@@ -5,6 +5,7 @@ import pytest
 
 from repro.net import Host
 from repro.jini import SensorType, ServiceTemplate
+from repro.observability import metrics_registry
 from repro.sensors import FaultInjector, FaultMode, Reading, TemperatureProbe
 from repro.sorcer import Exerter, ServiceContext, Signature, Task
 from repro.core import (
@@ -124,7 +125,7 @@ def test_probe_faults_counted_not_fatal(grid):
                              fault_injector=injector)
     esp = make_esp(net, world, "T1", sample_interval=0.5, probe=probe)
     env.run(until=12.0)
-    assert esp.sample_errors > 0
+    assert metrics_registry(net).value("esp.sample_errors", provider="T1") > 0
     # Healthy again after the window: recent readings exist.
     assert esp.buffer.last().timestamp > 6.0
 

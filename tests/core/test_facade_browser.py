@@ -163,3 +163,23 @@ def test_batch_get_values_tolerates_unknown(lab):
     values = run(lab, lab.browser.get_values(["Neem-Sensor", "Ghost"]))
     assert isinstance(values["Neem-Sensor"], float)
     assert values["Ghost"] is None
+
+
+def test_refused_cyclic_compose_leaves_no_half_state():
+    """The model vetoes a cycle before the composite is touched: the refused
+    child is not added, and both composites keep answering."""
+    from repro.core import BrowserError
+    lab = build_paper_lab(seed=2009)
+    lab.settle(6.0)
+    browser = lab.browser
+    run(lab, browser.compose_service("Composite-Service", ["Neem-Sensor"]))
+    run(lab, browser.create_service("New-Composite"))
+    run(lab, browser.compose_service("Composite-Service", ["New-Composite"]))
+    with pytest.raises(BrowserError, match="would create a cycle"):
+        run(lab, browser.compose_service("New-Composite",
+                                         ["Composite-Service"]))
+    info = run(lab, browser.get_info("New-Composite"))
+    assert info["contained_services"] == []
+    run(lab, browser.compose_service("New-Composite", ["Jade-Sensor"]))
+    assert isinstance(run(lab, browser.get_value("Composite-Service")), float)
+    assert isinstance(run(lab, browser.get_value("New-Composite")), float)

@@ -102,3 +102,49 @@ def test_unknown_node_errors(manager):
         manager.compose("c1", "ghost")
     with pytest.raises(NetworkModelError):
         manager.children_of("ghost")
+
+
+def test_composites_leaves_first(manager):
+    manager.register_service("c3", "Composite-3", "COMPOSITE")
+    manager.compose("c2", "s1")
+    manager.compose("c1", "c3")
+    manager.compose("c1", "c2")
+    manager.compose("c3", "c2")
+    # c2 sits under both others; c3 under c1. Elementary services are left out.
+    assert manager.composites_leaves_first() == ["c2", "c3", "c1"]
+
+
+def test_composites_leaves_first_is_networkx_order():
+    """The order ``saveNetworkPlan`` had when the model was a networkx
+    graph — ``reversed(topological_sort)`` — over random management
+    histories (register, compose, decompose, unregister, re-register)."""
+    nx = pytest.importorskip("networkx")
+    import random
+    for seed in range(50):
+        rng = random.Random(seed)
+        manager, graph = SensorNetworkManager(), nx.DiGraph()
+        ids = [f"n{i}" for i in range(12)]
+        for _ in range(80):
+            op = rng.random()
+            a, b = rng.sample(ids, 2)
+            if op < 0.35:
+                kind = rng.choice(["COMPOSITE", "ELEMENTARY"])
+                manager.register_service(a, a.upper(), kind)
+                graph.add_node(a, kind=kind)
+            elif op < 0.8:
+                try:
+                    manager.compose(a, b)
+                except NetworkModelError:
+                    continue
+                graph.add_edge(a, b)
+            elif op < 0.9 and graph.has_edge(a, b):
+                manager.decompose(a, b)
+                graph.remove_edge(a, b)
+            elif op >= 0.9 and a in graph:
+                manager.unregister_service(a)
+                graph.remove_node(a)
+        expected = [n for n in reversed(list(nx.topological_sort(graph)))
+                    if graph.nodes[n]["kind"] == "COMPOSITE"]
+        assert manager.composites_leaves_first() == expected, seed
+        assert manager.snapshot()["edges"] == [
+            {"parent": u, "child": v} for u, v in sorted(graph.edges)]

@@ -74,13 +74,14 @@ def test_registry_default_quota_mints_bucket_on_first_sight():
     assert quotas.admit("newcomer", 0.0) == (True, 0.0)
     admitted, _ = quotas.admit("newcomer", 0.0)
     assert not admitted  # the minted bucket now meters them
-    assert "newcomer" in quotas.snapshot(0.0)
+    assert "newcomer" in quotas.checkpoint_state()
 
 
 def test_snapshot_is_sorted_and_rounded():
     quotas = QuotaRegistry()
     quotas.set_quota("b", rate=1.0, burst=2.0)
     quotas.set_quota("a", rate=3.0, burst=4.0)
-    snap = quotas.snapshot(0.0)
+    snap = quotas.checkpoint_state()
     assert list(snap) == ["a", "b"]
-    assert snap["a"] == {"tokens": 4.0, "rate": 3.0, "burst": 4.0}
+    assert snap["a"] == {"tokens": 4.0, "rate": 3.0, "burst": 4.0,
+                         "last": 0.0}

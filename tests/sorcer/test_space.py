@@ -302,3 +302,33 @@ def test_pull_parallel_with_pipes_rejected(env, net):
     result = env.run(until=env.process(proc()))
     assert result.is_failed
     assert "SEQUENTIAL" in result.exceptions[0]
+
+
+@pytest.mark.parametrize("parallel", [False, True])
+def test_pull_job_fails_a_nested_job_like_any_component(env, net, parallel):
+    """The space carries tasks only; a nested job fails as a component —
+    sequentially it stops the rest, in parallel the others still run."""
+    from repro.sorcer import Strategy
+    space, exerter, workers = spacer_stack(env, net, workers=1)
+    job = Job("outer", [add_task("before", 1, 2),
+                        Job("inner", [add_task("i1", 1, 1)]),
+                        add_task("after", 3, 4)], access=Access.PULL,
+              strategy=Strategy.PARALLEL if parallel else Strategy.SEQUENTIAL)
+    job.control.invocation_timeout = 60.0
+
+    def proc():
+        yield env.timeout(2.0)
+        result = yield env.process(exerter.exert(job))
+        return result
+
+    result = env.run(until=env.process(proc()))
+    assert result.is_failed
+    assert result.component("before").is_done
+    assert result.component("inner").exceptions == [
+        "space-based dispatch supports task components only"]
+    if parallel:
+        assert result.component("after").is_done
+        assert result.exceptions == ["1 component exertion(s) failed: inner"]
+    else:
+        assert result.component("after").exceptions == [
+            "skipped: upstream 'inner' failed"]

@@ -3,7 +3,8 @@
 One line per PR that measured E-E2E: which commit, what each workload's two
 host-time headline metrics read at the parent and at the change, and how big
 ``src/`` was. A re-anchor reads drift off this file, so every line has to
-parse and carry the same keys.
+parse and carry the same keys, and the newest line has to describe the tree
+it is committed with.
 """
 
 import json
@@ -34,3 +35,11 @@ def test_every_line_parses_and_carries_the_keys():
                         f"{where}: {name}.{metric}.{side}")
     assert [json.loads(line)["pr"] for line in lines] == sorted(
         json.loads(line)["pr"] for line in lines), "appended in PR order"
+
+
+def test_newest_line_counts_the_tree_it_ships_with():
+    """``src_lines`` is ``find src -name '*.py' | xargs cat | wc -l``."""
+    newest = json.loads(TRAJECTORY.read_text().splitlines()[-1])
+    on_disk = sum(path.read_bytes().count(b"\n")
+                  for path in (ROOT / "src").rglob("*.py"))
+    assert newest["src_lines"] == on_disk
