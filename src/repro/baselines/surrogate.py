@@ -20,8 +20,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..jini.entries import Name, SensorType
-from ..jini.join import JoinManager
-from ..jini.template import ServiceItem
+from ..jini.join import JoinManager, join_service
 from ..net.host import Host
 from ..net.rpc import rpc_endpoint
 from ..sensors.probe import SensorProbe
@@ -85,15 +84,12 @@ class DeviceSurrogate:
     def start(self) -> "DeviceSurrogate":
         if self._join is None:
             teds = self.probe.teds
-            item = ServiceItem(
-                service_id=self.service_id, service=self.ref,
-                attributes=(Name(self.name),
-                            SensorType(quantity=teds.quantity,
-                                       unit=teds.unit,
-                                       technology="surrogate")))
-            self._join = JoinManager(self.surrogate_host.host, item,
-                                     lease_duration=10.0)
-            self._join.start()
+            self._join = join_service(
+                self.surrogate_host.host, self.ref, self.service_id,
+                (Name(self.name),
+                 SensorType(quantity=teds.quantity, unit=teds.unit,
+                            technology="surrogate")),
+                lease_duration=10.0)
         return self
 
     # -- remote API (every call crosses the device link) -------------------------

@@ -24,13 +24,13 @@ from typing import Optional
 import numpy as np
 
 from ..jini.entries import Name
+from ..jini.join import join_service
 from ..jini.template import ServiceTemplate
 from ..net.errors import NetworkError
 from ..net.host import Host
 from ..net.rpc import rpc_endpoint
 from ..sensors.probe import ProbeError, SensorProbe
 from ..sorcer.accessor import ServiceAccessor
-from ..sorcer.provider import join_service
 
 __all__ = ["TerminalCommunicationInterface", "TciSensorServiceProvider",
            "ApplicationServiceProvider"]
@@ -44,7 +44,7 @@ class TerminalCommunicationInterface:
     """Level 1: consistent access to the sensors wired to this terminal."""
 
     REMOTE_TYPES = (TCI_TYPE,)
-    REMOTE_METHODS = ("read", "read_all", "sensor_keys")
+    REMOTE_METHODS = ("read", "read_all")
 
     def __init__(self, host: Host, name: str, probes: dict):
         self.host = host
@@ -67,9 +67,6 @@ class TerminalCommunicationInterface:
         return self
 
     # -- remote API -------------------------------------------------------------
-
-    def sensor_keys(self) -> list[str]:
-        return sorted(self.probes)
 
     def read(self, sensor_key: str):
         probe = self.probes.get(sensor_key)

@@ -253,8 +253,7 @@ class CampaignRunner:
             # Make sure the horizon state got judged — but never evaluate
             # the same timestamp twice (the at-risk hysteresis counts
             # evaluations, so a double tick manufactures DEGRADED).
-            last = context.health.model._last
-            if last is None or last["t"] != env.now:
+            if context.health.model.evaluated_at != env.now:
                 context.health.tick(env.now)
         record = RunRecord(
             env=env, net=context.net, plan=plan, health=context.health,

@@ -117,9 +117,9 @@ class InjectorEngine:
         manager = self.txn_manager
         if manager is None:
             return
-        for txn_id in sorted(manager._txns):
-            txn = manager._txns[txn_id]
-            if txn.state.value != "active":
+        for txn_id in manager.states():
+            # Re-read per txn: an earlier abort yielded, states moved on.
+            if manager.get_state(txn_id).value != "active":
                 continue
             try:
                 yield from manager.abort(txn_id)

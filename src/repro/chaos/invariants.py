@@ -228,14 +228,14 @@ class TxnAtomicity(Invariant):
         out = []
         terminal = set()
         for manager in record.txn_managers:
-            for txn_id in sorted(manager._txns):
-                state = manager._txns[txn_id].state.value
+            for txn_id, txn_state in manager.states().items():
+                state = txn_state.value
                 if state == "voting":
                     out.append(f"txn {txn_id} stuck in VOTING")
                 if state in ("committed", "aborted"):
                     terminal.add(txn_id)
         for space in record.spaces:
-            for txn_id in sorted(space._txn_takes):
+            for txn_id in space.taking_transactions():
                 if txn_id in terminal:
                     out.append(
                         f"space holds takes for terminal txn {txn_id}")
@@ -251,9 +251,8 @@ class SpaceExactlyOnce(Invariant):
     def violations(self, record: RunRecord) -> list:
         out = []
         for space in record.spaces:
-            for envelope_id in sorted(space._envelopes):
-                envelope = space._envelopes[envelope_id]
-                if envelope.state.value == "taken":
+            for envelope_id, state in space.envelope_states().items():
+                if state.value == "taken":
                     out.append(f"envelope {envelope_id} left TAKEN")
         return out
 
@@ -272,8 +271,7 @@ class HealthConvergence(Invariant):
             return []
         out = []
         model = record.health.model
-        for entity in sorted(model._status):
-            status = model._status[entity]
+        for entity, status in sorted(model.statuses().items()):
             if status != "UP":
                 out.append(f"{entity} ended {status}")
         bound = (record.plan.last_fault_end
@@ -289,9 +287,10 @@ class HealthConvergence(Invariant):
 
 
 class BreakerLiberation(Invariant):
-    """After heal + quiesce, no breaker refuses forever: OPEN breakers
-    must be past their reset timeout (next call probes) and HALF_OPEN
-    breakers must have a probe slot free or reclaimable."""
+    """After heal + quiesce, no breaker refuses forever: an OPEN breaker
+    half-opens once its reset timeout passes (the next call probes), so
+    only a HALF_OPEN breaker can wedge — every probe slot pinned by a call
+    that never reported back (:meth:`CircuitBreaker.pinned_probes`)."""
 
     name = "breaker-liberation"
 
@@ -299,26 +298,16 @@ class BreakerLiberation(Invariant):
         out = []
         now = record.env.now
         for host_name in sorted(record.net.hosts):
-            registry = getattr(record.net.hosts[host_name],
-                               "_breaker_registry", None)
+            registry = record.net.hosts[host_name].shared.get(
+                "breaker_registry")
             if registry is None:
                 continue
-            for key in sorted(registry._breakers):
-                breaker = registry._breakers[key]
-                state = breaker.state.value
-                if state == "open":
-                    if (breaker.opened_at is not None
-                            and now - breaker.opened_at < breaker.reset_timeout):
-                        continue  # recently opened; will half-open in time
-                elif state == "half_open":
-                    if breaker._probes_in_flight < breaker.half_open_probes:
-                        continue
-                    last = getattr(breaker, "_last_probe_at", None)
-                    if last is not None and now - last >= breaker.reset_timeout:
-                        continue  # stale probe is reclaimable
+            for key, breaker in registry.items():
+                pinned = breaker.pinned_probes(now)
+                if pinned:
                     out.append(
                         f"{host_name}: breaker {key} wedged half-open "
-                        f"({breaker._probes_in_flight} probe(s) pinned)")
+                        f"({pinned} probe(s) pinned)")
         return out
 
 

@@ -122,7 +122,6 @@ class CompositeSensorProvider(ServiceProvider):
         self.expression: Optional[Expression] = None
         self.exerter = Exerter(host)
         self.events = resilience_events(host.network)
-        self.last_value: Optional[float] = None
         #: Degraded-mode cache: child service_id -> (timestamp, value).
         self.last_known_good: dict[str, tuple[float, float]] = {}
         #: Read coalescing: share one child fan-out among concurrent reads.
@@ -318,7 +317,6 @@ class CompositeSensorProvider(ServiceProvider):
         else:
             values = list(bindings.values())
             value = sum(values) / len(values)
-        self.last_value = value
         if stale:
             # Travels back to the requestor in the result context.
             ctx.put_value(STALE_PATH, stale)

@@ -13,10 +13,9 @@ from __future__ import annotations
 from typing import Optional
 
 from ..jini.entries import Location, SensorType
+from ..jini.events import push_event
 from ..jini.lease import Landlord
-from ..net.errors import NetworkError
 from ..net.host import Host
-from ..net.rpc import RemoteRef
 from ..observability import metrics_registry
 from ..resilience import Deadline
 from ..sensors.buffer import ReadingBuffer
@@ -120,7 +119,8 @@ class ElementarySensorProvider(ServiceProvider):
         # Subscribers push in subscription order (insertion-ordered dict).
         for event_id, sub in list(  # repro: allow[DET003]
                 self._subscribers.items()):
-            if not self._sub_landlord.is_active(sub["lease_id"]):
+            lease = self._sub_landlord.lease_of(event_id)
+            if lease is None or lease.expiration <= self.env.now:
                 continue
             if reading.timestamp - sub["last_pushed"] < sub["min_interval"]:
                 continue
@@ -130,18 +130,9 @@ class ElementarySensorProvider(ServiceProvider):
                 source=self.service_id, event_id=event_id,
                 sequence=sub["sequence"], handback=sub["handback"],
                 sensor_name=self.name, reading=reading)
-            self.env.process(self._push(sub["listener"], event),
-                             name=f"esp-push:{self.name}")
-
-    def _push(self, listener: RemoteRef, event: SensorReadingEvent):
-        if not self.host.up:
-            return
-        try:
-            yield self._endpoint.call(listener, "notify", event,
-                                      kind="sensor-event", timeout=3.0)
-            self._m_events_pushed.inc()
-        except NetworkError:
-            pass  # unreachable subscriber: its lease will lapse
+            push_event(self.host, sub["listener"], event,
+                       kind="sensor-event", name=f"esp-push:{self.name}",
+                       on_ack=self._m_events_pushed.inc)
 
     def _drop_subscription(self, event_id: int) -> None:
         self._subscribers.pop(event_id, None)
@@ -156,7 +147,7 @@ class ElementarySensorProvider(ServiceProvider):
         self._subscribers[event_id] = {
             "listener": listener, "min_interval": min_interval,
             "last_pushed": -float("inf"), "sequence": 0,
-            "handback": handback, "lease_id": lease.lease_id,
+            "handback": handback,
         }
         return Subscription(event_id=event_id, lease_id=lease.lease_id,
                             expiration=lease.expiration,

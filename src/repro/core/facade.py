@@ -26,8 +26,8 @@ from __future__ import annotations
 from typing import Optional
 
 from ..jini.entries import Name, SensorType
+from ..jini.events import HealthEvent, push_event
 from ..jini.template import ServiceItem, ServiceTemplate
-from ..net.errors import NetworkError
 from ..net.host import Host
 from ..sim import Interrupt
 from ..sorcer.context import ServiceContext
@@ -290,7 +290,6 @@ class SensorcerFacade(ServiceProvider):
         return len(monitor.engine.alerts)
 
     def _on_health_alert(self, alert) -> None:
-        from ..jini.events import HealthEvent
         self._health_sequence += 1
         event = HealthEvent(
             source=self.service_id, event_id=0,
@@ -299,19 +298,8 @@ class SensorcerFacade(ServiceProvider):
             threshold=alert.threshold, t=alert.t,
             description=alert.description)
         for listener in list(self._health_listeners):
-            self.env.process(self._push_health_event(listener, event),
-                             name=f"facade-alert:{alert.slo}")
-
-    def _push_health_event(self, listener, event):
-        if not self.host.up:
-            return
-        try:
-            yield self._endpoint.call(listener, "notify", event,
-                                      kind="health-event", timeout=3.0)
-        except NetworkError:
-            # At-most-once Jini delivery: an unreachable listener misses
-            # the edge; its mailbox lease will eventually lapse anyway.
-            pass
+            push_event(self.host, listener, event, kind="health-event",
+                       name=f"facade-alert:{alert.slo}")
 
     # -- composition plans and self-healing ----------------------------------------
 

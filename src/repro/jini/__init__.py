@@ -33,12 +33,13 @@ from .events import (
     TRANSITION_MATCH_MATCH,
     TRANSITION_MATCH_NOMATCH,
     TRANSITION_NOMATCH_MATCH,
+    push_event,
 )
 from .discoveryservice import LookupDiscoveryService
 from .lease import FOREVER, Landlord, Lease, LeaseDeniedError, UnknownLeaseError
 from .leaserenewal import LeaseRenewalService
 from .lookup import LookupService, ServiceRegistration
-from .join import JoinManager
+from .join import JoinManager, join_service
 from .mailbox import EventMailbox, MailboxRegistration
 from .template import ServiceItem, ServiceTemplate
 from .txn import (
@@ -91,5 +92,7 @@ __all__ = [
     "Vote",
     "attributes_match",
     "entry_matches",
+    "join_service",
     "lookup_discovery",
+    "push_event",
 ]

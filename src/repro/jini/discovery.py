@@ -168,9 +168,9 @@ class LookupDiscovery:
 
 def lookup_discovery(host: Host, **kwargs) -> LookupDiscovery:
     """Shared per-host discovery manager (created on first use)."""
-    manager = getattr(host, "_lookup_discovery", None)
+    manager = host.shared.get("lookup_discovery")
     if manager is None:
-        manager = LookupDiscovery(host, **kwargs)
-        host._lookup_discovery = manager
+        manager = host.shared["lookup_discovery"] = LookupDiscovery(
+            host, **kwargs)
         manager.start()
     return manager

@@ -8,10 +8,10 @@ when registrars come and go.
 
 from __future__ import annotations
 
-from ..net.errors import NetworkError
 from ..net.host import Host
 from ..net.rpc import RemoteRef, rpc_endpoint
 from .discovery import lookup_discovery
+from .events import push_event
 
 __all__ = ["LookupDiscoveryService"]
 
@@ -26,10 +26,9 @@ class LookupDiscoveryService:
         self.host = host
         self.env = host.env
         self._discovery = lookup_discovery(host)
-        self._endpoint = rpc_endpoint(host)
         self._listeners: dict[str, RemoteRef] = {}
-        self.ref = self._endpoint.export(self, f"lds:{host.name}",
-                                         methods=self.REMOTE_METHODS)
+        self.ref = rpc_endpoint(host).export(self, f"lds:{host.name}",
+                                             methods=self.REMOTE_METHODS)
         self._discovery.on_discovered(self._notify_all("discovered"))
         self._discovery.on_discarded(self._notify_all("discarded"))
 
@@ -57,15 +56,6 @@ class LookupDiscoveryService:
             # Listeners notify in registration order (insertion-ordered dict).
             for listener in list(  # repro: allow[DET003]
                     self._listeners.values()):
-                self.env.process(self._deliver(listener, payload),
-                                 name=f"lds-notify:{event_kind}")
+                push_event(self.host, listener, payload, kind="lds-event",
+                           name=f"lds-notify:{event_kind}")
         return callback
-
-    def _deliver(self, listener: RemoteRef, payload: dict):
-        if not self.host.up:
-            return
-        try:
-            yield self._endpoint.call(listener, "notify", payload,
-                                      kind="lds-event", timeout=3.0)
-        except NetworkError:
-            pass

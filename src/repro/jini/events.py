@@ -10,9 +10,11 @@ listeners can detect gaps — Jini semantics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable, Optional
 
-from ..net.rpc import RemoteRef
+from ..net.errors import NetworkError
+from ..net.host import Host
+from ..net.rpc import RemoteRef, rpc_endpoint
 from .lease import Lease
 
 __all__ = [
@@ -23,6 +25,7 @@ __all__ = [
     "TRANSITION_MATCH_NOMATCH",
     "TRANSITION_NOMATCH_MATCH",
     "TRANSITION_MATCH_MATCH",
+    "push_event",
 ]
 
 #: Service was matching the template and no longer is (left / lease lapsed).
@@ -78,3 +81,29 @@ class EventRegistration:
     event_id: int
     source: str
     lease: Lease
+
+
+def push_event(host: Host, listener: RemoteRef, event: Any, *, kind: str,
+               name: str, on_ack: Optional[Callable[[], None]] = None) -> None:
+    """Push ``event`` to ``listener.notify`` at most once, from ``host``.
+
+    The one best-effort delivery every event source uses: it runs as its
+    own kernel process called ``name``, sends nothing while ``host`` is
+    down, and drops the event when the listener cannot be reached — the
+    listener's lease lapsing is what eventually reaps a dead registration.
+    ``on_ack`` runs once the listener has acknowledged. Which listeners
+    hear about what stays with the source's own registration records.
+    """
+    host.env.process(_push(host, listener, event, kind, on_ack), name=name)
+
+
+def _push(host, listener, event, kind, on_ack):
+    if not host.up:
+        return
+    try:
+        yield rpc_endpoint(host).call(listener, "notify", event, kind=kind,
+                                      timeout=3.0)
+    except NetworkError:
+        return
+    if on_ack is not None:
+        on_ack()

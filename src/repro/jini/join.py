@@ -12,15 +12,17 @@ forgets it; a started one becomes visible within a probe round-trip.
 
 from __future__ import annotations
 
+from typing import Iterable
 
 from ..net.errors import NetworkError, RemoteError
 from ..net.host import Host
 from ..net.rpc import RemoteRef, rpc_endpoint
 from .discovery import LookupDiscovery, lookup_discovery
+from .entries import Entry
 from .lease import Lease
 from .template import ServiceItem
 
-__all__ = ["JoinManager"]
+__all__ = ["JoinManager", "join_service"]
 
 
 class _Registration:
@@ -154,3 +156,18 @@ class JoinManager:
             except NetworkError:
                 self._registrations.pop(lus_id, None)
                 self.discovery.discard(lus_id)
+
+
+def join_service(host: Host, ref: RemoteRef, service_id: str,
+                 attributes: Iterable[Entry],
+                 lease_duration: float = 30.0) -> JoinManager:
+    """Register an exported object with all lookup services and keep it
+    registered: the one way a service joins the network, whether it is an
+    exertion provider or an infrastructure service (transaction manager,
+    mailbox, exertion space — the Fig 2 service inventory).
+    """
+    item = ServiceItem(service_id=service_id, service=ref,
+                       attributes=tuple(attributes))
+    manager = JoinManager(host, item, lease_duration=lease_duration)
+    manager.start()
+    return manager

@@ -71,6 +71,11 @@ class Landlord:
         self.max_duration = max_duration
         self.on_expire = on_expire
         self._leases: dict[int, _LeaseRecord] = {}
+        #: The same records keyed by resource (the newest, should a
+        #: resource be granted again while still leased), so owners ask
+        #: "which lease holds X" here instead of keeping their own
+        #: resource -> lease id map beside the landlord.
+        self._by_resource: dict[Any, _LeaseRecord] = {}
         self._next_id = 1
         #: Parked sweeper's wakeup event (None while the sweeper is ticking
         #: or absent). Triggered by :meth:`grant`, the only way an empty
@@ -108,6 +113,7 @@ class Landlord:
         record = _LeaseRecord(lease_id, resource_id, self.env.now + duration,
                               duration)
         self._leases[lease_id] = record
+        self._by_resource[resource_id] = record
         if self._stirred is not None and not self._stirred.triggered:
             self._stirred.succeed()
         return Lease(lease_id=lease_id, expiration=record.expiration,
@@ -129,18 +135,23 @@ class Landlord:
 
     def cancel(self, lease_id: int) -> Any:
         """Cancel and return the resource id (without firing on_expire)."""
-        record = self._leases.pop(lease_id, None)
+        record = self._leases.get(lease_id)
         if record is None:
             raise UnknownLeaseError(f"lease {lease_id} unknown")
+        self._forget(record)
         return record.resource_id
 
-    def is_active(self, lease_id: int) -> bool:
-        record = self._leases.get(lease_id)
-        return record is not None and record.expiration > self.env.now
+    def lease_of(self, resource_id: Any) -> Optional[_LeaseRecord]:
+        """The lease ``resource_id`` holds (``lease_id``, ``expiration``,
+        ``duration``; read-only), or ``None``. A lease that lapsed but has
+        not been reaped yet is still returned — compare ``expiration``
+        with the clock where that matters."""
+        return self._by_resource.get(resource_id)
 
     def clear(self) -> None:
         """Drop all leases without firing ``on_expire`` (process death)."""
         self._leases.clear()
+        self._by_resource.clear()
 
     def force_expire(self, lease_id: int) -> bool:
         """Lapse a lease *now* (fault injection / admin eviction): the next
@@ -162,8 +173,13 @@ class Landlord:
             expired_resources.append(record.resource_id)
         return expired_resources
 
-    def _expire(self, record: _LeaseRecord) -> None:
+    def _forget(self, record: _LeaseRecord) -> None:
         self._leases.pop(record.lease_id, None)
+        if self._by_resource.get(record.resource_id) is record:
+            del self._by_resource[record.resource_id]
+
+    def _expire(self, record: _LeaseRecord) -> None:
+        self._forget(record)
         if self.on_expire is not None:
             self.on_expire(record.resource_id)
 

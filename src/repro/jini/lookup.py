@@ -14,9 +14,8 @@ behaviour the paper relies on (§VII "plug-and-play").
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any, Iterator, Optional
 
-from ..net.errors import NetworkError
 from ..net.host import Host
 from ..net.message import Message
 from ..net.rpc import RemoteRef, rpc_endpoint
@@ -29,8 +28,9 @@ from .events import (
     TRANSITION_MATCH_MATCH,
     TRANSITION_MATCH_NOMATCH,
     TRANSITION_NOMATCH_MATCH,
+    push_event,
 )
-from .lease import Landlord, Lease, UnknownLeaseError
+from .lease import Landlord, Lease
 from .template import ServiceItem, ServiceTemplate
 
 __all__ = ["LookupService", "ServiceRegistration"]
@@ -65,8 +65,7 @@ class LookupService:
 
     #: Remote methods callable through the proxy.
     REMOTE_METHODS = ("register", "renew_lease", "cancel_lease", "lookup",
-                      "lookup_all", "notify", "cancel_notify", "service_ids",
-                      "registrations")
+                      "lookup_all", "notify", "registrations")
 
     MAX_LEASE = 300.0  # seconds
     SWEEP_INTERVAL = 1.0
@@ -86,7 +85,6 @@ class LookupService:
         # One landlord, resources tagged ("reg", service_id) / ("event", event_id).
         self._landlord = Landlord(host.env, max_duration=self.MAX_LEASE,
                                   on_expire=self._on_lease_expired)
-        self._lease_of_service: dict[str, int] = {}
         endpoint = rpc_endpoint(host)
         self.ref = endpoint.export(self, f"lus:{self.lus_id}",
                                    methods=self.REMOTE_METHODS)
@@ -107,8 +105,9 @@ class LookupService:
             "items": {service_id: item.name()
                       for service_id, item in sorted(self._items.items())},
             "landlord": self._landlord.checkpoint_state(),
-            "lease_of_service": dict(sorted(
-                self._lease_of_service.items())),
+            "lease_of_service": {
+                service_id: self._landlord.lease_of(("reg", service_id)).lease_id
+                for service_id in sorted(self._items)},
             "name": self.name,
             "started": self._started,
         }
@@ -121,12 +120,7 @@ class LookupService:
         self._started = True
         # Announce ourselves to the management plane: the health monitor
         # derives liveness from whichever LUSs the network runs.
-        luses = getattr(self.host.network, "_lookup_services", None)
-        if luses is None:
-            luses = []
-            self.host.network._lookup_services = luses
-        if self not in luses:
-            luses.append(self)
+        self.host.network.shared.setdefault("lookup_services", []).append(self)
         self.host.join_group(DISCOVERY_GROUP)
         self.host.open_port(PROBE_PORT, self._on_probe)
         self.env.process(self._landlord.sweeper(self.SWEEP_INTERVAL),
@@ -140,12 +134,9 @@ class LookupService:
         sees ``UnknownLeaseError`` on its next renew and re-registers.
         Returns the number of leases lapsed."""
         count = 0
-        for service_id, item in sorted(self._items.items()):
-            if name is not None and item.name() != name:
-                continue
-            lease_id = self._lease_of_service.get(service_id)
-            if lease_id is not None and self._landlord.force_expire(lease_id):
-                count += 1
+        for item, lease in self.leased_items():
+            if name is None or item.name() == name:
+                count += self._landlord.force_expire(lease.lease_id)
         return count
 
     def _announce_payload(self):
@@ -171,7 +162,6 @@ class LookupService:
     def _on_host_fail(self, host: Host) -> None:
         # In-memory registry dies with the process.
         self._items.clear()
-        self._lease_of_service.clear()
         self._interests.clear()
         self._landlord.clear()
 
@@ -192,14 +182,10 @@ class LookupService:
         self._record_access("w")
         previous = self._items.get(item.service_id)
         # Replace any existing lease for this service.
-        old_lease_id = self._lease_of_service.pop(item.service_id, None)
-        if old_lease_id is not None:
-            try:
-                self._landlord.cancel(old_lease_id)
-            except UnknownLeaseError:
-                pass
+        old_lease = self._landlord.lease_of(("reg", item.service_id))
+        if old_lease is not None:
+            self._landlord.cancel(old_lease.lease_id)
         lease = self._landlord.grant(("reg", item.service_id), lease_duration)
-        self._lease_of_service[item.service_id] = lease.lease_id
         self._items[item.service_id] = item
         self._fire_transitions(previous, item)
         return ServiceRegistration(item.service_id, lease, self.lus_id)
@@ -238,31 +224,26 @@ class LookupService:
             return list(self._items.values())
         return [item for item in self._items.values() if template.matches(item)]
 
-    def service_ids(self) -> list[str]:
-        return list(self._items.keys())
+    def leased_items(self) -> Iterator[tuple]:
+        """Local read view: ``(item, lease)`` per registration, in
+        registration order. ``lease`` is the landlord's record of the
+        registration's lease (see :meth:`Landlord.lease_of`), so a
+        registration that lapsed but has not been swept yet still shows."""
+        lease_of = self._landlord.lease_of
+        for service_id, item in self._items.items():
+            yield item, lease_of(("reg", service_id))
 
     def registrations(self) -> list[dict]:
         """Admin view: every registration with its lease state (the data
         behind the Inca X Admin tab of the paper's Fig 2)."""
-        out = []
-        for service_id, item in self._items.items():
-            lease_id = self._lease_of_service.get(service_id)
-            expires = duration = None
-            if lease_id is not None:
-                record = self._landlord._leases.get(lease_id)
-                if record is not None:
-                    expires = record.expiration
-                    duration = record.duration
-            out.append({
-                "service_id": service_id,
-                "name": item.name(),
-                "host": item.service.host,
-                "lease_expires_at": expires,
-                "lease_remaining": (None if expires is None
-                                    else max(0.0, expires - self.env.now)),
-                "lease_duration": duration,
-            })
-        return out
+        return [{
+            "service_id": item.service_id,
+            "name": item.name(),
+            "host": item.service.host,
+            "lease_expires_at": lease.expiration,
+            "lease_remaining": max(0.0, lease.expiration - self.env.now),
+            "lease_duration": lease.duration,
+        } for item, lease in self.leased_items()]
 
     def notify(self, template: ServiceTemplate, transitions: int,
                listener: RemoteRef, handback: Any = None,
@@ -274,9 +255,6 @@ class LookupService:
         lease = self._landlord.grant(("event", event_id), lease_duration)
         return EventRegistration(event_id=event_id, source=self.lus_id, lease=lease)
 
-    def cancel_notify(self, event_id: int) -> None:
-        self._interests.pop(event_id, None)
-
     # -- internals ------------------------------------------------------------------
 
     def _on_lease_expired(self, resource) -> None:
@@ -286,7 +264,6 @@ class LookupService:
         kind, key = resource
         if kind == "reg":
             self._record_access("w")
-            self._lease_of_service.pop(key, None)
             item = self._items.pop(key, None)
             if item is not None:
                 # Expiry means the holder went silent (crash/partition);
@@ -324,17 +301,6 @@ class LookupService:
                 source=self.lus_id, event_id=interest.event_id,
                 sequence=interest.sequence, handback=interest.handback,
                 service_id=service_id, transition=transition, item=after)
-            self.env.process(self._deliver(interest, event),
-                             name=f"lus-notify:{service_id[:8]}")
-
-    def _deliver(self, interest: _Interest, event: ServiceEvent):
-        if not self.host.up:
-            return
-        endpoint = rpc_endpoint(self.host)
-        try:
-            yield endpoint.call(interest.listener, "notify", event,
-                                kind="service-event", timeout=3.0)
-        except NetworkError:
-            # Unreachable listener: Jini drops the event; the lease mechanism
-            # eventually reaps dead registrations.
-            pass
+            push_event(self.host, interest.listener, event,
+                       kind="service-event",
+                       name=f"lus-notify:{service_id[:8]}")

@@ -46,7 +46,7 @@ class EventMailbox:
 
     REMOTE_TYPES = ("EventMailbox",)
     REMOTE_METHODS = ("register", "collect", "enable_delivery",
-                      "disable_delivery", "renew_lease", "cancel_lease")
+                      "renew_lease", "cancel_lease")
 
     MAX_LEASE = 600.0  # seconds
     SWEEP_INTERVAL = 5.0
@@ -57,7 +57,6 @@ class EventMailbox:
         self._endpoint = rpc_endpoint(host)
         self._events: dict[str, list[RemoteEvent]] = {}
         self._targets: dict[str, RemoteRef] = {}
-        self._lease_of: dict[str, int] = {}
         self._landlord = Landlord(host.env, max_duration=self.MAX_LEASE,
                                   on_expire=self._drop)
         self.ref = self._endpoint.export(self, f"mailbox:{host.name}",
@@ -74,7 +73,6 @@ class EventMailbox:
                                          f"mailbox-slot:{reg_id}",
                                          methods=("notify",))
         lease = self._landlord.grant(reg_id, lease_duration)
-        self._lease_of[reg_id] = lease.lease_id
         return MailboxRegistration(registration_id=reg_id, listener=slot_ref,
                                    lease=lease)
 
@@ -90,9 +88,6 @@ class EventMailbox:
             raise KeyError(f"unknown mailbox registration {registration_id!r}")
         self._targets[registration_id] = target
         self._flush(registration_id)
-
-    def disable_delivery(self, registration_id: str) -> None:
-        self._targets.pop(registration_id, None)
 
     def renew_lease(self, lease_id: int, duration: float) -> Lease:
         return self._landlord.renew(lease_id, duration)
@@ -121,19 +116,20 @@ class EventMailbox:
         if target is None or not queue:
             return
         pending, self._events[registration_id] = queue[:], []
-        for event in pending:
+        for index, event in enumerate(pending):
             try:
                 yield self._endpoint.call(target, "notify", event,
                                           kind="mailbox-event", timeout=3.0)
             except NetworkError:
-                # Push failed: requeue and stop pushing until re-enabled.
+                # Push failed: requeue it and everything not pushed yet, in
+                # order, ahead of what was stored meanwhile, and stop
+                # pushing until re-enabled.
                 self._events[registration_id] = (
-                    [event] + self._events[registration_id])
+                    pending[index:] + self._events[registration_id])
                 self._targets.pop(registration_id, None)
                 return
 
     def _drop(self, registration_id: str) -> None:
         self._events.pop(registration_id, None)
         self._targets.pop(registration_id, None)
-        self._lease_of.pop(registration_id, None)
         self._endpoint.unexport(f"mailbox-slot:{registration_id}")

@@ -139,6 +139,11 @@ class TransactionManager:
     def get_state(self, txn_id: int) -> TxnState:
         return self._require(txn_id).state
 
+    def states(self) -> dict:
+        """Local read view: txn id -> :class:`TxnState`, in id order."""
+        return {txn_id: txn.state
+                for txn_id, txn in sorted(self._txns.items())}
+
     def renew_lease(self, lease_id: int, duration: float) -> Lease:
         return self._landlord.renew(lease_id, duration)
 

@@ -16,9 +16,9 @@ from .errors import (
     UnreachableError,
 )
 from .host import Host
-from .latency import BernoulliLoss, FixedLatency, LanLatency, NoLoss
+from .latency import FixedLatency, LanLatency
 from .message import Message
-from .network import Network, TrafficStats
+from .network import BernoulliLoss, Network, TrafficStats
 from .rpc import RemoteRef, RpcEndpoint, rpc_endpoint
 from .wire import Protocol, estimate_size, header_size
 
@@ -31,7 +31,6 @@ __all__ = [
     "Message",
     "Network",
     "NetworkError",
-    "NoLoss",
     "NoSuchObjectError",
     "NoSuchPortError",
     "Protocol",

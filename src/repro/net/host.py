@@ -33,6 +33,9 @@ class Host:
         self._ports: dict[str, PortHandler] = {}
         self._fail_listeners: list[Callable[["Host"], None]] = []
         self._recover_listeners: list[Callable[["Host"], None]] = []
+        #: Per-host components created on first use (the RPC endpoint, the
+        #: discovery manager, ...); same contract as ``Network.shared``.
+        self.shared: dict[str, Any] = {}
         network.attach(self)
 
     # -- ports ------------------------------------------------------------

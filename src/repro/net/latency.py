@@ -1,4 +1,4 @@
-"""Link latency and loss models.
+"""Link latency models.
 
 The default models a switched lab LAN (the paper's SORCER Lab deployment):
 sub-millisecond base latency, 100 Mbit/s serialization delay, small jitter.
@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["LatencyModel", "LanLatency", "FixedLatency", "LossModel",
-           "NoLoss", "BernoulliLoss"]
+__all__ = ["LatencyModel", "LanLatency", "FixedLatency"]
 
 
 class LatencyModel:
@@ -53,28 +52,3 @@ class LanLatency(LatencyModel):
         serialization = size_bytes * 8.0 / self.bandwidth_bps
         jitter = float(self.rng.exponential(self.jitter_mean)) if self.jitter_mean > 0 else 0.0
         return self.base + serialization + jitter
-
-
-class LossModel:
-    """Decides whether a message is dropped in flight."""
-
-    def dropped(self, src: str, dst: str, size_bytes: int) -> bool:  # pragma: no cover
-        raise NotImplementedError
-
-
-class NoLoss(LossModel):
-    def dropped(self, src: str, dst: str, size_bytes: int) -> bool:
-        return False
-
-
-class BernoulliLoss(LossModel):
-    """Independent drop probability per message."""
-
-    def __init__(self, rng: np.random.Generator, probability: float):
-        if not 0.0 <= probability <= 1.0:
-            raise ValueError(f"probability {probability} outside [0, 1]")
-        self.rng = rng
-        self.probability = probability
-
-    def dropped(self, src: str, dst: str, size_bytes: int) -> bool:
-        return bool(self.rng.random() < self.probability)

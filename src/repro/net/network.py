@@ -3,29 +3,29 @@ traffic accounting.
 
 Replaces the physical LAN of the paper's SORCER Lab deployment. Delivery is
 asynchronous: :meth:`Network.send` schedules the message for the destination
-after the latency model's delay; loss and partitions silently drop messages
-(exactly what a requestor on a real network would observe — hence Jini's
-leases and timeouts on top).
+after the latency model's delay; partitions and link filters silently drop
+messages (exactly what a requestor on a real network would observe — hence
+Jini's leases and timeouts on top).
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 import numpy as np
 
 from ..sim import Environment
 from ..util.ids import IdSource
 from .errors import HostDownError, UnreachableError
-from .latency import LanLatency, LatencyModel, LossModel, NoLoss
+from .latency import LanLatency, LatencyModel
 from .message import Message
 
 if TYPE_CHECKING:  # pragma: no cover
     from .host import Host
 
-__all__ = ["Network", "TrafficStats", "LinkDecision"]
+__all__ = ["Network", "TrafficStats", "LinkDecision", "BernoulliLoss"]
 
 
 @dataclass(frozen=True)
@@ -41,6 +41,22 @@ class LinkDecision:
     drop: bool = False
     extra_delay: float = 0.0
     copies: tuple = ()
+
+
+class BernoulliLoss:
+    """Link filter dropping each message independently with one
+    probability: ``net.add_link_filter(BernoulliLoss(rng, 0.1))``."""
+
+    _DROP = LinkDecision(drop=True)
+
+    def __init__(self, rng: np.random.Generator, probability: float):
+        if not 0.0 <= probability <= 1.0:
+            raise ValueError(f"probability {probability} outside [0, 1]")
+        self.rng = rng
+        self.probability = probability
+
+    def __call__(self, msg: Message) -> Optional[LinkDecision]:
+        return self._DROP if self.rng.random() < self.probability else None
 
 
 @dataclass
@@ -104,18 +120,16 @@ class Network:
         The simulation environment.
     rng:
         Source of randomness for default latency model.
-    latency, loss:
-        Pluggable models; defaults are a lab LAN with no loss.
+    latency:
+        Pluggable delay model; the default is a lab LAN.
     """
 
     def __init__(self, env: Environment,
                  rng: Optional[np.random.Generator] = None,
-                 latency: Optional[LatencyModel] = None,
-                 loss: Optional[LossModel] = None):
+                 latency: Optional[LatencyModel] = None):
         self.env = env
         self.rng = rng if rng is not None else np.random.default_rng(0)
         self.latency = latency if latency is not None else LanLatency(self.rng)
-        self.loss = loss if loss is not None else NoLoss()
         self.ids = IdSource(np.random.default_rng(self.rng.integers(2**32)))
         self.hosts: dict[str, "Host"] = {}
         self.groups: dict[str, set[str]] = defaultdict(set)
@@ -128,9 +142,14 @@ class Network:
         #: Instrumentation taps: callables invoked with every sent message
         #: (after sizes are finalized, before loss/partition decisions).
         self._taps: list = []
-        #: Link filters: chaos-injection hooks consulted per message after
-        #: the loss model; each returns ``None`` or a :class:`LinkDecision`.
+        #: Link filters: the one per-message perturbation hook (random
+        #: loss, chaos links); each returns ``None`` or a
+        #: :class:`LinkDecision`.
         self._link_filters: list = []
+        #: Per-network components, keyed by a public name and created on
+        #: first use by their owner's accessor (``tracer_of(net)``, ...); a
+        #: reader that must not create one looks the key up.
+        self.shared: dict[str, Any] = {}
         env.register_state("net", self.checkpoint_state)
 
     def checkpoint_state(self) -> dict:
@@ -158,11 +177,12 @@ class Network:
             pass
 
     def add_link_filter(self, fn) -> None:
-        """Register a chaos link filter: ``fn(msg) -> LinkDecision | None``.
+        """Register a link filter: ``fn(msg) -> LinkDecision | None``.
 
-        Filters see every message that passed the sender/partition/loss
-        checks and may drop, delay or duplicate it. Duplicates do not pass
-        back through the filters (no recursive chaos)."""
+        Filters see every message that passed the sender and partition
+        checks, in registration order, and may drop, delay or duplicate it.
+        Duplicates do not pass back through the filters (no recursive
+        chaos)."""
         self._link_filters.append(fn)
 
     def remove_link_filter(self, fn) -> None:
@@ -241,9 +261,6 @@ class Network:
         for tap in self._taps:
             tap(msg)
         if not self.reachable(msg.src, msg.dst):
-            self.stats.dropped += 1
-            return
-        if self.loss.dropped(msg.src, msg.dst, msg.total_bytes):
             self.stats.dropped += 1
             return
         extra_delay = 0.0

@@ -292,8 +292,7 @@ class RpcEndpoint:
 
 def rpc_endpoint(host: Host) -> RpcEndpoint:
     """Return the host's RPC endpoint, creating it on first use."""
-    endpoint = getattr(host, "_rpc_endpoint", None)
+    endpoint = host.shared.get("rpc_endpoint")
     if endpoint is None:
-        endpoint = RpcEndpoint(host)
-        host._rpc_endpoint = endpoint
+        endpoint = host.shared["rpc_endpoint"] = RpcEndpoint(host)
     return endpoint

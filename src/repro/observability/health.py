@@ -96,6 +96,8 @@ class HealthModel:
         self.store = store
         self.window = window
         self.registry = metrics_registry(network)
+        #: Started LUSs announce themselves on this list, in start order.
+        self._luses: list = network.shared.setdefault("lookup_services", [])
         self._providers: dict[str, _TrackedProvider] = {}
         #: Names seen live on more than one host at once (two cybernodes
         #: both called "Cybernode"): such entities are keyed ``name@host``,
@@ -113,10 +115,6 @@ class HealthModel:
         self._last: Optional[dict] = None
 
     # -- wiring ---------------------------------------------------------------
-
-    def _all_luses(self) -> list:
-        """Started LUSs announce themselves on ``network._lookup_services``."""
-        return getattr(self.network, "_lookup_services", [])
 
     def on_event(self, kind: str, fields: dict) -> None:
         """Resilience-event hook: lease expiry marks the provider for an
@@ -152,18 +150,13 @@ class HealthModel:
     def _live_registrations(self) -> dict:
         """key -> (item, lease_remaining, lease_duration) over all LUSs."""
         raw = []
-        for lus in self._all_luses():
+        for lus in self._luses:
             if not lus.host.up:
                 continue  # its in-memory table died with the host
-            for service_id, item in lus._items.items():
-                lease_id = lus._lease_of_service.get(service_id)
-                record = (lus._landlord._leases.get(lease_id)
-                          if lease_id is not None else None)
-                if record is None:
-                    continue
-                remaining = max(0.0, record.expiration - lus.env.now)
-                duration = record.duration or remaining
-                raw.append((item.name() or service_id[:8], item,
+            for item, lease in lus.leased_items():
+                remaining = max(0.0, lease.expiration - lus.env.now)
+                duration = lease.duration or remaining
+                raw.append((item.name() or item.service_id[:8], item,
                             remaining, duration))
         hosts_of: dict[str, set] = {}
         for name, item, _remaining, _duration in raw:
@@ -185,7 +178,7 @@ class HealthModel:
         order = {"closed": 0, "half_open": 1, "open": 2}
         worst: dict[str, str] = {}
         for host in self.network.hosts.values():
-            breakers = getattr(host, "_breaker_registry", None)
+            breakers = host.shared.get("breaker_registry")
             if breakers is None:
                 continue
             for key, state in breakers.snapshot().items():
@@ -308,7 +301,7 @@ class HealthModel:
             by_node.setdefault(tracked.node, []).append(status)
             self._set_status(now, f"provider:{name}", status, reasons)
 
-        lus_nodes = {lus.host.name for lus in self._all_luses()}
+        lus_nodes = {lus.host.name for lus in self._luses}
         nodes: dict[str, tuple] = {}
         for node in sorted(set(by_node) | lus_nodes):
             status, reasons = self._node_status(node, by_node.get(node, []))
@@ -327,6 +320,15 @@ class HealthModel:
         """Last derived status of ``entity`` (``provider:Name``,
         ``node:host`` or ``federation``); UNKNOWN before first evaluation."""
         return self._status.get(entity, "UNKNOWN")
+
+    def statuses(self) -> dict:
+        """Last derived status of every tracked entity."""
+        return dict(self._status)
+
+    @property
+    def evaluated_at(self) -> Optional[float]:
+        """Simulated time of the last evaluation (``None`` before one)."""
+        return None if self._last is None else self._last["t"]
 
     def snapshot(self) -> dict:
         """The rich, JSON-ready view of the last evaluation."""
@@ -488,8 +490,8 @@ def overload_slos(shed_rate: float = 5.0) -> list:
 
 def health_monitor(network, interval: float = 1.0) -> HealthMonitor:
     """The network's shared health monitor (created on first use)."""
-    monitor = getattr(network, "_health_monitor", None)
+    monitor = network.shared.get("health_monitor")
     if monitor is None:
-        monitor = HealthMonitor(network, interval=interval)
-        network._health_monitor = monitor
+        monitor = network.shared["health_monitor"] = HealthMonitor(
+            network, interval=interval)
     return monitor

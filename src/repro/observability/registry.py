@@ -243,10 +243,9 @@ class MetricsRegistry:
 
 def metrics_registry(network) -> MetricsRegistry:
     """The network's shared metrics registry (created on first use)."""
-    registry = getattr(network, "_metrics_registry", None)
+    registry = network.shared.get("metrics_registry")
     if registry is None:
-        registry = MetricsRegistry()
-        network._metrics_registry = registry
+        registry = network.shared["metrics_registry"] = MetricsRegistry()
         # Unlike the other network singletons this one never touches the
         # env itself, and tests attach registries to bare stand-in
         # networks — only a real simulated network joins the snapshot.

@@ -106,10 +106,9 @@ class Tracer:
 
 def tracer_of(network) -> Tracer:
     """The network's shared tracer (created on first use)."""
-    tracer = getattr(network, "_tracer", None)
+    tracer = network.shared.get("tracer")
     if tracer is None:
-        tracer = Tracer(network.env)
-        network._tracer = tracer
+        tracer = network.shared["tracer"] = Tracer(network.env)
 
         def _trace_state() -> dict:
             # Spans would dwarf every other section; a count plus a crc32

@@ -80,19 +80,28 @@ class CircuitBreaker:
                 return False
         if self.state is BreakerState.HALF_OPEN:
             if self._probes_in_flight >= self.half_open_probes:
-                # Stale-probe reclaim: a probe whose caller never recorded
-                # an outcome (crashed mid-call, outcome path skipped) must
-                # not pin the slot forever. After a full reset_timeout of
-                # silence the slot is taken back.
-                if (self._last_probe_at is not None
-                        and now - self._last_probe_at >= self.reset_timeout):
-                    self._probes_in_flight = 0
-                else:
+                if self.pinned_probes(now):
                     self.refusals += 1
                     return False
+                self._probes_in_flight = 0  # stale probes: slots reclaimed
             self._probes_in_flight += 1
             self._last_probe_at = now
         return True
+
+    def pinned_probes(self, now: float) -> int:
+        """How many probes pin a half-open breaker shut at ``now``: every
+        slot is taken and the newest probe is younger than
+        ``reset_timeout``. 0 when a call could get through. A probe whose
+        caller never recorded an outcome (crashed mid-call, outcome path
+        skipped) must not pin its slot forever, so after a full
+        ``reset_timeout`` of silence the slots count as free again."""
+        if (self.state is not BreakerState.HALF_OPEN
+                or self._probes_in_flight < self.half_open_probes):
+            return 0
+        if (self._last_probe_at is not None
+                and now - self._last_probe_at >= self.reset_timeout):
+            return 0
+        return self._probes_in_flight
 
     def record_success(self, now: float) -> None:
         self.consecutive_failures = 0
@@ -157,9 +166,12 @@ class BreakerRegistry:
         if self.enabled:
             self.breaker_for(key).record_failure(now)
 
+    def items(self) -> list:
+        """``(key, breaker)`` pairs, sorted by key."""
+        return sorted(self._breakers.items())
+
     def snapshot(self) -> dict:
-        return {key: breaker.state.value
-                for key, breaker in sorted(self._breakers.items())}
+        return {key: breaker.state.value for key, breaker in self.items()}
 
     def checkpoint_state(self) -> dict:
         """Snapshot section: full per-breaker timing state (not just the
@@ -172,4 +184,4 @@ class BreakerRegistry:
             "probes_in_flight": breaker._probes_in_flight,
             "refusals": breaker.refusals,
             "state": breaker.state.value,
-        } for key, breaker in sorted(self._breakers.items())}
+        } for key, breaker in self.items()}

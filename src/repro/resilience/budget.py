@@ -55,10 +55,9 @@ class RetryBudget:
 
 def retry_budget_of(host) -> RetryBudget:
     """The host's shared retry budget (created on first use)."""
-    budget = getattr(host, "_retry_budget", None)
+    budget = host.shared.get("retry_budget")
     if budget is None:
-        budget = RetryBudget()
-        host._retry_budget = budget
+        budget = host.shared["retry_budget"] = RetryBudget()
         # Tests hand in bare host stand-ins; only a host on a simulated
         # network joins the snapshot.
         env = getattr(host, "env", None)

@@ -70,12 +70,11 @@ class ResilienceEvents:
 def resilience_events(network) -> ResilienceEvents:
     """The network's shared resilience event stream (created on first use),
     counting into the network's shared metrics registry."""
-    events = getattr(network, "_resilience_events", None)
+    events = network.shared.get("resilience_events")
     if events is None:
         from ..observability.registry import metrics_registry
-        events = ResilienceEvents(network.env,
-                                  metrics=metrics_registry(network))
-        network._resilience_events = events
+        events = network.shared["resilience_events"] = ResilienceEvents(
+            network.env, metrics=metrics_registry(network))
 
         def _events_state() -> dict:
             # Counters already live in the "metrics" section; pin the

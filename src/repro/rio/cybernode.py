@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..jini.entries import Name
-from ..jini.join import JoinManager
-from ..jini.template import ServiceItem
+from ..jini.join import JoinManager, join_service
 from ..net.host import Host
 from ..net.rpc import rpc_endpoint
 from .opstring import Deployment, ServiceElement
@@ -42,8 +41,7 @@ class Cybernode:
     """Compute-resource service; registers with the LUS as type 'Cybernode'."""
 
     REMOTE_TYPES = ("Cybernode",)
-    REMOTE_METHODS = ("status", "instantiate", "release", "hosted_services",
-                      "ping")
+    REMOTE_METHODS = ("status", "instantiate", "release", "ping")
 
     def __init__(self, host: Host, name: str = "Cybernode",
                  capability: Optional[QosCapability] = None,
@@ -69,11 +67,9 @@ class Cybernode:
 
     def start(self) -> "Cybernode":
         if self._join is None:
-            item = ServiceItem(service_id=self.node_id, service=self.ref,
-                               attributes=(Name(self.name),))
-            self._join = JoinManager(self.host, item,
-                                     lease_duration=self._lease_duration)
-            self._join.start()
+            self._join = join_service(self.host, self.ref, self.node_id,
+                                      (Name(self.name),),
+                                      lease_duration=self._lease_duration)
         return self
 
     def _on_host_fail(self, host: Host) -> None:
@@ -99,9 +95,6 @@ class Cybernode:
             used_memory_mb=self.used_memory_mb,
             hosted=len(self._hosted),
             tags=tuple(sorted(self.capability.tags)))
-
-    def hosted_services(self) -> list[str]:
-        return sorted(self._hosted.keys())
 
     def instantiate(self, element: ServiceElement, instance_name: str,
                     opstring_name: str):

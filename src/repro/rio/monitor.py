@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..jini.entries import Name
-from ..jini.join import JoinManager
-from ..jini.template import ServiceItem, ServiceTemplate
+from ..jini.join import JoinManager, join_service
+from ..jini.template import ServiceTemplate
 from ..net.errors import NetworkError, RemoteError
 from ..net.host import Host
 from ..net.rpc import RemoteRef, rpc_endpoint
@@ -47,7 +47,7 @@ class ProvisionMonitor:
     """The Rio 'Monitor' service of the paper's Fig 2 inventory."""
 
     REMOTE_TYPES = ("ProvisionMonitor",)
-    REMOTE_METHODS = ("deploy", "undeploy", "set_planned", "deployment_status")
+    REMOTE_METHODS = ("deploy", "undeploy", "set_planned")
 
     def __init__(self, host: Host, name: str = "Monitor",
                  policy: Optional[SelectionPolicy] = None,
@@ -67,7 +67,6 @@ class ProvisionMonitor:
                                          methods=self.REMOTE_METHODS)
         self._join: Optional[JoinManager] = None
         self._lease_duration = lease_duration
-        self._started = False
         self.tracer = tracer_of(host.network)
         registry = metrics_registry(host.network)
         self._m_provisioned = registry.counter("monitor.provisioned",
@@ -86,13 +85,10 @@ class ProvisionMonitor:
     # -- lifecycle ------------------------------------------------------------
 
     def start(self) -> "ProvisionMonitor":
-        if not self._started:
-            self._started = True
-            item = ServiceItem(service_id=self.monitor_id, service=self.ref,
-                               attributes=(Name(self.name),))
-            self._join = JoinManager(self.host, item,
-                                     lease_duration=self._lease_duration)
-            self._join.start()
+        if self._join is None:
+            self._join = join_service(self.host, self.ref, self.monitor_id,
+                                      (Name(self.name),),
+                                      lease_duration=self._lease_duration)
             self.env.process(self._control_loop(), name=f"monitor:{self.name}")
         return self
 
@@ -121,12 +117,6 @@ class ProvisionMonitor:
         if planned < 0:
             raise ValueError("planned must be >= 0")
         self._opstrings[opstring_name].element(element_name).planned = planned
-
-    def deployment_status(self) -> dict:
-        return {
-            name: {el.name: {"planned": el.planned} for el in opstring.elements}
-            for name, opstring in self._opstrings.items()
-        }
 
     # -- control loop ----------------------------------------------------------------
 

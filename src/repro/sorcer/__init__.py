@@ -7,6 +7,7 @@ Jobber/Spacer are the rendezvous peers; the exertion space supports
 transactional PULL dispatch.
 """
 
+from ..jini.join import join_service
 from .accessor import ServiceAccessor
 from .context import ContextError, ServiceContext
 from .exerter import Exerter, ExertionFailed
@@ -22,7 +23,7 @@ from .exertion import (
     TraceRecord,
 )
 from .jobber import Jobber
-from .provider import ServiceProvider, join_service
+from .provider import ServiceProvider
 from .rejection import (
     OVERLOAD_PATH,
     Overloaded,

@@ -26,10 +26,10 @@ def breaker_registry(host: Host) -> BreakerRegistry:
     use, like the host's RPC endpoint). Every accessor/exerter on the host
     consults the same registry, so a provider marked dead by one requestor
     component is skipped by all of them."""
-    registry = getattr(host, "_breaker_registry", None)
+    registry = host.shared.get("breaker_registry")
     if registry is None:
-        registry = BreakerRegistry(events=resilience_events(host.network))
-        host._breaker_registry = registry
+        registry = host.shared["breaker_registry"] = BreakerRegistry(
+            events=resilience_events(host.network))
         host.env.register_state(f"resilience.breakers.{host.name}",
                                 registry.checkpoint_state)
     return registry

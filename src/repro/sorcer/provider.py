@@ -18,10 +18,9 @@ import inspect
 from typing import Callable, Iterable, Optional
 
 from ..jini.entries import Entry, Name
-from ..jini.join import JoinManager
-from ..jini.template import ServiceItem
+from ..jini.join import JoinManager, join_service
 from ..net.host import Host
-from ..net.rpc import RemoteRef, rpc_endpoint
+from ..net.rpc import rpc_endpoint
 from ..observability import (get_trace_parent, metrics_registry,
                              set_trace_parent, tracer_of)
 from ..resilience import Deadline
@@ -30,23 +29,7 @@ from .exertion import Exertion, ExertionStatus, Task, TraceRecord
 from .rejection import Overloaded, mark_overloaded
 from .security import AccessPolicy, AuthorizationError
 
-__all__ = ["ServiceProvider", "join_service"]
-
-
-def join_service(host: Host, ref: RemoteRef, service_id: str,
-                 attributes: Iterable[Entry],
-                 lease_duration: float = 30.0) -> JoinManager:
-    """Register an already-exported object with all lookup services.
-
-    Convenience for infrastructure services (transaction manager, mailbox,
-    exertion space) that are not exertion providers but must appear in the
-    registry — the Fig 2 service inventory.
-    """
-    item = ServiceItem(service_id=service_id, service=ref,
-                       attributes=tuple(attributes))
-    manager = JoinManager(host, item, lease_duration=lease_duration)
-    manager.start()
-    return manager
+__all__ = ["ServiceProvider"]
 
 
 class ServiceProvider:
@@ -127,11 +110,9 @@ class ServiceProvider:
     def start(self) -> "ServiceProvider":
         """Join the network: register with every discoverable LUS."""
         if self._join is None:
-            item = ServiceItem(service_id=self.service_id, service=self.ref,
-                               attributes=self.attributes())
-            self._join = JoinManager(self.host, item,
-                                     lease_duration=self._lease_duration)
-            self._join.start()
+            self._join = join_service(self.host, self.ref, self.service_id,
+                                      self.attributes(),
+                                      lease_duration=self._lease_duration)
         return self
 
     def update_attributes(self) -> None:

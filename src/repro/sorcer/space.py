@@ -59,7 +59,7 @@ class Envelope:
 
 class ExertionSpace:
     """The space service. Export with :func:`repro.net.rpc.rpc_endpoint`;
-    register with the LUS via :func:`repro.sorcer.provider.join_service`."""
+    register with the LUS via :func:`repro.jini.join.join_service`."""
 
     REMOTE_TYPES = ("ExertionSpace",)
     REMOTE_METHODS = ("write", "take", "read", "write_result", "take_result",
@@ -153,6 +153,15 @@ class ExertionSpace:
 
     def pending_count(self) -> int:
         return len(self._pool)
+
+    def envelope_states(self) -> dict:
+        """Local read view: envelope id -> :class:`EnvelopeState`, sorted."""
+        return {envelope_id: envelope.state
+                for envelope_id, envelope in sorted(self._envelopes.items())}
+
+    def taking_transactions(self) -> list:
+        """Local read view: ids of transactions still holding takes, sorted."""
+        return sorted(self._txn_takes)
 
     # -- transaction participant ----------------------------------------------------
 

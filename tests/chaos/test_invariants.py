@@ -54,6 +54,9 @@ class _FakeModel:
         self._status = status
         self.transitions = transitions
 
+    def statuses(self):
+        return self._status
+
 
 def test_health_convergence_clean_within_bound():
     health = SimpleNamespace(model=_FakeModel(
@@ -83,8 +86,8 @@ def test_health_convergence_flags_late_recovery():
 
 
 def _host_with_breaker(breaker):
-    registry = SimpleNamespace(_breakers={"svc": breaker})
-    return SimpleNamespace(_breaker_registry=registry)
+    registry = SimpleNamespace(items=lambda: [("svc", breaker)])
+    return SimpleNamespace(shared={"breaker_registry": registry})
 
 
 def test_breaker_liberation_flags_wedged_half_open():

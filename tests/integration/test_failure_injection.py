@@ -23,9 +23,9 @@ from repro.core import (
 def build_lossy_grid(loss_probability, seed=41, n_sensors=3):
     env = Environment()
     rng = np.random.default_rng(seed)
-    net = Network(env, rng=rng, latency=FixedLatency(0.001),
-                  loss=BernoulliLoss(np.random.default_rng(seed + 1),
-                                     loss_probability))
+    net = Network(env, rng=rng, latency=FixedLatency(0.001))
+    net.add_link_filter(BernoulliLoss(np.random.default_rng(seed + 1),
+                                      loss_probability))
     world = PhysicalEnvironment(seed=seed)
     lus = LookupService(Host(net, "lus-host"), announce_interval=3.0)
     lus.start()

@@ -120,7 +120,7 @@ def test_technology_entries_are_distinct():
     env.run(until=6.0)
     lus_obj = None
     for host in net.hosts.values():
-        endpoint = getattr(host, "_rpc_endpoint", None)
+        endpoint = host.shared.get("rpc_endpoint")
         if endpoint is None:
             continue
         for obj in endpoint._objects.values():

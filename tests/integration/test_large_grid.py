@@ -27,8 +27,8 @@ N = 100
 def build(seed=99):
     env = Environment()
     rng = np.random.default_rng(seed)
-    net = Network(env, rng=rng, latency=LanLatency(rng),
-                  loss=BernoulliLoss(np.random.default_rng(seed + 1), 0.01))
+    net = Network(env, rng=rng, latency=LanLatency(rng))
+    net.add_link_filter(BernoulliLoss(np.random.default_rng(seed + 1), 0.01))
     world = PhysicalEnvironment(seed=seed)
     lus = LookupService(Host(net, "lus-host"))
     lus.start()

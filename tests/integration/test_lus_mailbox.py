@@ -29,7 +29,7 @@ def test_offline_client_collects_arrival_events():
     lus = LookupService(Host(net, "lus-host"))
     lus.start()
     EventMailbox(Host(net, "mailbox-host"))
-    mailbox = net.hosts["mailbox-host"]._rpc_endpoint._objects[
+    mailbox = rpc_endpoint(net.hosts["mailbox-host"])._objects[
         "mailbox:mailbox-host"]
     client_host = Host(net, "client")
     client = rpc_endpoint(client_host)

@@ -73,7 +73,7 @@ def test_services_in_separate_groups_are_isolated(env, net):
     # join manager below inherits the scoping.
     scoped = LookupDiscovery(svc_host, groups=("lab",))
     scoped.start()
-    svc_host._lookup_discovery = scoped
+    svc_host.shared["lookup_discovery"] = scoped
     ep = rpc_endpoint(svc_host)
     ref = ep.export(Dummy(), "svc")
     item = ServiceItem(service_id=net.ids.uuid(), service=ref,

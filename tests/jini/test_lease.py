@@ -12,7 +12,7 @@ def test_grant_sets_expiration():
     lease = landlord.grant("res", 30.0)
     assert lease.expiration == 30.0
     assert lease.duration == 30.0
-    assert landlord.is_active(lease.lease_id)
+    assert landlord.lease_of("res").lease_id == lease.lease_id
 
 
 def test_duration_clamped_to_max():
@@ -121,3 +121,56 @@ def test_lease_remaining_and_is_expired():
     assert lease.remaining(11.0) == 0.0
     assert not lease.is_expired(9.9)
     assert lease.is_expired(10.0)
+
+
+def test_resource_index_follows_the_lease_table():
+    """``lease_of`` answers from the landlord's own index through every
+    way a lease can come and go."""
+    env = Environment()
+    expired = []
+    landlord = Landlord(env, max_duration=100.0, on_expire=expired.append)
+
+    def proc():
+        a = landlord.grant("a", 10.0)
+        b = landlord.grant("b", 2.0)
+        landlord.grant("c", 50.0)
+        assert landlord.lease_of("a").lease_id == a.lease_id
+        assert landlord.lease_of("nobody") is None
+        yield env.timeout(1.0)
+        landlord.renew(a.lease_id, 20.0)
+        assert landlord.lease_of("a").expiration == 21.0
+        assert landlord.lease_of("a").duration == 20.0
+        # Cancel, then grant again: the index names the new lease.
+        assert landlord.cancel(a.lease_id) == "a"
+        assert landlord.lease_of("a") is None
+        again = landlord.grant("a", 5.0)
+        assert again.lease_id != a.lease_id
+        assert landlord.lease_of("a").lease_id == again.lease_id
+        # Expiry: lapsed-but-unreaped still shows, reaped does not.
+        yield env.timeout(2.0)
+        assert landlord.lease_of("b").lease_id == b.lease_id
+        assert landlord.reap() == ["b"]
+        assert landlord.lease_of("b") is None
+        # force_expire lapses in place; the next reap drops the entry.
+        assert landlord.force_expire(again.lease_id)
+        assert landlord.lease_of("a").expiration == env.now
+        assert landlord.reap() == ["a"]
+        assert landlord.lease_of("a") is None
+        assert landlord.lease_of("c") is not None
+        landlord.clear()
+        assert landlord.lease_of("c") is None and len(landlord) == 0
+
+    env.run(until=env.process(proc()))
+    assert expired == ["b", "a"]
+
+
+def test_regranting_a_leased_resource_indexes_the_newest():
+    env = Environment()
+    landlord = Landlord(env)
+    first = landlord.grant("r", 10.0)
+    second = landlord.grant("r", 10.0)
+    assert landlord.lease_of("r").lease_id == second.lease_id
+    landlord.cancel(first.lease_id)   # the older lease: index unmoved
+    assert landlord.lease_of("r").lease_id == second.lease_id
+    landlord.cancel(second.lease_id)
+    assert landlord.lease_of("r") is None

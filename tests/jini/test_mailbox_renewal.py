@@ -99,6 +99,51 @@ def test_enable_delivery_pushes_stored_and_future(env, net):
     assert env.run(until=p) == (2, 3)
 
 
+def test_failed_push_requeues_the_undelivered_tail(env, net):
+    """A push that fails keeps the failed event *and* everything queued
+    behind it, in order (the tail used to be dropped)."""
+    mh, box, ch, client = make_mailbox(net)
+    target_host = Host(net, "target-host")
+    target = Target()
+    target_ref = rpc_endpoint(target_host).export(target, "target")
+
+    def proc():
+        reg = yield client.call(box.ref, "register", 600.0)
+        yield fire(env, net, reg.listener, 3)
+        target_host.fail()
+        yield client.call(box.ref, "enable_delivery", reg.registration_id,
+                          target_ref)
+        yield env.timeout(10.0)  # the first push times out
+        assert target.events == []
+        target_host.recover()
+        yield client.call(box.ref, "enable_delivery", reg.registration_id,
+                          target_ref)
+        yield env.timeout(1.0)
+        return [e.sequence for e in target.events]
+
+    p = env.process(proc())
+    assert env.run(until=p) == [1, 2, 3]
+
+
+def test_failed_push_leaves_every_event_collectable(env, net):
+    mh, box, ch, client = make_mailbox(net)
+    target_host = Host(net, "target-host")
+    target_ref = rpc_endpoint(target_host).export(Target(), "target")
+
+    def proc():
+        reg = yield client.call(box.ref, "register", 600.0)
+        yield fire(env, net, reg.listener, 3)
+        target_host.fail()
+        yield client.call(box.ref, "enable_delivery", reg.registration_id,
+                          target_ref)
+        yield env.timeout(10.0)
+        events = yield client.call(box.ref, "collect", reg.registration_id, 100)
+        return [e.sequence for e in events]
+
+    p = env.process(proc())
+    assert env.run(until=p) == [1, 2, 3]
+
+
 def test_mailbox_lease_expiry_drops_registration(env, net):
     from repro.net import RemoteError
     mh, box, ch, client = make_mailbox(net)

@@ -95,7 +95,7 @@ def test_landlord_renewal_extends_from_now(first, second):
     env._now += first / 2
     renewed = landlord.renew(lease.lease_id, second)
     assert renewed.expiration == env.now + second
-    assert landlord.is_active(lease.lease_id)
+    assert landlord.lease_of("r").expiration == renewed.expiration
 
 
 @given(st.integers(min_value=1, max_value=30))

@@ -1,11 +1,10 @@
-"""Latency/loss models and per-host traffic accounting."""
+"""Latency models, random loss and per-host traffic accounting."""
 
 import numpy as np
 import pytest
 
 from repro.sim import Environment
 from repro.net import BernoulliLoss, FixedLatency, Host, LanLatency, Network
-from repro.net.latency import NoLoss
 
 
 def test_fixed_latency_ignores_size():
@@ -33,11 +32,6 @@ def test_lan_latency_jitter_positive_and_seeded():
 def test_bernoulli_validation():
     with pytest.raises(ValueError):
         BernoulliLoss(np.random.default_rng(0), 1.5)
-
-
-def test_no_loss_never_drops():
-    model = NoLoss()
-    assert not any(model.dropped("a", "b", 100) for _ in range(100))
 
 
 def test_per_host_byte_accounting():

@@ -179,8 +179,8 @@ def test_traffic_stats_accumulate():
 def test_loss_model_drops_fraction():
     env = Environment()
     rng = np.random.default_rng(7)
-    net = Network(env, rng=rng, latency=FixedLatency(0.001),
-                  loss=BernoulliLoss(rng, 0.5))
+    net = Network(env, rng=rng, latency=FixedLatency(0.001))
+    net.add_link_filter(BernoulliLoss(rng, 0.5))
     a, b = Host(net, "a"), Host(net, "b")
     inbox = []
     b.open_port("p", lambda m: inbox.append(m.payload))
@@ -190,6 +190,25 @@ def test_loss_model_drops_fraction():
     # About half get through (seeded, so the exact count is stable).
     assert 70 <= len(inbox) <= 130
     assert net.stats.dropped == 200 - len(inbox)
+
+
+def test_loss_filter_drops_what_the_loss_model_dropped():
+    """``BernoulliLoss`` as a link filter draws once per message that
+    passed the partition check, exactly as ``Network(loss=...)`` did: the
+    indices below were recorded on the commit that still had ``loss=``."""
+    env = Environment()
+    net = Network(env, rng=np.random.default_rng(7),
+                  latency=FixedLatency(0.001))
+    net.add_link_filter(BernoulliLoss(np.random.default_rng(11), 0.3))
+    a, b = Host(net, "a"), Host(net, "b")
+    inbox = []
+    b.open_port("p", lambda m: inbox.append(m.payload))
+    for i in range(40):
+        a.send("b", "p", kind="t", payload=i)
+    env.run()
+    assert sorted(set(range(40)) - set(inbox)) == [
+        0, 3, 4, 6, 7, 13, 14, 21, 26, 29, 31, 32, 35, 37, 39]
+    assert net.stats.dropped == 15
 
 
 def test_delivery_order_preserved_with_fixed_latency():

@@ -26,9 +26,9 @@ class Echo:
 def lossy_setup(probability, seed=3):
     env = Environment()
     net = Network(env, rng=np.random.default_rng(seed),
-                  latency=FixedLatency(0.001),
-                  loss=BernoulliLoss(np.random.default_rng(seed + 1),
-                                     probability))
+                  latency=FixedLatency(0.001))
+    net.add_link_filter(BernoulliLoss(np.random.default_rng(seed + 1),
+                                      probability))
     server_host, client_host = Host(net, "server"), Host(net, "client")
     server, client = rpc_endpoint(server_host), rpc_endpoint(client_host)
     echo = Echo()

@@ -127,7 +127,7 @@ def test_open_breaker_degrades_provider(env, net):
     monitor = health_monitor(net)
     caller = Host(net, "caller")
     breakers = BreakerRegistry(failure_threshold=1)
-    caller._breaker_registry = breakers
+    caller.shared["breaker_registry"] = breakers
     env.run(until=5.0)
     breakers.record_failure(item.service_id, env.now)  # opens immediately
     env.run(until=6.5)

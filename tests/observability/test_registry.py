@@ -95,7 +95,7 @@ def test_render_metrics_table(registry):
 
 def test_metrics_registry_is_a_per_network_singleton():
     class FakeNetwork:
-        pass
+        shared = {}
 
     net = FakeNetwork()
     assert metrics_registry(net) is metrics_registry(net)

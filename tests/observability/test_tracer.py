@@ -94,6 +94,7 @@ def test_reset_restarts_id_counters(tracer):
 def test_tracer_of_is_a_per_network_singleton():
     class FakeNetwork:
         env = Environment()
+        shared = {}
 
     net = FakeNetwork()
     assert tracer_of(net) is tracer_of(net)

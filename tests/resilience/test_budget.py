@@ -60,7 +60,8 @@ def test_rejects_bad_parameters():
 
 def test_budget_shared_per_host():
     class FakeHost:
-        pass
+        def __init__(self):
+            self.shared = {}
 
     host = FakeHost()
     first = retry_budget_of(host)
