@@ -21,7 +21,6 @@ services to use, and what computation to be done".
 """
 
 import numpy as np
-import pytest
 
 from repro.util.table import render_table
 from repro.sim import Environment, Interrupt
@@ -172,12 +171,9 @@ def run_tci():
     return query_latency, regroup_latency
 
 
-def test_sensorcer_vs_tci(benchmark, report):
-    def run_all():
-        return run_sensorcer(), run_tci()
-
-    (s_query, s_regroup), (t_query, t_regroup) = benchmark.pedantic(
-        run_all, rounds=1, iterations=1)
+def test_sensorcer_vs_tci(report):
+    s_query, s_regroup = run_sensorcer()
+    t_query, t_regroup = run_tci()
     rows = [
         ["aggregate query latency (s)", s_query, t_query],
         ["re-group to 4-sensor subset (s)", s_regroup, t_regroup],

@@ -17,7 +17,6 @@ maintenance round.
 """
 
 import numpy as np
-import pytest
 
 from repro.util.table import render_table
 from repro.sim import Environment
@@ -97,15 +96,10 @@ def registry_restart_recovery(k=8):
     return env.now - recovered_at
 
 
-def test_plug_and_play(benchmark, report):
-    def run_all():
-        join_rows = [[k, batch_join_time(k)] for k in BATCHES]
-        late = late_joiner_time()
-        restart = registry_restart_recovery()
-        return join_rows, late, restart
-
-    join_rows, late, restart = benchmark.pedantic(run_all, rounds=1,
-                                                  iterations=1)
+def test_plug_and_play(report):
+    join_rows = [[k, batch_join_time(k)] for k in BATCHES]
+    late = late_joiner_time()
+    restart = registry_restart_recovery()
     rows = [[f"batch join, K={k}", t] for k, t in join_rows]
     rows.append(["late joiner (settled net)", late])
     rows.append(["LUS restart -> all re-registered", restart])

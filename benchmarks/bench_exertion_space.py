@@ -19,7 +19,6 @@ tasks.
 """
 
 import numpy as np
-import pytest
 
 from repro.util.table import render_table
 from repro.sim import Environment
@@ -124,18 +123,14 @@ def run_pull(n_workers, kill_one_at=None):
     return env.now - t0
 
 
-def test_push_vs_pull(benchmark, report):
-    def run_all():
-        rows = []
-        for w in (1, 2, 4):
-            rows.append([f"PULL, {w} worker(s)", run_pull(w)])
-        rows.append(["PUSH, 1 provider", run_push(1)])
-        rows.append(["PUSH, 4 providers", run_push(4)])
-        rows.append(["PULL, 2 workers, 1 crashes mid-batch",
-                     run_pull(2, kill_one_at=0.3)])
-        return rows
-
-    rows = benchmark.pedantic(run_all, rounds=1, iterations=1)
+def test_push_vs_pull(report):
+    rows = []
+    for w in (1, 2, 4):
+        rows.append([f"PULL, {w} worker(s)", run_pull(w)])
+    rows.append(["PUSH, 1 provider", run_push(1)])
+    rows.append(["PUSH, 4 providers", run_push(4)])
+    rows.append(["PULL, 2 workers, 1 crashes mid-batch",
+                 run_pull(2, kill_one_at=0.3)])
     report(render_table(
         ["configuration", "makespan (s)"], rows,
         title=f"E-SPACE — {TASKS} tasks x {TASK_COST}s, PUSH vs PULL dispatch"))

@@ -22,8 +22,6 @@ import os
 import time
 # repro: allow-file[DET001] - benchmarks time real work on the wall clock
 
-import pytest
-
 from repro.util.table import render_table
 from repro.observability import DOWN, Slo, UP
 from repro.scenarios import build_paper_lab
@@ -51,9 +49,8 @@ def run_partition_timeline(seed=2009):
     return lab, moments, alerts, partitioned_at, healed_at
 
 
-def test_health_detection_latency(benchmark, report):
-    lab, moments, alerts, partitioned_at, healed_at = benchmark.pedantic(
-        run_partition_timeline, rounds=1, iterations=1)
+def test_health_detection_latency(report):
+    lab, moments, alerts, partitioned_at, healed_at = run_partition_timeline()
     degraded_t = moments[("node:neem-host", "DEGRADED")]
     down_t = moments[("node:neem-host", DOWN)]
     up_t = max(t for (entity, to), t in moments.items()
@@ -104,7 +101,7 @@ def _timed_lab_run(health_enabled, seed=11, interval=0.25, rounds=200):
             gc.enable()
 
 
-def test_health_rollup_overhead(benchmark, report):
+def test_health_rollup_overhead(report):
     """E-HEALTH overhead arm: full management plane <= 5% wall clock."""
     repeats = 4 if SMOKE else 24
 
@@ -112,22 +109,18 @@ def test_health_rollup_overhead(benchmark, report):
         best = sorted(samples)[:max(1, len(samples) // 2)]
         return sum(best) / len(best)
 
-    def run_all():
-        on, off, collections = [], [], 0
-        for pair in range(repeats):
-            modes = (True, False) if pair % 2 == 0 else (False, True)
-            for enabled in modes:
-                seconds, collected = _timed_lab_run(enabled)
-                if enabled:
-                    on.append(seconds)
-                    collections = collected
-                else:
-                    off.append(seconds)
-                    assert collected == 0  # disabled plane does nothing
-        return fastest_half_mean(on), fastest_half_mean(off), collections
-
-    enabled, disabled, collections = benchmark.pedantic(run_all, rounds=1,
-                                                        iterations=1)
+    on, off, collections = [], [], 0
+    for pair in range(repeats):
+        modes = (True, False) if pair % 2 == 0 else (False, True)
+        for health_on in modes:
+            seconds, collected = _timed_lab_run(health_on)
+            if health_on:
+                on.append(seconds)
+                collections = collected
+            else:
+                off.append(seconds)
+                assert collected == 0  # disabled plane does nothing
+    enabled, disabled = fastest_half_mean(on), fastest_half_mean(off)
     overhead = enabled / disabled - 1.0
     report(render_table(
         ["metric", "value"],

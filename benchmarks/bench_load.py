@@ -23,7 +23,6 @@ import os
 
 from repro.load import SWEEP_FULL, SWEEP_SMOKE, saturation_curve
 from repro.util.table import render_table
-from repro.util.atomicio import atomic_write_text
 from repro.util.canonical import canonical_document
 
 SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
@@ -38,12 +37,9 @@ def _sweep():
     return saturation_curve(seed=SEED, multipliers=SWEEP, duration=DURATION)
 
 
-def test_load_graceful_saturation(benchmark, report, results_dir):
-    curve = benchmark.pedantic(_sweep, rounds=1, iterations=1)
+def test_load_graceful_saturation(report):
+    curve = _sweep()
     points = curve["points"]
-
-    blob = canonical_document(curve)
-    atomic_write_text(results_dir / "e_load_curve.json", blob)
 
     rows = []
     for point in points:
@@ -58,10 +54,11 @@ def test_load_graceful_saturation(benchmark, report, results_dir):
         ["scale", "offered", "completed", "goodput", "rejected", "failed",
          "goodput%", "p50", "p99"], rows,
         title=f"E-LOAD — saturation sweep, seed {SEED}, "
-              f"{DURATION:g}s per point"))
+              f"{DURATION:g}s per point"),
+        e_load_curve=curve)
 
     # Determinism: the same seed re-sweeps to the identical curve.
-    assert canonical_document(_sweep()) == blob
+    assert canonical_document(_sweep()) == canonical_document(curve)
 
     # The sweep actually crossed the knee: the top point sheds load.
     top = points[-1]

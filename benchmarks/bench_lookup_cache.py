@@ -14,7 +14,6 @@ because the exerter invalidates the cache when every candidate fails.
 """
 
 import numpy as np
-import pytest
 
 from repro.util.table import render_table
 from repro.sim import Environment
@@ -104,17 +103,13 @@ def run_churn(cache_ttl):
     return failures
 
 
-def test_lookup_cache_ablation(benchmark, report):
-    def run_all():
-        rows = []
-        for ttl, label in ((0.0, "no cache"), (5.0, "TTL 5s"),
-                           (60.0, "TTL 60s")):
-            latency, lookups = run_steady(ttl)
-            failures = run_churn(ttl)
-            rows.append([label, latency, lookups, failures])
-        return rows
-
-    rows = benchmark.pedantic(run_all, rounds=1, iterations=1)
+def test_lookup_cache_ablation(report):
+    rows = []
+    for ttl, label in ((0.0, "no cache"), (5.0, "TTL 5s"),
+                       (60.0, "TTL 60s")):
+        latency, lookups = run_steady(ttl)
+        failures = run_churn(ttl)
+        rows.append([label, latency, lookups, failures])
     report(render_table(
         ["configuration", "query latency (s)", "LUS lookups / 50 queries",
          "failed queries under churn"],

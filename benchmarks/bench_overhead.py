@@ -21,7 +21,7 @@ import os
 import time
 # repro: allow-file[DET001] - benchmarks time real work on the wall clock
 
-import pytest
+import numpy as np
 
 from repro.util.table import render_table
 from repro.net import Host
@@ -82,18 +82,14 @@ def measure_sensorcer(n):
     return client_bytes, (net.stats.total_bytes - total_base) / ROUNDS
 
 
-def test_overhead_client_link(benchmark, report):
-    def run_all():
-        rows = []
-        for n in FLEET_SIZES:
-            direct_client, direct_total = measure_direct(n)
-            fed_client, fed_total = measure_sensorcer(n)
-            rows.append([n, direct_client, fed_client,
-                         direct_client / fed_client,
-                         direct_total, fed_total])
-        return rows
-
-    rows = benchmark.pedantic(run_all, rounds=1, iterations=1)
+def test_overhead_client_link(report):
+    rows = []
+    for n in FLEET_SIZES:
+        direct_client, direct_total = measure_direct(n)
+        fed_client, fed_total = measure_sensorcer(n)
+        rows.append([n, direct_client, fed_client,
+                     direct_client / fed_client,
+                     direct_total, fed_total])
     report(render_table(
         ["N sensors", "direct client B/agg", "federated client B/agg",
          "client ratio", "direct net B/agg", "federated net B/agg"],
@@ -110,23 +106,18 @@ def test_overhead_client_link(benchmark, report):
     assert by_n[64][2] < 1.5 * by_n[1][2]
 
 
-def test_overhead_streaming_goodput(benchmark, report):
-    def run():
-        env = Environment()
-        import numpy as np
-        net = Network(env, rng=np.random.default_rng(3),
-                      latency=FixedLatency(0.001))
-        world = PhysicalEnvironment(seed=3)
-        StreamCollector(Host(net, "collector"))
-        host = Host(net, "node")
-        probe = TemperatureProbe(env, "p", world, (0, 0),
-                                 rng=np.random.default_rng(0))
-        StreamingSensorNode(host, probe, "collector", interval=1.0).start()
-        env.run(until=100.5)
-        stream = net.stats.by_kind["direct-stream"]
-        return stream
-
-    stream = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_overhead_streaming_goodput(report):
+    env = Environment()
+    net = Network(env, rng=np.random.default_rng(3),
+                  latency=FixedLatency(0.001))
+    world = PhysicalEnvironment(seed=3)
+    StreamCollector(Host(net, "collector"))
+    host = Host(net, "node")
+    probe = TemperatureProbe(env, "p", world, (0, 0),
+                             rng=np.random.default_rng(0))
+    StreamingSensorNode(host, probe, "collector", interval=1.0).start()
+    env.run(until=100.5)
+    stream = net.stats.by_kind["direct-stream"]
     payload = stream["payload_bytes"]
     headers = stream["header_bytes"]
     goodput = payload / (payload + headers)
@@ -178,7 +169,7 @@ def _timed_collect_run(n, tracing, rounds=ROUNDS):
             gc.enable()
 
 
-def test_tracing_overhead_under_five_percent(benchmark, report):
+def test_tracing_overhead_under_five_percent(report):
     """E-OBS — always-on tracing must cost <= 5% wall clock.
 
     Many short interleaved runs, compared by the mean of each mode's
@@ -199,23 +190,19 @@ def test_tracing_overhead_under_five_percent(benchmark, report):
         best = sorted(samples)[:max(1, len(samples) // 2)]
         return sum(best) / len(best)
 
-    def run_all():
-        on, off, spans = [], [], 0
-        for pair in range(repeats):
-            modes = (True, False) if pair % 2 == 0 else (False, True)
-            for tracing in modes:
-                seconds, count = _timed_collect_run(n, tracing=tracing,
-                                                    rounds=rounds)
-                if tracing:
-                    on.append(seconds)
-                    spans = count
-                else:
-                    off.append(seconds)
-                    assert count == 0  # disabled tracer records nothing
-        return fastest_half_mean(on), fastest_half_mean(off), spans
-
-    enabled, disabled, spans = benchmark.pedantic(run_all, rounds=1,
-                                                  iterations=1)
+    on, off, spans = [], [], 0
+    for pair in range(repeats):
+        modes = (True, False) if pair % 2 == 0 else (False, True)
+        for tracing in modes:
+            seconds, count = _timed_collect_run(n, tracing=tracing,
+                                                rounds=rounds)
+            if tracing:
+                on.append(seconds)
+                spans = count
+            else:
+                off.append(seconds)
+                assert count == 0  # disabled tracer records nothing
+    enabled, disabled = fastest_half_mean(on), fastest_half_mean(off)
     overhead = enabled / disabled - 1.0
     report(render_table(
         ["metric", "value"],

@@ -56,7 +56,7 @@ def _timed_lab_run(attached, until):
             gc.enable()
 
 
-def test_recorder_overhead_is_reported(benchmark, report):
+def test_recorder_overhead_is_reported(report):
     """E-PROF: attached cost reported, detached back on the fast path.
 
     Each repetition runs off and attached back to back (alternating
@@ -68,23 +68,18 @@ def test_recorder_overhead_is_reported(benchmark, report):
     """
     until, repeats = (60.0, 4) if SMOKE else (600.0, 21)
 
-    def run_all():
-        ratios, walls, events = [], [], 0
-        for rep in range(repeats):
-            seconds = {}
-            for attached in ((False, True) if rep % 2 else (True, False)):
-                seconds[attached], recorder, lab = _timed_lab_run(attached,
-                                                                  until)
-                if attached:
-                    events = recorder.events
-                    # Detached again: the kernel is back on the fast path.
-                    assert lab.env._profiler is None
-            walls.append(seconds[False])
-            ratios.append(seconds[True] / seconds[False])
-        return ratios, walls, events
-
-    ratios, walls, events = benchmark.pedantic(run_all, rounds=1,
-                                               iterations=1)
+    ratios, walls, events = [], [], 0
+    for rep in range(repeats):
+        seconds = {}
+        for attached in ((False, True) if rep % 2 else (True, False)):
+            seconds[attached], recorder, lab = _timed_lab_run(attached,
+                                                              until)
+            if attached:
+                events = recorder.events
+                # Detached again: the kernel is back on the fast path.
+                assert lab.env._profiler is None
+        walls.append(seconds[False])
+        ratios.append(seconds[True] / seconds[False])
     report(render_table(
         ["metric", "value"],
         [["events per run", events],
@@ -122,7 +117,7 @@ def test_recorder_is_a_pure_side_channel(report):
     assert rows > 10  # a real profile, not one catch-all bucket
 
 
-def test_soak_spill_history_round_trip(benchmark, report, tmp_path):
+def test_soak_spill_history_round_trip(report, tmp_path):
     """E-PROF persistence: profile a soak run, replay it from sqlite.
 
     Drives the real CLI both ways: ``repro profile soak --spill`` runs
@@ -140,15 +135,10 @@ def test_soak_spill_history_round_trip(benchmark, report, tmp_path):
     until = "1200" if SMOKE else "21600"  # ~55k / ~1M events
     run_id = "soak-seed2009"
 
-    def profile_run_cli():
-        out = StringIO()
-        code = main(["profile", "soak", "--until", until, "--json",
-                     "--spill", db, "--run-id", run_id], out)
-        assert code == 0
-        return json.loads(out.getvalue())
-
-    profile_doc = benchmark.pedantic(profile_run_cli, rounds=1,
-                                     iterations=1)
+    out = StringIO()
+    assert main(["profile", "soak", "--until", until, "--json",
+                 "--spill", db, "--run-id", run_id], out) == 0
+    profile_doc = json.loads(out.getvalue())
 
     def history(*argv):
         out = StringIO()

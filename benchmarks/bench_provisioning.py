@@ -14,7 +14,6 @@ uniform random and round-robin on imbalance (round-robin ignores that the
 big nodes can take 4x the load of the small ones)."""
 
 import numpy as np
-import pytest
 
 from repro.util.table import render_table
 from repro.sim import Environment
@@ -94,13 +93,10 @@ def run_policy(policy_name):
     }
 
 
-def test_policy_ablation(benchmark, report):
-    def run_all():
-        return {name: run_policy(name)
-                for name in ("random", "round-robin", "least-loaded",
-                             "capacity-weighted")}
-
-    results = benchmark.pedantic(run_all, rounds=1, iterations=1)
+def test_policy_ablation(report):
+    results = {name: run_policy(name)
+               for name in ("random", "round-robin", "least-loaded",
+                            "capacity-weighted")}
     rows = [[name, r["placed"], r["imbalance"], r["max_util"], r["failures"]]
             for name, r in results.items()]
     report(render_table(
@@ -116,37 +112,34 @@ def test_policy_ablation(benchmark, report):
     assert results["least-loaded"]["imbalance"] <= results["round-robin"]["imbalance"]
 
 
-def test_qos_tag_gate(benchmark, report):
-    def run():
-        env = Environment()
-        net = Network(env, rng=np.random.default_rng(8),
-                      latency=FixedLatency(0.001))
-        lus = LookupService(Host(net, "lus-host"))
-        lus.start()
-        plain = Cybernode(Host(net, "plain"), "Plain",
-                          capability=QosCapability(compute_slots=32),
-                          lease_duration=10.0)
-        plain.start()
-        tagged = Cybernode(Host(net, "tagged"), "Tagged",
-                           capability=QosCapability(
-                               compute_slots=4,
-                               tags=frozenset({"sensor-gateway"})),
-                           lease_duration=10.0)
-        tagged.start()
-        monitor = ProvisionMonitor(Host(net, "monitor-host"),
-                                   poll_interval=0.5)
-        monitor.start()
-        element = ServiceElement(
-            name="Gated", factory=null_factory, planned=4,
-            qos=QosRequirement(load=1.0, memory_mb=1.0,
-                               required_tags=frozenset({"sensor-gateway"})),
-            max_per_node=4)
-        monitor.deploy(OperationalString("gate", [element]))
-        env.run(until=30.0)
-        items = lus.lookup(ServiceTemplate.by_type("Null"), 16)
-        return [item.service.host for item in items]
-
-    hosts = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_qos_tag_gate(report):
+    env = Environment()
+    net = Network(env, rng=np.random.default_rng(8),
+                  latency=FixedLatency(0.001))
+    lus = LookupService(Host(net, "lus-host"))
+    lus.start()
+    plain = Cybernode(Host(net, "plain"), "Plain",
+                      capability=QosCapability(compute_slots=32),
+                      lease_duration=10.0)
+    plain.start()
+    tagged = Cybernode(Host(net, "tagged"), "Tagged",
+                       capability=QosCapability(
+                           compute_slots=4,
+                           tags=frozenset({"sensor-gateway"})),
+                       lease_duration=10.0)
+    tagged.start()
+    monitor = ProvisionMonitor(Host(net, "monitor-host"),
+                               poll_interval=0.5)
+    monitor.start()
+    element = ServiceElement(
+        name="Gated", factory=null_factory, planned=4,
+        qos=QosRequirement(load=1.0, memory_mb=1.0,
+                           required_tags=frozenset({"sensor-gateway"})),
+        max_per_node=4)
+    monitor.deploy(OperationalString("gate", [element]))
+    env.run(until=30.0)
+    items = lus.lookup(ServiceTemplate.by_type("Null"), 16)
+    hosts = [item.service.host for item in items]
     report(render_table(
         ["instance", "host"],
         [[f"Gated#{i}", host] for i, host in enumerate(sorted(hosts))],

@@ -17,7 +17,6 @@ as D grows because lease renewals amortize worse.
 """
 
 import numpy as np
-import pytest
 
 from repro.util.table import render_table
 from repro.sim import Environment
@@ -126,18 +125,14 @@ def run_push(interval):
     return len(received), after[0] - base[0], after[1] - base[1]
 
 
-def test_push_vs_poll(benchmark, report):
-    def run_all():
-        rows = []
-        for interval in DELIVERY_INTERVALS:
-            p_count, p_msgs, p_bytes = run_poll(interval)
-            s_count, s_msgs, s_bytes = run_push(interval)
-            rows.append([interval,
-                         p_msgs / p_count, p_bytes / p_count,
-                         s_msgs / s_count, s_bytes / s_count])
-        return rows
-
-    rows = benchmark.pedantic(run_all, rounds=1, iterations=1)
+def test_push_vs_poll(report):
+    rows = []
+    for interval in DELIVERY_INTERVALS:
+        p_count, p_msgs, p_bytes = run_poll(interval)
+        s_count, s_msgs, s_bytes = run_push(interval)
+        rows.append([interval,
+                     p_msgs / p_count, p_bytes / p_count,
+                     s_msgs / s_count, s_bytes / s_count])
     report(render_table(
         ["delivery interval (s)", "poll msgs/reading", "poll B/reading",
          "push msgs/reading", "push B/reading"],

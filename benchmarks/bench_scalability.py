@@ -107,8 +107,8 @@ def collect_rows():
     return rows
 
 
-def test_scalability(benchmark, report):
-    rows = benchmark.pedantic(collect_rows, rounds=1, iterations=1)
+def test_scalability(report):
+    rows = collect_rows()
     report(render_table(
         ["N", "direct seq (s)", "direct par (s)", "CSP flat par (s)",
          "CSP flat seq (s)", "CSP tree f=4 (s)", "flat msgs/query",
@@ -130,7 +130,7 @@ def test_scalability(benchmark, report):
 
 
 @pytest.mark.slow
-def test_scalability_large(benchmark, report):
+def test_scalability_large(report):
     """E-SCALE at fleet scale: N = 1024 / 4096 / 16384.
 
     Restricted to the architectures that stay tractable at this size
@@ -144,16 +144,12 @@ def test_scalability_large(benchmark, report):
     if os.environ.get("REPRO_BENCH_SMOKE"):
         pytest.skip("large fleets run in full mode only")
 
-    def run_all():
-        rows = []
-        for n in LARGE_FLEET_SIZES:
-            direct_par, _ = time_direct(n, sequential=False)
-            tree_par, tree_msgs = time_sensorcer(
-                n, LARGE_FANOUT, Strategy.PARALLEL, discovery="locator")
-            rows.append([n, direct_par, tree_par, tree_msgs])
-        return rows
-
-    rows = benchmark.pedantic(run_all, rounds=1, iterations=1)
+    rows = []
+    for n in LARGE_FLEET_SIZES:
+        direct_par, _ = time_direct(n, sequential=False)
+        tree_par, tree_msgs = time_sensorcer(
+            n, LARGE_FANOUT, Strategy.PARALLEL, discovery="locator")
+        rows.append([n, direct_par, tree_par, tree_msgs])
     report(render_table(
         ["N", "direct par (s)", f"CSP tree f={LARGE_FANOUT} (s)",
          "tree msgs/query"],
@@ -173,20 +169,16 @@ def test_scalability_large(benchmark, report):
         assert by_n[n][2] < 30 * by_n[n][1]
 
 
-def test_tree_fanout_ablation(benchmark, report):
+def test_tree_fanout_ablation(report):
     """Fanout sweep at N=64: deeper trees trade hops for bounded fan-out."""
     n = 64
 
-    def run_all():
-        rows = []
-        for fanout in (2, 4, 8, None):
-            latency, messages = time_sensorcer(
-                n, fanout, Strategy.PARALLEL)
-            label = "flat" if fanout is None else f"fanout {fanout}"
-            rows.append([label, latency, messages])
-        return rows
-
-    rows = benchmark.pedantic(run_all, rounds=1, iterations=1)
+    rows = []
+    for fanout in (2, 4, 8, None):
+        latency, messages = time_sensorcer(
+            n, fanout, Strategy.PARALLEL)
+        label = "flat" if fanout is None else f"fanout {fanout}"
+        rows.append([label, latency, messages])
     report(render_table(
         ["tree shape", "latency (s)", "msgs/query"], rows,
         title=f"E-SCALE ablation — CSP tree fanout at N={n} sensors"))

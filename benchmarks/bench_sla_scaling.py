@@ -12,7 +12,6 @@ the load clears.
 """
 
 import numpy as np
-import pytest
 
 from repro.util.table import render_table
 from repro.sim import Environment
@@ -89,8 +88,8 @@ def run():
     return timeline
 
 
-def test_sla_autoscaling(benchmark, report):
-    timeline = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_sla_autoscaling(report):
+    timeline = run()
     report(render_table(
         ["t (s)", "load", "planned", "live instances"], timeline,
         title="E-SLA — planned capacity tracking a load spike "

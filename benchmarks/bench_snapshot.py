@@ -29,8 +29,6 @@ from repro.util.table import render_table
 from repro.snapshot.format import read_snapshot
 from repro.snapshot.programs import run_program, status_spec
 from repro.snapshot.restore import restore_run
-from repro.util.atomicio import atomic_write_text
-from repro.util.canonical import canonical_document
 
 SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
 #: Warm ddmin must beat cold by this factor on the late-fault plan.
@@ -141,18 +139,8 @@ def _shrink_both_ways() -> dict:
     }
 
 
-def test_snapshot_round_trip_and_warm_shrink(benchmark, report, results_dir,
-                                             tmp_path):
-    def body():
-        return {"round_trip": _round_trip(str(tmp_path)),
-                "shrink": _shrink_both_ways()}
-
-    results = benchmark.pedantic(body, rounds=1, iterations=1)
-    trip, shrink = results["round_trip"], results["shrink"]
-
-    atomic_write_text(results_dir / "e_snap.json",
-                      canonical_document(results))
-
+def test_snapshot_round_trip_and_warm_shrink(report, tmp_path):
+    trip, shrink = _round_trip(str(tmp_path)), _shrink_both_ways()
     report(render_table(
         ["quantity", "value"],
         [["snapshot bytes", trip["bytes"]],
@@ -167,7 +155,8 @@ def test_snapshot_round_trip_and_warm_shrink(benchmark, report, results_dir,
          ["minimal plan events",
           f"{shrink['minimal_events']} (from {PLAN_EVENTS})"]],
         title="E-SNAP — snapshot round trip + warm-restore shrink "
-              f"({PLAN_EVENTS}-event plan, {HORIZON:g}s horizon)"))
+              f"({PLAN_EVENTS}-event plan, {HORIZON:g}s horizon)"),
+        e_snap={"round_trip": trip, "shrink": shrink})
 
     # Round trip is exact (asserted inside) and not absurdly expensive:
     # capturing mid-run costs less than one extra uninterrupted run.

@@ -14,7 +14,6 @@ and its device reads stay at the sampling rate regardless of load.
 """
 
 import numpy as np
-import pytest
 
 from repro.util.table import render_table
 from repro.sim import Environment, Interrupt
@@ -106,17 +105,13 @@ def run_surrogate(n_clients):
     return float(np.mean(latencies)), device.total_reads - reads_before
 
 
-def test_esp_vs_surrogate(benchmark, report):
-    def run_all():
-        rows = []
-        for n in CLIENTS:
-            esp_latency, esp_reads = run_esp(n)
-            surr_latency, surr_reads = run_surrogate(n)
-            rows.append([n, esp_latency, surr_latency,
-                         esp_reads, surr_reads])
-        return rows
-
-    rows = benchmark.pedantic(run_all, rounds=1, iterations=1)
+def test_esp_vs_surrogate(report):
+    rows = []
+    for n in CLIENTS:
+        esp_latency, esp_reads = run_esp(n)
+        surr_latency, surr_reads = run_surrogate(n)
+        rows.append([n, esp_latency, surr_latency,
+                     esp_reads, surr_reads])
     report(render_table(
         ["clients", "ESP latency (s)", "surrogate latency (s)",
          "ESP device reads", "surrogate device reads"],

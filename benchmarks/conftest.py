@@ -1,10 +1,11 @@
-"""Benchmark-harness plumbing.
+"""Experiment-harness plumbing.
 
-Every benchmark regenerates one experiment from DESIGN.md's per-experiment
-index. The *timed* quantity (pytest-benchmark) is the wall-clock cost of
-running the simulation; the *reported* quantities are simulated-time
-latencies, byte counts, and convergence times printed as tables and saved
-under ``benchmarks/results/``.
+Every ``bench_*.py`` regenerates one experiment from DESIGN.md's
+per-experiment index as plain pytest tests: the *reported* quantities are
+simulated-time latencies, byte counts and convergence times, printed as
+tables and saved under ``benchmarks/results/`` by :func:`report`. The few
+experiments whose claim is a wall-clock number time it themselves with
+``time.perf_counter``. ``REPRO_BENCH_SMOKE=1`` is the only mode switch.
 """
 
 import pathlib
@@ -12,23 +13,23 @@ import pathlib
 import pytest
 
 from repro.util.atomicio import atomic_write_text
+from repro.util.canonical import canonical_document
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 
-@pytest.fixture(scope="session")
-def results_dir():
-    RESULTS_DIR.mkdir(exist_ok=True)
-    return RESULTS_DIR
-
-
 @pytest.fixture
-def report(results_dir, request):
-    """Print a result table and persist it under the test's name."""
+def report(request):
+    """Print a result table and persist it under the test's name; each
+    keyword is a document persisted beside it as ``<keyword>.json``."""
 
-    def _report(table: str) -> None:
+    def _report(table: str, **documents) -> None:
         print("\n" + table)
-        path = results_dir / f"{request.node.name}.txt"
-        atomic_write_text(path, table + "\n")
+        RESULTS_DIR.mkdir(exist_ok=True)
+        atomic_write_text(RESULTS_DIR / f"{request.node.name}.txt",
+                          table + "\n")
+        for stem, document in documents.items():
+            atomic_write_text(RESULTS_DIR / f"{stem}.json",
+                              canonical_document(document))
 
     return _report

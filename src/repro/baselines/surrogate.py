@@ -65,7 +65,7 @@ class DeviceSurrogate:
     """
 
     REMOTE_TYPES = ("SensorDataAccessor", "DeviceSurrogate")
-    REMOTE_METHODS = ("getValue", "getReading", "getInfo")
+    REMOTE_METHODS = ("getValue", "getInfo")
 
     def __init__(self, surrogate_host: "SurrogateHost", name: str,
                  probe: SensorProbe, link: DeviceLink):
@@ -93,10 +93,6 @@ class DeviceSurrogate:
         return self
 
     # -- remote API (every call crosses the device link) -------------------------
-
-    def getReading(self):
-        reading = yield from self.link.forward_read(self.probe)
-        return reading
 
     def getValue(self):
         reading = yield from self.link.forward_read(self.probe)

@@ -131,7 +131,7 @@ class ApplicationServiceProvider:
     paper contrasts with CSP runtime re-composition."""
 
     REMOTE_TYPES = (ASP_TYPE,)
-    REMOTE_METHODS = ("query", "configuration")
+    REMOTE_METHODS = ("query",)
 
     #: The fixed operation menu; no client-supplied expressions.
     OPERATIONS = ("mean", "min", "max", "count")
@@ -163,11 +163,6 @@ class ApplicationServiceProvider:
             yield from self._join.terminate()
             self._join = None
         self._endpoint.unexport(f"asp:{self.service_id}")
-
-    def configuration(self) -> dict:
-        return {"operations": list(self.OPERATIONS),
-                "include_sensors": (sorted(self.include_sensors)
-                                    if self.include_sensors is not None else None)}
 
     def query(self, operation: str = "mean"):
         """Aggregate over the frozen sensor set (generator)."""

@@ -64,10 +64,6 @@ class _Child:
     service_id: str
     display_name: str
 
-    @property
-    def key(self) -> str:
-        return self.service_id
-
 
 class CompositeSensorProvider(ServiceProvider):
     """Aggregates sensor services and evaluates compute-expressions."""

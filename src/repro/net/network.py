@@ -198,9 +198,6 @@ class Network:
             raise ValueError(f"duplicate host name {host.name!r}")
         self.hosts[host.name] = host
 
-    def host(self, name: str) -> "Host":
-        return self.hosts[name]
-
     # -- multicast groups -----------------------------------------------------
 
     def join_group(self, group: str, host_name: str) -> None:

@@ -124,7 +124,6 @@ class RpcEndpoint:
         self._m_rtt = registry.histogram("rpc.rtt", host=host.name)
         host.open_port(REQUEST_PORT, self._on_request)
         host.open_port(REPLY_PORT, self._on_reply)
-        host.on_fail(self._on_host_fail)
 
     # -- server side ----------------------------------------------------------
 
@@ -279,15 +278,6 @@ class RpcEndpoint:
                 pending.event.fail(value)
             else:
                 pending.event.fail(RemoteError(value))
-
-    # -- lifecycle --------------------------------------------------------------
-
-    def _on_host_fail(self, host: Host) -> None:
-        # In-flight outbound calls will time out on their own; exported
-        # objects stay registered so a recovered host resumes serving
-        # (mirrors a process restart reusing persisted export state is NOT
-        # modelled — Jini re-join handles re-registration at a higher layer).
-        pass
 
 
 def rpc_endpoint(host: Host) -> RpcEndpoint:

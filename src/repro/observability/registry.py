@@ -237,9 +237,6 @@ class MetricsRegistry:
     def __len__(self) -> int:
         return len(self._metrics)
 
-    def __contains__(self, key: str) -> bool:
-        return key in self._metrics
-
 
 def metrics_registry(network) -> MetricsRegistry:
     """The network's shared metrics registry (created on first use)."""

@@ -14,15 +14,6 @@ the same value, in any process, which lets tests compare sensor aggregates
 against exact ground truth.
 
 Events (a heater switching on, a cold front) add localized step changes.
-
-:meth:`PhysicalEnvironment.sample_many` reads a whole probe fleet in one
-call: the spatial terms are array operations over cached per-fleet
-coordinate arrays and the noise knots are cached per correlation window, so
-a 100k-probe tick costs a handful of array ops. It produces
-bitwise-identical floats to per-probe :meth:`~PhysicalEnvironment.sample`
-calls — every elementwise operation mirrors the scalar expression tree
-exactly (IEEE-754 doubles round identically either way), and the
-transcendental terms (``sin``, ``hypot``) are always computed scalar-side.
 """
 
 from __future__ import annotations
@@ -106,11 +97,6 @@ class PhysicalEnvironment:
         # change every `noise_tau` seconds, so caching amortizes them across
         # all the ticks inside one correlation window.
         self._knots: dict[str, dict[int, dict[tuple, float]]] = {}
-        # Per-fleet coordinate arrays, keyed by id() of the locations list
-        # (a strong reference to the list is kept so the id stays valid).
-        self._blocks: dict[int, tuple] = {}
-        # Per-(quantity, knot index, fleet) knot value arrays.
-        self._knot_arrays: dict[tuple, object] = {}
 
     # -- configuration -----------------------------------------------------------
 
@@ -144,40 +130,8 @@ class PhysicalEnvironment:
         return value
 
     def sample_many(self, quantity: str, locations: list, t: float) -> list:
-        """Sample one quantity at every location; returns a list of floats.
-
-        Bitwise-identical to ``[self.sample(quantity, loc, t) for loc in
-        locations]`` — the array path replicates the scalar expression tree
-        term by term, and active :class:`FieldEvent` contributions always go
-        through the scalar code (``math.hypot`` has no bitwise-equal numpy
-        spelling).
-        """
-        spec = self.fields.get(quantity)
-        if spec is None:
-            raise KeyError(f"unknown quantity {quantity!r}")
-        xs, ys = self._block(locations)
-        values = spec.base + (spec.gradient[0] * xs + spec.gradient[1] * ys)
-        if spec.amplitude:
-            values = values + spec.amplitude * math.sin(
-                2.0 * math.pi * (t + spec.phase) / spec.period)
-        if spec.noise_sigma:
-            position = t / spec.noise_tau
-            k = math.floor(position)
-            frac = position - k
-            a = self._knot_array(quantity, locations, k)
-            b = self._knot_array(quantity, locations, k + 1)
-            values = values + spec.noise_sigma * (a * (1.0 - frac) + b * frac)
-        out = values.tolist()
-        if self.events:
-            # Scalar on purpose: sample() adds every event's contribution
-            # (zero or not) in list order, and math.hypot inside
-            # contribution() has no bitwise-equal numpy spelling.
-            for i, loc in enumerate(locations):
-                value = out[i]
-                for ev in self.events:
-                    value += ev.contribution(quantity, loc, t)
-                out[i] = value
-        return out
+        """Sample one quantity at every location; returns a list of floats."""
+        return [self.sample(quantity, loc, t) for loc in locations]
 
     def mean_over(self, quantity: str, locations: list, t: float) -> float:
         """Ground-truth average across several locations (test oracle)."""
@@ -216,31 +170,3 @@ class PhysicalEnvironment:
         a = self._knot(quantity, location, k)
         b = self._knot(quantity, location, k + 1)
         return a * (1.0 - frac) + b * frac
-
-    def _block(self, locations: list) -> tuple:
-        """Cached (xs, ys) coordinate arrays for a fleet's location list."""
-        entry = self._blocks.get(id(locations))
-        if entry is not None and entry[0] is locations:
-            return entry[1], entry[2]
-        xs = np.array([loc[0] for loc in locations], dtype=np.float64)
-        ys = np.array([loc[1] for loc in locations], dtype=np.float64)
-        if len(self._blocks) > 64:
-            self._blocks.clear()
-            self._knot_arrays.clear()
-        self._blocks[id(locations)] = (locations, xs, ys)
-        return xs, ys
-
-    def _knot_array(self, quantity: str, locations: list, index: int):
-        """Knot values for a whole fleet at one knot index, cached per
-        correlation window so each tick inside the window reuses it."""
-        key = (quantity, index, id(locations))
-        arr = self._knot_arrays.get(key)
-        if arr is None:
-            for old in [k for k in self._knot_arrays
-                        if k[0] == quantity and k[2] == id(locations)
-                        and k[1] < index - 1]:
-                del self._knot_arrays[old]
-            arr = np.array([self._knot(quantity, loc, index)
-                            for loc in locations], dtype=np.float64)
-            self._knot_arrays[key] = arr
-        return arr

@@ -23,7 +23,6 @@ FILE_PRAGMA = re.compile(r"#\s*repro:\s*allow-file\[([A-Za-z0-9_,\s]*)\]")
 ALLOWED = {
     "benchmarks/bench_expression.py": {"DET001"},
     "benchmarks/bench_health.py": {"DET001"},
-    "benchmarks/bench_kernel.py": {"DET001"},
     "benchmarks/bench_overhead.py": {"DET001"},
     "benchmarks/bench_prof.py": {"DET001"},
     "benchmarks/bench_snapshot.py": {"DET001"},

@@ -1,6 +1,7 @@
-"""Vectorized field sampling equivalence: ``sample_many`` must be
-*bitwise* identical to per-probe ``sample`` loops, because sensor readings
-feed golden snapshots where a 1-ulp drift is a visible diff.
+"""Fleet sampling equivalence: ``sample_many`` must be *bitwise* identical
+to per-probe ``sample`` loops, because sensor readings feed golden
+snapshots where a 1-ulp drift is a visible diff. It is that loop today;
+these tests are what a batched path would have to keep passing.
 """
 
 import math
@@ -31,9 +32,8 @@ def test_vectorized_bitwise_equals_scalar(quantity):
 
 
 def test_vectorized_with_active_events_bitwise():
-    """Event contributions run scalar-side in both paths (math.hypot has
-    no bitwise-equal numpy spelling) — including events contributing an
-    exact 0.0, which must not flip any -0.0 signs."""
+    """Active events — including ones contributing an exact 0.0, which
+    must not flip any -0.0 signs."""
     world = PhysicalEnvironment(seed=11)
     world.add_event(FieldEvent("temperature", center=(40.0, 40.0),
                                radius=35.0, delta=9.5, start=10.0, end=50.0))
@@ -85,19 +85,6 @@ def test_knot_cache_prunes_old_generations():
     assert indices[-1] >= 6
 
 
-def test_block_cache_keyed_by_identity_not_content():
-    world = PhysicalEnvironment(seed=5)
-    locations = grid_locations(50)
-    world.sample_many("temperature", locations, 1.0)
-    assert id(locations) in world._blocks
-    # A different list with equal content gets its own entry (id-reuse
-    # safety comes from the strong reference held in the cache).
-    clone = list(locations)
-    world.sample_many("temperature", clone, 1.0)
-    entry = world._blocks[id(clone)]
-    assert entry[0] is clone
-
-
 def test_probe_location_matches_grid_prefix():
     from repro.scenarios import probe_location
     for n in (1, 2, 3, 10, 65, 1000):
@@ -106,8 +93,8 @@ def test_probe_location_matches_grid_prefix():
 
 
 def test_sin_term_matches_math_module():
-    """The diurnal term is computed scalar-side with math.sin; spot-check
-    the composed value against a hand-built expression."""
+    """The diurnal term is math.sin; spot-check the composed value against
+    a hand-built expression."""
     world = PhysicalEnvironment(seed=0)
     spec = world.fields["light"]
     t = 4321.0
