@@ -7,13 +7,16 @@ reading every D seconds from one ESP for 60 s:
 * **poll** — exert ``getValue`` every D seconds (request + reply, each an
   exertion round trip);
 * **push** — one ``subscribe`` exertion, then leased events at
-  ``min_interval=D`` (one message per delivery, plus half-life lease
-  renewals on a 60 s lease).
+  ``min_interval=D`` (two messages per delivery — the ``notify`` and its
+  acknowledgement — plus half-life lease renewals on a 60 s lease: 2.34
+  messages per reading at D = 1 s in the committed table). Readings as
+  one-way datagrams, one message per delivery, is the open follow-up
+  (ROADMAP item 4(b)).
 
 Reported: network messages and bytes per delivered reading. Expected
-shape: push roughly halves the messages (no requests) and cuts bytes by
-more (events are smaller than exertion round trips); the advantage shrinks
-as D grows because lease renewals amortize worse.
+shape: push roughly halves the messages (no exertion round trip) and cuts
+bytes by more (events are smaller than exertion round trips); the
+advantage shrinks as D grows because lease renewals amortize worse.
 """
 
 import numpy as np

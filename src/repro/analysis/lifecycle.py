@@ -18,9 +18,10 @@ RES003   an admission slot taken with ``admission.acquire(...)`` must be
 RES004   a ``HistoryStore`` / ``sqlite3.connect`` handle must be
          ``close()``-d on all paths (or held in a ``with`` block)
 RES005   an armed timer callback (``timer.callbacks.append``) that the
-         function also disarms (``timer.callbacks.clear``) must be
-         disarmed on the exceptional edges too — an Interrupt between arm
-         and disarm leaves a stale callback that fires into freed state
+         function also disarms (``timer.cancel()`` or
+         ``timer.callbacks.clear()``) must be disarmed on the exceptional
+         edges too — an Interrupt between arm and disarm leaves a stale
+         callback that fires into freed state
 RES006   an ``AtomicFile`` handle must be ``close()``-d or ``abort()``-ed
          on all paths, Interrupt edges included (or held in a ``with``
          block) — an interrupted writer strands the temp file and never
@@ -452,6 +453,14 @@ def _timer_owner_of(call: ast.Call, method: str) -> Optional[str]:
     return _dotted(recv.value)
 
 
+def _disarmed_timer_of(call: ast.Call) -> Optional[str]:
+    """Owner ``T`` of ``T.cancel()`` or ``T.callbacks.clear()``."""
+    attr, recv = _attr_call(call)
+    if attr == "cancel" and not call.args and not call.keywords:
+        return _dotted(recv)
+    return _timer_owner_of(call, "clear")
+
+
 @register
 class TimerArmRule(_LifecycleRule):
     rule_id = "RES005"
@@ -467,7 +476,7 @@ class TimerArmRule(_LifecycleRule):
         disarmed_owners = set()
         for node in ast.walk(func):
             if isinstance(node, ast.Call):
-                owner = _timer_owner_of(node, "clear")
+                owner = _disarmed_timer_of(node)
                 if owner is not None:
                     disarmed_owners.add(owner)
         if not disarmed_owners:
@@ -489,7 +498,7 @@ class TimerArmRule(_LifecycleRule):
 
             def is_release(stmt: ast.stmt, owner=owner) -> bool:
                 for call in _calls_in(stmt):
-                    if _timer_owner_of(call, "clear") == owner:
+                    if _disarmed_timer_of(call) == owner:
                         return True
                 return False
 

@@ -104,7 +104,7 @@ class ElementarySensorProvider(ServiceProvider):
         while self._sampling:
             if self.host.up and self.probe.connected:
                 try:
-                    reading = yield self.env.process(self.probe.read())
+                    reading = yield from self.probe.read()
                     self.buffer.append(reading)
                     self._m_samples.inc()
                     self._m_buffer_depth.set(len(self.buffer))
@@ -131,7 +131,7 @@ class ElementarySensorProvider(ServiceProvider):
                 sequence=sub["sequence"], handback=sub["handback"],
                 sensor_name=self.name, reading=reading)
             push_event(self.host, sub["listener"], event,
-                       kind="sensor-event", name=f"esp-push:{self.name}",
+                       kind="sensor-event",
                        on_ack=self._m_events_pushed.inc)
 
     def _drop_subscription(self, event_id: int) -> None:

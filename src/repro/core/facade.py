@@ -298,8 +298,7 @@ class SensorcerFacade(ServiceProvider):
             threshold=alert.threshold, t=alert.t,
             description=alert.description)
         for listener in list(self._health_listeners):
-            push_event(self.host, listener, event, kind="health-event",
-                       name=f"facade-alert:{alert.slo}")
+            push_event(self.host, listener, event, kind="health-event")
 
     # -- composition plans and self-healing ----------------------------------------
 

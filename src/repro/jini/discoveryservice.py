@@ -56,6 +56,5 @@ class LookupDiscoveryService:
             # Listeners notify in registration order (insertion-ordered dict).
             for listener in list(  # repro: allow[DET003]
                     self._listeners.values()):
-                push_event(self.host, listener, payload, kind="lds-event",
-                           name=f"lds-notify:{event_kind}")
+                push_event(self.host, listener, payload, kind="lds-event")
         return callback

@@ -84,26 +84,25 @@ class EventRegistration:
 
 
 def push_event(host: Host, listener: RemoteRef, event: Any, *, kind: str,
-               name: str, on_ack: Optional[Callable[[], None]] = None) -> None:
+               on_ack: Optional[Callable[[], None]] = None) -> None:
     """Push ``event`` to ``listener.notify`` at most once, from ``host``.
 
-    The one best-effort delivery every event source uses: it runs as its
-    own kernel process called ``name``, sends nothing while ``host`` is
-    down, and drops the event when the listener cannot be reached — the
-    listener's lease lapsing is what eventually reaps a dead registration.
-    ``on_ack`` runs once the listener has acknowledged. Which listeners
-    hear about what stays with the source's own registration records.
+    The one best-effort delivery every event source uses: it sends nothing
+    while ``host`` is down, and drops the event when the listener cannot
+    be reached — the listener's lease lapsing is what eventually reaps a
+    dead registration. ``on_ack`` runs once the listener has acknowledged.
+    Which listeners hear about what stays with the source's own
+    registration records.
     """
-    host.env.process(_push(host, listener, event, kind, on_ack), name=name)
-
-
-def _push(host, listener, event, kind, on_ack):
     if not host.up:
         return
-    try:
-        yield rpc_endpoint(host).call(listener, "notify", event, kind=kind,
-                                      timeout=3.0)
-    except NetworkError:
-        return
-    if on_ack is not None:
-        on_ack()
+
+    def acknowledged(call) -> None:
+        if call.ok:
+            if on_ack is not None:
+                on_ack()
+        elif isinstance(call.value, NetworkError):
+            call.defuse()
+
+    rpc_endpoint(host).call(listener, "notify", event, kind=kind,
+                            timeout=3.0).callbacks.append(acknowledged)

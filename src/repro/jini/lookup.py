@@ -302,5 +302,4 @@ class LookupService:
                 sequence=interest.sequence, handback=interest.handback,
                 service_id=service_id, transition=transition, item=after)
             push_event(self.host, interest.listener, event,
-                       kind="service-event",
-                       name=f"lus-notify:{service_id[:8]}")
+                       kind="service-event")

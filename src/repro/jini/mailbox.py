@@ -107,10 +107,10 @@ class EventMailbox:
             self._flush(registration_id)
 
     def _flush(self, registration_id: str) -> None:
-        self.env.process(self._deliver(registration_id),
+        self.env.process(self._relay(registration_id),
                          name=f"mailbox-flush:{registration_id[:8]}")
 
-    def _deliver(self, registration_id: str):
+    def _relay(self, registration_id: str):
         target = self._targets.get(registration_id)
         queue = self._events.get(registration_id)
         if target is None or not queue:

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Any, Optional
 
 import numpy as np
 
-from ..sim import Environment
+from ..sim import Environment, Timeout
 from ..util.ids import IdSource
 from .errors import HostDownError, UnreachableError
 from .latency import LanLatency, LatencyModel
@@ -57,6 +57,21 @@ class BernoulliLoss:
 
     def __call__(self, msg: Message) -> Optional[LinkDecision]:
         return self._DROP if self.rng.random() < self.probability else None
+
+
+class _Delivery(Timeout):
+    """One message in flight: the single kernel event that fires at its
+    arrival instant. ``name`` (``deliver:<kind>``) is what the flight
+    recorder and the sanitizer call it."""
+
+    __slots__ = ("msg", "name")
+
+    def __init__(self, network: "Network", msg: Message, delay: float,
+                 name: str):
+        super().__init__(network.env, delay)
+        self.msg = msg
+        self.name = name
+        self.callbacks.append(network._arrive)
 
 
 @dataclass
@@ -272,7 +287,7 @@ class Network:
             extra_delay += decision.extra_delay
             copies.extend(decision.copies)
         delay = self.latency.delay(msg.src, msg.dst, msg.total_bytes) + extra_delay
-        self.env.process(self._deliver(msg, delay), name=f"deliver:{msg.kind}")
+        _Delivery(self, msg, delay, f"deliver:{msg.kind}")
         for stagger in copies:
             dup = Message(
                 src=msg.src, dst=msg.dst, port=msg.port, kind=msg.kind,
@@ -281,8 +296,7 @@ class Network:
                 header_bytes=msg.header_bytes, sized=True)
             dup.sent_at = msg.sent_at
             self.stats.record(dup)
-            self.env.process(self._deliver(dup, delay + stagger),
-                             name=f"deliver-dup:{msg.kind}")
+            _Delivery(self, dup, delay + stagger, f"deliver-dup:{msg.kind}")
 
     def multicast(self, group: str, msg_template: Message) -> int:
         """Deliver a copy of the message to every group member except the
@@ -302,8 +316,8 @@ class Network:
             count += 1
         return count
 
-    def _deliver(self, msg: Message, delay: float):
-        yield self.env.timeout(delay)
+    def _arrive(self, delivery: _Delivery) -> None:
+        msg = delivery.msg
         host = self.hosts.get(msg.dst)
         if host is None or not host.up:
             self.stats.dropped += 1

@@ -27,7 +27,7 @@ from typing import Any, Iterable, Optional
 from ..observability.registry import metrics_registry
 from ..observability.span import NULL_SPAN
 from ..observability.tracer import tracer_of
-from ..sim import Event, Interrupt
+from ..sim import URGENT, Event, Interrupt, Timeout
 from ..sim import sanitizer as _san
 from .errors import NetworkError, NoSuchObjectError, RemoteError, RpcTimeout
 from .host import Host
@@ -92,12 +92,31 @@ def _remote_type_names(obj: Any) -> tuple:
 class _PendingCall:
     __slots__ = ("event", "started_at", "timer", "span")
 
-    def __init__(self, event: Event, started_at: float, timer: Event,
+    def __init__(self, event: Event, started_at: float, timer: Timeout,
                  span=NULL_SPAN):
         self.event = event
         self.started_at = started_at
         self.timer = timer
         self.span = span
+
+
+class _ServeHop(Timeout):
+    """The one URGENT step between a request's delivery and its execution.
+
+    Deliveries are NORMAL events, so two requests arriving at one host at
+    the same instant run delivery 1, serve 1, delivery 2, serve 2: each is
+    served before the next is looked at, and the serves stay out of the
+    deliveries' ``(time, priority)`` tie group (DESIGN §8.2). ``name``
+    (``rpc:<host>.<method>``) labels it for the flight recorder.
+    """
+
+    __slots__ = ("name", "request")
+
+    def __init__(self, endpoint: "RpcEndpoint", name: str, request: tuple):
+        super().__init__(endpoint.env, 0.0, priority=URGENT)
+        self.name = name
+        self.request = request
+        self.callbacks.append(endpoint._serve)
 
 
 class RpcEndpoint:
@@ -179,24 +198,34 @@ class RpcEndpoint:
             self._reply(reply_to, request_id, False,
                         NoSuchObjectError(f"{type(obj).__name__} has no method {method!r}"))
             return
-        self.env.process(self._invoke(reply_to, request_id, target, args, kwargs),
-                         name=f"rpc:{self.host.name}.{method}")
+        _ServeHop(self, f"rpc:{self.host.name}.{method}",
+                  (reply_to, request_id, target, args, kwargs))
 
-    def _invoke(self, reply_to: str, request_id: int, target, args, kwargs):
+    def _serve(self, hop: "_ServeHop") -> None:
+        reply_to, request_id, target, args, kwargs = hop.request
         try:
             result = target(*args, **kwargs)
-            if inspect.isgenerator(result):
-                result = yield self.env.process(result)
         except Interrupt:
-            # An interrupt aims at this server process, not at the remote
-            # caller — propagate it instead of shipping it as a reply.
-            raise
+            raise  # never a reply: see reply_when_done
         except BaseException as exc:  # noqa: BLE001 - crosses the RPC boundary
             self._reply(reply_to, request_id, False, exc)
             return
-        self._reply(reply_to, request_id, True, result)
-        return
-        yield  # pragma: no cover  # repro: allow[SIM002] - makes this a generator
+        if not inspect.isgenerator(result):
+            self._reply(reply_to, request_id, True, result)
+            return
+
+        def reply_when_done(process: Event) -> None:
+            if process.ok:
+                self._reply(reply_to, request_id, True, process.value)
+            elif not isinstance(process.value, Interrupt):
+                process.defuse()
+                self._reply(reply_to, request_id, False, process.value)
+            # An Interrupt aimed at the serving process, not at the remote
+            # caller: left armed, so the kernel raises it out of run()
+            # instead of it being shipped as a reply.
+
+        self.env.process(result, name=hop.name).callbacks.append(
+            reply_when_done)
 
     def _reply(self, reply_to: str, request_id: int, ok: bool, value: Any) -> None:
         if not self.host.up:
@@ -231,11 +260,9 @@ class RpcEndpoint:
                                            peer=ref.host, msg_kind=kind)
         else:
             span = NULL_SPAN
-        # The watchdog is a bare Timeout with a callback — not a process.
-        # A process per call would stay alive until the full timeout even
-        # after the reply arrives (generator + pending-event bookkeeping per
-        # in-flight *and completed* call), which bloats the event queue in
-        # large-grid runs. The callback is neutralized on reply instead.
+        # The watchdog is a bare Timeout with a callback — not a process,
+        # which would stay alive until the full timeout even after the
+        # reply arrives. The reply cancels it, so it is never dispatched.
         timer = self.env.timeout(timeout)
         self._pending[request_id] = _PendingCall(event, self.env.now, timer,
                                                  span)
@@ -245,7 +272,7 @@ class RpcEndpoint:
                            payload=payload, protocol=Protocol.JERI)
         except NetworkError as exc:
             self._pending.pop(request_id, None)
-            timer.callbacks.clear()
+            timer.cancel()
             span.end("send_failed")
             event.fail(exc)
             return event
@@ -265,10 +292,7 @@ class RpcEndpoint:
         pending = self._pending.pop(request_id, None)
         if pending is None or pending.event.triggered:
             return  # reply after timeout: drop, like a closed socket
-        # Neutralize the watchdog: its heap slot stays (removal from a
-        # binary heap is O(n)) but the callback and its closure are dropped.
-        if pending.timer.callbacks is not None:
-            pending.timer.callbacks.clear()
+        pending.timer.cancel()
         self._m_rtt.observe(self.env.now - pending.started_at)
         pending.span.end("ok" if ok else "remote_error")
         if ok:

@@ -9,6 +9,7 @@ around every event's callbacks, aggregating
 * **per-event-type / per-callback attribution** — each step is charged to
   a ``(event type, target)`` pair, where the target is the process a
   ``Process._resume`` callback belongs to (``process:health-monitor``),
+  the name a callback-only event carries (``process:deliver:rpc-reply``),
   the condition instance for fan-in events, or the bare event type;
 * **rolling throughput** — an (elapsed wall, sim time, events) sample
   every ``SAMPLE_EVERY`` events, so a long run yields an events/sec
@@ -74,7 +75,7 @@ class FlightRecorder:
         self._clock = clock
         self.env = None
         #: (event class, target) -> [count, wall_seconds]; target is a
-        #: process name, a pre-formatted 1-tuple (cold path) or None.
+        #: process or event name, a pre-formatted 1-tuple (cold path) or None.
         self._agg: dict[tuple, list] = {}
         #: Rolling throughput samples: (elapsed_wall_s, sim_t, events).
         self._throughput: list[tuple] = []
@@ -136,8 +137,13 @@ class FlightRecorder:
                 if type(owner) is Process:
                     label = (event.__class__, owner.name)
                 else:
+                    # No process resumes on it: an event that carries a
+                    # name (a message delivery, an RPC serve hop, a finished
+                    # process someone watches) is that row.
+                    name = getattr(event, "name", None)
                     label = (event.__class__,
-                             (_cold_target(callbacks[0], owner),))
+                             name if name is not None
+                             else (_cold_target(callbacks[0], owner),))
             else:
                 label = (event.__class__, None)
             now = clock()

@@ -158,6 +158,13 @@ class Event:
             event._defused = True
             self.fail(event._value)
 
+    def defuse(self) -> None:
+        """Mark this event's failure as handled, so the environment does not
+        re-raise it — what a completion callback that deals with the
+        exception itself calls (a process that yields on the event defuses
+        it implicitly)."""
+        self._defused = True
+
     # -- plumbing ----------------------------------------------------------
 
     def _run_callbacks(self) -> None:
@@ -175,9 +182,13 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that triggers ``delay`` simulated seconds after creation."""
+    """An event that triggers ``delay`` simulated seconds after creation.
 
-    __slots__ = ("delay",)
+    A subclass may add a ``name`` slot (as :class:`Process` has): the
+    flight recorder and the sanitizer label a named event by it.
+    """
+
+    __slots__ = ("delay", "_seq")
 
     def __init__(self, env: "Environment", delay: float, value: Any = None,
                  priority: int = NORMAL):
@@ -187,7 +198,15 @@ class Timeout(Event):
         self.delay = delay
         self._ok = True
         self._value = value
-        env._schedule(self, priority, delay)
+        self._seq = env._schedule(self, priority, delay)
+
+    def cancel(self) -> None:
+        """Withdraw the timer: it is never dispatched and its callbacks are
+        dropped, so cancel only a timer whose listeners are yours.
+        Idempotent, and a no-op once the timer has fired."""
+        if self.callbacks is not None:
+            self.callbacks = None
+            self.env._scheduler.cancel(self._seq)
 
     def succeed(self, value: Any = None) -> "Event":  # pragma: no cover
         raise SimulationError("Timeout cannot be retriggered")
@@ -429,12 +448,14 @@ class Environment:
 
     # -- scheduling / execution ----------------------------------------------
 
-    def _schedule(self, event: Event, priority: int, delay: float = 0.0) -> None:
+    def _schedule(self, event: Event, priority: int, delay: float = 0.0) -> int:
+        """Queue ``event``; returns the sequence number it is queued under."""
         seq = next(self._seq)
         tie = 0.0 if self._tie_rng is None else self._tie_rng.random()
         if self.sanitizer is not None:
             self.sanitizer.on_schedule(seq, event)
         self._scheduler.push(self._now + delay, priority, tie, seq, event)
+        return seq
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if queue is empty."""

@@ -12,8 +12,10 @@ occurrences keyed by ``(time, priority, tie, seq)``:
 
 :class:`HeapScheduler` honours it with a binary heap of ``(time,
 priority, tie, seq, event)`` tuples: O(log n) per operation through C
-``heapq``, and :meth:`~HeapScheduler.cancel` as a lazy tombstone (the
-shape a batched timer wheel needs). It is the only implementation; why
+``heapq``, and :meth:`~HeapScheduler.cancel` as a lazy tombstone —
+what :meth:`Timeout.cancel <repro.sim.core.Timeout.cancel>` calls, so a
+withdrawn timer (an answered RPC's watchdog) is discarded when it
+surfaces instead of being dispatched. It is the only implementation; why
 is recorded in EXPERIMENTS.md E-KERNEL.
 """
 

@@ -320,6 +320,24 @@ def test_res005_normal_path_gap_is_not_flagged():
     """, rule="RES005")
 
 
+def test_res005_cancel_disarms_like_clear():
+    found = findings_for("""
+        def wait(self, timer, env):
+            timer.callbacks.append(self.on_fire)
+            yield env.timeout(5.0)
+            timer.cancel()
+    """, rule="RES005")
+    assert [f.line for f in found] == [3]
+    assert_clean("""
+        def wait(self, timer, env):
+            timer.callbacks.append(self.on_fire)
+            try:
+                yield env.timeout(5.0)
+            finally:
+                timer.cancel()
+    """, rule="RES005")
+
+
 def test_res005_pragma_suppresses():
     assert_clean("""
         def wait(self, timer, env):

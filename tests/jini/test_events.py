@@ -13,9 +13,9 @@ def setup(net):
     return source, listener_host, listener, ref
 
 
-def push(source, ref, acks, name="test-push:1"):
+def push(source, ref, acks):
     event = RemoteEvent(source="src", event_id=1, sequence=1)
-    push_event(source, ref, event, kind="test-event", name=name,
+    push_event(source, ref, event, kind="test-event",
                on_ack=lambda: acks.append(source.env.now))
 
 
@@ -50,15 +50,20 @@ def test_unreachable_listener_is_dropped_quietly(env, net):
     assert listener.events == [] and acks == []
 
 
-def test_push_runs_under_the_callers_process_name(env, net, monkeypatch):
-    source, _host, _listener, ref = setup(net)
-    names = []
+def test_push_spawns_no_process_and_notifies_and_acks_once(env, net,
+                                                          monkeypatch):
+    source, _host, listener, ref = setup(net)
+    spawned = []
     spawn = env.process
 
     def recording(generator, name=None):
-        names.append(name)
+        spawned.append(name)
         return spawn(generator, name=name)
 
     monkeypatch.setattr(env, "process", recording)
-    push(source, ref, [], name="esp-push:Neem")
-    assert names == ["esp-push:Neem"]
+    acks = []
+    push(source, ref, acks)
+    env.run(until=10.0)
+    assert spawned == []
+    assert [e.sequence for e in listener.events] == [1]
+    assert len(acks) == 1

@@ -80,6 +80,7 @@ def test_receiver_crash_mid_flight_drops():
     env.process(crasher())
     env.run()
     assert inbox == []
+    assert net.stats.dropped == 1
 
 
 def test_recovered_host_receives_again():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.sim import Environment
+from repro.sim import Environment, Interrupt
 from repro.net import (
     FixedLatency,
     Host,
@@ -16,6 +16,7 @@ from repro.net import (
     UnreachableError,
     rpc_endpoint,
 )
+from repro.net.network import LinkDecision
 from repro.net.wire import WireSized
 
 
@@ -27,6 +28,10 @@ class Calculator:
 
     def boom(self):
         raise ValueError("server exploded")
+
+    def slow_boom(self, env):
+        yield env.timeout(0.5)
+        raise ValueError("server exploded, eventually")
 
     def _secret(self):
         return "hidden"
@@ -88,6 +93,20 @@ def test_remote_exception_wrapped():
 
     p = env.process(caller())
     assert env.run(until=p) == "ValueError"
+
+
+def test_remote_exception_from_a_serving_process_wrapped():
+    env, net, sh, ch, server, client = setup()
+    ref = server.export(Calculator(), "calc")
+
+    def caller():
+        try:
+            yield client.call(ref, "slow_boom", env)
+        except RemoteError as exc:
+            return (type(exc.cause).__name__, env.now)
+
+    p = env.process(caller())
+    assert env.run(until=p) == ("ValueError", pytest.approx(0.502))
 
 
 def test_generator_method_runs_as_process():
@@ -190,6 +209,8 @@ def test_late_reply_after_timeout_is_dropped():
 
     p = env.process(caller())
     assert env.run(until=p) == "ok"
+    assert net.stats.by_kind["rpc-reply"]["messages"] == 1  # sent, ignored
+    assert client._pending == {}
 
 
 def test_unexport_makes_object_unreachable():
@@ -245,17 +266,18 @@ def test_watchdog_neutralized_when_reply_arrives():
         return result
 
     p = env.process(caller())
-    # The call is in flight: exactly one pending entry with an armed timer.
     env.run(until=env.now)  # let call() run (process starts immediately)
     assert len(client._pending) == 1
-    timer = next(iter(client._pending.values())).timer
-    assert len(timer.callbacks) == 1
+    cancels = env.scheduler_stats()["cancels"]
     assert env.run(until=p) == 5
-    # Reply arrived: pending map drained and the watchdog defused, so the
-    # timer firing at full timeout later is a no-op.
+    # Reply arrived: pending map drained and the watchdog withdrawn, so
+    # draining the queue past the full timeout dispatches nothing at all.
     assert client._pending == {}
-    assert timer.callbacks == []
-    env.run()  # drain the neutered timer without incident
+    assert env.scheduler_stats()["cancels"] == cancels + 1
+    pops = env.scheduler_stats()["pops"]
+    env.run()
+    assert env.scheduler_stats()["pops"] == pops
+    assert env.scheduler_stats()["pending"] == 0
 
 
 def test_no_watchdog_process_spawned_per_call():
@@ -295,6 +317,79 @@ def test_watchdog_still_fires_without_reply():
     p = env.process(caller())
     assert env.run(until=p) == ("timed-out", pytest.approx(0.75))
     assert client._pending == {}
+
+
+def test_same_instant_requests_are_served_in_delivery_order():
+    """Delivery 1, serve 1, delivery 2, serve 2: a request is executed one
+    URGENT hop after it arrives, before the next same-instant arrival is
+    looked at — the order every golden was recorded under."""
+    env, net, sh, ch, server, client = setup()
+    other = rpc_endpoint(Host(net, "client-2"))
+    served = []
+
+    class Recorder:
+        def mark(self, who):
+            served.append(who)
+
+    ref = server.export(Recorder(), "rec")
+    client.call(ref, "mark", 1)
+    other.call(ref, "mark", 2)
+    env.run(until=0.0009)
+    assert env.peek() == pytest.approx(0.001)   # both requests land here
+    after_each_event = []
+    for _ in range(4):
+        env.step()
+        after_each_event.append(list(served))
+    assert after_each_event == [[], [1], [1], [1, 2]]
+    assert env.now == pytest.approx(0.001)
+
+
+def test_duplicated_request_executes_once():
+    env, net, sh, ch, server, client = setup()
+    net.add_link_filter(
+        lambda msg: LinkDecision(copies=(0.0005,))
+        if msg.kind == "rpc-request" else None)
+    executed = []
+
+    class Once:
+        def run(self):
+            executed.append(env.now)
+            return "done"
+
+    ref = server.export(Once(), "once")
+
+    def caller():
+        return (yield client.call(ref, "run"))
+
+    assert env.run(until=env.process(caller())) == "done"
+    env.run()
+    assert net.stats.by_kind["rpc-request"]["messages"] == 2
+    assert len(executed) == 1
+    assert net.stats.by_kind["rpc-reply"]["messages"] == 1
+
+
+def test_interrupt_into_a_serving_process_escapes_run_and_sends_no_reply():
+    env, net, sh, ch, server, client = setup()
+
+    class Interruptible:
+        process = None
+
+        def work(self):
+            self.process = env.active_process
+            yield env.timeout(10.0)
+
+    service = Interruptible()
+    ref = server.export(service, "svc")
+    call = client.call(ref, "work", timeout=1.0)
+    call.callbacks.append(lambda ev: ev.defuse())  # the caller's RpcTimeout
+    env.run(until=0.5)
+    assert service.process.name == "rpc:server.work"
+    service.process.interrupt("shutdown")
+    with pytest.raises(Interrupt):
+        env.run()
+    env.run()
+    assert "rpc-reply" not in net.stats.by_kind
+    assert isinstance(call.value, RpcTimeout)
 
 
 def test_nested_rpc_server_calls_another_server():

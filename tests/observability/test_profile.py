@@ -9,8 +9,10 @@ output is byte-identical with and without a recorder attached, under
 tie-break shuffling too.
 """
 
+import numpy as np
 import pytest
 
+from repro.net import FixedLatency, Host, Network, rpc_endpoint
 from repro.observability import (FlightRecorder, MetricsRegistry,
                                  profile_run, service_times, status_json)
 from repro.observability.profile import SAMPLE_EVERY
@@ -123,6 +125,25 @@ def test_detail_mode_counts_are_exact_with_kernel_row():
     assert sum(r["count"] for r in rows.values()) == events
     assert report["kernel_share"] + report["callback_share"] == \
         pytest.approx(report["attributed_share"], abs=0.001)
+
+
+def test_callback_only_events_are_labelled_by_their_name():
+    """A message delivery and an RPC serve hop are events with a callback,
+    not processes; their rows keep the names the processes had."""
+    env = Environment()
+    net = Network(env, rng=np.random.default_rng(1),
+                  latency=FixedLatency(0.001))
+    server, client = Host(net, "server"), Host(net, "client")
+    ref = rpc_endpoint(server).export([], "list", methods=("append",))
+    recorder = FlightRecorder(clock=FakeClock()).attach(env)
+    rpc_endpoint(client).call(ref, "append", 1)
+    env.run()
+    recorder.detach()
+    targets = {r["target"]: r["count"]
+               for r in recorder.report()["attribution"]}
+    assert targets["process:deliver:rpc-request"] == 1
+    assert targets["process:rpc:server.append"] == 1
+    assert targets["process:deliver:rpc-reply"] == 1
 
 
 def test_report_truncation_sums_the_tail():

@@ -401,6 +401,38 @@ def test_peek():
     assert env.peek() == 3
 
 
+def test_cancelled_timeout_is_never_dispatched():
+    env = Environment()
+    fired = []
+    timer = env.timeout(3)
+    timer.callbacks.append(fired.append)
+    keeper = env.timeout(1)
+    timer.cancel()
+    timer.cancel()  # idempotent
+    assert env.scheduler_stats()["cancels"] == 1
+    assert env.scheduler_stats()["pending"] == 1
+    env.run()
+    assert fired == [] and env.now == 1
+    assert env.scheduler_stats()["pops"] == 1
+    keeper.cancel()  # fired already: a no-op
+    assert env.scheduler_stats()["cancels"] == 1
+
+
+def test_defused_failure_does_not_escape_run():
+    env = Environment()
+    handled = []
+
+    def handler(event):
+        handled.append(type(event.value))
+        event.defuse()
+
+    failing = env.event()
+    failing.callbacks.append(handler)
+    failing.fail(KeyError("dealt with"))
+    env.run()
+    assert handled == [KeyError]
+
+
 def test_nested_processes():
     env = Environment()
 

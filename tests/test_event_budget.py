@@ -1,0 +1,96 @@
+"""What a message costs the kernel, as exact counts (no wall clock).
+
+The message path runs on kernel callbacks, not kernel processes: one event
+per delivery, one URGENT hop per served call, a cancelled watchdog, no
+process per push or per probe read (DESIGN §11). These literals are the
+gate on that — a process creeping back onto the path moves them.
+"""
+
+import numpy as np
+
+from repro.core.interfaces import SENSOR_DATA_ACCESSOR
+from repro.net import FixedLatency, Host, Network, rpc_endpoint
+from repro.scenarios.grids import build_sensorcer_grid, seed_locator_discovery
+from repro.sim import Environment
+from repro.sorcer import Exerter, ServiceContext, Signature, Task
+
+SENSORS = 16
+TICKS = 10
+
+
+class Collector:
+    def __init__(self):
+        self.stamps = []
+
+    def notify(self, event):
+        self.stamps.append(event.reading.timestamp)
+
+
+def test_one_answered_call_is_four_events_and_a_cancelled_watchdog():
+    env = Environment()
+    net = Network(env, rng=np.random.default_rng(1),
+                  latency=FixedLatency(0.001))
+    server, client = Host(net, "server"), Host(net, "client")
+    ref = rpc_endpoint(server).export([], "list", methods=("append",))
+    endpoint = rpc_endpoint(client)
+    before = env.scheduler_stats()
+    call = endpoint.call(ref, "append", 7)
+    env.run()
+    after = env.scheduler_stats()
+    assert call.ok
+    # Request delivery, serve hop, reply delivery, the caller's event.
+    assert after["pops"] - before["pops"] == 4
+    assert after["cancels"] - before["cancels"] == 1
+    assert after["pending"] == 0
+
+
+def test_a_pushed_reading_costs_at_most_nine_kernel_events():
+    """16 ESPs sampling at 1 Hz and pushing to one subscriber, whole ticks:
+    kernel events and messages per tick, measured on this tree. The parent
+    of the PR that introduced this test sent the same messages and spent
+    3,078 events on these ten ticks (19.2 per reading)."""
+    grid = build_sensorcer_grid(SENSORS, seed=11, discovery="locator",
+                                fixed_latency=0.001, sample_interval=1.0)
+    env, net = grid.env, grid.net
+    host = seed_locator_discovery(Host(net, "collector-host"))
+    collector = Collector()
+    listener = rpc_endpoint(host).export(collector, "collector",
+                                         methods=("notify",))
+    exerter = Exerter(host)
+    grid.settle(6.0)
+
+    def subscribe_all():
+        procs = []
+        for esp in grid.sensors:
+            ctx = ServiceContext(f"subscribe-{esp.name}")
+            ctx.put_in_value("arg/listener", listener)
+            ctx.put_in_value("arg/lease_duration", 600.0)
+            task = Task(f"subscribe-{esp.name}",
+                        Signature(SENSOR_DATA_ACCESSOR, "subscribe",
+                                  service_id=esp.service_id), ctx)
+            procs.append(env.process(exerter.exert(task)))
+        results = yield env.all_of(procs)
+        return sum(result.is_done for result in results)
+
+    assert env.run(until=env.process(subscribe_all())) == SENSORS
+    # Let one full burst through, then open the first tick 5 ms before the
+    # samplers next wake, so no boundary splits a sample from its delivery.
+    env.run(until=env.now + 1.5)
+    start = collector.stamps[-1] + grid.sensors[0].sample_interval - 0.005
+    env.run(until=start)
+    pops, messages, delivered = [], [], []
+    for tick in range(TICKS):
+        before = (env.scheduler_stats()["pops"], net.stats.messages,
+                  len(collector.stamps))
+        env.run(until=start + tick + 1)
+        pops.append(env.scheduler_stats()["pops"] - before[0])
+        messages.append(net.stats.messages - before[1])
+        delivered.append(len(collector.stamps) - before[2])
+    assert delivered == [SENSORS] * TICKS
+    # A quiet tick is 7 events per reading (sampler wake, read latency,
+    # notify delivery, serve hop, ack delivery, the push's own event, the
+    # ESP's 1 Hz subscription sweeper) plus one LUS sweep; the busier ticks
+    # add lease renewals and join polls.
+    assert pops == [113, 170, 113, 131, 113, 131, 132, 203, 113, 131]
+    assert messages == [32, 51, 32, 32, 32, 32, 32, 68, 32, 32]
+    assert sum(pops) <= 9 * SENSORS * TICKS
