@@ -10,7 +10,7 @@ from congestion collapse:
 * **bounded latency** — admitted work's p99 never exceeds the tenants'
   deadline, because bounded queues bound waiting;
 * **typed shedding** — the excess is absorbed by typed rejections
-  (queue-full / expired / quota), with zero untyped failures;
+  (queue-full / expired / expired-in-queue), with zero untyped failures;
 * **determinism** — the whole curve is byte-identical when re-swept with
   the same seed.
 

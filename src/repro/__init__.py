@@ -11,7 +11,7 @@ Layers (bottom up):
 * :mod:`repro.sorcer` — exertions, contexts, signatures, Jobber/Spacer,
   exertion space;
 * :mod:`repro.expr` — the compute-expression language (Groovy substitute);
-* :mod:`repro.sensors` — environment model, probes, Sun SPOT, faults;
+* :mod:`repro.sensors` — environment model, probes, Sun SPOT;
 * :mod:`repro.resilience` — retry/backoff policies, deadlines, circuit
   breakers and the resilience event stream;
 * :mod:`repro.observability` — spans, metrics, health/SLOs, profiling;

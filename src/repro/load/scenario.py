@@ -4,7 +4,7 @@
 capacity-bounded, multi-tenant system:
 
 * the facade gets an :class:`~repro.overload.AdmissionController` with a
-  weighted-fair queue over the tenants (and optional per-tenant quotas);
+  weighted-fair queue over the tenants;
   the jobber gets a plain bounded FIFO — rendezvous work has no tenant
   skew worth arbitrating;
 * the composite coalesces concurrent reads (one child fan-out serves all
@@ -25,7 +25,7 @@ from typing import Optional
 
 from ..net import Host
 from ..observability.health import overload_slos
-from ..overload import AdmissionController, QuotaRegistry, WeightedFairQueue
+from ..overload import AdmissionController, WeightedFairQueue
 from ..resilience import resilience_events
 from ..scenarios.paper_lab import SENSOR_NAMES, PaperLab, build_paper_lab
 from .engine import OpenLoopEngine, TenantSpec
@@ -64,7 +64,6 @@ class LoadLab:
 def build_load_lab(seed: int = 2009, tenants=None, duration: float = 8.0,
                    scale: float = 1.0, max_inflight: int = 4,
                    max_queue: int = 16, esp_overhead: float = 0.05,
-                   quotas: Optional[QuotaRegistry] = None,
                    settle: float = 6.0, trace: Optional[dict] = None) -> LoadLab:
     """A protected paper lab plus an open-loop engine against it.
 
@@ -86,8 +85,7 @@ def build_load_lab(seed: int = 2009, tenants=None, duration: float = 8.0,
         weights={spec.name: spec.weight for spec in tenants})
     admission = AdmissionController(
         lab.env, lab.facade.name, registry, events=registry_events,
-        max_inflight=max_inflight, max_queue=max_queue,
-        quotas=quotas, fair=fair)
+        max_inflight=max_inflight, max_queue=max_queue, fair=fair)
     lab.facade.admission = admission
     # The jobber serves rendezvous jobs; bound it too so composite work
     # cannot pile up behind a saturated facade.

@@ -14,7 +14,7 @@ def add_verbs(sub) -> None:
     load = sub.add_parser(
         "load",
         help="open-loop multi-tenant load against the protected lab "
-             "(admission control, quotas, weighted-fair dispatch)")
+             "(admission control, weighted-fair dispatch)")
     load.add_argument("--json", action="store_true", dest="as_json",
                       help="emit the canonical JSON summary instead")
     load.add_argument("--duration", type=float, default=8.0,

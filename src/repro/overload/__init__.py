@@ -1,4 +1,4 @@
-"""Overload-control plane — admission, quotas, fair dispatch, shedding.
+"""Overload-control plane — admission, fair dispatch, shedding.
 
 ROADMAP item 2: under open-loop load (arrivals do not slow down because
 the system is busy) an unprotected federation *collapses* — queues grow
@@ -9,8 +9,6 @@ package makes saturation graceful instead:
   provider: reject-on-admit when the queue is full (or the request's
   deadline is already dead), drop-expired-on-dequeue so requests that
   died waiting never burn provider capacity;
-* :class:`TokenBucket` / :class:`QuotaRegistry` — per-tenant rate
-  quotas on the simulated clock (lazy refill, no timer processes);
 * :class:`WeightedFairQueue` — virtual-time weighted-fair dispatch so a
   bursting tenant cannot starve the others; tie-breaks are by tenant
   name, making dispatch order independent of same-instant arrival
@@ -32,14 +30,11 @@ from ..sorcer.rejection import (
     mark_overloaded,
     rejection_marker,
 )
-from .quota import QuotaRegistry, TokenBucket
 
 __all__ = [
     "AdmissionController",
     "OVERLOAD_PATH",
     "Overloaded",
-    "QuotaRegistry",
-    "TokenBucket",
     "WeightedFairQueue",
     "mark_overloaded",
     "rejection_marker",

@@ -3,10 +3,10 @@
 The controller makes the shed decision in exactly two places, and
 nowhere else (DESIGN §10):
 
-* **reject-on-admit** — at arrival, when the tenant's quota bucket is
-  dry, the request's deadline is already expired, or the wait queue is
-  at capacity. Rejection is *immediate* (no queue time burned) and
-  carries a retry-after hint derived from the observed service time;
+* **reject-on-admit** — at arrival, when the request's deadline is
+  already expired or the wait queue is at capacity. Rejection is
+  *immediate* (no queue time burned) and carries a retry-after hint
+  derived from the observed service time;
 * **drop-expired-on-dequeue** — at dispatch, a queued request whose
   deadline died while waiting is failed without ever occupying an
   execution slot. Dead requests must not burn provider capacity: under
@@ -26,13 +26,12 @@ from typing import Optional
 
 from ..sorcer.rejection import Overloaded
 from .dispatch import WeightedFairQueue
-from .quota import QuotaRegistry
 
 __all__ = ["AdmissionController"]
 
 #: Rejection reasons get pre-registered counters so metric snapshots have
 #: a stable shape whether or not a run ever sheds for that reason.
-_REASONS = ("queue-full", "expired", "expired-in-queue", "quota")
+_REASONS = ("queue-full", "expired", "expired-in-queue")
 
 
 class _Waiter:
@@ -52,12 +51,11 @@ class AdmissionController:
     :meth:`~repro.sorcer.provider.ServiceProvider.service` consults it
     around every exertion. ``fair`` plugs in a
     :class:`~repro.overload.dispatch.WeightedFairQueue`; without it the
-    wait queue is plain FIFO. ``quotas`` meters tenants at the door.
+    wait queue is plain FIFO.
     """
 
     def __init__(self, env, name: str, registry, events=None,
                  max_inflight: int = 8, max_queue: int = 32,
-                 quotas: Optional[QuotaRegistry] = None,
                  fair: Optional[WeightedFairQueue] = None,
                  default_service_time: float = 0.1):
         if max_inflight < 1 or max_queue < 0:
@@ -67,7 +65,6 @@ class AdmissionController:
         self.events = events
         self.max_inflight = int(max_inflight)
         self.max_queue = int(max_queue)
-        self.quotas = quotas
         self.fair = fair
         self.inflight = 0
         self._fifo: deque = deque()
@@ -86,10 +83,8 @@ class AdmissionController:
                            self.checkpoint_state)
 
     def checkpoint_state(self) -> dict:
-        """Snapshot section: admission gate plus quota/fair-queue state."""
+        """Snapshot section: admission gate plus fair-queue state."""
         state = dict(self.snapshot())
-        if self.quotas is not None:
-            state["quotas"] = self.quotas.checkpoint_state()
         if self.fair is not None:
             state["fair"] = self.fair.checkpoint_state()
         return state
@@ -134,10 +129,6 @@ class AdmissionController:
         when an execution slot is held; raises :class:`Overloaded` when
         the request is shed instead."""
         now = self.env.now
-        if self.quotas is not None:
-            admitted, retry_after = self.quotas.admit(tenant, now)
-            if not admitted:
-                raise self._reject("quota", tenant, retry_after)
         if deadline is not None and deadline.expired(now):
             raise self._reject("expired", tenant, 0.0)
         if self.inflight < self.max_inflight and self._queue_len() == 0:

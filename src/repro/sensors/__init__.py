@@ -1,19 +1,10 @@
-"""Sensor substrate: synthetic environment, TEDS, calibration, faults,
-probe drivers (incl. the simulated Sun SPOT) and the local reading store."""
+"""Sensor substrate: synthetic environment, TEDS, calibration, probe
+drivers (incl. the simulated Sun SPOT) and the local reading store."""
 
 from .buffer import ReadingBuffer
-from .calibration import Calibration, CalibrationTable
-from .cluster import SensorCluster
-from .drivers import (
-    EnvironmentProbe,
-    HumidityProbe,
-    LightProbe,
-    PressureProbe,
-    TemperatureProbe,
-)
+from .calibration import Calibration
+from .drivers import EnvironmentProbe, HumidityProbe, TemperatureProbe
 from .environment import FieldEvent, FieldSpec, PhysicalEnvironment
-from .faults import FaultInjector, FaultMode, FaultSchedule, ProbeFault
-from .legacy import LegacyFieldStation, LegacyProtocolProbe
 from .probe import BaseProbe, ProbeError, ProbeNotConnected, Reading, SensorProbe
 from .sunspot import BatteryExhausted, SunSpotDevice, SunSpotTemperatureProbe
 from .teds import TransducerTEDS
@@ -22,25 +13,15 @@ __all__ = [
     "BaseProbe",
     "BatteryExhausted",
     "Calibration",
-    "CalibrationTable",
     "EnvironmentProbe",
-    "FaultInjector",
-    "FaultMode",
-    "FaultSchedule",
     "FieldEvent",
     "FieldSpec",
     "HumidityProbe",
-    "LegacyFieldStation",
-    "LegacyProtocolProbe",
-    "LightProbe",
     "PhysicalEnvironment",
-    "PressureProbe",
     "ProbeError",
-    "ProbeFault",
     "ProbeNotConnected",
     "Reading",
     "ReadingBuffer",
-    "SensorCluster",
     "SensorProbe",
     "SunSpotDevice",
     "SunSpotTemperatureProbe",

@@ -1,20 +1,15 @@
 """Probe calibration — mapping raw transducer output to engineering units.
 
-Two models: affine :class:`Calibration` (gain/offset, the common case) and
-piecewise-linear :class:`CalibrationTable` for non-linear transducers
-(e.g. thermistors). The probe applies calibration before quantization; the
-paper lists data calibration among the sensor-specific concerns the probe
-hides (§V.B).
+An affine :class:`Calibration` (gain/offset). The probe applies calibration
+before quantization; the paper lists data calibration among the
+sensor-specific concerns the probe hides (§V.B).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
-import numpy as np
-
-__all__ = ["Calibration", "CalibrationTable"]
+__all__ = ["Calibration"]
 
 
 @dataclass(frozen=True)
@@ -33,28 +28,3 @@ class Calibration:
 
     def invert(self, actual: float) -> float:
         return (actual - self.offset) / self.gain
-
-
-class CalibrationTable:
-    """Piecewise-linear calibration through measured (raw, actual) points."""
-
-    def __init__(self, points: Sequence):
-        if len(points) < 2:
-            raise ValueError("calibration table needs at least two points")
-        raws = [p[0] for p in points]
-        if sorted(raws) != raws or len(set(raws)) != len(raws):
-            raise ValueError("raw values must be strictly increasing")
-        self._raw = np.array(raws, dtype=float)
-        self._actual = np.array([p[1] for p in points], dtype=float)
-
-    def apply(self, raw: float) -> float:
-        """Interpolate; extrapolates linearly beyond the table ends."""
-        if raw <= self._raw[0]:
-            slope = ((self._actual[1] - self._actual[0])
-                     / (self._raw[1] - self._raw[0]))
-            return float(self._actual[0] + slope * (raw - self._raw[0]))
-        if raw >= self._raw[-1]:
-            slope = ((self._actual[-1] - self._actual[-2])
-                     / (self._raw[-1] - self._raw[-2]))
-            return float(self._actual[-1] + slope * (raw - self._raw[-1]))
-        return float(np.interp(raw, self._raw, self._actual))

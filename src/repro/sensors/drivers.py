@@ -2,9 +2,10 @@
 
 Each driver reads the synthetic :class:`~repro.sensors.environment.
 PhysicalEnvironment` at its deployment location with technology-specific
-TEDS (range/accuracy/resolution) and per-unit sensing noise. The point of
-having several is the paper's §II.3 claim: SenSORCER must absorb
-heterogeneous, non-standardized technologies behind one probe interface.
+TEDS (range/accuracy/resolution) and per-unit sensing noise. With the
+Sun SPOT driver they are the paper's §II.3 claim in miniature: SenSORCER
+must absorb heterogeneous, non-standardized technologies behind one probe
+interface.
 """
 
 from __future__ import annotations
@@ -16,12 +17,10 @@ import numpy as np
 from ..sim import Environment
 from .calibration import Calibration
 from .environment import PhysicalEnvironment
-from .faults import FaultInjector
 from .probe import BaseProbe
 from .teds import TransducerTEDS
 
-__all__ = ["EnvironmentProbe", "TemperatureProbe", "HumidityProbe",
-           "LightProbe", "PressureProbe"]
+__all__ = ["EnvironmentProbe", "TemperatureProbe", "HumidityProbe"]
 
 
 class EnvironmentProbe(BaseProbe):
@@ -35,10 +34,8 @@ class EnvironmentProbe(BaseProbe):
                  rng: Optional[np.random.Generator] = None,
                  sensing_noise: float = 0.0,
                  calibration: Optional[Calibration] = None,
-                 fault_injector: Optional[FaultInjector] = None,
                  read_latency: float = 0.01):
         super().__init__(env, sensor_id, teds, calibration=calibration,
-                         fault_injector=fault_injector,
                          read_latency=read_latency)
         self.environment = environment
         self.location = tuple(location)
@@ -82,26 +79,4 @@ class HumidityProbe(EnvironmentProbe):
             "SHT11", sensor_id, "humidity", "percent",
             0.0, 100.0, accuracy=3.0, resolution=0.05)
         kwargs.setdefault("sensing_noise", 0.5)
-        super().__init__(env, sensor_id, environment, location, teds, **kwargs)
-
-
-class LightProbe(EnvironmentProbe):
-    QUANTITY = "light"
-
-    def __init__(self, env, sensor_id, environment, location, **kwargs):
-        teds = kwargs.pop("teds", None) or _teds(
-            "TSL2561", sensor_id, "light", "lux",
-            0.0, 40000.0, accuracy=20.0, resolution=1.0)
-        kwargs.setdefault("sensing_noise", 5.0)
-        super().__init__(env, sensor_id, environment, location, teds, **kwargs)
-
-
-class PressureProbe(EnvironmentProbe):
-    QUANTITY = "pressure"
-
-    def __init__(self, env, sensor_id, environment, location, **kwargs):
-        teds = kwargs.pop("teds", None) or _teds(
-            "BMP085", sensor_id, "pressure", "hpa",
-            300.0, 1100.0, accuracy=1.0, resolution=0.01)
-        kwargs.setdefault("sensing_noise", 0.2)
         super().__init__(env, sensor_id, environment, location, teds, **kwargs)

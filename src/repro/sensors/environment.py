@@ -68,7 +68,7 @@ class FieldEvent:
 class PhysicalEnvironment:
     """Deterministic multi-quantity field sampler."""
 
-    #: Sensible defaults covering every probe driver we ship.
+    #: Sensible defaults for four common ambient quantities.
     DEFAULT_FIELDS = {
         "temperature": FieldSpec(base=22.0, unit="celsius",
                                  gradient=(0.02, -0.01), amplitude=6.0,

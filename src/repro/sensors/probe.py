@@ -2,14 +2,12 @@
 
 §V.B: "A Sensor Probe ... contains sensor specific driver code ... but hides
 these details from sensor service providers." :class:`BaseProbe` owns the
-common pipeline — connect state, read latency, fault injection, calibration,
+common pipeline — connect state, read latency, error counting, calibration,
 range clamping, quantization — and concrete drivers supply ``_sense()``
 (how to get a raw number from *their* technology).
 """
 
 from __future__ import annotations
-
-import inspect
 
 from dataclasses import dataclass
 from typing import Optional
@@ -17,7 +15,6 @@ from typing import Optional
 from ..net.wire import WireSized
 from ..sim import Environment
 from .calibration import Calibration
-from .faults import FaultInjector, ProbeFault
 from .teds import TransducerTEDS
 
 __all__ = ["Reading", "ProbeError", "ProbeNotConnected", "SensorProbe",
@@ -74,13 +71,11 @@ class BaseProbe(SensorProbe):
 
     def __init__(self, env: Environment, sensor_id: str, teds: TransducerTEDS,
                  calibration: Optional[Calibration] = None,
-                 fault_injector: Optional[FaultInjector] = None,
                  read_latency: float = 0.01):
         self.env = env
         self.sensor_id = sensor_id
         self._teds = teds
         self.calibration = calibration if calibration is not None else Calibration()
-        self.faults = fault_injector
         self.read_latency = read_latency
         self._connected = False
         self.reads = 0
@@ -119,15 +114,9 @@ class BaseProbe(SensorProbe):
         t = self.env.now
         try:
             raw = self._sense(t)
-            if inspect.isgenerator(raw):
-                # Drivers that talk to their transducer over a bus or
-                # network sense asynchronously (sim processes).
-                raw = yield self.env.process(raw)
-            if self.faults is not None:
-                raw = self.faults.transform(raw, self.env.now)
-        except ProbeFault as exc:
+        except ProbeError:
             self.read_errors += 1
-            raise ProbeError(str(exc)) from exc
+            raise
         value = self.calibration.apply(raw)
         quality = "good"
         if not self._teds.in_range(value):

@@ -17,7 +17,6 @@ import numpy as np
 from ..sim import Environment
 from .calibration import Calibration
 from .environment import PhysicalEnvironment
-from .faults import FaultInjector
 from .probe import BaseProbe, ProbeError
 from .teds import TransducerTEDS
 
@@ -85,16 +84,14 @@ class SunSpotTemperatureProbe(BaseProbe):
     def __init__(self, env: Environment, device: SunSpotDevice,
                  environment: PhysicalEnvironment, location: tuple,
                  rng: Optional[np.random.Generator] = None,
-                 calibration: Optional[Calibration] = None,
-                 fault_injector: Optional[FaultInjector] = None):
+                 calibration: Optional[Calibration] = None):
         teds = TransducerTEDS(
             manufacturer="Sun Microsystems", model="SunSPOT/ADT7411",
             serial_number=device.device_id, version="purple-5.0",
             quantity="temperature", unit="celsius",
             min_range=-40.0, max_range=125.0, accuracy=0.5, resolution=0.25)
         super().__init__(env, f"spot-{device.device_id}", teds,
-                         calibration=calibration, fault_injector=fault_injector,
-                         read_latency=0.02)
+                         calibration=calibration, read_latency=0.02)
         self.device = device
         self.environment = environment
         self.location = tuple(location)

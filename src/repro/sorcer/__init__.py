@@ -30,7 +30,6 @@ from .rejection import (
     mark_overloaded,
     rejection_marker,
 )
-from .security import AccessPolicy, AclPolicy, AllowAll, AuthorizationError
 from .signature import Signature
 from .space import Envelope, EnvelopeState, ExertionSpace, SpaceTemplate
 from .spacer import SpaceWorker, Spacer
@@ -38,10 +37,6 @@ from .tasker import Tasker
 
 __all__ = [
     "Access",
-    "AccessPolicy",
-    "AclPolicy",
-    "AllowAll",
-    "AuthorizationError",
     "ContextError",
     "ControlContext",
     "Envelope",

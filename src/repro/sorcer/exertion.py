@@ -99,8 +99,8 @@ class Exertion:
         self.status = ExertionStatus.INITIAL
         self.exceptions: list[str] = []
         self.trace: list[TraceRecord] = []
-        #: Who is asking. Providers with an access policy check this before
-        #: invoking operations (§IV.D: "if the requestor is authorized").
+        #: Who is asking: the tenant a provider's admission controller
+        #: meters and fair-queues this exertion under.
         self.principal = principal
 
     @property

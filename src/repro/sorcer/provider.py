@@ -27,7 +27,6 @@ from ..resilience import Deadline
 from ..sim import Interrupt, Resource
 from .exertion import Exertion, ExertionStatus, Task, TraceRecord
 from .rejection import Overloaded, mark_overloaded
-from .security import AccessPolicy, AuthorizationError
 
 __all__ = ["ServiceProvider"]
 
@@ -44,7 +43,6 @@ class ServiceProvider:
                  op_overhead: float = 0.0005,
                  lease_duration: float = 30.0,
                  max_concurrency: Optional[int] = None,
-                 access_policy: Optional[AccessPolicy] = None,
                  admission=None):
         self.host = host
         self.env = host.env
@@ -73,8 +71,6 @@ class ServiceProvider:
         #: Optional cap on in-flight exertions (a provider's thread pool).
         self._gate = (Resource(host.env, max_concurrency)
                       if max_concurrency else None)
-        #: None = open access (the default lab configuration).
-        self.access_policy = access_policy
         #: Optional :class:`~repro.overload.AdmissionController`. None (the
         #: default) means every request is admitted — existing labs keep
         #: their exact behaviour.
@@ -226,12 +222,6 @@ class ServiceProvider:
         if signature.service_type not in self.service_types:
             raise TypeError(
                 f"{self.name} does not implement {signature.service_type!r}")
-        if (self.access_policy is not None
-                and not self.access_policy.allows(exertion.principal,
-                                                  signature.selector)):
-            raise AuthorizationError(
-                f"principal {exertion.principal!r} may not invoke "
-                f"{signature.selector!r} on {self.name}")
         op = self._operations.get(signature.selector)
         if op is None:
             raise LookupError(

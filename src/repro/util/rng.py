@@ -1,16 +1,17 @@
 """Named RNG substreams — one scenario seed, many independent streams.
 
-Every source of randomness in a run (probe fault hazards, chaos plans,
-latency jitter added by injectors, ...) must be *compositional*: creating a
-new stream, or drawing more from one, cannot perturb the sequence any other
-stream produces. A single shared generator breaks that the moment a new
+Every source of randomness in a run (chaos plans, per-tenant load
+arrivals, latency jitter added by injectors, ...) must be *compositional*:
+creating a new stream, or drawing more from one, cannot perturb the
+sequence any other stream produces. A single shared generator breaks that
+the moment a new
 consumer is added; per-stream ad-hoc seeds (``default_rng(0)`` here,
 ``default_rng(seed + 7)`` there) collide silently.
 
 :func:`substream` is the sanctioned scheme: a generator derived from the
 scenario seed plus a *path* of names, hashed into independent entropy
-(``substream(2009, "chaos", "plan")`` and ``substream(2009,
-"sensors.faults", "Neem-Sensor")`` never share state, by construction).
+(``substream(2009, "chaos", "plan")`` and ``substream(2009, "load",
+"gold")`` never share state, by construction).
 The determinism lint's DET005 rule flags RNG construction outside this
 helper (and :func:`repro.resilience.policy.backoff_rng`, its older
 name-keyed sibling).

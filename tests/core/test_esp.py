@@ -6,7 +6,7 @@ import pytest
 from repro.net import Host
 from repro.jini import SensorType, ServiceTemplate
 from repro.observability import metrics_registry
-from repro.sensors import FaultInjector, FaultMode, Reading, TemperatureProbe
+from repro.sensors import Reading, SunSpotDevice, SunSpotTemperatureProbe
 from repro.sorcer import Exerter, ServiceContext, Signature, Task
 from repro.core import (
     KIND_ELEMENTARY,
@@ -118,15 +118,20 @@ def test_get_stats(grid):
 
 def test_probe_faults_counted_not_fatal(grid):
     env, net, world, lus = grid
-    injector = FaultInjector(np.random.default_rng(0))
-    injector.schedule(FaultMode.DROPOUT, start=2.0, end=6.0)
-    probe = TemperatureProbe(env, "t1", world, (0, 0),
-                             rng=np.random.default_rng(1),
-                             fault_injector=injector)
+    # Four reads' worth of charge: the battery is flat within ~2 s.
+    device = SunSpotDevice(env, "t1", battery_mah=0.028)
+    probe = SunSpotTemperatureProbe(env, device, world, (0, 0),
+                                    rng=np.random.default_rng(1))
     esp = make_esp(net, world, "T1", sample_interval=0.5, probe=probe)
+    env.run(until=6.0)
+    errors = metrics_registry(net).value("esp.sample_errors", provider="T1")
+    assert errors > 0 and probe.read_errors == errors
+    # Still serving while flat: the buffered readings answer a query.
+    history = exert_op(env, net, "T1", OP_GET_HISTORY, settle=0.1, count=2)
+    assert history.is_done and len(history.get_return_value()) == 2
+    # Recharged, the sampler picks up again.
+    device.recharge()
     env.run(until=12.0)
-    assert metrics_registry(net).value("esp.sample_errors", provider="T1") > 0
-    # Healthy again after the window: recent readings exist.
     assert esp.buffer.last().timestamp > 6.0
 
 

@@ -1,22 +1,19 @@
 """Heterogeneous technologies under one composite — the §II.3 punchline.
 
-One composite averages a Sun SPOT, a generic digital thermometer, a
-collaborating mote cluster and a legacy binary-protocol field station.
-Four technologies, four probe drivers, one unchanged `SensorDataAccessor`
-path — the inclusiveness the paper demands of a sensor framework.
+One composite combines a Sun SPOT, a generic digital thermometer and a
+capacitive hygrometer into a dew point. Three technologies, three probe
+drivers, one unchanged `SensorDataAccessor` path — the inclusiveness the
+paper demands of a sensor framework.
 """
 
 import numpy as np
-import pytest
 
 from repro.sim import Environment
 from repro.net import FixedLatency, Host, Network
 from repro.jini import LookupService, SensorType, ServiceTemplate
 from repro.sensors import (
-    LegacyFieldStation,
-    LegacyProtocolProbe,
+    HumidityProbe,
     PhysicalEnvironment,
-    SensorCluster,
     SunSpotDevice,
     SunSpotTemperatureProbe,
     TemperatureProbe,
@@ -29,7 +26,12 @@ from repro.core import (
 )
 
 LOCATION = {"spot": (0.0, 0.0), "digital": (10.0, 0.0),
-            "cluster": (20.0, 0.0), "legacy": (30.0, 0.0)}
+            "humidity": (20.0, 0.0)}
+
+#: Composed in this order, so a = digital, b = spot, c = humidity. The
+#: dew point is the Lawrence approximation Td = T - (100 - RH) / 5.
+CHILDREN = ("Digital-Sensor", "Spot-Sensor", "Humidity-Sensor")
+DEW_POINT = "(a + b)/2 - (100 - c)/5"
 
 
 def build():
@@ -52,48 +54,34 @@ def build():
     ElementarySensorProvider(Host(net, "digital-host"), "Digital-Sensor",
                              digital, technology="onewire").start()
 
-    # Technology 3: a collaborating mote cluster.
-    members = [TemperatureProbe(env, f"mote-{i}", world,
-                                (LOCATION["cluster"][0] + i, 0.0),
-                                rng=np.random.default_rng(10 + i),
-                                sensing_noise=0.0)
-               for i in range(3)]
-    cluster = SensorCluster(env, "cluster-1", members)
-    ElementarySensorProvider(Host(net, "cluster-host"), "Cluster-Sensor",
-                             cluster, technology="mote-cluster").start()
-
-    # Technology 4: a legacy binary-protocol station behind a gateway.
-    station_host = Host(net, "station")
-    LegacyFieldStation(station_host, world, LOCATION["legacy"])
-    gateway = Host(net, "gateway")
-    legacy = LegacyProtocolProbe(env, "legacy-1", gateway, "station")
-    ElementarySensorProvider(gateway, "Legacy-Sensor", legacy,
-                             technology="fs90-serial").start()
+    # Technology 3: a capacitive hygrometer.
+    humidity = HumidityProbe(env, "hum-1", world, LOCATION["humidity"],
+                             rng=np.random.default_rng(3), sensing_noise=0.0)
+    ElementarySensorProvider(Host(net, "humidity-host"), "Humidity-Sensor",
+                             humidity, technology="capacitive").start()
 
     composite = CompositeSensorProvider(Host(net, "csp-host"), "All-Tech")
     composite.start()
     return env, net, world, composite
 
 
-def test_four_technologies_one_composite():
+def test_three_technologies_one_composite():
     env, net, world, composite = build()
     env.run(until=6.0)
-    # Find the four ESPs generically: by measured quantity, not by name.
     exerter = Exerter(Host(net, "client"))
     accessor = exerter.accessor
 
     def compose_and_read():
+        # Find the ESPs generically: by interface, not by name.
         items = yield from accessor.find_items(
-            ServiceTemplate(attributes=(SensorType(quantity="temperature"),)),
+            ServiceTemplate(types=(SENSOR_DATA_ACCESSOR,)),
             max_matches=16, wait=5.0)
-        names = sorted(item.name() for item in items
-                       if item.service_id != composite.service_id)
-        assert names == ["Cluster-Sensor", "Digital-Sensor", "Legacy-Sensor",
-                         "Spot-Sensor"]
-        for item in sorted(items, key=lambda i: i.name() or ""):
-            if item.service_id != composite.service_id:
-                composite.add_child(item.service_id, item.name())
-        composite.set_expression("(a + b + c + d)/4")
+        by_name = {item.name(): item for item in items
+                   if item.service_id != composite.service_id}
+        assert sorted(by_name) == sorted(CHILDREN)
+        for name in CHILDREN:
+            composite.add_child(by_name[name].service_id, name)
+        composite.set_expression(DEW_POINT)
         task = Task("read", Signature(SENSOR_DATA_ACCESSOR, "getValue",
                                       service_id=composite.service_id),
                     ServiceContext())
@@ -103,16 +91,13 @@ def test_four_technologies_one_composite():
 
     result = env.run(until=env.process(compose_and_read()))
     assert result.is_done, result.exceptions
-    value = result.get_return_value()
-    truths = [
-        world.sample("temperature", LOCATION["spot"], env.now),
+    temperature = np.mean([
         world.sample("temperature", LOCATION["digital"], env.now),
-        np.mean([world.sample("temperature",
-                              (LOCATION["cluster"][0] + i, 0.0), env.now)
-                 for i in range(3)]),
-        world.sample("temperature", LOCATION["legacy"], env.now),
-    ]
-    assert abs(value - float(np.mean(truths))) < 1.0
+        world.sample("temperature", LOCATION["spot"], env.now),
+    ])
+    relative_humidity = world.sample("humidity", LOCATION["humidity"], env.now)
+    truth = temperature - (100.0 - relative_humidity) / 5.0
+    assert abs(result.get_return_value() - truth) < 1.0
 
 
 def test_technology_entries_are_distinct():
@@ -131,4 +116,4 @@ def test_technology_entries_are_distinct():
         for attr in item.attributes:
             if isinstance(attr, SensorType) and attr.technology:
                 technologies.add(attr.technology)
-    assert {"sunspot", "onewire", "mote-cluster", "fs90-serial"} <= technologies
+    assert {"sunspot", "onewire", "capacitive"} <= technologies

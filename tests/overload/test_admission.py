@@ -7,7 +7,6 @@ from repro.observability.registry import MetricsRegistry
 from repro.overload import (
     AdmissionController,
     Overloaded,
-    QuotaRegistry,
     WeightedFairQueue,
 )
 from repro.resilience import Deadline
@@ -109,18 +108,6 @@ def test_expired_in_queue_dropped_without_burning_slot(env):
     assert admission.inflight == 0
 
 
-def test_quota_rejection_carries_bucket_retry_after(env):
-    quotas = QuotaRegistry()
-    quotas.set_quota("metered", rate=1.0, burst=1.0)
-    admission = make_admission(env, max_inflight=4, quotas=quotas)
-    results = []
-    env.process(worker(env, admission, results, tenant="metered"))
-    env.process(worker(env, admission, results, tenant="metered"))
-    env.run()
-    assert results[0][1] == "admitted"
-    assert results[1][1:] == ("shed", "quota", pytest.approx(1.0))
-
-
 def test_weighted_fair_queue_drains_by_weight(env):
     fair = WeightedFairQueue(weights={"gold": 2.0, "bronze": 1.0})
     admission = make_admission(env, max_inflight=1, max_queue=8, fair=fair)
@@ -158,7 +145,7 @@ def test_counters_have_stable_shape_before_any_shed(env):
     AdmissionController(env, "p", registry)
     names = set(registry.snapshot())
     assert "overload.admitted{provider=p}" in names
-    for reason in ("queue-full", "expired", "expired-in-queue", "quota"):
+    for reason in ("queue-full", "expired", "expired-in-queue"):
         assert f"overload.rejected{{provider=p,reason={reason}}}" in names
 
 

@@ -19,10 +19,10 @@ def test_overloaded_is_not_a_remote_or_facade_error():
 
 
 def test_message_carries_reason_tenant_and_hint():
-    exc = Overloaded("quota", retry_after=1.25, tenant="gold",
+    exc = Overloaded("queue-full", retry_after=1.25, tenant="gold",
                      provider="facade")
     text = str(exc)
-    assert "facade" in text and "quota" in text
+    assert "facade" in text and "queue-full" in text
     assert "'gold'" in text and "1.250s" in text
 
 

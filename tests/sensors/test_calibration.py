@@ -1,8 +1,8 @@
-"""Unit tests for affine and piecewise-linear probe calibration."""
+"""Unit tests for affine probe calibration."""
 
 import pytest
 
-from repro.sensors import Calibration, CalibrationTable
+from repro.sensors import Calibration
 
 
 def test_affine_apply_and_invert_round_trip():
@@ -22,26 +22,3 @@ def test_zero_gain_rejected():
     with pytest.raises(ValueError):
         Calibration(gain=0.0)
 
-
-def test_table_interpolates_between_points():
-    # A thermistor-like non-linear response.
-    table = CalibrationTable([(0.0, -10.0), (1.0, 0.0), (2.0, 30.0)])
-    assert table.apply(0.5) == pytest.approx(-5.0)
-    assert table.apply(1.5) == pytest.approx(15.0)
-    # Exact knots map exactly.
-    assert table.apply(1.0) == 0.0
-
-
-def test_table_extrapolates_with_edge_slopes():
-    table = CalibrationTable([(0.0, 0.0), (1.0, 10.0), (2.0, 40.0)])
-    assert table.apply(-1.0) == pytest.approx(-10.0)  # first-segment slope
-    assert table.apply(3.0) == pytest.approx(70.0)    # last-segment slope
-
-
-def test_table_needs_two_increasing_points():
-    with pytest.raises(ValueError):
-        CalibrationTable([(0.0, 1.0)])
-    with pytest.raises(ValueError):
-        CalibrationTable([(1.0, 0.0), (0.0, 1.0)])  # decreasing raws
-    with pytest.raises(ValueError):
-        CalibrationTable([(1.0, 0.0), (1.0, 1.0)])  # duplicate raws

@@ -1,4 +1,4 @@
-"""Probe drivers, calibration, TEDS, faults, Sun SPOT device."""
+"""Probe drivers, calibration, TEDS, read errors, Sun SPOT device."""
 
 import numpy as np
 import pytest
@@ -7,14 +7,8 @@ from repro.sim import Environment
 from repro.sensors import (
     BatteryExhausted,
     Calibration,
-    CalibrationTable,
-    FaultInjector,
-    FaultMode,
     HumidityProbe,
-    LightProbe,
     PhysicalEnvironment,
-    PressureProbe,
-    ProbeError,
     ProbeNotConnected,
     SunSpotDevice,
     SunSpotTemperatureProbe,
@@ -88,15 +82,13 @@ def test_all_driver_quantities(sim_env, world):
     probes = [
         TemperatureProbe(sim_env, "t", world, (0, 0)),
         HumidityProbe(sim_env, "h", world, (0, 0)),
-        LightProbe(sim_env, "l", world, (0, 0)),
-        PressureProbe(sim_env, "p", world, (0, 0)),
     ]
     for probe in probes:
         probe.connect()
         reading = read_once(sim_env, probe)
         assert probe.teds.in_range(reading.value)
     units = [p.teds.unit for p in probes]
-    assert units == ["celsius", "percent", "lux", "hpa"]
+    assert units == ["celsius", "percent"]
 
 
 def test_affine_calibration():
@@ -107,131 +99,11 @@ def test_affine_calibration():
         Calibration(gain=0.0)
 
 
-def test_calibration_table_interpolates():
-    table = CalibrationTable([(0, 0), (10, 20), (20, 30)])
-    assert table.apply(5) == 10.0
-    assert table.apply(15) == 25.0
-    # Extrapolation continues the end segments.
-    assert table.apply(-5) == -10.0
-    assert table.apply(25) == 35.0
-
-
-def test_calibration_table_validation():
-    with pytest.raises(ValueError):
-        CalibrationTable([(0, 0)])
-    with pytest.raises(ValueError):
-        CalibrationTable([(1, 0), (0, 1)])
-    with pytest.raises(ValueError):
-        CalibrationTable([(0, 0), (0, 1)])
-
-
 def test_teds_validation():
     with pytest.raises(ValueError):
         TransducerTEDS("m", "m", "s", "v", "q", "u", 10.0, 5.0, 0.1, 0.1)
     with pytest.raises(ValueError):
         TransducerTEDS("m", "m", "s", "v", "q", "u", 0.0, 5.0, -0.1, 0.1)
-
-
-def test_fault_dropout_window(sim_env, world):
-    injector = FaultInjector(np.random.default_rng(0))
-    injector.schedule(FaultMode.DROPOUT, start=0.0, end=10.0)
-    probe = TemperatureProbe(sim_env, "t1", world, (0, 0),
-                             fault_injector=injector)
-    probe.connect()
-
-    def proc():
-        try:
-            yield from probe.read()
-        except ProbeError:
-            pass
-        yield sim_env.timeout(15.0)  # window over
-        reading = yield from probe.read()
-        return reading
-
-    reading = sim_env.run(until=sim_env.process(proc()))
-    assert reading is not None
-    assert probe.read_errors == 1
-
-
-def test_fault_stuck_repeats_last_value(sim_env, world):
-    injector = FaultInjector(np.random.default_rng(0))
-    injector.schedule(FaultMode.STUCK, start=5.0, end=100.0)
-    probe = TemperatureProbe(sim_env, "t1", world, (0, 0),
-                             rng=np.random.default_rng(3),
-                             fault_injector=injector)
-    probe.connect()
-
-    def proc():
-        first = yield from probe.read()        # t<5: healthy
-        yield sim_env.timeout(30.0)
-        second = yield from probe.read()       # stuck window
-        yield sim_env.timeout(30.0)
-        third = yield from probe.read()        # still stuck
-        return first, second, third
-
-    first, second, third = sim_env.run(until=sim_env.process(proc()))
-    assert second.value == first.value
-    assert third.value == first.value
-
-
-def test_fault_noisy_increases_spread(sim_env, world):
-    calm_env = PhysicalEnvironment(seed=5, fields={
-        "temperature": PhysicalEnvironment.DEFAULT_FIELDS["temperature"]})
-    injector = FaultInjector(np.random.default_rng(0), noisy_sigma=50.0)
-    injector.schedule(FaultMode.NOISY, start=0.0, end=1e9)
-    noisy = TemperatureProbe(sim_env, "noisy", calm_env, (0, 0),
-                             rng=np.random.default_rng(4),
-                             fault_injector=injector)
-    clean = TemperatureProbe(sim_env, "clean", calm_env, (0, 0),
-                             rng=np.random.default_rng(4))
-    noisy.connect()
-    clean.connect()
-
-    def collect(probe, out):
-        for _ in range(30):
-            reading = yield from probe.read()
-            out.append(reading.value)
-            yield sim_env.timeout(10.0)
-
-    noisy_vals, clean_vals = [], []
-    sim_env.process(collect(noisy, noisy_vals))
-    sim_env.process(collect(clean, clean_vals))
-    sim_env.run()
-    assert np.std(noisy_vals) > 3 * np.std(clean_vals)
-
-
-def test_fault_hazard_rates_seeded():
-    injector = FaultInjector(np.random.default_rng(9), dropout_rate=0.5,
-                             hold=1.0)
-    modes = [injector.mode_at(float(t * 10)) for t in range(50)]
-    assert FaultMode.DROPOUT in modes
-    assert FaultMode.OK in modes
-
-
-def test_fault_hazard_drawn_once_per_timestamp():
-    # Two queries at the same sim time must see one consistent decision,
-    # not two independent hazard rolls.
-    injector = FaultInjector(np.random.default_rng(3), dropout_rate=0.4,
-                             hold=0.5)
-    for t in range(100):
-        first = injector.mode_at(float(t))
-        second = injector.mode_at(float(t))
-        assert first is second
-
-
-def test_fault_hazard_idempotence_matches_single_query_trace():
-    # Double-querying every timestamp yields the same trace as querying
-    # each timestamp once — the RNG advances once per distinct t.
-    single = FaultInjector(np.random.default_rng(7), dropout_rate=0.3,
-                           stuck_rate=0.2, hold=0.5)
-    double = FaultInjector(np.random.default_rng(7), dropout_rate=0.3,
-                           stuck_rate=0.2, hold=0.5)
-    trace_single = [single.mode_at(float(t)) for t in range(60)]
-    trace_double = []
-    for t in range(60):
-        double.mode_at(float(t))
-        trace_double.append(double.mode_at(float(t)))
-    assert trace_single == trace_double
 
 
 def test_sunspot_reads_and_drains_battery(sim_env, world):
@@ -267,6 +139,17 @@ def test_sunspot_battery_exhaustion(sim_env, world):
     assert ok == 2
     device.recharge()
     assert device.battery_fraction == 1.0
+
+
+def test_flat_battery_read_counts_as_read_error(sim_env, world):
+    device = SunSpotDevice(sim_env, "flat", battery_mah=0.0)
+    probe = SunSpotTemperatureProbe(sim_env, device, world, (0, 0))
+    probe.connect()
+    with pytest.raises(BatteryExhausted):
+        read_once(sim_env, probe)
+    assert (probe.reads, probe.read_errors) == (0, 1)
+    assert probe.checkpoint_state() == {"connected": True, "read_errors": 1,
+                                        "reads": 0}
 
 
 def test_sunspot_idle_drain(sim_env):

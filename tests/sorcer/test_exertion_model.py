@@ -92,3 +92,8 @@ def test_get_return_value_shortcut():
     t.context.set_return_value(7)
     assert t.get_return_value() == 7
     assert Task("u", sig()).get_return_value() is None
+
+
+def test_principal_survives_copy():
+    task = Task("t", sig(), principal="alice")
+    assert task.copy().principal == "alice"
