@@ -10,12 +10,14 @@ Demonstrates:
   * field subnets built at runtime (composeService);
   * per-field average temperature vs ground truth;
   * an alert expression ("max(a, b) > 30 ? 1 : 0") evaluated at query time;
+  * a mistyped expression refused remotely, the composite left unchanged;
   * a localized heat event injected into the physical environment and
     detected through the very same composite.
 
 Run:  python examples/farm_monitoring.py
 """
 
+from repro.core import BrowserError
 from repro.scenarios import build_farm
 from repro.sensors import FieldEvent
 
@@ -57,6 +59,18 @@ def main() -> None:
     print(f"  {'Farm':<9} {values['Farm']:7.2f} C")
 
     # -- Heat alert on Field-1 -------------------------------------------------
+    def mistype_alert():
+        # The composite parses the text before adopting it: a typo is
+        # refused and Field-1 keeps averaging.
+        try:
+            yield from browser.add_expression("Field-1", "max(a, b) > > 30")
+        except BrowserError as exc:
+            return str(exc)
+        return None
+
+    refused = env.run(until=env.process(mistype_alert()))
+    print(f"\nmistyped alert refused: {refused}")
+
     def arm_alert():
         # Re-purpose Field-1's expression into a threshold alert.
         yield from browser.add_expression("Field-1", "max(a, b) > 30 ? 1 : 0")
@@ -64,7 +78,7 @@ def main() -> None:
         return before
 
     before = env.run(until=env.process(arm_alert()))
-    print(f"\nField-1 heat alert armed (threshold 30 C): state={before:.0f}")
+    print(f"Field-1 heat alert armed (threshold 30 C): state={before:.0f}")
 
     # Inject a +15 C heat plume over Field-1 for ten minutes.
     center = farm.locations[temp_sensors["Field-1"][0]]

@@ -41,6 +41,7 @@ def test_paper_experiment():
 def test_farm_monitoring():
     output = run_example("farm_monitoring")
     assert "Field averages" in output
+    assert "mistyped alert refused" in output
     assert "heat event detected" in output
 
 
