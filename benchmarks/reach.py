@@ -57,7 +57,8 @@ VERBS = [
     ["inventory"], ["experiment"], ["value", "Neem-Sensor"], ["farm"],
     ["topology"], ["traffic"], ["watch", "--rounds", "2", "Neem-Sensor"],
     ["admin"], ["trace", "--all", "--metrics", "--out", "trace.jsonl"],
-    ["status", "--json"], ["health", "--json"], ["load", "--smoke", "--json"],
+    ["status"], ["status", "--json"], ["health"], ["health", "--json"],
+    ["load", "--smoke", "--json"],
     ["profile", "--spill", "history.db", "--run-id", "reach"],
     ["history", "--db", "history.db", "list"],
     ["history", "--db", "history.db", "keys", "--run", "reach"],
@@ -68,7 +69,8 @@ VERBS = [
     ["chaos", "shrink", "--chaos-seed", "1", "--max-runs", "2"],
     ["chaos", "replay", "--plan", "plan.json"],
     ["snapshot", "--at", "12", "--out", "snap.json"], ["restore", "snap.json"],
-    ["lint", str(SRC / "repro")],
+    ["lint", str(SRC / "repro")], ["lint", "--json", str(SRC / "repro")],
+    ["lint", "--list-rules"],
 ]
 
 

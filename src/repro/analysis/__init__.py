@@ -1,14 +1,13 @@
 """Static-analysis and determinism sanitizer suite.
 
-Four layers guard the repo's contracts (DESIGN.md §7/§8/§13):
+Three layers guard the repo's determinism and resource contracts
+(DESIGN.md §7/§8/§13):
 
 * the **static lint pass** — :func:`lint_paths` / :func:`lint_source` and
   the rule registry in :mod:`repro.analysis.rules`, exposed as
-  ``repro lint`` on the CLI. Local rule families: DET (determinism), SIM
-  (process-generator hygiene), RES (resource lifecycle over the CFG in
-  :mod:`repro.analysis.cfg`). Whole-program families: CTX (ServiceContext
-  path contracts, :mod:`repro.analysis.contracts`) and API (RPC interface
-  conformance, :mod:`repro.analysis.conformance`);
+  ``repro lint`` on the CLI. Rule families, each local to one module: DET
+  (determinism), SIM (process-generator hygiene) and RES (span and
+  history-store lifecycles over the CFG in :mod:`repro.analysis.cfg`);
 * the **runtime race sanitizer** — :class:`RaceSanitizer`, enabled with
   ``Environment(sanitize=True)``, which flags same-(time, priority) events
   with conflicting shared-state accesses (re-exported from
@@ -20,32 +19,24 @@ Four layers guard the repo's contracts (DESIGN.md §7/§8/§13):
 """
 
 from ..sim.sanitizer import RaceSanitizer, SanitizerViolation
-from . import conformance as _conformance  # noqa: F401  (registers API0xx)
-from . import contracts as _contracts  # noqa: F401  (registers CTX0xx)
 from . import lifecycle as _lifecycle  # noqa: F401  (registers RES0xx)
 from .cfg import Cfg, build_cfg
-from .linter import (Finding, apply_baseline, format_baseline, lint_paths,
-                     lint_source, load_baseline, render_findings,
-                     render_json, render_sarif)
-from .rules import RULES, ProgramRule, Rule, all_rules, register
+from .linter import (Finding, lint_paths, lint_source, render_findings,
+                     render_json)
+from .rules import RULES, Rule, all_rules, register
 
 __all__ = [
     "Cfg",
     "Finding",
-    "ProgramRule",
     "RULES",
     "RaceSanitizer",
     "Rule",
     "SanitizerViolation",
     "all_rules",
-    "apply_baseline",
     "build_cfg",
-    "format_baseline",
     "lint_paths",
     "lint_source",
-    "load_baseline",
     "register",
     "render_findings",
     "render_json",
-    "render_sarif",
 ]

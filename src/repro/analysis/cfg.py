@@ -32,7 +32,7 @@ import ast
 from typing import Iterator, Optional
 
 __all__ = ["CfgNode", "Cfg", "build_cfg", "can_raise", "has_yield",
-           "head_exprs", "NORMAL", "EXC", "INTERRUPT"]
+           "NORMAL", "EXC", "INTERRUPT"]
 
 #: Edge kinds. ``normal`` — ordinary fall-through / branch. ``exc`` — a
 #: statement raised. ``interrupt`` — an Interrupt (or event failure)
@@ -135,29 +135,6 @@ class Cfg:
             if node.stmt is not None and not isinstance(node.stmt,
                                                         ast.ExceptHandler):
                 yield node
-
-
-def head_exprs(node: CfgNode) -> list:
-    """The expressions ``node`` itself evaluates.
-
-    For a simple statement that is the whole statement; for a compound
-    head (``if`` / loop / ``with``) only the test/iterable/context
-    expressions — the body statements have their own nodes. Used by the
-    lifecycle pass so an acquire inside an ``if`` body is attributed to
-    its own node, not to the branch head as well.
-    """
-    stmt = node.stmt
-    if stmt is None:
-        return []
-    if node.label == "if":
-        return [stmt.test]
-    if node.label == "loop-head":
-        return [stmt.test] if isinstance(stmt, ast.While) else [stmt.iter]
-    if node.label == "with":
-        return [item.context_expr for item in stmt.items]
-    if node.label == "def":
-        return []  # nested scopes are opaque
-    return [stmt]
 
 
 class _Frame:

@@ -1,14 +1,10 @@
 """Driver for the static-analysis pass (``repro lint``).
 
-Parses files with the stdlib :mod:`ast` and runs the registered rules from
-:mod:`repro.analysis.rules` in two phases:
+Parses each file with the stdlib :mod:`ast` and runs every registered
+rule from :mod:`repro.analysis.rules` over it. Rules are local: each sees
+one module at a time.
 
-1. **local rules** see one module at a time (DET/SIM/RES families);
-2. **program rules** (:class:`~repro.analysis.rules.ProgramRule` — the
-   CTX/API families) see every parsed module at once, so a write in one
-   file can satisfy a read in another.
-
-Pragma suppressions apply to both phases:
+Pragma suppressions:
 
 ``# repro: allow[<rule>]``
     on a line: suppress that rule for that line;
@@ -18,12 +14,6 @@ Pragma suppressions apply to both phases:
 Multiple rules may be listed comma-separated inside the brackets. Unknown
 rule names in pragmas are themselves reported (a stale pragma is a lie
 about the code).
-
-Findings can also be filtered through a committed *baseline* — a text
-file of ``path<TAB>rule<TAB>message`` triples (line numbers deliberately
-excluded so unrelated edits don't churn it). A finding matching a
-baseline triple is suppressed; the expected steady state is an empty
-baseline, the file existing so CI can diff what regressed.
 """
 
 from __future__ import annotations
@@ -33,13 +23,12 @@ import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
-from .rules import RULES, ModuleInfo, ProgramRule, all_rules
+from .rules import RULES, ModuleInfo, all_rules
 
 __all__ = ["Finding", "lint_source", "lint_paths", "render_findings",
-           "render_json", "render_sarif", "load_baseline", "apply_baseline",
-           "format_baseline"]
+           "render_json"]
 
 _PRAGMA = re.compile(r"#\s*repro:\s*(allow|allow-file)\[([A-Za-z0-9_,\s]*)\]")
 
@@ -88,77 +77,37 @@ def _parse_pragmas(source: str):
     return line_allows, file_allows, bad
 
 
-class _ParsedFile:
-    """One file through the front end: module, pragmas, or a syntax error."""
-
-    __slots__ = ("path", "module", "line_allows", "file_allows", "findings")
-
-    def __init__(self, source: str, path: str):
-        self.path = path
-        self.module: Optional[ModuleInfo] = None
-        self.findings: list = []
-        self.line_allows: dict = {}
-        self.file_allows: set = set()
-        try:
-            tree = ast.parse(source, filename=path)
-        except SyntaxError as exc:
-            self.findings.append(Finding(
-                path=path, line=exc.lineno or 1, rule="E999",
-                message=f"syntax error: {exc.msg}"))
-            return
-        self.line_allows, self.file_allows, bad = _parse_pragmas(source)
-        self.module = ModuleInfo(path, source, tree)
-        for lineno, token in bad:
-            self.findings.append(Finding(
-                path=path, line=lineno, rule="PRAGMA",
-                message=f"pragma names unknown rule {token!r}",
-                hint=f"known rules: {', '.join(sorted(RULES))}"))
-
-    def admit(self, rule_id: str, line: int) -> bool:
-        if rule_id in self.file_allows:
-            return False
-        return rule_id not in self.line_allows.get(line, ())
-
-
-def _run(parsed: Sequence, rules: Optional[Sequence]) -> list:
-    active = list(rules) if rules is not None else all_rules()
-    local_rules = [r for r in active if not isinstance(r, ProgramRule)]
-    program_rules = [r for r in active if isinstance(r, ProgramRule)]
-    by_path = {pf.path: pf for pf in parsed}
-    findings: list = []
-    for pf in parsed:
-        findings.extend(pf.findings)
-        if pf.module is None:
+def _lint_file(source: str, path: str) -> list:
+    """Findings for one file: a syntax error, or pragma and rule findings."""
+    try:
+        tree = ast.parse(source, filename=path)
+    except SyntaxError as exc:
+        return [Finding(path=path, line=exc.lineno or 1, rule="E999",
+                        message=f"syntax error: {exc.msg}")]
+    line_allows, file_allows, bad = _parse_pragmas(source)
+    findings = [Finding(path=path, line=lineno, rule="PRAGMA",
+                        message=f"pragma names unknown rule {token!r}",
+                        hint=f"known rules: {', '.join(sorted(RULES))}")
+                for lineno, token in bad]
+    module = ModuleInfo(tree)
+    for rule in all_rules():
+        if rule.rule_id in file_allows:
             continue
-        for rule in local_rules:
-            if rule.rule_id in pf.file_allows:
-                continue
-            for line, message in rule.check(pf.module):
-                if pf.admit(rule.rule_id, line):
-                    findings.append(Finding(
-                        path=pf.path, line=line, rule=rule.rule_id,
-                        message=message, hint=rule.hint))
-    modules = [pf.module for pf in parsed if pf.module is not None]
-    if modules:
-        for rule in program_rules:
-            for path, line, message in rule.check_program(modules):
-                pf = by_path[path]
-                if pf.admit(rule.rule_id, line):
-                    findings.append(Finding(
-                        path=path, line=line, rule=rule.rule_id,
-                        message=message, hint=rule.hint))
-    findings.sort(key=lambda f: (f.path, f.line, f.rule, f.message))
+        for line, message in rule.check(module):
+            if rule.rule_id not in line_allows.get(line, ()):
+                findings.append(Finding(
+                    path=path, line=line, rule=rule.rule_id,
+                    message=message, hint=rule.hint))
     return findings
 
 
-def lint_source(source: str, path: str = "<string>",
-                rules: Optional[Sequence] = None) -> list:
-    """Lint one module's source text; returns sorted :class:`Finding`s.
+def _sorted(findings: list) -> list:
+    return sorted(findings, key=lambda f: (f.path, f.line, f.rule, f.message))
 
-    Program rules run too, over the one-module program — snippet tests
-    (and single-file lints) stay self-contained.
-    """
-    return _run([_ParsedFile(source, path)], rules)
+
+def lint_source(source: str, path: str = "<string>") -> list:
+    """Lint one module's source text; returns sorted :class:`Finding`s."""
+    return _sorted(_lint_file(source, path))
 
 
 def _iter_py_files(paths: Iterable) -> list:
@@ -174,46 +123,13 @@ def _iter_py_files(paths: Iterable) -> list:
     return files
 
 
-def lint_paths(paths: Iterable,
-               rules: Optional[Sequence] = None) -> list:
-    """Lint every ``.py`` file under ``paths`` (files or directories) as
-    one program: local rules per file, program rules across all of them."""
-    parsed = [_ParsedFile(path.read_text(encoding="utf-8"), str(path))
-              for path in _iter_py_files(paths)]
-    return _run(parsed, rules)
-
-
-# ---------------------------------------------------------------------------
-# Baseline
-
-
-def load_baseline(text: str) -> set:
-    """Parse a baseline file into ``(path, rule, message)`` triples."""
-    triples: set = set()
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) == 3:
-            triples.add(tuple(parts))
-    return triples
-
-
-def apply_baseline(findings: Sequence, baseline: set) -> list:
-    """Drop findings whose (path, rule, message) triple is baselined."""
-    return [f for f in findings
-            if (f.path, f.rule, f.message) not in baseline]
-
-
-def format_baseline(findings: Sequence) -> str:
-    """Render findings as baseline lines (sorted, line numbers omitted)."""
-    header = [
-        "# repro lint baseline — one `path<TAB>rule<TAB>message` per line.",
-        "# Findings matching a triple are suppressed; keep this empty.",
-    ]
-    triples = sorted({(f.path, f.rule, f.message) for f in findings})
-    return "\n".join(header + ["\t".join(t) for t in triples]) + "\n"
+def lint_paths(paths: Iterable) -> list:
+    """Lint every ``.py`` file under ``paths`` (files or directories)."""
+    findings: list = []
+    for path in _iter_py_files(paths):
+        findings.extend(_lint_file(path.read_text(encoding="utf-8"),
+                                   str(path)))
+    return _sorted(findings)
 
 
 # ---------------------------------------------------------------------------
@@ -246,48 +162,5 @@ def render_json(findings: Sequence) -> str:
             for f in findings
         ],
         "summary": {"total": len(findings), "by_rule": by_rule},
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def render_sarif(findings: Sequence) -> str:
-    """SARIF 2.1.0 report (canonical: sorted keys, no timestamps)."""
-    rule_ids = sorted({f.rule for f in findings} | set(RULES))
-    rules_meta = []
-    for rule_id in rule_ids:
-        rule = RULES.get(rule_id)
-        meta = {"id": rule_id}
-        if rule is not None:
-            meta["shortDescription"] = {"text": rule.summary}
-            if rule.hint:
-                meta["help"] = {"text": rule.hint}
-        rules_meta.append(meta)
-    index = {rule_id: i for i, rule_id in enumerate(rule_ids)}
-    results = []
-    for f in findings:
-        results.append({
-            "ruleId": f.rule,
-            "ruleIndex": index.get(f.rule, -1),
-            "level": "error",
-            "message": {"text": f.message},
-            "locations": [{
-                "physicalLocation": {
-                    "artifactLocation": {"uri": f.path},
-                    "region": {"startLine": max(f.line, 1)},
-                },
-            }],
-        })
-    payload = {
-        "$schema": ("https://raw.githubusercontent.com/oasis-tcs/"
-                    "sarif-spec/master/Schemata/sarif-schema-2.1.0.json"),
-        "version": "2.1.0",
-        "runs": [{
-            "tool": {"driver": {
-                "name": "repro-lint",
-                "informationUri": "https://example.invalid/repro",
-                "rules": rules_meta,
-            }},
-            "results": results,
-        }],
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"

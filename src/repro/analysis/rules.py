@@ -33,8 +33,7 @@ from __future__ import annotations
 import ast
 from typing import Iterable, Iterator, Optional
 
-__all__ = ["ModuleInfo", "ProgramRule", "Rule", "RULES", "register",
-           "all_rules"]
+__all__ = ["ModuleInfo", "Rule", "RULES", "register", "all_rules"]
 
 
 # ---------------------------------------------------------------------------
@@ -70,9 +69,7 @@ def _attr_name(node: ast.AST) -> Optional[str]:
 class ModuleInfo:
     """One parsed module plus the shared facts rules keep re-deriving."""
 
-    def __init__(self, path: str, source: str, tree: ast.Module):
-        self.path = path
-        self.source = source
+    def __init__(self, tree: ast.Module):
         self.tree = tree
         #: local alias -> imported module name ("import time as t" → t: time)
         self.module_aliases: dict[str, str] = {}
@@ -112,22 +109,6 @@ class Rule:
     hint: str = ""
 
     def check(self, module: ModuleInfo) -> Iterator[tuple]:
-        raise NotImplementedError
-
-
-class ProgramRule(Rule):
-    """A whole-program rule: sees every parsed module at once.
-
-    Subclasses implement :meth:`check_program`, yielding
-    ``(path, line, message)`` triples (pragma suppression is still applied
-    per file by the driver). The per-module :meth:`check` is a no-op so
-    program rules can live in the same registry as local rules.
-    """
-
-    def check(self, module: ModuleInfo) -> Iterator[tuple]:
-        return iter(())
-
-    def check_program(self, modules) -> Iterator[tuple]:
         raise NotImplementedError
 
 

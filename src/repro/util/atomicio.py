@@ -1,7 +1,7 @@
 """Crash-safe file writes — tmp + fsync + rename, shared by every artifact.
 
-A snapshot, a lint baseline or a benchmark report that a crash can tear
-is worse than no file at all: the reader sees syntactically broken (or,
+A snapshot or a benchmark report that a crash can tear is worse than
+no file at all: the reader sees syntactically broken (or,
 nastier, syntactically valid but truncated) content. Every durable
 artifact the CLI writes goes through this module instead of a bare
 ``open``/``write_text``:
@@ -19,9 +19,8 @@ a prefix of the new one. The stray ``.tmp.<pid>`` from a mid-write crash
 is inert (nothing ever reads temp names).
 
 :class:`AtomicFile` is the streaming variant with an explicit
-``close()``/``abort()`` protocol; the ``repro lint`` RES006 rule checks
-that handles of this class are released on every path, Interrupt edges
-included.
+``close()``/``abort()`` protocol; a write that raises aborts, leaving the
+old file and no temp file.
 """
 
 from __future__ import annotations

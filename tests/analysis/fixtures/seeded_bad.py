@@ -1,9 +1,11 @@
-"""Deliberately-defective snippets for the lint output golden tests.
+"""Deliberately-defective snippets for the lint output golden test.
 
-Never imported by anything: ``repro lint`` is pointed at this file to
-produce a stable, known set of findings (one RES, two CTX) for the
-``--json`` / ``--sarif`` golden files and the ``--rule`` filter tests.
+Never imported by anything: ``repro lint --json`` is pointed at this file
+to produce a stable, known set of findings (one RES001, one DET001, one
+SIM001) for ``tests/golden/lint_seeded.json``.
 """
+
+import time
 
 
 def leaky_span(tracer, env):
@@ -12,9 +14,12 @@ def leaky_span(tracer, env):
     span.end("ok")
 
 
-def fill(ctx, value):
-    ctx.put_value("trace/parent", value)
+def stamp():
+    return time.time()
 
 
-def probe(ctx):
-    return ctx.get_value("trace/parrent")
+def swallow(env, endpoint, ref):
+    try:
+        yield endpoint.call(ref, "poke")
+    except Exception:
+        pass

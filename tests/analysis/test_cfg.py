@@ -10,7 +10,7 @@ import ast
 import textwrap
 
 from repro.analysis.cfg import (EXC, INTERRUPT, NORMAL, build_cfg,
-                                can_raise, has_yield, head_exprs)
+                                can_raise, has_yield)
 
 
 def cfg_of(code):
@@ -274,51 +274,3 @@ def test_yield_in_finally_keeps_interrupt_edge():
     """)
     kinds = edge_kinds(cfg, node_at(cfg, 6), cfg.raise_exit)
     assert INTERRUPT in kinds
-
-
-# ---------------------------------------------------------------------------
-# head_exprs: compound heads own only their test/iter/context expressions
-
-
-def test_head_exprs_if_is_test_only():
-    cfg = cfg_of("""
-        def f(g, h):
-            if g():
-                h()
-    """)
-    head = node_at(cfg, 3)
-    assert head.label == "if"
-    exprs = head_exprs(head)
-    assert len(exprs) == 1 and isinstance(exprs[0], ast.Call)
-    # The body call is not part of the head's own expressions.
-    assert not any(isinstance(sub, ast.Call) and sub is not exprs[0]
-                   for e in exprs for sub in ast.walk(e))
-
-
-def test_head_exprs_loop_and_with_and_simple():
-    cfg = cfg_of("""
-        def f(items, opener, g):
-            for item in items:
-                pass
-            with opener() as o:
-                pass
-            x = g()
-    """)
-    loop = node_at(cfg, 3)
-    assert [type(e) for e in head_exprs(loop)] == [ast.Name]
-    withnode = node_at(cfg, 5)
-    assert [type(e) for e in head_exprs(withnode)] == [ast.Call]
-    simple = node_at(cfg, 7)
-    assert head_exprs(simple) == [simple.stmt]
-
-
-def test_head_exprs_def_is_opaque():
-    cfg = cfg_of("""
-        def f():
-            def inner():
-                return 1
-            return inner
-    """)
-    inner = node_at(cfg, 3)
-    assert inner.label == "def"
-    assert head_exprs(inner) == []

@@ -5,6 +5,8 @@ import io
 import textwrap
 from pathlib import Path
 
+import pytest
+
 import repro
 from repro.analysis import RULES, lint_source
 from repro.cli import main as cli_main
@@ -315,7 +317,7 @@ def test_syntax_error_reported_not_raised():
     assert [f.rule for f in found] == ["E999"]
 
 
-# -- CLI + lint baseline ----------------------------------------------------------
+# -- CLI --------------------------------------------------------------------------
 
 
 def test_cli_lint_exits_nonzero_on_findings(tmp_path):
@@ -335,15 +337,16 @@ def test_cli_lint_exits_zero_when_clean(tmp_path):
     assert "clean" in out.getvalue()
 
 
-def test_cli_lint_rule_filter_and_listing(tmp_path):
-    bad = tmp_path / "bad.py"
-    bad.write_text("import random\n\ndef f():\n    return random.random()\n")
+def test_cli_lint_rule_filter_and_listing(capsys):
+    # Listing needs no PATH; linting without one is a usage error.
     out = io.StringIO()
-    assert cli_main(["lint", "--rule", "DET001", str(bad)], out=out) == 0
-    out = io.StringIO()
-    assert cli_main(["lint", "--list-rules", str(bad)], out=out) == 0
-    listed = out.getvalue()
-    assert all(rule_id in listed for rule_id in RULES)
+    assert cli_main(["lint", "--list-rules"], out=out) == 0
+    listed = out.getvalue().splitlines()
+    assert [line.split()[0] for line in listed] == sorted(RULES)
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["lint"], out=io.StringIO())
+    assert exc.value.code == 2
+    assert "PATH" in capsys.readouterr().err
 
 
 def test_shipped_tree_lints_clean():

@@ -77,16 +77,16 @@ def test_wall_clock_pragmas_carry_a_justification():
 
 
 # ---------------------------------------------------------------------------
-# Line-level pragmas for the whole-program families (RES / CTX / API)
+# Line-level pragmas for the lifecycle family (RES)
 #
-# These rules encode cross-module contracts (a leak, a typo'd path, a
-# phantom export), so a suppression is a reviewed claim that the analyzer
-# is wrong or the contract is external. The audit holds them to a higher
-# bar than the local DET/SIM rules: every pragma must name a registered
-# rule and every RES/CTX/API pragma must say *why* inline.
+# These rules encode resource contracts (a leaked span or history-store
+# handle), so a suppression is a reviewed claim that the analyzer is wrong
+# or the handle is released elsewhere. The audit holds them to a higher
+# bar than the DET/SIM rules: every pragma must name a registered rule and
+# every RES pragma must say *why* inline.
 
 LINE_PRAGMA = re.compile(r"#\s*repro:\s*allow\[([A-Za-z0-9_,\s]*)\]")
-PROGRAM_FAMILIES = ("RES", "CTX", "API")
+PROGRAM_FAMILIES = ("RES",)
 
 
 def _line_pragmas():
@@ -121,13 +121,13 @@ def test_program_family_pragmas_carry_a_justification():
                  if any(rule.startswith(PROGRAM_FAMILIES) for rule in rules)
                  and not re.search(r"\]\s*-\s*\S", line)]
     assert not offenders, (
-        "RES/CTX/API suppressions need a trailing '- why' justification: "
+        "RES suppressions need a trailing '- why' justification: "
         f"{offenders}")
 
 
 def test_program_families_are_never_file_wide_suppressed():
     """One line may waive one finding; a file-wide waiver of a lifecycle
-    or contract rule would hide every *future* leak in the file too."""
+    rule would hide every *future* leak in the file too."""
     for rel, rules in ALLOWED.items():
         assert rules == {"DET001"}, (
             f"{rel}: the reviewed file-wide allowlist is DET001-only")
@@ -141,4 +141,4 @@ def test_program_families_are_never_file_wide_suppressed():
         if waived:
             offenders[rel] = sorted(waived)
     assert not offenders, (
-        f"file-wide RES/CTX/API suppressions are never allowed: {offenders}")
+        f"file-wide RES suppressions are never allowed: {offenders}")

@@ -36,6 +36,15 @@ def test_abort_preserves_existing_content(tmp_path):
     assert _temp_files(tmp_path) == []
 
 
+def test_failed_write_keeps_old_content_and_no_temp_file(tmp_path):
+    target = tmp_path / "artifact.bin"
+    atomic_write_bytes(target, b"old")
+    with pytest.raises(TypeError):
+        atomic_write_bytes(target, "not bytes")
+    assert target.read_bytes() == b"old"
+    assert _temp_files(tmp_path) == []
+
+
 def test_abort_without_existing_leaves_nothing(tmp_path):
     target = tmp_path / "never.txt"
     handle = AtomicFile(target)
