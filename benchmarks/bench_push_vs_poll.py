@@ -7,16 +7,15 @@ reading every D seconds from one ESP for 60 s:
 * **poll** — exert ``getValue`` every D seconds (request + reply, each an
   exertion round trip);
 * **push** — one ``subscribe`` exertion, then leased events at
-  ``min_interval=D`` (two messages per delivery — the ``notify`` and its
-  acknowledgement — plus half-life lease renewals on a 60 s lease: 2.34
-  messages per reading at D = 1 s in the committed table). Readings as
-  one-way datagrams, one message per delivery, is the open follow-up
-  (ROADMAP item 4(b)).
+  ``min_interval=D``: one one-way ``notify`` message per delivery, plus
+  half-life lease renewals on a 60 s lease (1.34 messages per reading at
+  D = 1 s in the committed table).
 
 Reported: network messages and bytes per delivered reading. Expected
-shape: push roughly halves the messages (no exertion round trip) and cuts
-bytes by more (events are smaller than exertion round trips); the
-advantage shrinks as D grows because lease renewals amortize worse.
+shape: at D = 1 s push costs about a third of polling's messages (no
+exertion round trip, no acknowledgement) and under a fifth of its bytes
+(events are smaller than exertion round trips); the advantage shrinks as
+D grows because lease renewals amortize worse.
 """
 
 import numpy as np
@@ -146,3 +145,6 @@ def test_push_vs_poll(report):
         _, poll_msgs, poll_bytes, push_msgs, push_bytes = row
         assert push_msgs < poll_msgs
         assert push_bytes < poll_bytes / 2
+    _, poll_msgs, poll_bytes, push_msgs, push_bytes = rows[0]
+    assert push_msgs < poll_msgs / 3
+    assert push_bytes < poll_bytes / 5

@@ -131,8 +131,8 @@ class ElementarySensorProvider(ServiceProvider):
                 sequence=sub["sequence"], handback=sub["handback"],
                 sensor_name=self.name, reading=reading)
             push_event(self.host, sub["listener"], event,
-                       kind="sensor-event",
-                       on_ack=self._m_events_pushed.inc)
+                       kind="sensor-event")
+            self._m_events_pushed.inc()
 
     def _drop_subscription(self, event_id: int) -> None:
         self._subscribers.pop(event_id, None)

@@ -10,9 +10,8 @@ listeners can detect gaps — Jini semantics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any
 
-from ..net.errors import NetworkError
 from ..net.host import Host
 from ..net.rpc import RemoteRef, rpc_endpoint
 from .lease import Lease
@@ -83,26 +82,17 @@ class EventRegistration:
     lease: Lease
 
 
-def push_event(host: Host, listener: RemoteRef, event: Any, *, kind: str,
-               on_ack: Optional[Callable[[], None]] = None) -> None:
+def push_event(host: Host, listener: RemoteRef, event: Any, *,
+               kind: str) -> None:
     """Push ``event`` to ``listener.notify`` at most once, from ``host``.
 
-    The one best-effort delivery every event source uses: it sends nothing
-    while ``host`` is down, and drops the event when the listener cannot
-    be reached — the listener's lease lapsing is what eventually reaps a
-    dead registration. ``on_ack`` runs once the listener has acknowledged.
-    Which listeners hear about what stays with the source's own
-    registration records.
+    The one best-effort delivery every event source uses, a one-way
+    invocation (:meth:`~repro.net.rpc.RpcEndpoint.cast`): it sends nothing
+    while ``host`` is down, and nothing comes back — a lost event, an
+    unreachable listener or one that raises is simply not heard of again.
+    The listener's lease lapsing is what eventually reaps a dead
+    registration. Which listeners hear about what stays with the source's
+    own registration records.
     """
-    if not host.up:
-        return
-
-    def acknowledged(call) -> None:
-        if call.ok:
-            if on_ack is not None:
-                on_ack()
-        elif isinstance(call.value, NetworkError):
-            call.defuse()
-
-    rpc_endpoint(host).call(listener, "notify", event, kind=kind,
-                            timeout=3.0).callbacks.append(acknowledged)
+    if host.up:
+        rpc_endpoint(host).cast(listener, "notify", event, kind=kind)

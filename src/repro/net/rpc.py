@@ -14,6 +14,9 @@ issues outbound calls. Calls return kernel events, so caller code reads::
 Failure semantics match the real thing: lost requests or replies surface as
 :class:`RpcTimeout`; a server-side exception surfaces as
 :class:`RemoteError` wrapping the cause.
+
+:meth:`RpcEndpoint.cast` is the one-way form: the same request message,
+sent to the cast port, served by the same checks, answered by nothing.
 """
 
 from __future__ import annotations
@@ -38,6 +41,8 @@ __all__ = ["RemoteRef", "RpcEndpoint", "rpc_endpoint"]
 
 REQUEST_PORT = "rpc.req"
 REPLY_PORT = "rpc.rep"
+#: One-way requests: served like ``rpc.req``, never answered.
+CAST_PORT = "rpc.cast"
 DEFAULT_TIMEOUT = 5.0
 
 
@@ -142,6 +147,7 @@ class RpcEndpoint:
         self._m_timeouts = registry.counter("rpc.timeouts", host=host.name)
         self._m_rtt = registry.histogram("rpc.rtt", host=host.name)
         host.open_port(REQUEST_PORT, self._on_request)
+        host.open_port(CAST_PORT, self._on_request)
         host.open_port(REPLY_PORT, self._on_reply)
 
     # -- server side ----------------------------------------------------------
@@ -171,8 +177,11 @@ class RpcEndpoint:
         self._allowed.pop(object_id, None)
 
     def _on_request(self, msg: Message) -> None:
-        request_id, reply_to, object_id, method, args, kwargs = msg.payload
-        dedup_key = (reply_to, request_id)
+        request_id, caller, object_id, method, args, kwargs = msg.payload
+        # A cast passes every check a call does; its outcome, refusal
+        # included, is dropped by _reply instead of being sent back.
+        reply_to = caller if msg.port == REQUEST_PORT else None
+        dedup_key = (caller, request_id)
         if dedup_key in self._seen_requests:
             return  # duplicate delivery: execute-at-most-once per request
         self._seen_requests.add(dedup_key)
@@ -227,8 +236,9 @@ class RpcEndpoint:
         self.env.process(result, name=hop.name).callbacks.append(
             reply_when_done)
 
-    def _reply(self, reply_to: str, request_id: int, ok: bool, value: Any) -> None:
-        if not self.host.up:
+    def _reply(self, reply_to: Optional[str], request_id: int, ok: bool,
+               value: Any) -> None:
+        if reply_to is None or not self.host.up:
             return
         self.host.send(reply_to, REPLY_PORT, kind="rpc-reply",
                        payload=(request_id, ok, value), protocol=Protocol.JERI)
@@ -278,6 +288,26 @@ class RpcEndpoint:
             return event
         timer.callbacks.append(lambda _ev: self._expire(request_id, timeout))
         return event
+
+    def cast(self, ref: RemoteRef, method: str, *args,
+             kind: str = "rpc-request", **kwargs) -> None:
+        """Invoke ``method`` on the remote object one-way: at most once,
+        and nothing comes back — no reply, no event, no watchdog.
+
+        The request is the one :meth:`call` sends, addressed to
+        :data:`CAST_PORT`; the server runs it through the same dedup,
+        export-table and method checks and the same URGENT hop. A request
+        that cannot be sent (this host down, an unknown destination) is
+        dropped like one lost on the wire.
+        """
+        self._m_calls.inc()
+        payload = (next(self._request_ids), self.host.name, ref.object_id,
+                   method, args, kwargs)
+        try:
+            self.host.send(ref.host, CAST_PORT, kind=kind, payload=payload,
+                           protocol=Protocol.JERI)
+        except NetworkError:
+            pass
 
     def _expire(self, request_id: int, timeout: float) -> None:
         pending = self._pending.pop(request_id, None)

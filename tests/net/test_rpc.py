@@ -392,6 +392,109 @@ def test_interrupt_into_a_serving_process_escapes_run_and_sends_no_reply():
     assert isinstance(call.value, RpcTimeout)
 
 
+def test_a_cast_is_one_message_two_events_and_nothing_pending():
+    env, net, sh, ch, server, client = setup()
+    added = []
+    ref = server.export(added, "list", methods=("append",))
+    before = env.scheduler_stats()
+    assert client.cast(ref, "append", 7) is None
+    assert client._pending == {}
+    env.run()
+    after = env.scheduler_stats()
+    assert added == [7]
+    # Request delivery and serve hop; no watchdog to cancel, no reply.
+    assert after["pops"] - before["pops"] == 2
+    assert after["cancels"] - before["cancels"] == 0
+    assert after["pending"] == 0
+    assert net.stats.messages == 1
+
+
+def test_duplicated_cast_executes_once():
+    env, net, sh, ch, server, client = setup()
+    net.add_link_filter(
+        lambda msg: LinkDecision(copies=(0.0005,))
+        if msg.kind == "rpc-request" else None)
+    executed = []
+    ref = server.export(executed, "once", methods=("append",))
+    client.cast(ref, "append", "ran")
+    env.run()
+    assert net.stats.by_kind["rpc-request"]["messages"] == 2
+    assert executed == ["ran"]
+    assert net.stats.messages == 2
+
+
+class Ledger:
+    def __init__(self):
+        self.ran = []
+
+    def allowed(self):
+        self.ran.append("allowed")
+
+    def other(self):
+        self.ran.append("other")
+
+    def _private(self):
+        self.ran.append("_private")
+
+
+@pytest.mark.parametrize("object_id, method", [
+    ("nope", "allowed"),       # not exported
+    ("ledger", "other"),       # outside the allow-list
+    ("ledger", "_private"),    # private
+    ("ledger", "missing"),     # no such method
+])
+def test_a_refused_cast_runs_nothing_and_sends_nothing_back(object_id,
+                                                            method):
+    env, net, sh, ch, server, client = setup()
+    ledger = Ledger()
+    server.export(ledger, "ledger", methods=["allowed"])
+    client.cast(RemoteRef(host="server", object_id=object_id), method)
+    env.run()
+    assert ledger.ran == []
+    assert net.stats.messages == 1
+
+
+@pytest.mark.parametrize("method", ["boom", "slow_boom"])
+def test_a_failing_cast_target_sends_nothing_back_and_raises_nothing(method):
+    env, net, sh, ch, server, client = setup()
+    ref = server.export(Calculator(), "calc")
+    client.cast(ref, method, *((env,) if method == "slow_boom" else ()))
+    env.run()
+    assert net.stats.messages == 1
+
+
+def test_a_cast_that_cannot_be_sent_is_dropped():
+    env, net, sh, ch, server, client = setup()
+    ref = server.export(Calculator(), "calc")
+    client.cast(RemoteRef("nowhere", "calc"), "add", 1, 2)
+    ch.fail()
+    client.cast(ref, "add", 1, 2)
+    env.run()
+    assert net.stats.messages == 0
+
+
+def test_interrupt_into_a_one_way_serving_process_escapes_run():
+    env, net, sh, ch, server, client = setup()
+
+    class Interruptible:
+        process = None
+
+        def work(self):
+            self.process = env.active_process
+            yield env.timeout(10.0)
+
+    service = Interruptible()
+    ref = server.export(service, "svc")
+    client.cast(ref, "work")
+    env.run(until=0.5)
+    assert service.process.name == "rpc:server.work"
+    service.process.interrupt("shutdown")
+    with pytest.raises(Interrupt):
+        env.run()
+    env.run()
+    assert net.stats.messages == 1
+
+
 def test_nested_rpc_server_calls_another_server():
     env = Environment()
     net = Network(env, rng=np.random.default_rng(1), latency=FixedLatency(0.001))

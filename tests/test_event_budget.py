@@ -1,8 +1,9 @@
 """What a message costs the kernel, as exact counts (no wall clock).
 
 The message path runs on kernel callbacks, not kernel processes: one event
-per delivery, one URGENT hop per served call, a cancelled watchdog, no
-process per push or per probe read (DESIGN §11). These literals are the
+per delivery, one URGENT hop per served call, a cancelled watchdog per
+answered call, no reply and no watchdog for a one-way push, no process per
+push or per probe read (DESIGN §11). These literals are the
 gate on that — a process creeping back onto the path moves them.
 """
 
@@ -44,11 +45,12 @@ def test_one_answered_call_is_four_events_and_a_cancelled_watchdog():
     assert after["pending"] == 0
 
 
-def test_a_pushed_reading_costs_at_most_nine_kernel_events():
+def test_a_pushed_reading_costs_at_most_seven_kernel_events():
     """16 ESPs sampling at 1 Hz and pushing to one subscriber, whole ticks:
-    kernel events and messages per tick, measured on this tree. The parent
-    of the PR that introduced this test sent the same messages and spent
-    3,078 events on these ten ticks (19.2 per reading)."""
+    kernel events and messages per tick, measured on this tree. With the
+    push still a round trip these ten ticks took 1,350 events (8.4 per
+    reading) and 375 messages; with processes on the message path as
+    well, 3,078 events (19.2 per reading)."""
     grid = build_sensorcer_grid(SENSORS, seed=11, discovery="locator",
                                 fixed_latency=0.001, sample_interval=1.0)
     env, net = grid.env, grid.net
@@ -87,10 +89,10 @@ def test_a_pushed_reading_costs_at_most_nine_kernel_events():
         messages.append(net.stats.messages - before[1])
         delivered.append(len(collector.stamps) - before[2])
     assert delivered == [SENSORS] * TICKS
-    # A quiet tick is 7 events per reading (sampler wake, read latency,
-    # notify delivery, serve hop, ack delivery, the push's own event, the
-    # ESP's 1 Hz subscription sweeper) plus one LUS sweep; the busier ticks
-    # add lease renewals and join polls.
-    assert pops == [113, 170, 113, 131, 113, 131, 132, 203, 113, 131]
-    assert messages == [32, 51, 32, 32, 32, 32, 32, 68, 32, 32]
-    assert sum(pops) <= 9 * SENSORS * TICKS
+    # A quiet tick is 5 events per reading (sampler wake, read latency,
+    # notify delivery, serve hop, the ESP's 1 Hz subscription sweeper) plus
+    # one LUS sweep, and one message per reading: the push is one-way. The
+    # busier ticks add lease renewals and join polls.
+    assert pops == [81, 138, 81, 99, 81, 99, 100, 171, 81, 99]
+    assert messages == [16, 35, 16, 16, 16, 16, 16, 52, 16, 16]
+    assert sum(pops) <= 7 * SENSORS * TICKS

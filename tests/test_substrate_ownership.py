@@ -110,17 +110,19 @@ def test_no_package_touches_anothers_private_state():
 
 
 def test_one_function_pushes_events():
-    """``<endpoint>.call(<ref>, "notify", ...)`` is spelled in
-    ``jini/events.py`` (the best-effort push) and ``jini/mailbox.py`` (the
-    store-and-forward relay, which requeues on failure) and nowhere else."""
+    """``<endpoint>.cast(<ref>, "notify", ...)`` is spelled in
+    ``jini/events.py`` (the one-way best-effort push) and
+    ``<endpoint>.call(<ref>, "notify", ...)`` in ``jini/mailbox.py`` (the
+    store-and-forward relay, which needs the answer to requeue on failure),
+    and neither anywhere else."""
     sites = set()
     for path in sorted(REPRO.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if (isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "call"
+                    and node.func.attr in ("call", "cast")
                     and len(node.args) >= 2
                     and isinstance(node.args[1], ast.Constant)
                     and node.args[1].value == "notify"):
-                sites.add(str(path.relative_to(REPRO)))
-    assert sites == {"jini/events.py", "jini/mailbox.py"}
+                sites.add((str(path.relative_to(REPRO)), node.func.attr))
+    assert sites == {("jini/events.py", "cast"), ("jini/mailbox.py", "call")}
