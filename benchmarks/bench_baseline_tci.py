@@ -23,8 +23,8 @@ services to use, and what computation to be done".
 import numpy as np
 
 from repro.util.table import render_table
-from repro.sim import Environment, Interrupt
-from repro.net import FixedLatency, Host, Network, rpc_endpoint
+from repro.sim import Environment
+from repro.net import FixedLatency, Host, Network, NetworkError, rpc_endpoint
 from repro.jini import LookupService
 from repro.sensors import PhysicalEnvironment, TemperatureProbe
 from repro.sorcer import Exerter, Jobber, ServiceContext, Signature, Task
@@ -161,9 +161,7 @@ def run_tci():
                 yield client.call(replacement.ref, "query", "mean",
                                   timeout=60.0)
                 return
-            except Interrupt:
-                raise
-            except Exception:
+            except NetworkError:
                 yield env.timeout(0.5)
 
     env.run(until=env.process(redeploy()))

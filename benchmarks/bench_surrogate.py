@@ -16,8 +16,8 @@ and its device reads stay at the sampling rate regardless of load.
 import numpy as np
 
 from repro.util.table import render_table
-from repro.sim import Environment, Interrupt
-from repro.net import FixedLatency, Host, Network, rpc_endpoint
+from repro.sim import Environment
+from repro.net import FixedLatency, Host, Network, NetworkError, rpc_endpoint
 from repro.jini import LookupService
 from repro.sensors import PhysicalEnvironment, SunSpotDevice, \
     SunSpotTemperatureProbe
@@ -90,9 +90,7 @@ def run_surrogate(n_clients):
             try:
                 yield ep.call(surrogate.ref, "getValue", timeout=30.0)
                 latencies.append(env.now - t0)
-            except Interrupt:
-                raise
-            except Exception:
+            except NetworkError:
                 pass
             yield env.timeout(QUERY_INTERVAL)
 

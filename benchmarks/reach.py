@@ -9,8 +9,11 @@ traced — with a ``sys.setprofile`` hook installed in every interpreter
 through a generated ``sitecustomize``. A function counts as reached when
 any of them calls it; its lines are its own span minus nested functions.
 Prints unreached/total function lines per module, worst first.
-Exits 1 when a module outside ``ALLOWED`` is wholly unreached:
-a path stays only if a verb, a workload or an experiment reaches it.
+Exits 1 when a module outside ``ALLOWED`` is wholly unreached, or when a
+module's unreached lines exceed its count in ``reach_baseline.json``
+(a ratchet: a module missing there has a baseline of 0). A path stays
+only if a verb, a workload or an experiment reaches it. After deleting
+unreached code, lower the baseline to the counts this prints.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
+BASELINE = Path(__file__).resolve().with_name("reach_baseline.json")
 
 #: Modules that may be wholly unreached by the shipped entry points.
 ALLOWED = {
@@ -170,7 +174,13 @@ def main(argv=None) -> int:
             and row["unreached_lines"] == row["function_lines"] and rel not in ALLOWED]
     for rel in dead:
         print(f"wholly unreached: {rel}", file=sys.stderr)
-    return 1 if dead else 0
+    baseline = json.loads(BASELINE.read_text())
+    grown = [(rel, row["unreached_lines"], baseline.get(rel, 0))
+             for rel, row in rows if row["unreached_lines"] > baseline.get(rel, 0)]
+    for rel, now, before in grown:
+        print(f"unreached lines grew: {rel} {now} > baseline {before}",
+              file=sys.stderr)
+    return 1 if dead or grown else 0
 
 
 if __name__ == "__main__":

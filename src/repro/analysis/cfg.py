@@ -12,10 +12,9 @@ bodies use:
   exceptional edge to the innermost handler dispatch; handlers that are not
   total (they name something narrower than ``Exception``) propagate onward,
   and exceptional routes run the ``finally`` body before leaving;
-* **Interrupt edges**: a ``yield`` is where the kernel delivers
-  :class:`~repro.sim.Interrupt` (and event failures), so every yield point
-  gets a distinct ``"interrupt"`` exceptional edge — the edge most leak
-  bugs hide on.
+* a ``yield`` is where the kernel throws a failed event into the
+  generator, so every yield point gets an exceptional edge — inside a
+  ``finally`` body too.
 
 The model is deliberately *may*-flow: any ``Call`` is assumed able to
 raise. That over-approximates paths (fine for a lint that reports "this
@@ -32,14 +31,12 @@ import ast
 from typing import Iterator, Optional
 
 __all__ = ["CfgNode", "Cfg", "build_cfg", "can_raise", "has_yield",
-           "NORMAL", "EXC", "INTERRUPT"]
+           "NORMAL", "EXC"]
 
 #: Edge kinds. ``normal`` — ordinary fall-through / branch. ``exc`` — a
-#: statement raised. ``interrupt`` — an Interrupt (or event failure)
-#: surfaced at a yield point.
+#: statement raised, or a failure was thrown in at a yield point.
 NORMAL = "normal"
 EXC = "exc"
-INTERRUPT = "interrupt"
 
 _RAISING_EXPRS = (ast.Call, ast.Yield, ast.YieldFrom, ast.Await)
 _SCOPE_NODES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
@@ -67,7 +64,7 @@ def can_raise(node: ast.AST) -> bool:
 
 
 def has_yield(node: ast.AST) -> bool:
-    """Does ``node`` contain a yield point (where Interrupt can surface)?"""
+    """Does ``node`` contain a yield point (where a failure can surface)?"""
     return any(isinstance(sub, (ast.Yield, ast.YieldFrom))
                for sub in _walk_own_exprs(node))
 
@@ -112,7 +109,7 @@ class Cfg:
         self.entry = self._new(None, "entry")
         #: Normal return / fall-off-the-end exit.
         self.exit = self._new(None, "exit")
-        #: An exception or Interrupt left the function un-handled.
+        #: An exception left the function un-handled.
         self.raise_exit = self._new(None, "raise-exit")
 
     def _new(self, stmt: Optional[ast.AST], label: str) -> CfgNode:
@@ -176,7 +173,7 @@ class _Builder:
         #: >0 while wiring ``finally`` bodies. Plain calls there are
         #: assumed not to raise (cleanup code that throws is its own bug,
         #: and modelling it flags every multi-statement finally); yield
-        #: points still get their edges — the kernel injects Interrupts
+        #: points still get their edges — the kernel throws failures in
         #: wherever a generator is suspended, cleanup or not.
         self.cleanup_depth = 0
 
@@ -203,10 +200,6 @@ class _Builder:
                 and not isinstance(source, ast.Raise):
             return  # cleanup calls are assumed not to raise
         self.cfg._edge(node, frame.exc_target, EXC)
-        if has_yield(source):
-            # The Interrupt edge is distinct so findings can say "leaks
-            # at the yield on line N" even alongside the generic one.
-            self.cfg._edge(node, frame.exc_target, INTERRUPT)
 
     def wire_stmt(self, stmt: ast.stmt, pred: CfgNode,
                   frame: _Frame) -> Optional[CfgNode]:

@@ -3,7 +3,7 @@
 Every rule here proves the same shape of property: *an acquire has a
 matching release on every path that leaves the function*, where "every
 path" includes the exceptional edges the CFG models (a raising call, a
-``raise``, and the Interrupt edge at every yield point). The acquire /
+``raise``, and the failure thrown in at every yield point). The acquire /
 release pairs are the repo's own contracts:
 
 =======  ==================================================================
@@ -30,7 +30,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from .cfg import EXC, INTERRUPT, NORMAL, Cfg, build_cfg
+from .cfg import EXC, NORMAL, Cfg, build_cfg
 from .rules import ModuleInfo, Rule, register
 
 __all__ = ["leaks_for"]
@@ -126,15 +126,15 @@ class _Leak:
     __slots__ = ("kind", "via_line")
 
     def __init__(self, kind: str, via_line: int):
-        self.kind = kind        # NORMAL / EXC / INTERRUPT
+        self.kind = kind        # NORMAL / EXC
         self.via_line = via_line
 
 
 def leaks_for(cfg: Cfg, acquire_node, is_release, is_rebind) -> list:
     """Paths from ``acquire_node`` to an exit without a release.
 
-    Returns one :class:`_Leak` per distinct (exit kind, via line), Interrupt
-    leaks first (the most actionable), then exceptions, then by line: the
+    Returns one :class:`_Leak` per distinct (exit kind, via line),
+    exception leaks first (the most actionable), then by line: the
     dataflow propagates an *open* token along edges — except the acquire
     node's own exceptional edges, where the acquisition itself failed and
     there is nothing to release.
@@ -165,15 +165,11 @@ def leaks_for(cfg: Cfg, acquire_node, is_release, is_rebind) -> list:
             # report is the last real statement the path left through.
             carried = kind if edge_kind == NORMAL else edge_kind
             work.append((node if node.line else src, succ, carried))
-    order = {INTERRUPT: 0, EXC: 1, NORMAL: 2}
     return sorted(leaks.values(),
-                  key=lambda leak: (order[leak.kind], leak.via_line))
+                  key=lambda leak: (leak.kind != EXC, leak.via_line))
 
 
 def _leak_message(what: str, leak: _Leak) -> str:
-    if leak.kind == INTERRUPT:
-        return (f"{what} is not released on the Interrupt edge of the "
-                f"yield at line {leak.via_line}")
     if leak.kind == EXC:
         return (f"{what} is not released on the exception path escaping "
                 f"at line {leak.via_line}")

@@ -16,8 +16,8 @@ DET004   ``sum()``/``+=`` accumulation over sets (float addition is
          order-sensitive)
 DET005   direct ``random.Random(...)`` construction outside the
          sanctioned substream helper (:mod:`repro.util.rng`)
-SIM001   broad ``except`` in a generator process body that can swallow
-         :class:`~repro.sim.Interrupt` without re-raising
+SIM001   broad ``except`` around a ``yield`` in a generator process body
+         that swallows whatever is thrown there without re-raising
 SIM002   ``yield`` of a statically-known non-event in a process
          generator
 =======  ==============================================================
@@ -292,7 +292,7 @@ def _is_sorted_call(expr: ast.AST) -> bool:
 
 _FANOUT_ATTRS = frozenset({
     "process", "schedule", "_schedule", "timeout", "succeed", "fail",
-    "interrupt", "notify", "call", "multicast", "send",
+    "notify", "call", "multicast", "send",
 })
 
 
@@ -430,16 +430,7 @@ class AdHocRandomRule(Rule):
 
 
 # ---------------------------------------------------------------------------
-# SIM001 — broad except swallowing Interrupt in process bodies
-
-
-def _mentions_interrupt(type_node: Optional[ast.AST]) -> bool:
-    if type_node is None:
-        return False
-    nodes = (type_node.elts if isinstance(type_node, ast.Tuple)
-             else [type_node])
-    return any((_attr_name(node) or "").endswith("Interrupt")
-               for node in nodes)
+# SIM001 — broad except around a yield in process bodies
 
 
 def _is_broad(type_node: Optional[ast.AST]) -> bool:
@@ -454,9 +445,10 @@ def _is_broad(type_node: Optional[ast.AST]) -> bool:
 @register
 class BroadExceptInProcessRule(Rule):
     rule_id = "SIM001"
-    summary = "broad except around a yield can swallow Interrupt"
-    hint = ("add `except Interrupt: raise` above it (or re-raise inside), "
-            "or catch the specific failure types instead")
+    summary = "broad except around a yield swallows every failure thrown there"
+    hint = ("catch the specific failure types instead (or re-raise inside); "
+            "a deliberate fault-isolation catch takes "
+            "`# repro: allow[SIM001] - <why>`")
 
     def check(self, module: ModuleInfo) -> Iterator[tuple]:
         for func in module.functions:
@@ -465,17 +457,13 @@ class BroadExceptInProcessRule(Rule):
             for node in _own_nodes(func):
                 if not isinstance(node, ast.Try):
                     continue
-                # Interrupts surface at yield points: a try block without a
-                # yield cannot swallow one.
+                # Event failures surface at yield points: a try block
+                # without a yield cannot swallow one.
                 if not any(isinstance(sub, (ast.Yield, ast.YieldFrom))
                            for sub in _own_nodes_of_stmts(node.body)):
                     continue
-                interrupt_handled = False
                 for handler in node.handlers:
-                    if _mentions_interrupt(handler.type):
-                        interrupt_handled = True
-                        continue
-                    if not _is_broad(handler.type) or interrupt_handled:
+                    if not _is_broad(handler.type):
                         continue
                     reraises = any(
                         isinstance(sub, ast.Raise) and sub.exc is None
@@ -483,8 +471,8 @@ class BroadExceptInProcessRule(Rule):
                     if not reraises:
                         yield (handler.lineno,
                                "broad except around a yield in a process "
-                               "generator swallows Interrupt/deadline "
-                               "signals")
+                               "generator swallows every failure thrown at "
+                               "the yield")
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,6 @@ class Host:
         self.up = True
         self._ports: dict[str, PortHandler] = {}
         self._fail_listeners: list[Callable[["Host"], None]] = []
-        self._recover_listeners: list[Callable[["Host"], None]] = []
         #: Per-host components created on first use (the RPC endpoint, the
         #: discovery manager, ...); same contract as ``Network.shared``.
         self.shared: dict[str, Any] = {}
@@ -88,9 +87,6 @@ class Host:
         """Register a callback invoked when this host crashes."""
         self._fail_listeners.append(listener)
 
-    def on_recover(self, listener: Callable[["Host"], None]) -> None:
-        self._recover_listeners.append(listener)
-
     def fail(self) -> None:
         """Crash the host: ports keep their handlers but nothing is delivered
         or sent until :meth:`recover`."""
@@ -101,11 +97,8 @@ class Host:
             listener(self)
 
     def recover(self) -> None:
-        if self.up:
-            return
+        """Bring the host back: sends and deliveries resume."""
         self.up = True
-        for listener in list(self._recover_listeners):
-            listener(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Host {self.name} {'up' if self.up else 'DOWN'}>"

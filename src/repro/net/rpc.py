@@ -30,7 +30,7 @@ from typing import Any, Iterable, Optional
 from ..observability.registry import metrics_registry
 from ..observability.span import NULL_SPAN
 from ..observability.tracer import tracer_of
-from ..sim import URGENT, Event, Interrupt, Timeout
+from ..sim import URGENT, Event, Timeout
 from ..sim import sanitizer as _san
 from .errors import NetworkError, NoSuchObjectError, RemoteError, RpcTimeout
 from .host import Host
@@ -214,8 +214,6 @@ class RpcEndpoint:
         reply_to, request_id, target, args, kwargs = hop.request
         try:
             result = target(*args, **kwargs)
-        except Interrupt:
-            raise  # never a reply: see reply_when_done
         except BaseException as exc:  # noqa: BLE001 - crosses the RPC boundary
             self._reply(reply_to, request_id, False, exc)
             return
@@ -224,14 +222,8 @@ class RpcEndpoint:
             return
 
         def reply_when_done(process: Event) -> None:
-            if process.ok:
-                self._reply(reply_to, request_id, True, process.value)
-            elif not isinstance(process.value, Interrupt):
-                process.defuse()
-                self._reply(reply_to, request_id, False, process.value)
-            # An Interrupt aimed at the serving process, not at the remote
-            # caller: left armed, so the kernel raises it out of run()
-            # instead of it being shipped as a reply.
+            process.defuse()  # a failure is the caller's to see, not run()'s
+            self._reply(reply_to, request_id, process.ok, process.value)
 
         self.env.process(result, name=hop.name).callbacks.append(
             reply_when_done)

@@ -9,7 +9,6 @@ from .core import (
     Condition,
     Environment,
     Event,
-    Interrupt,
     Process,
     SimulationError,
     Timeout,
@@ -26,7 +25,6 @@ __all__ = [
     "Condition",
     "Environment",
     "Event",
-    "Interrupt",
     "Process",
     "RaceSanitizer",
     "Resource",

@@ -38,7 +38,6 @@ __all__ = [
     "Condition",
     "AllOf",
     "AnyOf",
-    "Interrupt",
     "RaceSanitizer",
     "SanitizerViolation",
     "SimulationError",
@@ -50,7 +49,7 @@ __all__ = [
 #: scenario it builds without threading a parameter through the builders.
 SHUFFLE_SEED_ENV = "REPRO_SHUFFLE_SEED"
 
-#: Priority for "urgent" events (used internally for interrupts).
+#: Priority for "urgent" events (process start-up and resumption).
 URGENT = 0
 #: Default scheduling priority.
 NORMAL = 1
@@ -67,20 +66,6 @@ class SimulationError(Exception):
 
 class StopSimulation(Exception):
     """Raised internally to halt :meth:`Environment.run` early."""
-
-
-class Interrupt(Exception):
-    """Thrown into a process when :meth:`Process.interrupt` is called.
-
-    ``cause`` carries an arbitrary, caller-supplied reason object.
-    """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-
-    @property
-    def cause(self) -> Any:
-        return self.args[0]
 
 
 #: Sentinel distinguishing "not yet set" from a ``None`` event value.
@@ -232,7 +217,7 @@ class Process(Event):
     """Wraps a generator as a process; the process *is* an event that
     triggers with the generator's return value when it finishes."""
 
-    __slots__ = ("_generator", "name", "_target")
+    __slots__ = ("_generator", "name")
 
     def __init__(self, env: "Environment", generator: Generator, name: str | None = None):
         if not hasattr(generator, "throw"):
@@ -240,46 +225,11 @@ class Process(Event):
         super().__init__(env)
         self._generator = generator
         self.name = name or getattr(generator, "__name__", "process")
-        #: The event this process is currently waiting on (None while running).
-        self._target: Optional[Event] = None
         Initialize(env, self)
 
-    @property
-    def is_alive(self) -> bool:
-        return self._value is _PENDING
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at its current wait."""
-        if not self.is_alive:
-            raise SimulationError(f"{self.name} has terminated; cannot interrupt")
-        if self._target is None:
-            raise SimulationError(f"{self.name} cannot interrupt itself")
-        interrupt_ev = Event(self.env)
-        interrupt_ev._ok = False
-        interrupt_ev._value = Interrupt(cause)
-        interrupt_ev._defused = True
-        interrupt_ev.callbacks.append(self._resume)
-        self.env._schedule(interrupt_ev, URGENT)
-
     def _resume(self, event: Event) -> None:
-        # Ignore stale wakeups: after an interrupt, the original target may
-        # still trigger later; by then self._target no longer references it.
-        if self._value is not _PENDING:
-            if not event._ok:
-                event._defused = True
-            return
-        if (self._target is not None and event is not self._target
-                and not isinstance(event._value, Interrupt)):
-            if not event._ok:
-                event._defused = True
-            return
-        # Detach from the event we were waiting on.
-        if self._target is not None and self._target is not event:
-            if self._target.callbacks is not None:
-                try:
-                    self._target.callbacks.remove(self._resume)
-                except ValueError:
-                    pass
+        # Only the event the process yielded resumes it: it waits on one
+        # event at a time, and nothing else holds its callback.
         self.env._active_process = self
         try:
             if event._ok:
@@ -288,14 +238,12 @@ class Process(Event):
                 event._defused = True
                 next_event = self._generator.throw(event._value)
         except StopIteration as exc:
-            self._target = None
             self.env._active_process = None
             self._ok = True
             self._value = exc.value
             self.env._schedule(self, NORMAL)
             return
         except BaseException as exc:
-            self._target = None
             self.env._active_process = None
             self._ok = False
             self._value = exc
@@ -303,11 +251,11 @@ class Process(Event):
             return
         self.env._active_process = None
         if not isinstance(next_event, Event):
-            error = SimulationError(
-                f"process {self.name!r} yielded non-event {next_event!r}")
-            self._generator.throw(error)
-            return
-        self._target = next_event
+            # Thrown back in through the ordinary failure path, so a
+            # generator that catches it carries on waiting on what it
+            # yields next.
+            next_event = Event(self.env).fail(SimulationError(
+                f"process {self.name!r} yielded non-event {next_event!r}"))
         if next_event.callbacks is not None:
             next_event.callbacks.append(self._resume)
         else:
@@ -318,11 +266,10 @@ class Process(Event):
             if not next_event._ok:
                 resume_ev._defused = True
             resume_ev.callbacks.append(self._resume)
-            self._target = resume_ev
             self.env._schedule(resume_ev, URGENT)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<Process {self.name} alive={self.is_alive}>"
+        return f"<Process {self.name} alive={self._value is _PENDING}>"
 
 
 class Condition(Event):

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.sim import LOW, Interrupt
+from repro.sim import LOW
 from repro.snapshot.capture import capture_state, state_digest
 from repro.snapshot.format import write_snapshot
 
@@ -94,10 +94,7 @@ class Checkpointer:
             delay = at - self.env.now
             if delay < 0:
                 continue
-            try:
-                yield self.env.timeout(delay, priority=LOW)
-            except Interrupt:
-                return
+            yield self.env.timeout(delay, priority=LOW)
             self._capture(index, at)
             if self.on_capture is not None:
                 self.on_capture(*self.captures[-1])

@@ -24,7 +24,7 @@ from ..net.rpc import rpc_endpoint
 from ..observability import (get_trace_parent, metrics_registry,
                              set_trace_parent, tracer_of)
 from ..resilience import Deadline
-from ..sim import Interrupt, Resource
+from ..sim import Resource
 from .exertion import Exertion, ExertionStatus, Task, TraceRecord
 from .rejection import Overloaded, mark_overloaded
 
@@ -163,14 +163,12 @@ class ServiceProvider:
             exertion.status = ExertionStatus.RUNNING
             try:
                 result = yield from self._execute(exertion, txn_id)
-            except Interrupt:
-                raise
             except Overloaded as exc:
                 # A downstream hop shed this exertion's nested work. We are
                 # alive and answering — propagate the rejection marker
                 # without counting a provider failure here.
                 return self._shed(exertion, exc, started, span)
-            except Exception as exc:  # noqa: BLE001 - reported in the exertion
+            except Exception as exc:  # repro: allow[SIM001] - reported in the exertion
                 exertion.report_exception(exc)
                 self._m_failed.inc()
                 self._trace(exertion, started, note=f"exception: {exc!r}")

@@ -2,15 +2,15 @@
 
 Each test builds the CFG of one small function and asserts reachability
 or edge-level properties: which statements can follow which, where the
-exceptional and Interrupt edges go, and — the subtle part — that every
-route out of a ``try`` runs its ``finally`` body.
+exceptional edges go (every yield point has one), and — the subtle part —
+that every route out of a ``try`` runs its ``finally`` body.
 """
 
 import ast
 import textwrap
 
-from repro.analysis.cfg import (EXC, INTERRUPT, NORMAL, build_cfg,
-                                can_raise, has_yield)
+from repro.analysis.cfg import (EXC, NORMAL, build_cfg, can_raise,
+                                has_yield)
 
 
 def cfg_of(code):
@@ -80,13 +80,13 @@ def test_plain_assignment_has_no_exception_edge():
     assert not edge_kinds(cfg, node_at(cfg, 3), cfg.raise_exit)
 
 
-def test_yield_gets_interrupt_and_exception_edges():
+def test_yield_gets_exception_edge():
     cfg = cfg_of("""
         def f(ev):
             yield ev
     """)
     kinds = edge_kinds(cfg, node_at(cfg, 3), cfg.raise_exit)
-    assert kinds == {EXC, INTERRUPT}
+    assert kinds == {EXC}
 
 
 def test_can_raise_and_has_yield_judgements():
@@ -264,7 +264,9 @@ def test_finally_cleanup_calls_assumed_not_to_raise():
                                               kinds={NORMAL})
 
 
-def test_yield_in_finally_keeps_interrupt_edge():
+def test_yield_in_finally_keeps_exception_edge():
+    # Cleanup calls are assumed not to raise, but a failed event is still
+    # thrown in at a yield inside the finally body.
     cfg = cfg_of("""
         def f(g, ev):
             try:
@@ -273,4 +275,4 @@ def test_yield_in_finally_keeps_interrupt_edge():
                 yield ev
     """)
     kinds = edge_kinds(cfg, node_at(cfg, 6), cfg.raise_exit)
-    assert INTERRUPT in kinds
+    assert kinds == {EXC}

@@ -26,7 +26,7 @@ def assert_clean(code, rule):
 # RES001 — span lifecycle
 
 
-def test_res001_interrupt_leak_at_yield():
+def test_res001_exception_leak_at_yield():
     found = findings_for("""
         def run(tracer, env):
             span = tracer.start_span("op")
@@ -34,7 +34,7 @@ def test_res001_interrupt_leak_at_yield():
             span.end("ok")
     """, rule="RES001")
     assert [f.line for f in found] == [3]
-    assert "Interrupt edge of the yield at line 4" in found[0].message
+    assert "exception path escaping at line 4" in found[0].message
 
 
 def test_res001_exception_leak_between_start_and_end():

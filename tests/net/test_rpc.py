@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.sim import Environment, Interrupt
+from repro.sim import Environment
 from repro.net import (
     FixedLatency,
     Host,
@@ -368,30 +368,6 @@ def test_duplicated_request_executes_once():
     assert net.stats.by_kind["rpc-reply"]["messages"] == 1
 
 
-def test_interrupt_into_a_serving_process_escapes_run_and_sends_no_reply():
-    env, net, sh, ch, server, client = setup()
-
-    class Interruptible:
-        process = None
-
-        def work(self):
-            self.process = env.active_process
-            yield env.timeout(10.0)
-
-    service = Interruptible()
-    ref = server.export(service, "svc")
-    call = client.call(ref, "work", timeout=1.0)
-    call.callbacks.append(lambda ev: ev.defuse())  # the caller's RpcTimeout
-    env.run(until=0.5)
-    assert service.process.name == "rpc:server.work"
-    service.process.interrupt("shutdown")
-    with pytest.raises(Interrupt):
-        env.run()
-    env.run()
-    assert "rpc-reply" not in net.stats.by_kind
-    assert isinstance(call.value, RpcTimeout)
-
-
 def test_a_cast_is_one_message_two_events_and_nothing_pending():
     env, net, sh, ch, server, client = setup()
     added = []
@@ -471,28 +447,6 @@ def test_a_cast_that_cannot_be_sent_is_dropped():
     client.cast(ref, "add", 1, 2)
     env.run()
     assert net.stats.messages == 0
-
-
-def test_interrupt_into_a_one_way_serving_process_escapes_run():
-    env, net, sh, ch, server, client = setup()
-
-    class Interruptible:
-        process = None
-
-        def work(self):
-            self.process = env.active_process
-            yield env.timeout(10.0)
-
-    service = Interruptible()
-    ref = server.export(service, "svc")
-    client.cast(ref, "work")
-    env.run(until=0.5)
-    assert service.process.name == "rpc:server.work"
-    service.process.interrupt("shutdown")
-    with pytest.raises(Interrupt):
-        env.run()
-    env.run()
-    assert net.stats.messages == 1
 
 
 def test_nested_rpc_server_calls_another_server():

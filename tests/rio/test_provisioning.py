@@ -266,10 +266,11 @@ def test_cybernode_release_unknown_service(grid):
     assert env.run(until=env.process(proc())) == "rejected"
 
 
-def test_provision_span_closed_when_interrupted(grid):
-    # Regression: an Interrupt delivered while _provision awaits a remote
-    # hop used to leave its "provision:*" span open forever (found by the
-    # RES001 lifecycle lint). The span must be closed on the way out.
+def test_provision_span_closed_when_a_failure_escapes_a_remote_hop(grid):
+    # Regression: an unmodelled failure thrown in while _provision awaits a
+    # remote hop used to leave its "provision:*" span open forever (found
+    # by the RES001 lifecycle lint). The span must be closed on the way
+    # out. (A RemoteError is modelled: the lookup absorbs it.)
     env, net, lus = grid
     make_cybernode(net, "Cybernode-A")
     host = Host(net, "monitor-host")
@@ -278,12 +279,11 @@ def test_provision_span_closed_when_interrupted(grid):
     opstring = opstring_with()
     gen = monitor._provision(opstring, opstring.elements[0])
     next(gen)  # suspend at the first remote hop; the span is now open
-    from repro.sim import Interrupt
     provision_spans = [s for s in monitor.tracer.spans
                        if s.kind == "provision"]
     assert len(provision_spans) == 1
     assert provision_spans[0].ended_at is None
-    with pytest.raises(Interrupt):
-        gen.throw(Interrupt(cause="undeployed"))
+    with pytest.raises(KeyError):
+        gen.throw(KeyError("unmodelled"))
     assert provision_spans[0].ended_at is not None
     assert provision_spans[0].status == "error"

@@ -7,7 +7,6 @@ from repro.sim import (
     URGENT,
     Environment,
     Event,
-    Interrupt,
     SimulationError,
 )
 
@@ -293,80 +292,6 @@ def test_all_of_fails_fast():
 
     p = env.process(parent())
     assert env.run(until=p) == 1
-
-
-def test_interrupt_wakes_process():
-    env = Environment()
-
-    def sleeper():
-        try:
-            yield env.timeout(100)
-            return "slept"
-        except Interrupt as i:
-            return ("interrupted", i.cause, env.now)
-
-    p = env.process(sleeper())
-
-    def interrupter():
-        yield env.timeout(5)
-        p.interrupt(cause="wake up")
-
-    env.process(interrupter())
-    assert env.run(until=p) == ("interrupted", "wake up", 5)
-
-
-def test_interrupt_then_original_timeout_is_ignored():
-    env = Environment()
-    log = []
-
-    def sleeper():
-        try:
-            yield env.timeout(10)
-        except Interrupt:
-            pass
-        yield env.timeout(100)
-        log.append(env.now)
-
-    p = env.process(sleeper())
-
-    def interrupter():
-        yield env.timeout(5)
-        p.interrupt()
-
-    env.process(interrupter())
-    env.run()
-    # Resumed at t=5 after interrupt, then slept 100 -> wakes at 105,
-    # not at the original t=10 timeout.
-    assert log == [105]
-
-
-def test_interrupt_dead_process_rejected():
-    env = Environment()
-
-    def quick():
-        yield env.timeout(1)
-
-    p = env.process(quick())
-    env.run()
-    with pytest.raises(SimulationError):
-        p.interrupt()
-
-
-def test_uncaught_interrupt_fails_process():
-    env = Environment()
-
-    def sleeper():
-        yield env.timeout(100)
-
-    p = env.process(sleeper())
-
-    def interrupter():
-        yield env.timeout(1)
-        p.interrupt("die")
-
-    env.process(interrupter())
-    with pytest.raises(Interrupt):
-        env.run()
 
 
 def test_run_until_event():

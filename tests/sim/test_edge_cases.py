@@ -1,9 +1,9 @@
-"""Kernel edge cases: conditions with failures, interrupts during waits,
-process identity semantics."""
+"""Kernel edge cases: conditions with failures, misuse thrown back into a
+process, process identity semantics."""
 
 import pytest
 
-from repro.sim import AnyOf, Environment, Event, Interrupt, SimulationError
+from repro.sim import AnyOf, Environment, Event, SimulationError
 
 
 def test_any_of_failure_propagates():
@@ -51,57 +51,39 @@ def test_all_of_with_mixed_processed_and_pending():
     assert env.run(until=p) == 3
 
 
-def test_interrupt_while_waiting_on_process():
+def test_process_that_catches_a_yielded_non_event_error_carries_on():
+    """Yielding a non-event throws SimulationError in through the ordinary
+    failure path: a generator that catches it waits on what it yields
+    next, finishes, and wakes its waiters."""
     env = Environment()
 
-    def slow():
-        yield env.timeout(100)
-        return "slow-done"
+    def confused():
+        try:
+            yield 42
+        except SimulationError as exc:
+            yield env.timeout(1)
+            return str(exc)
 
-    slow_proc = None
+    p = env.process(confused())
 
     def waiter():
-        try:
-            yield slow_proc
-        except Interrupt:
-            return ("interrupted", env.now)
+        return (yield p)
 
-    slow_proc = env.process(slow())
-    p = env.process(waiter())
-
-    def interrupter():
-        yield env.timeout(5)
-        p.interrupt()
-
-    env.process(interrupter())
-    assert env.run(until=p) == ("interrupted", 5)
-    # The slow process keeps running unaffected.
-    assert env.run(until=slow_proc) == "slow-done"
+    assert env.run(until=env.process(waiter())) == (
+        "process 'confused' yielded non-event 42")
+    assert env.now == 1
 
 
-def test_double_interrupt_second_wait():
+def test_uncaught_non_event_error_fails_the_process_and_raises_from_run():
     env = Environment()
-    hits = []
 
-    def stubborn():
-        for _ in range(2):
-            try:
-                yield env.timeout(100)
-            except Interrupt as i:
-                hits.append((i.cause, env.now))
-        return "survived"
+    def confused():
+        yield 42
 
-    p = env.process(stubborn())
-
-    def interrupter():
-        yield env.timeout(1)
-        p.interrupt("one")
-        yield env.timeout(1)
-        p.interrupt("two")
-
-    env.process(interrupter())
-    assert env.run(until=p) == "survived"
-    assert hits == [("one", 1), ("two", 2)]
+    p = env.process(confused())
+    with pytest.raises(SimulationError, match="yielded non-event 42"):
+        env.run()
+    assert p.triggered and not p.ok
 
 
 def test_unobserved_failure_raises_at_trigger_time():

@@ -5,7 +5,6 @@ import pytest
 from repro.net import Host
 from repro.observability import metrics_registry
 from repro.overload import AdmissionController
-from repro.sim import Interrupt
 from repro.sorcer import (
     Exerter,
     ExertionStatus,
@@ -257,44 +256,6 @@ def test_failed_operation_returns_its_admission_slot(grid):
     failed, inflight, result = env.run(until=env.process(proc()))
     assert failed.is_failed and "op failure" in failed.exceptions[0]
     assert inflight == 0
-    assert result.status is ExertionStatus.DONE
-    assert result.get_return_value() == 5
-
-
-def test_interrupted_service_returns_its_admission_slot(grid):
-    env, net, lus = grid
-    _, provider = start_provider(net)
-    admit_one_at_a_time(net, provider)
-    exerter = Exerter(Host(net, "requestor"))
-    serving = []
-
-    def hang(ctx):
-        serving.append(env.active_process)  # the provider's serve process
-        return sleep()
-
-    def sleep():
-        yield env.timeout(100.0)
-
-    provider.add_operation("hang", hang)
-
-    def cut_mid_service():
-        yield env.timeout(2.0)
-        env.process(exerter.exert(add_task(selector="hang")))
-        yield env.timeout(1.0)
-        serving[0].interrupt("operator cut")
-
-    env.process(cut_mid_service())
-    # An Interrupt aimed at a serving process is not shipped as a reply:
-    # the kernel raises it out of run().
-    with pytest.raises(Interrupt):
-        env.run(until=10.0)
-    assert provider.admission.inflight == 0
-
-    def next_exertion():
-        result = yield env.process(exerter.exert(add_task()))
-        return result
-
-    result = env.run(until=env.process(next_exertion()))
     assert result.status is ExertionStatus.DONE
     assert result.get_return_value() == 5
 
