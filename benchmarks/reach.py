@@ -2,7 +2,8 @@
 
     python benchmarks/reach.py [--out FILE.json]
 
-Drives every entry point the project ships — each ``repro`` verb, the
+Drives every entry point the project ships — each ``repro`` subcommand,
+``choices`` value and flag, as ``repro.cli.build_parser()`` lists them, the
 ``examples/``, every ``bench_*.py`` in smoke mode (on a copy, so the
 committed result tables are not rewritten) and the four E-E2E workloads
 traced — with a ``sys.setprofile`` hook installed in every interpreter
@@ -57,33 +58,85 @@ def _dump():
 '''
 
 HISTORY_KEY = "esp.buffer_depth{provider=Neem-Sensor}"
-VERBS = [
-    ["inventory"], ["experiment"], ["value", "Neem-Sensor"], ["farm"],
-    ["topology"], ["traffic"], ["watch", "--rounds", "2", "Neem-Sensor"],
-    ["admin"], ["trace", "--all", "--metrics", "--out", "trace.jsonl"],
-    ["status"], ["status", "--json"], ["health"], ["health", "--json"],
-    ["load", "--smoke", "--json"],
-    ["profile", "--spill", "history.db", "--run-id", "reach"],
-    ["history", "--db", "history.db", "list"],
-    ["history", "--db", "history.db", "keys", "--run", "reach"],
-    ["history", "--db", "history.db", "series", "--run", "reach", HISTORY_KEY],
-    ["history", "--db", "history.db", "stats", "--run", "reach", HISTORY_KEY],
-    ["history", "--db", "history.db", "profile", "--run", "reach"],
-    ["chaos", "run", "--seeds", "2", "--json"],
-    ["chaos", "shrink", "--chaos-seed", "1", "--max-runs", "2"],
-    ["chaos", "replay", "--plan", "plan.json"],
-    ["snapshot", "--at", "12", "--out", "snap.json"], ["restore", "snap.json"],
-    ["lint", str(SRC / "repro")], ["lint", "--json", str(SRC / "repro")],
-    ["lint", "--list-rules"],
-]
+#: Arguments each subcommand cannot run without — required positionals and
+#: options, the files one verb leaves for the next (``profile`` spills the
+#: history the ``history`` verbs read, ``snapshot`` writes what ``restore``
+#: replays, ``chaos run --json`` prints the plan ``chaos replay`` re-runs)
+#: and a cheap bound where a default would run long. Keyed by the
+#: subcommand path; each level's fill follows its own token.
+FILL = {
+    ("value",): ["Neem-Sensor"],
+    ("watch",): ["--rounds", "2", "Neem-Sensor"],
+    ("trace",): ["--out", "trace.jsonl"],
+    ("profile",): ["--until", "30", "--spill", "history.db", "--run-id", "reach"],
+    ("history",): ["--db", "history.db"],
+    ("history", "keys"): ["--run", "reach"],
+    ("history", "series"): ["--run", "reach", HISTORY_KEY],
+    ("history", "stats"): ["--run", "reach", HISTORY_KEY],
+    ("history", "profile"): ["--run", "reach"],
+    ("chaos", "run"): ["--seeds", "2", "--json"],
+    ("chaos", "shrink"): ["--chaos-seed", "1", "--max-runs", "2"],
+    ("chaos", "replay"): ["--plan", "plan.json"],
+    ("snapshot",): ["--at", "12", "--out", "snap.json"],
+    ("restore",): ["snap.json"],
+    ("lint",): [str(SRC / "repro")],
+}
+
+
+def _subcommands(parser, path=(), argv=()) -> list:
+    """(argv, parser) for every leaf subcommand, in ``--help`` order."""
+    argv = [*argv, *path[-1:], *FILL.get(path, [])]
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return [leaf for name, child in action.choices.items()
+                    for leaf in _subcommands(child, (*path, name), argv)]
+    return [(argv, parser)]
+
+
+def _values(action, argv) -> list:
+    """The argv tails that give ``action`` each value it does not have in
+    ``argv``: every non-default ``choices`` entry, or the flag itself."""
+    if isinstance(action, argparse._StoreTrueAction):
+        flag = action.option_strings[0]
+        return [] if flag in argv else [[flag]]
+    return [[*action.option_strings[:1], value] for value in action.choices or ()
+            if value != action.default]
+
+
+def derive_verbs() -> list:
+    """One row per subcommand of ``repro.cli``'s parser, plus one per
+    non-default value of each of its ``choices`` arguments and flags; fails
+    on a subcommand ``FILL`` does not give what it requires."""
+    sys.path.insert(0, str(SRC))
+    from repro.cli import build_parser
+    parser = build_parser()
+    verbs = []
+    for argv, command in _subcommands(parser):
+        verbs.append(argv)
+        verbs += [argv + tail for action in command._actions
+                  for tail in _values(action, argv)]
+    for verb in verbs:
+        try:
+            parser.parse_args(verb)
+        except SystemExit:
+            raise SystemExit(f"reach: cannot fill `repro {' '.join(verb)}`; "
+                             "give its required arguments in FILL") from None
+    return verbs
+
+
+def _verdicts(work: Path, verb: list) -> Path:
+    """Where a ``chaos`` row's scenario keeps its ``run`` verdicts."""
+    scenario = (verb[verb.index("--scenario") + 1] if "--scenario" in verb
+                else "paper-lab")
+    return work / f"verdicts-{scenario}.json"
 
 
 def entry_points(work: Path) -> list:
     """(argv, stdout file or None) for every entry point, in run order."""
     # `chaos run`'s verdicts carry the plan `chaos replay` re-runs.
     runs = [([sys.executable, "-m", "repro", *verb],
-             work / "verdicts.json" if verb[:2] == ["chaos", "run"] else None)
-            for verb in VERBS]
+             _verdicts(work, verb) if verb[:2] == ["chaos", "run"] else None)
+            for verb in derive_verbs()]
     runs += [([sys.executable, str(path)], None)
              for path in sorted((ROOT / "examples").glob("*.py"))]
     runs.append(([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
@@ -105,9 +158,10 @@ def reached_functions() -> set:
                    REACH_OUT=str(work / "hits"), REPRO_BENCH_SMOKE="1",
                    PYTHONPATH=os.pathsep.join([str(work / "hook"), str(SRC)]))
         for argv, stdout in entry_points(work):
-            if argv[-2:] == ["--plan", "plan.json"]:
-                plan = json.loads((work / "verdicts.json").read_text())["runs"][0]["plan"]
-                (work / "plan.json").write_text(json.dumps(plan))
+            if "plan.json" in argv:
+                verdicts = json.loads(_verdicts(work, argv).read_text())
+                (work / "plan.json").write_text(
+                    json.dumps(verdicts["runs"][0]["plan"]))
             with open(stdout or os.devnull, "w") as sink:
                 done = subprocess.run(argv, cwd=work, env=env, stdout=sink,
                                       stderr=subprocess.PIPE, text=True)

@@ -92,9 +92,8 @@ def main() -> None:
     env.run(until=20.0)  # accumulate sensor history
 
     # Build the batch: one anomaly-score task per sensor, fed with that
-    # sensor's buffered values (in a full deployment a pipe from a
-    # getHistory task would supply these; we read the buffers directly to
-    # keep the example focused on the space).
+    # sensor's buffered values (read straight from the buffers, to keep the
+    # example focused on the space).
     job = Job("anomaly-batch", strategy=Strategy.PARALLEL, access=Access.PULL)
     for esp in esps:
         ctx = ServiceContext()

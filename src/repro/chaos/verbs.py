@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from ..util.atomicio import atomic_write_text
 from ..util.canonical import canonical_document
-from .campaign import CampaignConfig, CampaignRunner
+from .campaign import SCENARIOS, CampaignConfig, CampaignRunner
 from .plan import ChaosPlan
 from .shrink import shrink_failing_seed
 
@@ -25,6 +25,7 @@ def add_verbs(sub) -> None:
         "replay", help="re-run a (possibly shrunk) plan JSON bit-for-bit")
     for cmd in (chaos_run, chaos_shrink, chaos_replay):
         cmd.add_argument("--scenario", default="paper-lab",
+                         choices=sorted(SCENARIOS),
                          help="scenario under attack (default: paper-lab)")
         cmd.add_argument("--horizon", type=float, default=90.0,
                          help="simulated seconds per campaign run "

@@ -20,10 +20,7 @@ from .interfaces import (
     KIND_COMPOSITE,
     KIND_ELEMENTARY,
     OP_ADD_SERVICE,
-    OP_GET_HISTORY,
     OP_GET_INFO,
-    OP_GET_READING,
-    OP_GET_STATS,
     OP_GET_VALUE,
     OP_LIST_SERVICES,
     OP_REMOVE_SERVICE,
@@ -55,10 +52,7 @@ __all__ = [
     "KIND_ELEMENTARY",
     "NetworkModelError",
     "OP_ADD_SERVICE",
-    "OP_GET_HISTORY",
     "OP_GET_INFO",
-    "OP_GET_READING",
-    "OP_GET_STATS",
     "OP_GET_VALUE",
     "OP_LIST_SERVICES",
     "OP_REMOVE_SERVICE",

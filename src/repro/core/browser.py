@@ -85,22 +85,10 @@ class SensorBrowser:
         self.model["info"] = info
         return info
 
-    def get_stats(self, name: str, window=None):
-        args = {"name": name}
-        if window is not None:
-            args["window"] = window
-        stats = yield from self._facade_call("getSensorStats", args)
-        return stats
-
     def compose_service(self, composite: str, children: list):
         assigned = yield from self._facade_call(
             "composeService", {"composite": composite, "children": children})
         return assigned
-
-    def decompose_service(self, composite: str, child: str):
-        result = yield from self._facade_call(
-            "decomposeService", {"composite": composite, "child": child})
-        return result
 
     def add_expression(self, name: str, expression: str):
         result = yield from self._facade_call(
@@ -180,18 +168,9 @@ class SensorBrowser:
         plan = yield from self._facade_call("saveNetworkPlan", {})
         return plan
 
-    def apply_network_plan(self, plan):
-        actions = yield from self._facade_call("applyNetworkPlan",
-                                               {"plan": plan})
-        return actions
-
     def enable_self_healing(self, plan, interval: float = 5.0):
         result = yield from self._facade_call(
             "enableSelfHealing", {"plan": plan, "interval": interval})
-        return result
-
-    def disable_self_healing(self):
-        result = yield from self._facade_call("disableSelfHealing", {})
         return result
 
     def get_attributes(self, name: str):

@@ -26,7 +26,6 @@ from ..jini.entries import SensorType
 from ..net.host import Host
 from ..observability import metrics_registry
 from ..resilience import resilience_events
-from ..sensors.probe import Reading
 from ..sorcer.context import ServiceContext
 from ..sorcer.exerter import Exerter
 from ..sorcer.exertion import Strategy
@@ -36,10 +35,7 @@ from .interfaces import (
     COMPOSITE_PROVIDER,
     KIND_COMPOSITE,
     OP_ADD_SERVICE,
-    OP_GET_HISTORY,
     OP_GET_INFO,
-    OP_GET_READING,
-    OP_GET_STATS,
     OP_GET_VALUE,
     OP_LIST_SERVICES,
     OP_REMOVE_SERVICE,
@@ -92,7 +88,7 @@ class CompositeSensorProvider(ServiceProvider):
           it is unreachable (open-circuit or timed out), provided the value
           is younger than ``stale_max_age``. Variable bindings are
           preserved, so this is legal even with an expression attached;
-          substitutions are flagged in the returned context/``Reading``.
+          substitutions are flagged in the returned context.
 
         Setting the ``coalesce`` attribute shares one in-flight child
         collection among all concurrent ``getValue`` queries: under read
@@ -127,7 +123,6 @@ class CompositeSensorProvider(ServiceProvider):
         self._m_coalesced = metrics_registry(host.network).counter(
             "csp.coalesced", provider=name)
         self.add_operation(OP_GET_VALUE, self._op_get_value)
-        self.add_operation(OP_GET_READING, self._op_get_reading)
         self.add_operation(OP_GET_INFO, self._op_get_info)
         self.add_operation(OP_ADD_SERVICE, self._op_add_service)
         self.add_operation(OP_REMOVE_SERVICE, self._op_remove_service)
@@ -317,12 +312,6 @@ class CompositeSensorProvider(ServiceProvider):
             # Travels back to the requestor in the result context.
             ctx.put_value(STALE_PATH, stale)
         return value
-
-    def _op_get_reading(self, ctx):
-        value = yield from self._op_get_value(ctx)
-        quality = "stale" if ctx.get_value(STALE_PATH, None) else "good"
-        return Reading(value=value, unit="composite", timestamp=self.env.now,
-                       sensor_id=self.service_id, quality=quality)
 
     # -- info / management operations ----------------------------------------------
 

@@ -26,10 +26,7 @@ from .interfaces import (
     DATA_COLLECTION,
     ELEMENTARY_PROVIDER,
     KIND_ELEMENTARY,
-    OP_GET_HISTORY,
     OP_GET_INFO,
-    OP_GET_READING,
-    OP_GET_STATS,
     OP_GET_VALUE,
     SENSOR_DATA_ACCESSOR,
 )
@@ -41,7 +38,7 @@ class ElementarySensorProvider(ServiceProvider):
     """Wraps one probe as a network sensor service."""
 
     SERVICE_TYPES = (SENSOR_DATA_ACCESSOR, ELEMENTARY_PROVIDER, DATA_COLLECTION)
-    BUFFER_CAPACITY = 256  # readings kept for getHistory / getStats
+    BUFFER_CAPACITY = 256  # readings kept in the local store
 
     def __init__(self, host: Host, name: str, probe: SensorProbe,
                  sample_interval: float = 1.0,
@@ -74,12 +71,8 @@ class ElementarySensorProvider(ServiceProvider):
         self._m_events_pushed = registry.counter("esp.events_pushed",
                                                  provider=name)
         self.add_operation(OP_GET_VALUE, self._op_get_value)
-        self.add_operation(OP_GET_READING, self._op_get_reading)
         self.add_operation(OP_GET_INFO, self._op_get_info)
-        self.add_operation(OP_GET_HISTORY, self._op_get_history)
-        self.add_operation(OP_GET_STATS, self._op_get_stats)
         self.add_operation("subscribe", self._op_subscribe)
-        self.add_operation("unsubscribe", self._op_unsubscribe)
         self.add_operation("renewSubscription", self._op_renew_subscription)
 
     # -- lifecycle ------------------------------------------------------------
@@ -153,12 +146,6 @@ class ElementarySensorProvider(ServiceProvider):
                             expiration=lease.expiration,
                             min_interval=min_interval)
 
-    def _op_unsubscribe(self, ctx):
-        lease_id = ctx.get_value("arg/lease_id")
-        event_id = self._sub_landlord.cancel(lease_id)
-        self._drop_subscription(event_id)
-        return True
-
     def _op_renew_subscription(self, ctx):
         lease_id = ctx.get_value("arg/lease_id")
         duration = float(ctx.get_value("arg/lease_duration", 60.0))
@@ -189,11 +176,6 @@ class ElementarySensorProvider(ServiceProvider):
         reading = yield from self._latest()
         return reading.value
 
-    def _op_get_reading(self, ctx):
-        self._check_deadline(ctx)
-        reading = yield from self._latest()
-        return reading
-
     def _op_get_info(self, ctx):
         teds = self.probe.teds
         return {
@@ -208,11 +190,3 @@ class ElementarySensorProvider(ServiceProvider):
             "contained_services": [],
             "expression": None,
         }
-
-    def _op_get_history(self, ctx):
-        count = int(ctx.get_value("arg/count", 10))
-        return self.buffer.window(count)
-
-    def _op_get_stats(self, ctx):
-        window = ctx.get_value("arg/window", None)
-        return self.buffer.stats(int(window) if window is not None else None)

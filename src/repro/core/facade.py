@@ -40,13 +40,11 @@ from .interfaces import (
     KIND_ELEMENTARY,
     OP_ADD_SERVICE,
     OP_GET_INFO,
-    OP_GET_STATS,
     OP_GET_VALUE,
-    OP_REMOVE_SERVICE,
+    OP_LIST_SERVICES,
     OP_SET_EXPRESSION,
     SENSOR_DATA_ACCESSOR,
 )
-from .interfaces import OP_LIST_SERVICES
 from .manager import NetworkModelError, SensorNetworkManager
 from .plan import CompositionPlan, PlanEntry
 from .provisioner import ProvisionError, SensorServiceProvisioner
@@ -76,16 +74,12 @@ class SensorcerFacade(ServiceProvider):
         self.add_operation("getValue", self._op_get_value)
         self.add_operation("getValues", self._op_get_values)
         self.add_operation("getSensorInfo", self._op_get_sensor_info)
-        self.add_operation("getSensorStats", self._op_get_sensor_stats)
         self.add_operation("composeService", self._op_compose_service)
-        self.add_operation("decomposeService", self._op_decompose_service)
         self.add_operation("addExpression", self._op_add_expression)
         self.add_operation("createService", self._op_create_service)
         self.add_operation("networkSnapshot", self._op_network_snapshot)
         self.add_operation("saveNetworkPlan", self._op_save_network_plan)
-        self.add_operation("applyNetworkPlan", self._op_apply_network_plan)
         self.add_operation("enableSelfHealing", self._op_enable_self_healing)
-        self.add_operation("disableSelfHealing", self._op_disable_self_healing)
         self.add_operation("subscribeHealthAlerts",
                            self._op_subscribe_health_alerts)
         self._healing_plan: Optional[CompositionPlan] = None
@@ -194,16 +188,6 @@ class SensorcerFacade(ServiceProvider):
         yield self.env.all_of(list(procs.values()))
         return {name: proc.value for name, proc in procs.items()}
 
-    def _op_get_sensor_stats(self, ctx):
-        """Buffered-history statistics of an elementary sensor service."""
-        name = ctx.get_value("arg/name")
-        window = ctx.get_value("arg/window", None)
-        item = yield from self._find_sensor(name)
-        args = {} if window is None else {"window": window}
-        stats = yield from self._exert_on(item, OP_GET_STATS, args,
-                                          parent_ctx=ctx)
-        return stats
-
     def _op_compose_service(self, ctx):
         """Add child services to a composite; returns {child: variable}."""
         composite_name = ctx.get_value("arg/composite")
@@ -235,21 +219,6 @@ class SensorcerFacade(ServiceProvider):
         except NetworkModelError:
             pass  # edge already modelled (re-applied plan); the CSP is truth
         return variable
-
-    def _op_decompose_service(self, ctx):
-        """Remove one child from a composite (runtime re-grouping)."""
-        composite_name = ctx.get_value("arg/composite")
-        child_name = ctx.get_value("arg/child")
-        composite = yield from self._find_sensor(composite_name)
-        child = yield from self._find_sensor(child_name)
-        yield from self._exert_on(composite, OP_REMOVE_SERVICE,
-                                  {"service_id": child.service_id},
-                                  parent_ctx=ctx)
-        try:
-            self.manager.decompose(composite.service_id, child.service_id)
-        except NetworkModelError:
-            pass  # model may not have tracked this edge; the CSP is truth
-        return True
 
     def _op_add_expression(self, ctx):
         name = ctx.get_value("arg/name")
@@ -317,12 +286,6 @@ class SensorcerFacade(ServiceProvider):
                      info.get("expression"))
         return plan
 
-    def _op_apply_network_plan(self, ctx):
-        plan = ctx.get_value("arg/plan")
-        actions = yield from self._apply_plan(plan, strict=True,
-                                              parent_ctx=ctx)
-        return actions
-
     def _op_enable_self_healing(self, ctx):
         """Keep the network converged to the plan (§VII plug-and-play made
         durable: a re-provisioned, empty composite is re-composed)."""
@@ -333,39 +296,30 @@ class SensorcerFacade(ServiceProvider):
                 self._healing_loop(), name=f"facade-heal:{self.name}")
         return True
 
-    def _op_disable_self_healing(self, ctx):
-        self._healing_plan = None
-        return True
-
     def _healing_loop(self):
         while True:
             yield self.env.timeout(self._healing_interval)
-            plan = self._healing_plan
-            if plan is None or not self.host.up:
+            if not self.host.up:
                 continue
             try:
-                applied = yield from self._apply_plan(plan, strict=False)
+                applied = yield from self._apply_plan(self._healing_plan)
                 self.healing_actions += applied
             except Exception:  # repro: allow[SIM001] - healing outlives a failed pass
                 continue
 
-    def _apply_plan(self, plan: CompositionPlan, strict: bool,
-                    parent_ctx: Optional[ServiceContext] = None):
+    def _apply_plan(self, plan: CompositionPlan):
         applied = 0
         for entry in plan.entries:
             try:
-                applied += yield from self._apply_entry(entry, parent_ctx)
+                applied += yield from self._apply_entry(entry)
             except FacadeError:
-                if strict:
-                    raise
+                pass  # one unreconcilable composite must not stall the rest
         return applied
 
-    def _apply_entry(self, entry: PlanEntry,
-                     parent_ctx: Optional[ServiceContext] = None):
+    def _apply_entry(self, entry: PlanEntry):
         composite = yield from self._find_sensor(entry.composite)
         self._track(composite)
-        listed = yield from self._exert_on(composite, OP_LIST_SERVICES, {},
-                                           parent_ctx=parent_ctx)
+        listed = yield from self._exert_on(composite, OP_LIST_SERVICES, {})
         current = [record["name"] for record in listed]
         wanted = list(entry.children)
         if current != wanted[:len(current)]:
@@ -375,14 +329,12 @@ class SensorcerFacade(ServiceProvider):
                 "(variable bindings would shift)")
         actions = 0
         for child_name in wanted[len(current):]:
-            yield from self._add_child(composite, child_name, parent_ctx)
+            yield from self._add_child(composite, child_name, None)
             actions += 1
         if entry.expression is not None:
-            info = yield from self._exert_on(composite, OP_GET_INFO, {},
-                                             parent_ctx=parent_ctx)
+            info = yield from self._exert_on(composite, OP_GET_INFO, {})
             if info.get("expression") != entry.expression:
                 yield from self._exert_on(composite, OP_SET_EXPRESSION,
-                                          {"expression": entry.expression},
-                                          parent_ctx=parent_ctx)
+                                          {"expression": entry.expression})
                 actions += 1
         return actions

@@ -15,10 +15,7 @@ __all__ = [
     "COMPOSITE_PROVIDER",
     "FACADE",
     "OP_GET_VALUE",
-    "OP_GET_READING",
     "OP_GET_INFO",
-    "OP_GET_HISTORY",
-    "OP_GET_STATS",
     "OP_ADD_SERVICE",
     "OP_REMOVE_SERVICE",
     "OP_SET_EXPRESSION",
@@ -37,10 +34,7 @@ FACADE = "SensorcerFacade"
 
 # SensorDataAccessor selectors.
 OP_GET_VALUE = "getValue"
-OP_GET_READING = "getReading"
 OP_GET_INFO = "getInfo"
-OP_GET_HISTORY = "getHistory"
-OP_GET_STATS = "getStats"
 
 # Composite management selectors.
 OP_ADD_SERVICE = "addService"

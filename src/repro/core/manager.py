@@ -37,12 +37,6 @@ class SensorNetworkManager:
         self._services[service_id] = {"name": name, "kind": kind}
         self._children[service_id] = {}
 
-    def unregister_service(self, service_id: str) -> None:
-        self._require(service_id)
-        del self._services[service_id], self._children[service_id]
-        for children in self._children.values():
-            children.pop(service_id, None)
-
     def has_service(self, service_id: str) -> bool:
         return service_id in self._services
 
@@ -80,29 +74,9 @@ class SensorNetworkManager:
                 f"{self.name_of(parent_id)!r}")
         self._children[parent_id][child_id] = None
 
-    def decompose(self, parent_id: str, child_id: str) -> None:
-        if child_id not in self._children.get(parent_id, ()):
-            raise NetworkModelError("no such composition edge")
-        del self._children[parent_id][child_id]
-
     def children_of(self, service_id: str) -> list[str]:
         self._require(service_id)
         return sorted(self._children[service_id])
-
-    def parents_of(self, service_id: str) -> list[str]:
-        self._require(service_id)
-        return sorted(parent for parent, children in self._children.items()
-                      if service_id in children)
-
-    def subnet_members(self, root_id: str) -> list[str]:
-        """Every service reachable under a composite (the logical subnet)."""
-        self._require(root_id)
-        return sorted(self._descendants(root_id))
-
-    def roots(self) -> list[str]:
-        """Services not contained in any composite (network entry points)."""
-        contained = set().union(*self._children.values())
-        return sorted(n for n in self._services if n not in contained)
 
     def composites_leaves_first(self) -> list[str]:
         """Composites, each after every composite it contains — the order a

@@ -42,15 +42,3 @@ class CompositionPlan:
                                       children=tuple(children),
                                       expression=expression))
         return self
-
-    def entry_for(self, composite: str) -> Optional[PlanEntry]:
-        for entry in self.entries:
-            if entry.composite == composite:
-                return entry
-        return None
-
-    def composites(self) -> list:
-        return [entry.composite for entry in self.entries]
-
-    def __len__(self) -> int:
-        return len(self.entries)

@@ -109,8 +109,11 @@ def _eval(node: Node, resolver: Resolver,
             return left % right
         if op == "^":
             try:
+                # A negative base to a fractional power is complex, which
+                # float() refuses with a TypeError.
                 return float(left ** right)
-            except (OverflowError, ZeroDivisionError, ValueError) as exc:
+            except (OverflowError, ZeroDivisionError, ValueError,
+                    TypeError) as exc:
                 raise ExprEvalError(f"{left} ^ {right}: {exc}") from exc
         if op == "<":
             return 1.0 if left < right else 0.0

@@ -1,13 +1,12 @@
 """Built-in function library for compute-expressions.
 
-A deliberately small, numeric-only standard library: aggregation helpers the
-composite sensor provider needs (``avg``, ``min``, ``max``...), common math,
-and a functional ``if``.
+One function: ``max``, for alert expressions such as
+``max(a, b) > 30 ? 1 : 0``. Averages are arithmetic (``(a + b + c)/3``, the
+paper's expression) and conditionals are the language's ``?:``.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Callable
 
 from .errors import ExprEvalError
@@ -15,93 +14,12 @@ from .errors import ExprEvalError
 __all__ = ["BUILTINS"]
 
 
-def _require_args(name: str, args, minimum: int, maximum: int | None = None):
-    if len(args) < minimum or (maximum is not None and len(args) > maximum):
-        span = f"{minimum}" if maximum == minimum else (
-            f"at least {minimum}" if maximum is None else f"{minimum}..{maximum}")
-        raise ExprEvalError(f"{name}() expects {span} argument(s), got {len(args)}")
-
-
-def _avg(*args):
-    _require_args("avg", args, 1)
-    return sum(args) / len(args)
-
-
-def _min(*args):
-    _require_args("min", args, 1)
-    return min(args)
-
-
 def _max(*args):
-    _require_args("max", args, 1)
+    if not args:
+        raise ExprEvalError("max() expects at least 1 argument(s), got 0")
     return max(args)
 
 
-def _sum(*args):
-    _require_args("sum", args, 1)
-    return sum(args)
-
-
-def _clamp(*args):
-    _require_args("clamp", args, 3, 3)
-    x, lo, hi = args
-    if lo > hi:
-        raise ExprEvalError(f"clamp(): lower bound {lo} exceeds upper bound {hi}")
-    return max(lo, min(hi, x))
-
-
-def _sqrt(*args):
-    _require_args("sqrt", args, 1, 1)
-    if args[0] < 0:
-        raise ExprEvalError(f"sqrt() of negative value {args[0]}")
-    return math.sqrt(args[0])
-
-
-def _log(*args):
-    _require_args("log", args, 1, 2)
-    if args[0] <= 0:
-        raise ExprEvalError(f"log() of non-positive value {args[0]}")
-    if len(args) == 2:
-        if args[1] <= 0 or args[1] == 1:
-            raise ExprEvalError(f"log() with invalid base {args[1]}")
-        return math.log(args[0], args[1])
-    return math.log(args[0])
-
-
-def _if(*args):
-    _require_args("if", args, 3, 3)
-    return args[1] if args[0] else args[2]
-
-
-def _unary(name: str, fn: Callable) -> Callable:
-    def wrapper(*args):
-        _require_args(name, args, 1, 1)
-        return fn(args[0])
-    return wrapper
-
-
-def _pow(*args):
-    _require_args("pow", args, 2, 2)
-    try:
-        return math.pow(args[0], args[1])
-    except (ValueError, OverflowError) as exc:
-        raise ExprEvalError(f"pow({args[0]}, {args[1]}): {exc}") from exc
-
-
 BUILTINS: dict[str, Callable] = {
-    "avg": _avg,
-    "mean": _avg,
-    "min": _min,
     "max": _max,
-    "sum": _sum,
-    "clamp": _clamp,
-    "sqrt": _sqrt,
-    "log": _log,
-    "exp": _unary("exp", math.exp),
-    "abs": _unary("abs", abs),
-    "floor": _unary("floor", math.floor),
-    "ceil": _unary("ceil", math.ceil),
-    "round": _unary("round", round),
-    "pow": _pow,
-    "if": _if,
 }

@@ -22,7 +22,6 @@ from ..net.rpc import RemoteRef, rpc_endpoint
 from ..sim import sanitizer as _san
 from .discovery import ANNOUNCE_PORT, DISCOVERY_GROUP, PROBE_PORT
 from .events import (
-    ALL_TRANSITIONS,
     EventRegistration,
     ServiceEvent,
     TRANSITION_MATCH_MATCH,

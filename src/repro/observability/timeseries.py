@@ -25,7 +25,7 @@ from collections import deque
 from typing import Optional
 
 from .quantiles import max_from_buckets, quantile_from_buckets
-from .registry import Counter, Gauge, Histogram, MetricsRegistry
+from .registry import Counter, Gauge, MetricsRegistry
 
 __all__ = ["TimeSeriesStore", "Window"]
 

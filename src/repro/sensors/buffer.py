@@ -1,9 +1,9 @@
-"""Local reading store — a ring buffer with window statistics.
+"""Local reading store — a fixed-capacity ring buffer.
 
 §III.B argues a sensor service "should be capable of storing data to the
 local store" because sensors produce faster than consumers poll. Each
-elementary sensor provider keeps its samples here and can answer history
-and statistics queries without touching the probe.
+elementary sensor provider keeps its samples here and answers a fresh
+read from it without touching the probe.
 """
 
 from __future__ import annotations
@@ -19,26 +19,19 @@ __all__ = ["ReadingBuffer"]
 
 
 class ReadingBuffer:
-    """Fixed-capacity FIFO of :class:`Reading` with summary statistics."""
+    """Fixed-capacity FIFO of :class:`Reading`."""
 
     def __init__(self, capacity: int = 256):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
         self._readings: deque[Reading] = deque(maxlen=capacity)
-        self.total_appended = 0
 
     def append(self, reading: Reading) -> None:
         self._readings.append(reading)
-        self.total_appended += 1
 
     def __len__(self) -> int:
         return len(self._readings)
-
-    @property
-    def dropped(self) -> int:
-        """Readings evicted because the ring was full."""
-        return self.total_appended - len(self._readings)
 
     def last(self) -> Optional[Reading]:
         return self._readings[-1] if self._readings else None
@@ -50,23 +43,6 @@ class ReadingBuffer:
         items = list(self._readings)
         return items[-n:]
 
-    def since(self, t: float) -> list[Reading]:
-        return [r for r in self._readings if r.timestamp >= t]
-
     def values(self, n: Optional[int] = None) -> np.ndarray:
         source = self.window(n) if n is not None else list(self._readings)
         return np.array([r.value for r in source], dtype=float)
-
-    def stats(self, n: Optional[int] = None) -> dict:
-        """mean/min/max/std/count over the last ``n`` (or all) readings."""
-        values = self.values(n)
-        if values.size == 0:
-            return {"count": 0, "mean": None, "min": None, "max": None,
-                    "std": None}
-        return {
-            "count": int(values.size),
-            "mean": float(values.mean()),
-            "min": float(values.min()),
-            "max": float(values.max()),
-            "std": float(values.std()),
-        }

@@ -74,7 +74,11 @@ def cmd_snapshot(args, out) -> int:
         horizon = args.horizon
         config = CampaignConfig(horizon=args.horizon,
                                 scenario_seed=args.seed)
-        runner = CampaignRunner(scenario=args.scenario, config=config)
+        try:
+            runner = CampaignRunner(scenario=args.scenario, config=config)
+        except ValueError as exc:  # an unknown --scenario
+            out.write(f"error: {exc}\n")
+            return 2
         spec = campaign_spec(runner.plan_for(args.chaos_seed).to_dict(),
                              scenario=args.scenario)
     if not 0 <= args.at < horizon:

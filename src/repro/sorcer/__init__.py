@@ -17,7 +17,6 @@ from .exertion import (
     Exertion,
     ExertionStatus,
     Job,
-    Pipe,
     Strategy,
     Task,
     TraceRecord,
@@ -50,7 +49,6 @@ __all__ = [
     "Jobber",
     "OVERLOAD_PATH",
     "Overloaded",
-    "Pipe",
     "ServiceAccessor",
     "ServiceContext",
     "ServiceProvider",

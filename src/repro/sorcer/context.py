@@ -74,11 +74,6 @@ class ServiceContext(WireSized):
     def has_path(self, path: str) -> bool:
         return path in self._data
 
-    def remove(self, path: str) -> None:
-        self._data.pop(path, None)
-        self._in_paths.discard(path)
-        self._out_paths.discard(path)
-
     def paths(self) -> list[str]:
         return sorted(self._data.keys())
 
@@ -127,30 +122,6 @@ class ServiceContext(WireSized):
         return self.get_value(self.return_path, default)
 
     # -- structure ops ------------------------------------------------------------------
-
-    def subcontext(self, prefix: str) -> "ServiceContext":
-        """New context holding the subtree under ``prefix`` (paths relativized)."""
-        prefix = _validate_path(prefix)
-        sub = ServiceContext(name=f"{self.name}/{prefix}")
-        anchor = prefix + "/"
-        for path, value in self._data.items():
-            if path == prefix:
-                sub.put_value(prefix.rsplit("/", 1)[-1], value)
-            elif path.startswith(anchor):
-                sub.put_value(path[len(anchor):], value)
-        return sub
-
-    def merge(self, other: "ServiceContext", prefix: str = "") -> "ServiceContext":
-        """Copy every association of ``other`` into this context, optionally
-        under ``prefix``."""
-        for path, value in other._data.items():
-            target = f"{prefix}/{path}" if prefix else path
-            self.put_value(target, value)
-        for path in other._in_paths:
-            self._in_paths.add(f"{prefix}/{path}" if prefix else path)
-        for path in other._out_paths:
-            self._out_paths.add(f"{prefix}/{path}" if prefix else path)
-        return self
 
     def copy(self) -> "ServiceContext":
         return structural_copy(self, {})

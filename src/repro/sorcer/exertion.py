@@ -23,7 +23,7 @@ from .context import ServiceContext, register_plain_shapes, structural_copy
 from .signature import Signature
 
 __all__ = ["Exertion", "Task", "Job", "ControlContext", "Strategy", "Access",
-           "ExertionStatus", "TraceRecord", "Pipe"]
+           "ExertionStatus", "TraceRecord"]
 
 
 class ExertionStatus(Enum):
@@ -78,16 +78,6 @@ class TraceRecord:
     note: str = ""
 
 
-@dataclass
-class Pipe:
-    """Connects one component's output path to another's input path."""
-
-    from_exertion: str
-    from_path: str
-    to_exertion: str
-    to_path: str
-
-
 class Exertion:
     """Common behaviour of tasks and jobs."""
 
@@ -137,7 +127,7 @@ class Task(Exertion):
 
 
 class Job(Exertion):
-    """Composite exertion: nested tasks/jobs plus data pipes between them.
+    """Composite exertion: nested tasks/jobs run in order or in parallel.
 
     The job's own context aggregates component results: when component ``c``
     finishes, its return value lands at job path ``c/<return_path>``.
@@ -152,7 +142,6 @@ class Job(Exertion):
         self.exertions: list[Exertion] = list(exertions or [])
         self.control.strategy = strategy
         self.control.access = access
-        self.pipes: list[Pipe] = []
 
     def add(self, exertion: Exertion) -> "Job":
         if any(e.name == exertion.name for e in self.exertions):
@@ -166,22 +155,5 @@ class Job(Exertion):
                 return e
         raise KeyError(f"no component exertion named {name!r} in job {self.name!r}")
 
-    def pipe(self, from_exertion: str, from_path: str,
-             to_exertion: str, to_path: str) -> "Job":
-        """Feed ``from_exertion``'s output into ``to_exertion``'s input.
 
-        Only meaningful under SEQUENTIAL strategy (the source must complete
-        before the sink starts); validated at dispatch time.
-        """
-        names = [e.name for e in self.exertions]
-        for end in (from_exertion, to_exertion):
-            if end not in names:
-                raise KeyError(f"pipe endpoint {end!r} is not a component of {self.name!r}")
-        if names.index(from_exertion) >= names.index(to_exertion):
-            raise ValueError(
-                f"pipe must flow forward: {from_exertion!r} -> {to_exertion!r}")
-        self.pipes.append(Pipe(from_exertion, from_path, to_exertion, to_path))
-        return self
-
-
-register_plain_shapes(Task, Job, ControlContext, TraceRecord, Pipe)
+register_plain_shapes(Task, Job, ControlContext, TraceRecord)

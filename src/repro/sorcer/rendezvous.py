@@ -1,10 +1,10 @@
 """Rendezvous — the job-coordinating half of the Jobber and the Spacer.
 
 Receives a :class:`~repro.sorcer.exertion.Job`, runs its components
-(sequentially or in parallel per the job's control strategy), applies data
-pipes between sequential components, and aggregates component results into
-the job's context under ``<component>/<return path>``. How one component
-reaches a provider is the concrete peer's ``_dispatch``.
+(sequentially or in parallel per the job's control strategy) and
+aggregates component results into the job's context under
+``<component>/<return path>``. How one component reaches a provider is the
+concrete peer's ``_dispatch``.
 """
 
 from __future__ import annotations
@@ -38,9 +38,6 @@ class Rendezvous(ServiceProvider):
                             f"{type(exertion).__name__}; jobs only")
         job = exertion
         route = yield from self._route(txn_id)
-        if job.control.strategy is Strategy.PARALLEL and job.pipes:
-            raise ValueError(
-                "pipes between components require SEQUENTIAL strategy")
         if job.control.strategy is Strategy.PARALLEL:
             yield from self._run_parallel(job, route)
         else:
@@ -58,7 +55,6 @@ class Rendezvous(ServiceProvider):
 
     def _run_sequential(self, job: Job, route):
         for index, component in enumerate(list(job.exertions)):
-            self._apply_pipes(job, component)
             # Component hops become children of this peer's serve span (the
             # link rides the component's context, even through the space).
             propagate_trace(job.context, component.context)
@@ -90,17 +86,6 @@ class Rendezvous(ServiceProvider):
             self._collect(job, result)
 
     # -- data flow ------------------------------------------------------------------
-
-    def _apply_pipes(self, job: Job, component: Exertion) -> None:
-        for pipe in job.pipes:
-            if pipe.to_exertion != component.name:
-                continue
-            source = job.component(pipe.from_exertion)
-            if not source.is_done:
-                raise ValueError(
-                    f"pipe source {pipe.from_exertion!r} has not completed")
-            component.context.put_in_value(
-                pipe.to_path, source.context.get_value(pipe.from_path))
 
     def _collect(self, job: Job, result: Exertion) -> None:
         job.context.put_value(

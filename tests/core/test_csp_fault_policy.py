@@ -8,7 +8,6 @@ from repro.core import (
     STALE_PATH,
     CompositeSensorProvider,
     CompositionError,
-    OP_GET_READING,
     OP_GET_VALUE,
     SENSOR_DATA_ACCESSOR,
 )
@@ -26,12 +25,12 @@ def make_csp(net, fault_policy, tag=None, **kwargs):
     return csp
 
 
-def query(env, net, csp, tag, selector=OP_GET_VALUE):
+def query(env, net, csp, tag):
     exerter = Exerter(Host(net, f"fp-client-{tag}"))
 
     def proc():
         yield env.timeout(2.0)
-        task = Task("q", Signature(SENSOR_DATA_ACCESSOR, selector,
+        task = Task("q", Signature(SENSOR_DATA_ACCESSOR, OP_GET_VALUE,
                                    service_id=csp.service_id),
                     ServiceContext())
         result = yield env.process(exerter.exert(task))
@@ -137,12 +136,12 @@ def test_degraded_reading_flagged_stale(grid):
     csp.add_child(esp1.service_id, esp1.name)
     csp.add_child(esp2.service_id, esp2.name)
     env.run(until=3.0)
-    fresh = query(env, net, csp, "read-fresh", selector=OP_GET_READING)
-    assert fresh.get_return_value().quality == "good"
+    fresh = query(env, net, csp, "read-fresh")
+    assert fresh.context.get_value(STALE_PATH, None) is None
     esp2.host.fail()
-    stale = query(env, net, csp, "read-stale", selector=OP_GET_READING)
+    stale = query(env, net, csp, "read-stale")
     assert stale.is_done, stale.exceptions
-    assert stale.get_return_value().quality == "stale"
+    assert stale.context.get_value(STALE_PATH, None) is not None
 
 
 def test_degraded_policy_respects_staleness_bound(grid):

@@ -6,14 +6,11 @@ import pytest
 from repro.net import Host
 from repro.jini import SensorType, ServiceTemplate
 from repro.observability import metrics_registry
-from repro.sensors import Reading, SunSpotDevice, SunSpotTemperatureProbe
+from repro.sensors import SunSpotDevice, SunSpotTemperatureProbe
 from repro.sorcer import Exerter, ServiceContext, Signature, Task
 from repro.core import (
     KIND_ELEMENTARY,
-    OP_GET_HISTORY,
     OP_GET_INFO,
-    OP_GET_READING,
-    OP_GET_STATS,
     OP_GET_VALUE,
     SENSOR_DATA_ACCESSOR,
 )
@@ -74,15 +71,6 @@ def test_sampler_fills_buffer(grid):
     assert esp.buffer.last().timestamp <= env.now
 
 
-def test_get_reading_returns_reading(grid):
-    env, net, world, lus = grid
-    make_esp(net, world, "T1")
-    result = exert_op(env, net, "T1", OP_GET_READING)
-    reading = result.get_return_value()
-    assert isinstance(reading, Reading)
-    assert reading.unit == "celsius"
-
-
 def test_get_info_shape(grid):
     env, net, world, lus = grid
     make_esp(net, world, "T1")
@@ -95,27 +83,6 @@ def test_get_info_shape(grid):
     assert info["expression"] is None
 
 
-def test_get_history_respects_count(grid):
-    env, net, world, lus = grid
-    make_esp(net, world, "T1", sample_interval=0.5)
-    result = exert_op(env, net, "T1", OP_GET_HISTORY, settle=10.0, count=5)
-    history = result.get_return_value()
-    assert len(history) == 5
-    assert all(isinstance(r, Reading) for r in history)
-    # Oldest-first ordering.
-    times = [r.timestamp for r in history]
-    assert times == sorted(times)
-
-
-def test_get_stats(grid):
-    env, net, world, lus = grid
-    make_esp(net, world, "T1", sample_interval=0.5)
-    result = exert_op(env, net, "T1", OP_GET_STATS, settle=10.0)
-    stats = result.get_return_value()
-    assert stats["count"] >= 15
-    assert stats["min"] <= stats["mean"] <= stats["max"]
-
-
 def test_probe_faults_counted_not_fatal(grid):
     env, net, world, lus = grid
     # Four reads' worth of charge: the battery is flat within ~2 s.
@@ -126,9 +93,9 @@ def test_probe_faults_counted_not_fatal(grid):
     env.run(until=6.0)
     errors = metrics_registry(net).value("esp.sample_errors", provider="T1")
     assert errors > 0 and probe.read_errors == errors
-    # Still serving while flat: the buffered readings answer a query.
-    history = exert_op(env, net, "T1", OP_GET_HISTORY, settle=0.1, count=2)
-    assert history.is_done and len(history.get_return_value()) == 2
+    # Still serving while flat, with the buffered readings kept.
+    info = exert_op(env, net, "T1", OP_GET_INFO, settle=0.1)
+    assert info.is_done and len(esp.buffer.window(2)) == 2
     # Recharged, the sampler picks up again.
     device.recharge()
     env.run(until=12.0)

@@ -138,21 +138,6 @@ def test_compose_rejects_non_composite_target(lab):
         run(lab, lab.browser.compose_service("Neem-Sensor", ["Jade-Sensor"]))
 
 
-def test_facade_sensor_stats(lab):
-    stats = run(lab, lab.browser.get_stats("Neem-Sensor"))
-    assert stats["count"] > 0
-    assert stats["min"] <= stats["mean"] <= stats["max"]
-    windowed = run(lab, lab.browser.get_stats("Neem-Sensor", window=3))
-    assert windowed["count"] == 3
-
-
-def test_facade_stats_rejects_composites_gracefully(lab):
-    from repro.core import BrowserError
-    # Composites don't implement getStats; the failure is reported cleanly.
-    with pytest.raises(BrowserError):
-        run(lab, lab.browser.get_stats("Composite-Service"))
-
-
 def test_batch_get_values_concurrent(lab):
     values = run(lab, lab.browser.get_values(list(SENSOR_NAMES)))
     assert set(values) == set(SENSOR_NAMES)

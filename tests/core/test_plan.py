@@ -10,32 +10,27 @@ def test_add_builds_ordered_entries():
     plan = CompositionPlan()
     plan.add("Subnet", ["s1", "s2"], "(a+b)/2").add("Network",
                                                     ["Subnet", "s3"])
-    assert len(plan) == 2
-    assert plan.composites() == ["Subnet", "Network"]  # leaves-first order
-    entry = plan.entry_for("Subnet")
-    assert entry.children == ("s1", "s2")
-    assert entry.expression == "(a+b)/2"
-    assert plan.entry_for("Network").expression is None
+    subnet, network = plan.entries  # leaves-first order
+    assert (subnet.composite, network.composite) == ("Subnet", "Network")
+    assert subnet.children == ("s1", "s2")
+    assert subnet.expression == "(a+b)/2"
+    assert network.expression is None
 
 
 def test_children_are_frozen_as_tuples():
     children = ["a", "b"]
     plan = CompositionPlan().add("C", children)
     children.append("c")  # later mutation must not leak into the plan
-    assert plan.entry_for("C").children == ("a", "b")
+    assert plan.entries[0].children == ("a", "b")
     with pytest.raises(Exception):  # frozen dataclass
-        plan.entry_for("C").children = ()
+        plan.entries[0].children = ()
 
 
 def test_duplicate_composite_rejected():
     plan = CompositionPlan().add("C", ["x"])
     with pytest.raises(ValueError):
         plan.add("C", ["y"])
-    assert len(plan) == 1  # the failed add left no partial entry
-
-
-def test_entry_for_unknown_composite_is_none():
-    assert CompositionPlan().entry_for("missing") is None
+    assert len(plan.entries) == 1  # the failed add left no partial entry
 
 
 def test_entries_compare_by_value():

@@ -120,25 +120,6 @@ def test_renew_extends_subscription(grid):
     assert last > 10.0  # events kept flowing well past the original lease
 
 
-def test_unsubscribe_stops_immediately(grid):
-    env, net, world, lus = grid
-    esp = make_esp(net, world, "T1", sample_interval=0.5)
-    listener, listener_ref, call = facade_op(env, net, esp, "subscribe", "a")
-
-    def proc():
-        yield env.timeout(2.0)
-        sub = yield from call("subscribe", listener=listener_ref,
-                              lease_duration=600.0)
-        yield env.timeout(3.0)
-        yield from call("unsubscribe", lease_id=sub.lease_id)
-        stopped_at = env.now
-        yield env.timeout(10.0)
-        return stopped_at
-
-    stopped_at = env.run(until=env.process(proc()))
-    assert all(e.reading.timestamp <= stopped_at for e in listener.events)
-
-
 def test_dead_subscriber_lease_lapses_quietly(grid):
     env, net, world, lus = grid
     esp = make_esp(net, world, "T1", sample_interval=0.5)

@@ -37,21 +37,6 @@ def test_ternary_matches_python_max(a, b):
     assert evaluate("a > b ? a : b", {"a": a, "b": b}) == max(a, b)
 
 
-@given(st.lists(finite, min_size=1, max_size=8))
-def test_avg_function_matches_mean(values):
-    args = ", ".join(f"v{i}" for i in range(len(values)))
-    bindings = {f"v{i}": v for i, v in enumerate(values)}
-    assert evaluate(f"avg({args})", bindings) == pytest.approx(
-        sum(values) / len(values))
-
-
-@given(finite, finite, finite)
-def test_clamp_within_bounds(x, lo, hi):
-    lo, hi = min(lo, hi), max(lo, hi)
-    result = evaluate("clamp(x, lo, hi)", {"x": x, "lo": lo, "hi": hi})
-    assert lo <= result <= hi
-
-
 @given(st.text(alphabet="abc+-*/()0123456789 .<>=!&|?:%^,", max_size=40))
 def test_parser_never_crashes_unexpectedly(text):
     """Arbitrary input either parses or raises an ExprError — nothing else."""

@@ -89,8 +89,6 @@ def jobs(draw):
                                unique_by=lambda t: t.name))
     for task in components:
         job.add(task)
-    for source, sink in zip(components, components[1:]):
-        job.pipe(source.name, "result/value", sink.name, "arg/x")
     if draw(st.booleans()):
         job.add(Job("inner-job", [Task("inner-task", draw(signatures))]))
     return job

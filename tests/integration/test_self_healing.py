@@ -65,22 +65,27 @@ def test_save_plan_captures_live_state(lab):
     build_fig3_network(lab)
     plan = run(lab, lab.browser.save_network_plan())
     assert isinstance(plan, CompositionPlan)
-    names = plan.composites()
     # Leaves-first: the subnet appears before the network that contains it.
-    assert names.index("Composite-Service") < names.index("New-Composite")
-    subnet = plan.entry_for("Composite-Service")
+    subnet, network = plan.entries
+    assert subnet.composite == "Composite-Service"
     assert subnet.children == ("Neem-Sensor", "Jade-Sensor", "Diamond-Sensor")
     assert subnet.expression == "(a + b + c)/3"
-    network = plan.entry_for("New-Composite")
+    assert network.composite == "New-Composite"
     assert network.children == ("Composite-Service", "Coral-Sensor")
     assert network.expression == "(a + b)/2"
+
+
+def heal_once(lab, plan):
+    """Enable self-healing and let exactly one healing pass run."""
+    run(lab, lab.browser.enable_self_healing(plan, interval=2.0))
+    lab.env.run(until=lab.env.now + 3.0)
+    return lab.facade.healing_actions
 
 
 def test_apply_plan_is_idempotent(lab):
     build_fig3_network(lab)
     plan = run(lab, lab.browser.save_network_plan())
-    actions = run(lab, lab.browser.apply_network_plan(plan))
-    assert actions == 0  # everything already matches
+    assert heal_once(lab, plan) == 0  # everything already matches
 
 
 def test_apply_plan_restores_wiped_composite(lab):
@@ -90,8 +95,7 @@ def test_apply_plan_restores_wiped_composite(lab):
     composite = lab.composite
     composite.children = []
     composite.expression = None
-    actions = run(lab, lab.browser.apply_network_plan(plan))
-    assert actions == 4  # 3 children + 1 expression
+    assert heal_once(lab, plan) == 4  # 3 children + 1 expression
     value = run(lab, lab.browser.get_value("New-Composite"))
     assert isinstance(value, float)
 
@@ -101,11 +105,13 @@ def test_apply_plan_refuses_conflicting_order(lab):
     plan = run(lab, lab.browser.save_network_plan())
     composite = lab.composite
     # Re-order behind the plan's back: variables would shift.
-    composite.children = list(reversed(composite.children))
+    reordered = list(reversed(composite.children))
+    composite.children = list(reordered)
     composite.expression = None
-    from repro.core import BrowserError
-    with pytest.raises(BrowserError):
-        run(lab, lab.browser.apply_network_plan(plan))
+    # The conflicting entry is refused whole: no child added, no expression.
+    assert heal_once(lab, plan) == 0
+    assert composite.children == reordered
+    assert composite.expression is None
 
 
 def test_self_healing_after_cybernode_crash(lab):
@@ -146,18 +152,6 @@ def test_self_healing_after_cybernode_crash(lab):
         ["Neem-Sensor", "Jade-Sensor", "Diamond-Sensor"])
         + lab.world.sample("temperature", (3.0, 9.0), env.now)) / 2
     assert abs(value - truth) < 1.5
-
-
-def test_disable_self_healing_stops_reapplying(lab):
-    build_fig3_network(lab)
-    plan = run(lab, lab.browser.save_network_plan())
-    run(lab, lab.browser.enable_self_healing(plan, interval=1.0))
-    run(lab, lab.browser.disable_self_healing())
-    before = lab.facade.healing_actions
-    lab.composite.children = []
-    lab.composite.expression = None
-    lab.env.run(until=lab.env.now + 10.0)
-    assert lab.facade.healing_actions == before  # nothing reapplied
 
 
 def build_partition_grid(fault_policy, **csp_kwargs):
@@ -281,5 +275,4 @@ def test_plan_validation():
     plan.add("A", ["x", "y"], "(a+b)/2")
     with pytest.raises(ValueError):
         plan.add("A", ["z"])
-    assert len(plan) == 1
-    assert plan.entry_for("missing") is None
+    assert len(plan.entries) == 1

@@ -1,6 +1,5 @@
 """ReadingBuffer unit + property tests."""
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -15,8 +14,7 @@ def test_empty_buffer():
     buf = ReadingBuffer(4)
     assert len(buf) == 0
     assert buf.last() is None
-    assert buf.stats() == {"count": 0, "mean": None, "min": None, "max": None,
-                           "std": None}
+    assert buf.window(4) == []
 
 
 def test_capacity_validation():
@@ -38,7 +36,6 @@ def test_eviction_at_capacity():
         buf.append(reading(float(i)))
     assert len(buf) == 3
     assert [r.value for r in buf.window(3)] == [2.0, 3.0, 4.0]
-    assert buf.dropped == 2
 
 
 def test_window_bounds():
@@ -48,32 +45,6 @@ def test_window_bounds():
     assert [r.value for r in buf.window(2)] == [3.0, 4.0]
     assert len(buf.window(100)) == 5
     assert buf.window(0) == []
-
-
-def test_since_filters_by_time():
-    buf = ReadingBuffer(8)
-    for i in range(5):
-        buf.append(reading(float(i), t=float(i * 10)))
-    assert [r.value for r in buf.since(20.0)] == [2.0, 3.0, 4.0]
-
-
-def test_stats_values():
-    buf = ReadingBuffer(8)
-    for v in (1.0, 2.0, 3.0, 4.0):
-        buf.append(reading(v))
-    stats = buf.stats()
-    assert stats["count"] == 4
-    assert stats["mean"] == 2.5
-    assert stats["min"] == 1.0
-    assert stats["max"] == 4.0
-    assert stats["std"] == pytest.approx(np.std([1, 2, 3, 4]))
-
-
-def test_stats_window_subset():
-    buf = ReadingBuffer(8)
-    for v in (10.0, 1.0, 2.0, 3.0):
-        buf.append(reading(v))
-    assert buf.stats(3)["mean"] == 2.0
 
 
 @given(st.lists(st.floats(min_value=-1e6, max_value=1e6,
@@ -87,15 +58,3 @@ def test_property_buffer_keeps_most_recent(values, capacity):
     assert list(buf.values()) == expected
     assert len(buf) == min(len(values), capacity)
     assert buf.last().value == values[-1]
-
-
-@given(st.lists(st.floats(min_value=-1e3, max_value=1e3,
-                          allow_nan=False), min_size=1, max_size=40))
-def test_property_stats_match_numpy(values):
-    buf = ReadingBuffer(64)
-    for v in values:
-        buf.append(reading(v))
-    stats = buf.stats()
-    assert stats["mean"] == pytest.approx(float(np.mean(values)))
-    assert stats["min"] == min(values)
-    assert stats["max"] == max(values)

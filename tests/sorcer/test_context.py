@@ -44,14 +44,6 @@ def test_paths_sorted():
     assert ctx.paths() == ["a", "b"]
 
 
-def test_remove():
-    ctx = ServiceContext()
-    ctx.put_in_value("x", 1)
-    ctx.remove("x")
-    assert "x" not in ctx
-    assert ctx.in_paths() == []
-
-
 def test_in_out_markings():
     ctx = ServiceContext()
     ctx.put_in_value("in/a", 1)
@@ -78,26 +70,6 @@ def test_return_path_customizable():
     ctx.set_return_path("sensor/avg")
     ctx.set_return_value(20.0)
     assert ctx.get_value("sensor/avg") == 20.0
-
-
-def test_subcontext_relativizes():
-    ctx = ServiceContext()
-    ctx.put_value("sensor/temp/value", 21.0)
-    ctx.put_value("sensor/temp/unit", "C")
-    ctx.put_value("other/x", 9)
-    sub = ctx.subcontext("sensor/temp")
-    assert sub.get_value("value") == 21.0
-    assert sub.get_value("unit") == "C"
-    assert "other/x" not in sub
-
-
-def test_merge_with_prefix():
-    a = ServiceContext()
-    b = ServiceContext()
-    b.put_in_value("v", 1)
-    a.merge(b, prefix="child")
-    assert a.get_value("child/v") == 1
-    assert a.in_paths() == ["child/v"]
 
 
 def test_copy_is_deep():

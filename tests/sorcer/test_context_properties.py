@@ -18,32 +18,12 @@ def test_put_get_roundtrip(data):
     assert len(ctx) == len(data)
 
 
-@given(st.dictionaries(paths, values, max_size=12), segment)
-def test_merge_with_prefix_relocates_everything(data, prefix):
-    source = ServiceContext(data=data)
-    target = ServiceContext()
-    target.merge(source, prefix=prefix)
-    for path, value in data.items():
-        assert target.get_value(f"{prefix}/{path}") == value
-    assert len(target) == len(data)
-
-
-@given(st.dictionaries(paths, values, min_size=1, max_size=12), segment)
-def test_merge_then_subcontext_roundtrip(data, prefix):
-    source = ServiceContext(data=data)
-    target = ServiceContext()
-    target.merge(source, prefix=prefix)
-    back = target.subcontext(prefix)
-    for path, value in data.items():
-        assert back.get_value(path) == value
-
-
 @given(st.dictionaries(paths, values, max_size=12))
 def test_copy_independent(data):
     ctx = ServiceContext(data=data)
     dup = ctx.copy()
     for path in list(data):
-        dup.remove(path)
+        dup.put_value(path, object())
     for path, value in data.items():
         assert ctx.get_value(path) == value
 
@@ -52,12 +32,3 @@ def test_copy_independent(data):
 def test_paths_sorted_and_complete(data):
     ctx = ServiceContext(data=data)
     assert ctx.paths() == sorted(data.keys())
-
-
-@given(st.dictionaries(paths, values, max_size=8),
-       st.dictionaries(paths, values, max_size=8))
-def test_merge_without_prefix_is_overwrite_union(a, b):
-    ctx = ServiceContext(data=a)
-    ctx.merge(ServiceContext(data=b))
-    expected = {**a, **b}
-    assert ctx.as_dict() == expected

@@ -57,20 +57,6 @@ def test_job_duplicate_component_name_rejected():
         job.add(Task("t", sig()))
 
 
-def test_pipe_validation_unknown_endpoint():
-    job = Job("j", [Task("a", sig()), Task("b", sig())])
-    with pytest.raises(KeyError):
-        job.pipe("a", "p", "ghost", "q")
-
-
-def test_pipe_must_flow_forward():
-    job = Job("j", [Task("a", sig()), Task("b", sig())])
-    with pytest.raises(ValueError):
-        job.pipe("b", "p", "a", "q")
-    job.pipe("a", "result/value", "b", "input/x")  # forward is fine
-    assert len(job.pipes) == 1
-
-
 def test_signature_template_includes_name_and_type():
     s = Signature("SensorDataAccessor", "getValue", provider_name="Neem-Sensor")
     template = s.template()

@@ -73,15 +73,6 @@ def test_sequential_job_collects_results(jobber_grid):
     assert result.context.get_value("t2/result/value") == 30
 
 
-def test_pipe_feeds_downstream_task(jobber_grid):
-    env, net, exerter = jobber_grid
-    j = Job("j", [task("sum", "add", a=3, b=4), task("twice", "double")])
-    j.pipe("sum", "result/value", "twice", "arg/x")
-    result = run_job(env, exerter, j)
-    assert result.status is ExertionStatus.DONE
-    assert result.context.get_value("twice/result/value") == 14
-
-
 def test_parallel_job_overlaps_execution(jobber_grid):
     env, net, exerter = jobber_grid
     seq = Job("seq", [task(f"t{i}", "add", a=i, b=i) for i in range(4)])
@@ -103,16 +94,6 @@ def test_parallel_job_overlaps_execution(jobber_grid):
     assert r2.status is ExertionStatus.DONE
     # 4 tasks x 0.5s each: sequential ~2s, parallel ~0.5s.
     assert seq_elapsed > 3 * par_elapsed
-
-
-def test_parallel_with_pipes_rejected(jobber_grid):
-    env, net, exerter = jobber_grid
-    j = Job("j", [task("a", "add", a=1, b=1), task("b", "double")],
-            strategy=Strategy.PARALLEL)
-    j.pipe("a", "result/value", "b", "arg/x")
-    result = run_job(env, exerter, j)
-    assert result.is_failed
-    assert "SEQUENTIAL" in result.exceptions[0]
 
 
 def test_component_failure_fails_job_and_skips_rest(jobber_grid):

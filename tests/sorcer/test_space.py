@@ -263,47 +263,6 @@ def test_worker_crash_recovery_via_txn(env, net):
         assert result.context.get_value(f"t{i}/result/value") == i + 1
 
 
-def test_pull_sequential_job_with_pipes(env, net):
-    """Spacer honours SEQUENTIAL strategy and data pipes (like the Jobber)."""
-    from repro.sorcer import Strategy
-    space, exerter, workers = spacer_stack(env, net, workers=1)
-    job = Job("piped", access=Access.PULL, strategy=Strategy.SEQUENTIAL)
-    job.add(add_task("first", 3, 4))
-    second = add_task("second", 0, 100)  # 'a' gets overwritten by the pipe
-    job.add(second)
-    job.pipe("first", "result/value", "second", "arg/a")
-    job.control.invocation_timeout = 120.0
-
-    def proc():
-        yield env.timeout(2.0)
-        result = yield env.process(exerter.exert(job))
-        return result
-
-    result = env.run(until=env.process(proc()))
-    assert result.status is ExertionStatus.DONE, result.exceptions
-    # first = 3+4 = 7; second = 7 + 100.
-    assert result.context.get_value("second/result/value") == 107
-
-
-def test_pull_parallel_with_pipes_rejected(env, net):
-    from repro.sorcer import Strategy
-    space, exerter, workers = spacer_stack(env, net, workers=1)
-    job = Job("bad", access=Access.PULL, strategy=Strategy.PARALLEL)
-    job.add(add_task("a", 1, 1))
-    job.add(add_task("b", 2, 2))
-    job.pipe("a", "result/value", "b", "arg/a")
-    job.control.invocation_timeout = 60.0
-
-    def proc():
-        yield env.timeout(2.0)
-        result = yield env.process(exerter.exert(job))
-        return result
-
-    result = env.run(until=env.process(proc()))
-    assert result.is_failed
-    assert "SEQUENTIAL" in result.exceptions[0]
-
-
 @pytest.mark.parametrize("parallel", [False, True])
 def test_pull_job_fails_a_nested_job_like_any_component(env, net, parallel):
     """The space carries tasks only; a nested job fails as a component —

@@ -384,3 +384,21 @@ def test_load_curve_smoke_is_deterministic():
     document = json.loads(first)
     assert [point["scale"] for point in document["points"]] == \
         [0.6, 1.2, 2.0]
+
+
+@pytest.mark.parametrize("command", ["run", "shrink", "replay"])
+def test_chaos_unknown_scenario_is_a_usage_error(command, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["chaos", command, "--scenario", "nope"], out=io.StringIO())
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'nope'" in capsys.readouterr().err
+
+
+def test_snapshot_unknown_campaign_scenario_errors(tmp_path):
+    target = tmp_path / "snap.json"
+    code, output = run_cli("snapshot", "--program", "campaign",
+                           "--scenario", "nope", "--at", "12",
+                           "--out", str(target))
+    assert code == 2
+    assert output.startswith("error:") and "'nope'" in output
+    assert not target.exists()

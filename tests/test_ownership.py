@@ -115,10 +115,9 @@ def test_only_the_codec_and_sorcer_touch_the_deadline_path():
 # -- one rendezvous loop -----------------------------------------------------------
 
 
-def _piped(access):
-    job = Job("piped", [_task("first", "add", a=3, b=4),
-                        _task("second", "add", a=0, b=100)], access=access)
-    return job.pipe("first", "result/value", "second", "arg/a")
+def _sequential(access):
+    return Job("seq", [_task("first", "add", a=3, b=4),
+                       _task("second", "add", a=0, b=100)], access=access)
 
 
 def _fan_out(access):
@@ -166,13 +165,14 @@ def _outcome(build, access):
             [(c.name, c.status, c.exceptions) for c in result.exertions])
 
 
-@pytest.mark.parametrize("build", [_piped, _fan_out, _fail_fast, _fail_one])
+@pytest.mark.parametrize("build", [_sequential, _fan_out, _fail_fast,
+                                   _fail_one])
 def test_jobber_and_spacer_run_a_job_the_same_way(build):
     pushed = _outcome(build, Access.PUSH)
     assert pushed == _outcome(build, Access.PULL)
     status, context, exceptions, components = pushed
-    if build is _piped:
-        assert context == {"first/result/value": 7, "second/result/value": 107}
+    if build is _sequential:
+        assert context == {"first/result/value": 7, "second/result/value": 100}
     elif build is _fan_out:
         assert context == {f"t{i}/result/value": 2 * i for i in range(3)}
     elif build is _fail_fast:
