@@ -6,8 +6,9 @@ Three layers guard the repo's determinism and resource contracts
 * the **static lint pass** — :func:`lint_paths` / :func:`lint_source` and
   the rule registry in :mod:`repro.analysis.rules`, exposed as
   ``repro lint`` on the CLI. Rule families, each local to one module: DET
-  (determinism), SIM (process-generator hygiene) and RES (span and
-  history-store lifecycles over the CFG in :mod:`repro.analysis.cfg`);
+  (determinism), SIM (process-generator hygiene) and RES (spans and
+  history stores open in a ``with`` or are handed off, so they close by
+  construction);
 * the **runtime race sanitizer** — :class:`RaceSanitizer`, enabled with
   ``Environment(sanitize=True)``, which flags same-(time, priority) events
   with conflicting shared-state accesses (re-exported from
@@ -19,21 +20,17 @@ Three layers guard the repo's determinism and resource contracts
 """
 
 from ..sim.sanitizer import RaceSanitizer, SanitizerViolation
-from . import lifecycle as _lifecycle  # noqa: F401  (registers RES0xx)
-from .cfg import Cfg, build_cfg
 from .linter import (Finding, lint_paths, lint_source, render_findings,
                      render_json)
 from .rules import RULES, Rule, all_rules, register
 
 __all__ = [
-    "Cfg",
     "Finding",
     "RULES",
     "RaceSanitizer",
     "Rule",
     "SanitizerViolation",
     "all_rules",
-    "build_cfg",
     "lint_paths",
     "lint_source",
     "register",

@@ -20,6 +20,10 @@ SIM001   broad ``except`` around a ``yield`` in a generator process body
          that swallows whatever is thrown there without re-raising
 SIM002   ``yield`` of a statically-known non-event in a process
          generator
+RES001   a span opened with ``start_span`` outside a ``with`` and never
+         handed off
+RES004   a ``HistoryStore`` / ``sqlite3.connect`` handle opened outside a
+         ``with`` and never handed off
 =======  ==============================================================
 
 Everything here is stdlib-``ast`` based; the analyses are deliberately
@@ -75,17 +79,21 @@ class ModuleInfo:
         self.module_aliases: dict[str, str] = {}
         #: local name -> (module, original name) for "from m import x as y"
         self.from_imports: dict[str, tuple] = {}
+        self.functions: list = []
+        #: every call in the module, in ``ast.walk`` order
+        self.calls: list[ast.Call] = []
         for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
+            if isinstance(node, ast.Call):
+                self.calls.append(node)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                self.functions.append(node)
+            elif isinstance(node, ast.Import):
                 for alias in node.names:
                     self.module_aliases[alias.asname or alias.name] = alias.name
             elif isinstance(node, ast.ImportFrom) and node.module:
                 for alias in node.names:
                     self.from_imports[alias.asname or alias.name] = (
                         node.module, alias.name)
-        self.functions = [node for node in ast.walk(tree)
-                          if isinstance(node, (ast.FunctionDef,
-                                               ast.AsyncFunctionDef))]
 
     def aliases_of(self, module: str) -> set:
         return {alias for alias, mod in self.module_aliases.items()
@@ -523,3 +531,175 @@ class YieldNonEventRule(Rule):
                     yield (node.lineno,
                            "yield of a literal in a process generator — the "
                            "kernel only accepts Events")
+
+
+# ---------------------------------------------------------------------------
+# RES001 / RES004 — spans and history stores close by construction
+#
+# Spans and HistoryStore handles are context managers, so the whole
+# lifecycle question reduces to a syntactic one: every acquire is a
+# ``with`` item, or a value handed off to someone else (returned, yielded,
+# passed as an argument, stored into an attribute or container, aliased,
+# or captured by a closure). A local binding that is neither is a finding;
+# so is an acquire whose result is dropped on the floor (DESIGN §13).
+
+
+def _calls_in(node: ast.AST) -> Iterator[ast.Call]:
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Call):
+            yield sub
+
+
+def _mentions_object(expr: ast.AST, name: str) -> bool:
+    """Can evaluating ``expr`` yield (a reference to) the object bound to
+    ``name`` — as opposed to a value merely *derived* from it?
+
+    ``span`` → yes; ``span.span_id`` / ``store is None`` → no (an
+    attribute read or a comparison produces a different object);
+    ``run_id if store else None`` → no (the test is truthiness only).
+    """
+    if isinstance(expr, ast.Name):
+        return expr.id == name
+    if isinstance(expr, (ast.Attribute, ast.Subscript, ast.Compare)):
+        return False
+    if isinstance(expr, ast.IfExp):
+        return _mentions_object(expr.body, name) \
+            or _mentions_object(expr.orelse, name)
+    return any(_mentions_object(child, name)
+               for child in ast.iter_child_nodes(expr))
+
+
+def _name_escapes(func: ast.AST, name: str, binder: ast.stmt) -> bool:
+    """Can ``name`` outlive the function (or this binding)?
+
+    True when the object is returned, yielded, raised, passed as a call
+    argument, stored into an attribute/subscript/collection, aliased to
+    another name, or captured by a nested function. Receiver position
+    (``name.method(...)``) and derived values (``name.attr``) don't
+    escape.
+    """
+    # Nested scopes included: escape analysis must see closures that
+    # capture the resource.
+    for node in ast.walk(func):
+        if isinstance(node, ast.Call):
+            for arg in list(node.args) + [kw.value for kw in node.keywords]:
+                if _mentions_object(arg, name):
+                    return True
+        elif isinstance(node, (ast.Return, ast.Yield, ast.YieldFrom,
+                               ast.Raise)):
+            value = getattr(node, "value", None) or getattr(node, "exc", None)
+            if value is not None and _mentions_object(value, name):
+                return True
+        elif isinstance(node, ast.Assign) and node is not binder:
+            stores_elsewhere = any(
+                not (isinstance(t, ast.Name) and t.id == name)
+                for t in node.targets)
+            if stores_elsewhere and _mentions_object(node.value, name):
+                return True
+        elif isinstance(node, (ast.List, ast.Tuple, ast.Set, ast.Dict)):
+            for sub in ast.iter_child_nodes(node):
+                if isinstance(sub, ast.Name) and sub.id == name:
+                    return True
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                               ast.Lambda)) and node is not func:
+            # Captured by a closure: any mention at all pins the object.
+            body = node.body if isinstance(node.body, list) else [node.body]
+            for stmt in body:
+                if any(isinstance(sub, ast.Name) and sub.id == name
+                       for sub in ast.walk(stmt)):
+                    return True
+    return False
+
+
+def _binding_of(stmt: ast.stmt, match_call) -> tuple:
+    """``(bound_name, call)`` when ``stmt`` binds a matching acquire call to
+    a plain local name; ``(None, call)`` when the call's result is dropped;
+    ``("<untracked>", call)`` when it is bound to something we cannot
+    track (tuple target, attribute, ...) or sits inside a compound
+    statement. ``(None, None)`` when the statement has no matching call."""
+    for call in _calls_in(stmt):
+        if not match_call(call):
+            continue
+        if (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1
+                and isinstance(stmt.targets[0], ast.Name)
+                and stmt.value is not None):
+            # Direct bind, possibly through `x = yield from acquire(...)`.
+            return stmt.targets[0].id, call
+        if isinstance(stmt, ast.Expr):
+            return None, call
+        return "<untracked>", call
+    return None, None
+
+
+class _ByConstructionRule(Rule):
+    """Base: every call a subclass's ``is_acquire(call)`` matches must be
+    a ``with`` item or handed off; a local binding that is neither is
+    reported as ``<what> <name>``, a dropped result with
+    ``drop_message``."""
+
+    what = ""
+    drop_message = ""
+
+    def check(self, module: ModuleInfo) -> Iterator[tuple]:
+        if not any(self.is_acquire(call) for call in module.calls):
+            return
+        for func in module.functions:
+            with_items = {call for node in _own_nodes(func)
+                          if isinstance(node, (ast.With, ast.AsyncWith))
+                          for item in node.items
+                          for call in _calls_in(item.context_expr)}
+
+            def match(call):
+                return self.is_acquire(call) and call not in with_items
+
+            for stmt in _own_nodes(func):
+                if not isinstance(stmt, ast.stmt):
+                    continue
+                name, call = _binding_of(stmt, match)
+                if call is None or name == "<untracked>":
+                    continue  # stored into a structure: handed off
+                if name is None:
+                    yield call.lineno, self.drop_message
+                elif not _name_escapes(func, name, stmt):
+                    yield (call.lineno,
+                           f"{self.what} {name!r} is opened outside a "
+                           f"`with` and never handed off")
+
+
+@register
+class SpanLifecycleRule(_ByConstructionRule):
+    rule_id = "RES001"
+    summary = "span opened but not ended on every path"
+    hint = ("open it in a `with` (`with tracer.start_span(...) as span:` "
+            "ends a still-open span as 'error' on the way out); a span "
+            "that outlives the function must be handed off explicitly")
+    what = "span"
+    drop_message = ("span started and immediately dropped — it can never "
+                    "be ended")
+
+    @staticmethod
+    def is_acquire(call: ast.Call) -> bool:
+        return (isinstance(call.func, ast.Attribute)
+                and call.func.attr == "start_span")
+
+
+@register
+class StoreLifecycleRule(_ByConstructionRule):
+    rule_id = "RES004"
+    summary = "sqlite/HistoryStore handle not closed on every path"
+    hint = ("open it in a `with` (`with HistoryStore(...) as store:`) — "
+            "an unclosed WAL connection can hold the database lock past "
+            "the run")
+    what = "history-store handle"
+    drop_message = ("history-store handle opened and immediately dropped — "
+                    "the connection can never be closed")
+
+    @staticmethod
+    def is_acquire(call: ast.Call) -> bool:
+        func = call.func
+        if isinstance(func, ast.Name):
+            return func.id == "HistoryStore"
+        return isinstance(func, ast.Attribute) and (
+            func.attr == "HistoryStore"
+            or (func.attr == "connect" and isinstance(func.value, ast.Name)
+                and func.value.id == "sqlite3"))

@@ -39,7 +39,7 @@ from .health import (DEGRADED, DOWN, UP, HealthModel, HealthMonitor,
                      default_slos, health_monitor, overload_slos)
 from .status import render_health, render_status, status_json
 from .profile import FlightRecorder, profile_run, service_times
-from .store import HistoryStore
+from .store import HistoryStore, HistoryStoreError
 
 __all__ = [
     "Alert",
@@ -53,6 +53,7 @@ __all__ = [
     "HealthMonitor",
     "Histogram",
     "HistoryStore",
+    "HistoryStoreError",
     "MetricsRegistry",
     "NULL_SPAN",
     "Slo",

@@ -29,7 +29,9 @@ TRACE_PARENT_PATH = "trace/parent"
 class Span:
     """One timed, annotated node of the trace tree.
 
-    Mutable while open; :meth:`end` freezes the end time and status. Kept
+    Mutable while open; :meth:`end` freezes the end time and status. A
+    span is its own context manager (``with tracer.start_span(...) as
+    span:``), so no exit from the block leaves it open. Kept
     deliberately slim (``__slots__``, plain tuples for annotations) — spans
     are allocated on the hot path of every RPC call.
     """
@@ -83,6 +85,17 @@ class Span:
             self.status = status
         return self
 
+    def __enter__(self) -> "Span":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        """Leaving a ``with`` block closes a still-open span as
+        ``"error"``: the body ends the span itself on every modelled
+        outcome, so reaching here open means something escaped. An ended
+        span is left as it is, and an exception always propagates."""
+        if self.ended_at is None:
+            self.end("error")
+
     # -- reading --------------------------------------------------------------
 
     @property
@@ -130,8 +143,8 @@ class _NullSpan:
     """Do-nothing span returned by a disabled tracer.
 
     Instrumented code never has to check whether tracing is on: annotate,
-    end and set_attribute all no-op, and ``span_id`` is ``None`` so parent
-    propagation is skipped naturally.
+    end, set_attribute and the ``with`` protocol all no-op, and
+    ``span_id`` is ``None`` so parent propagation is skipped naturally.
     """
 
     __slots__ = ()
@@ -156,6 +169,12 @@ class _NullSpan:
 
     def end(self, status="ok"):
         return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        pass
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return "<NullSpan>"

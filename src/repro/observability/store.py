@@ -46,7 +46,7 @@ from typing import Optional
 
 from .timeseries import TimeSeriesStore, Window
 
-__all__ = ["HistoryStore", "SCHEMA_VERSION"]
+__all__ = ["HistoryStore", "HistoryStoreError", "SCHEMA_VERSION"]
 
 SCHEMA_VERSION = 2
 
@@ -98,6 +98,11 @@ CREATE INDEX IF NOT EXISTS throughput_run ON throughput (run_id);
 _WINDOW_FIELDS = ("value", "delta", "rate", "count", "p50", "p95", "max")
 
 
+class HistoryStoreError(ValueError):
+    """The file at ``path`` is not a history database this build reads:
+    not sqlite at all, or a schema version it does not know."""
+
+
 class HistoryStore:
     """Append-only sqlite history of runs, windows and profiles.
 
@@ -108,8 +113,24 @@ class HistoryStore:
     def __init__(self, path: str):
         self.path = str(path)
         self._conn = sqlite3.connect(self.path)
-        self._conn.execute("PRAGMA journal_mode=WAL")
-        version = self._conn.execute("PRAGMA user_version").fetchone()[0]
+        try:
+            self._open_schema()
+        except BaseException:
+            # A file this build cannot read keeps no connection open.
+            self._conn.close()
+            self._conn = None
+            raise
+        #: (run_id, key) -> newest spilled window t; lazily seeded from the
+        #: database so a reopened store keeps spilling incrementally.
+        self._watermarks: dict[tuple, float] = {}
+
+    def _open_schema(self) -> None:
+        try:
+            self._conn.execute("PRAGMA journal_mode=WAL")
+            version = self._conn.execute("PRAGMA user_version").fetchone()[0]
+        except sqlite3.DatabaseError as exc:
+            raise HistoryStoreError(
+                f"{self.path}: not a history database ({exc})") from exc
         if version == 0:
             self._conn.executescript(_SCHEMA)
             self._conn.execute(f"PRAGMA user_version={SCHEMA_VERSION}")
@@ -122,13 +143,9 @@ class HistoryStore:
             self._conn.execute(f"PRAGMA user_version={SCHEMA_VERSION}")
             self._conn.commit()
         elif version != SCHEMA_VERSION:
-            self._conn.close()
-            raise ValueError(
+            raise HistoryStoreError(
                 f"{self.path}: history schema v{version}, "
                 f"this build reads v{SCHEMA_VERSION}")
-        #: (run_id, key) -> newest spilled window t; lazily seeded from the
-        #: database so a reopened store keeps spilling incrementally.
-        self._watermarks: dict[tuple, float] = {}
 
     def __enter__(self) -> "HistoryStore":
         return self

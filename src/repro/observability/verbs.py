@@ -4,13 +4,14 @@ paper-lab run, and queries over a spilled sqlite telemetry history."""
 from __future__ import annotations
 
 import os
+from contextlib import nullcontext
 from typing import Optional
 
 from ..util.canonical import canonical_document
 from ..util.table import render_table
 from .profile import FlightRecorder, profile_run
 from .registry import metrics_registry
-from .store import HistoryStore
+from .store import HistoryStore, HistoryStoreError
 
 __all__ = ["add_verbs"]
 
@@ -88,6 +89,24 @@ _SPILL_PERIOD = 60.0
 
 
 def cmd_profile(args, out) -> int:
+    run_id = args.run_id or f"{args.scenario}-seed{args.seed}"
+    try:
+        with (HistoryStore(args.spill) if args.spill
+              else nullcontext()) as store:
+            report = _profile_lab(args, run_id, store)
+    except HistoryStoreError as exc:
+        out.write(f"error: {exc}\n")
+        return 2
+    if args.as_json:
+        out.write(canonical_document(report))
+        return 0
+    _render_profile(out, args, report, run_id if args.spill else None)
+    return 0
+
+
+def _profile_lab(args, run_id: str, store: Optional[HistoryStore]) -> dict:
+    """Record a paper-lab run, spilling to ``store`` as it goes when one
+    is given; returns the flight recorder's report."""
     # Scenarios sit above this package; the verb is the one place that
     # reaches up, and only when it runs.
     from ..scenarios import build_paper_lab
@@ -97,39 +116,25 @@ def cmd_profile(args, out) -> int:
     lab = build_paper_lab(seed=args.seed)
     lab.settle(6.0)
     recorder = FlightRecorder()
-    store = None
-    run_id = args.run_id or f"{args.scenario}-seed{args.seed}"
-    if args.spill:
-        store = HistoryStore(args.spill)
-    try:
-        if store is not None:
-            store.begin_run(run_id, args.scenario, args.seed,
-                            lab.env.scheduler_stats()["kind"], replace=True)
-        with profile_run(lab.env, recorder):
-            if args.scenario == "six-steps":
-                lab.run_six_steps()
-            t = lab.env.now
-            while t < until:
-                t = min(t + _SPILL_PERIOD, until) if store else until
-                lab.env.run(until=t)
-                if store is not None:
-                    store.spill_windows(run_id, lab.health.store)
-        report = recorder.report(registry=metrics_registry(lab.net),
-                                 top=args.top)
-        if store is not None:
-            store.spill_profile(run_id, report)
-            store.finish_run(run_id, lab.env.now, recorder.events,
-                             meta={"scheduler": lab.env.scheduler_stats()})
-    finally:
-        # A failed run must not leave the WAL connection (and its lock on
-        # the history database) open.
-        if store is not None:
-            store.close()
-    if args.as_json:
-        out.write(canonical_document(report))
-        return 0
-    _render_profile(out, args, report, run_id if store else None)
-    return 0
+    if store is not None:
+        store.begin_run(run_id, args.scenario, args.seed,
+                        lab.env.scheduler_stats()["kind"], replace=True)
+    with profile_run(lab.env, recorder):
+        if args.scenario == "six-steps":
+            lab.run_six_steps()
+        t = lab.env.now
+        while t < until:
+            t = min(t + _SPILL_PERIOD, until) if store else until
+            lab.env.run(until=t)
+            if store is not None:
+                store.spill_windows(run_id, lab.health.store)
+    report = recorder.report(registry=metrics_registry(lab.net),
+                             top=args.top)
+    if store is not None:
+        store.spill_profile(run_id, report)
+        store.finish_run(run_id, lab.env.now, recorder.events,
+                         meta={"scheduler": lab.env.scheduler_stats()})
+    return report
 
 
 def _render_profile(out, args, report: dict, spilled_run: Optional[str]) -> None:
@@ -172,79 +177,87 @@ def cmd_history(args, out) -> int:
     if not os.path.exists(args.db):
         out.write(f"error: no history database at {args.db}\n")
         return 2
-    with HistoryStore(args.db) as store:
-        if args.history_command == "list":
-            runs = store.runs()
-            if args.as_json:
-                out.write(canonical_document(runs))
-                return 0
-            rows = [[r["run_id"], r["scenario"], str(r["seed"]),
-                     r["scheduler"],
-                     "-" if r["sim_end"] is None else f"{r['sim_end']:g}",
-                     "-" if r["events"] is None else r["events"],
-                     "yes" if r["finished"] else "no",
-                     "-" if r["restored_from"] is None
-                     else r["restored_from"][:12]]
-                    for r in runs]
-            out.write(render_table(
-                ["run", "scenario", "seed", "scheduler", "sim end",
-                 "events", "finished", "restored-from"], rows,
-                title=f"{len(runs)} recorded run(s) in {args.db}") + "\n")
-            return 0
-        if store.run(args.run) is None:
-            out.write(f"error: no run {args.run!r} in {args.db} "
-                      "(see: history list)\n")
-            return 2
-        if args.history_command == "keys":
-            keys = store.keys(args.run, prefix=args.prefix)
-            if args.as_json:
-                out.write(canonical_document(keys))
-            else:
-                for key in keys:
-                    out.write(key + "\n")
-            return 0
-        if args.history_command == "profile":
-            rows = store.profile(args.run)
-            if args.as_json:
-                out.write(canonical_document(rows))
-                return 0
-            out.write(render_table(
-                ["event type", "target", "count", "wall ms", "share"],
-                [[r["event_type"], r["target"], r["count"],
-                  f"{r['wall_s'] * 1000:.2f}", f"{r['share']:.1%}"]
-                 for r in rows],
-                title=f"spilled profile for {args.run}") + "\n")
-            return 0
-        if args.history_command == "stats":
-            stats = store.stats(args.run, args.key,
-                                since=args.since, until=args.until)
-            if args.as_json:
-                out.write(canonical_document(stats))
-                return 0
-            if not stats["windows"]:
-                out.write(f"{args.key}: no windows in horizon\n")
-                return 0
-            out.write(f"{args.key} [{args.run}] "
-                      f"t={stats['first_t']:g}..{stats['last_t']:g}: "
-                      + " ".join(f"{k}={stats[k]:g}" if k != "kind"
-                                 else f"kind={stats[k]}"
-                                 for k in sorted(stats)
-                                 if k not in ("first_t", "last_t"))
-                      + "\n")
-            return 0
-        # series
-        windows = store.series(args.run, args.key, since=args.since,
-                               until=args.until, limit=args.limit)
+    try:
+        with HistoryStore(args.db) as store:
+            return _query_history(args, out, store)
+    except HistoryStoreError as exc:
+        out.write(f"error: {exc}\n")
+        return 2
+
+
+def _query_history(args, out, store: HistoryStore) -> int:
+    if args.history_command == "list":
+        runs = store.runs()
         if args.as_json:
-            out.write(canonical_document(windows))
+            out.write(canonical_document(runs))
             return 0
-        fields = ("value", "delta", "rate", "count", "p50", "p95", "max")
-        rows = [[f"{w['t']:g}", w["kind"]]
-                + ["-" if w.get(f) is None
-                   else (f"{w[f]:g}" if isinstance(w[f], float) else w[f])
-                   for f in fields]
-                for w in windows]
-        out.write(render_table(["t", "kind", *fields], rows,
-                               title=f"{args.key} [{args.run}], "
-                                     f"{len(windows)} window(s)") + "\n")
+        rows = [[r["run_id"], r["scenario"], str(r["seed"]),
+                 r["scheduler"],
+                 "-" if r["sim_end"] is None else f"{r['sim_end']:g}",
+                 "-" if r["events"] is None else r["events"],
+                 "yes" if r["finished"] else "no",
+                 "-" if r["restored_from"] is None
+                 else r["restored_from"][:12]]
+                for r in runs]
+        out.write(render_table(
+            ["run", "scenario", "seed", "scheduler", "sim end",
+             "events", "finished", "restored-from"], rows,
+            title=f"{len(runs)} recorded run(s) in {args.db}") + "\n")
         return 0
+    if store.run(args.run) is None:
+        out.write(f"error: no run {args.run!r} in {args.db} "
+                  "(see: history list)\n")
+        return 2
+    if args.history_command == "keys":
+        keys = store.keys(args.run, prefix=args.prefix)
+        if args.as_json:
+            out.write(canonical_document(keys))
+        else:
+            for key in keys:
+                out.write(key + "\n")
+        return 0
+    if args.history_command == "profile":
+        rows = store.profile(args.run)
+        if args.as_json:
+            out.write(canonical_document(rows))
+            return 0
+        out.write(render_table(
+            ["event type", "target", "count", "wall ms", "share"],
+            [[r["event_type"], r["target"], r["count"],
+              f"{r['wall_s'] * 1000:.2f}", f"{r['share']:.1%}"]
+             for r in rows],
+            title=f"spilled profile for {args.run}") + "\n")
+        return 0
+    if args.history_command == "stats":
+        stats = store.stats(args.run, args.key,
+                            since=args.since, until=args.until)
+        if args.as_json:
+            out.write(canonical_document(stats))
+            return 0
+        if not stats["windows"]:
+            out.write(f"{args.key}: no windows in horizon\n")
+            return 0
+        out.write(f"{args.key} [{args.run}] "
+                  f"t={stats['first_t']:g}..{stats['last_t']:g}: "
+                  + " ".join(f"{k}={stats[k]:g}" if k != "kind"
+                             else f"kind={stats[k]}"
+                             for k in sorted(stats)
+                             if k not in ("first_t", "last_t"))
+                  + "\n")
+        return 0
+    # series
+    windows = store.series(args.run, args.key, since=args.since,
+                           until=args.until, limit=args.limit)
+    if args.as_json:
+        out.write(canonical_document(windows))
+        return 0
+    fields = ("value", "delta", "rate", "count", "p50", "p95", "max")
+    rows = [[f"{w['t']:g}", w["kind"]]
+            + ["-" if w.get(f) is None
+               else (f"{w[f]:g}" if isinstance(w[f], float) else w[f])
+               for f in fields]
+            for w in windows]
+    out.write(render_table(["t", "kind", *fields], rows,
+                           title=f"{args.key} [{args.run}], "
+                                 f"{len(windows)} window(s)") + "\n")
+    return 0

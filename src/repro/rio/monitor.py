@@ -174,10 +174,9 @@ class ProvisionMonitor:
 
     def _provision(self, opstring: OperationalString, element: ServiceElement):
         # Roots its own trace: the control loop has no requestor above it.
-        span = self.tracer.start_span(
-            f"provision:{element.name}", kind="provision", host=self.host.name,
-            opstring=opstring.name)
-        try:
+        with self.tracer.start_span(
+                f"provision:{element.name}", kind="provision",
+                host=self.host.name, opstring=opstring.name) as span:
             candidates = yield from self._eligible_cybernodes(element)
             while candidates:
                 choice = self.policy.choose(candidates)
@@ -205,11 +204,6 @@ class ProvisionMonitor:
             self._m_failures.inc()
             span.end("failed")
             return False
-        except BaseException:
-            # An unmodelled failure thrown at a remote hop must not leave
-            # the provision span open forever.
-            span.end("error")
-            raise
 
     def _converge_failed(self) -> None:
         self._m_failures.inc()

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from ..observability import HistoryStore
+from ..observability import HistoryStore, HistoryStoreError
 from ..sim.scheduler import HeapScheduler
 from .format import (RestoreMismatch, SnapshotCorrupt, SnapshotVersionError,
                      read_snapshot)
@@ -114,15 +114,20 @@ def cmd_restore(args, out) -> int:
     if args.spill:
         run_id = args.run_id or f"restore-{program['kind']}"
         kernel = body["state"]["kernel"]
-        with HistoryStore(args.spill) as store:
-            store.begin_run(
-                run_id, program.get("scenario", "paper-lab"),
-                program.get("seed", program.get("plan", {}).get("seed", 0)),
-                HeapScheduler.kind, replace=True,
-                restored_from=body["digest"])
-            store.finish_run(run_id, checkpoint["at"],
-                             kernel["seqs_issued"],
-                             meta={"snapshot": args.snapshot})
+        try:
+            with HistoryStore(args.spill) as store:
+                store.begin_run(
+                    run_id, program.get("scenario", "paper-lab"),
+                    program.get("seed",
+                                program.get("plan", {}).get("seed", 0)),
+                    HeapScheduler.kind, replace=True,
+                    restored_from=body["digest"])
+                store.finish_run(run_id, checkpoint["at"],
+                                 kernel["seqs_issued"],
+                                 meta={"snapshot": args.snapshot})
+        except HistoryStoreError as exc:
+            out.write(f"error: {exc}\n")
+            return 2
     if args.as_json:
         out.write(outputs["verdict"] if "verdict" in outputs
                   else outputs["status"])

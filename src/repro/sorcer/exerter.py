@@ -117,44 +117,40 @@ class Exerter:
         trace. Our own span id replaces the link so the provider side and
         the RPC layer hang underneath.
         """
-        span = self.tracer.start_span(
-            f"exert:{exertion.name}", kind="exert", host=self.host.name,
-            parent_id=get_trace_parent(exertion.context))
-        if span.span_id is not None:
-            set_trace_parent(exertion.context, span.span_id)
-        started = self.env.now
-        try:
+        with self.tracer.start_span(
+                f"exert:{exertion.name}", kind="exert", host=self.host.name,
+                parent_id=get_trace_parent(exertion.context)) as span:
+            if span.span_id is not None:
+                set_trace_parent(exertion.context, span.span_id)
+            started = self.env.now
             if isinstance(exertion, Job):
                 result = yield from self._exert_job(exertion, txn_id, span)
             elif isinstance(exertion, Task):
                 result = yield from self._exert_task(exertion, txn_id, span)
             else:
                 raise TypeError(f"cannot exert {type(exertion).__name__}")
-        except BaseException:
-            span.end("error")
-            raise
-        self._m_latency.observe(self.env.now - started)
-        if result.is_failed:
-            marker = rejection_marker(result.context)
-            if marker is not None:
-                # Shed by admission control, not failed by a provider:
-                # keep it out of the failure rate (health/breakers must
-                # not read load shedding as provider sickness).
-                self.events.emit("overload_rejected",
-                                 exertion=exertion.name,
-                                 provider=marker.get("provider", ""),
-                                 reason=marker.get("reason", ""),
-                                 retry_after=marker.get("retry_after", 0.0))
-                span.annotate("overload_rejected",
-                              reason=marker.get("reason", ""))
-                span.end("shed")
+            self._m_latency.observe(self.env.now - started)
+            if result.is_failed:
+                marker = rejection_marker(result.context)
+                if marker is not None:
+                    # Shed by admission control, not failed by a provider:
+                    # keep it out of the failure rate (health/breakers must
+                    # not read load shedding as provider sickness).
+                    self.events.emit("overload_rejected",
+                                     exertion=exertion.name,
+                                     provider=marker.get("provider", ""),
+                                     reason=marker.get("reason", ""),
+                                     retry_after=marker.get("retry_after", 0.0))
+                    span.annotate("overload_rejected",
+                                  reason=marker.get("reason", ""))
+                    span.end("shed")
+                else:
+                    self._m_failures.inc()
+                    span.end("failed")
             else:
-                self._m_failures.inc()
-                span.end("failed")
-        else:
-            self.retry_budget.deposit()
-            span.end("ok")
-        return result
+                self.retry_budget.deposit()
+                span.end("ok")
+            return result
 
     def submit(self, signature: Signature, args: Optional[dict] = None, *,
                name: str, context: Union[str, ServiceContext],

@@ -134,66 +134,66 @@ class ServiceProvider:
         running components, a CSP collecting children) parent here.
         """
         exertion = exertion.copy()  # serialization boundary
-        span = self.tracer.start_span(
-            f"serve:{exertion.name}", kind="serve", host=self.host.name,
-            parent_id=get_trace_parent(exertion.context),
-            provider=self.name)
-        if span.span_id is not None:
-            set_trace_parent(exertion.context, span.span_id)
-        self._m_inflight.inc()
-        grant = None
-        admitted = False
-        started = None
-        try:
-            if self.admission is not None:
-                arrived = self.env.now
-                try:
-                    # Travels under its own deadline, or the expiry a
-                    # parent hop forwarded in the service context.
-                    yield from self.admission.acquire(
-                        exertion.principal, exertion.control.deadline
-                        or Deadline.from_context(exertion.context))
-                except Overloaded as exc:
-                    return self._shed(exertion, exc, arrived, span)
-                admitted = True
-            if self._gate is not None:
-                grant = self._gate.request()
-                yield grant
-            started = self.env.now
-            exertion.status = ExertionStatus.RUNNING
+        with self.tracer.start_span(
+                f"serve:{exertion.name}", kind="serve", host=self.host.name,
+                parent_id=get_trace_parent(exertion.context),
+                provider=self.name) as span:
+            if span.span_id is not None:
+                set_trace_parent(exertion.context, span.span_id)
+            self._m_inflight.inc()
+            grant = None
+            admitted = False
+            started = None
             try:
-                result = yield from self._execute(exertion, txn_id)
-            except Overloaded as exc:
-                # A downstream hop shed this exertion's nested work. We are
-                # alive and answering — propagate the rejection marker
-                # without counting a provider failure here.
-                return self._shed(exertion, exc, started, span)
-            except Exception as exc:  # repro: allow[SIM001] - reported in the exertion
-                exertion.report_exception(exc)
-                self._m_failed.inc()
-                self._trace(exertion, started, note=f"exception: {exc!r}")
-                span.annotate("exception", error=repr(exc))
-                span.end("failed")
-                return exertion
-            if exertion.status is ExertionStatus.FAILED:
-                self._m_failed.inc()
-                span.end("failed")
-            else:
-                exertion.status = ExertionStatus.DONE
-                self._m_served.inc()
-                span.end("ok")
-            self._m_service_time.observe(self.env.now - started)
-            self._trace(exertion, started)
-            return result if isinstance(result, Exertion) else exertion
-        finally:
-            self._m_inflight.dec()
-            span.end("error")  # no-op unless an unmodelled exception escaped
-            if grant is not None:
-                self._gate.release(grant)
-            if admitted:
-                service_time = (self.env.now - started
-                                if started is not None else None)
-                self.admission.release(service_time=service_time)
+                if self.admission is not None:
+                    arrived = self.env.now
+                    try:
+                        # Travels under its own deadline, or the expiry a
+                        # parent hop forwarded in the service context.
+                        yield from self.admission.acquire(
+                            exertion.principal, exertion.control.deadline
+                            or Deadline.from_context(exertion.context))
+                    except Overloaded as exc:
+                        return self._shed(exertion, exc, arrived, span)
+                    admitted = True
+                if self._gate is not None:
+                    grant = self._gate.request()
+                    yield grant
+                started = self.env.now
+                exertion.status = ExertionStatus.RUNNING
+                try:
+                    result = yield from self._execute(exertion, txn_id)
+                except Overloaded as exc:
+                    # A downstream hop shed this exertion's nested work. We
+                    # are alive and answering — propagate the rejection
+                    # marker without counting a provider failure here.
+                    return self._shed(exertion, exc, started, span)
+                except Exception as exc:  # repro: allow[SIM001] - reported in the exertion
+                    exertion.report_exception(exc)
+                    self._m_failed.inc()
+                    self._trace(exertion, started,
+                                note=f"exception: {exc!r}")
+                    span.annotate("exception", error=repr(exc))
+                    span.end("failed")
+                    return exertion
+                if exertion.status is ExertionStatus.FAILED:
+                    self._m_failed.inc()
+                    span.end("failed")
+                else:
+                    exertion.status = ExertionStatus.DONE
+                    self._m_served.inc()
+                    span.end("ok")
+                self._m_service_time.observe(self.env.now - started)
+                self._trace(exertion, started)
+                return result if isinstance(result, Exertion) else exertion
+            finally:
+                self._m_inflight.dec()
+                if grant is not None:
+                    self._gate.release(grant)
+                if admitted:
+                    service_time = (self.env.now - started
+                                    if started is not None else None)
+                    self.admission.release(service_time=service_time)
 
     def _shed(self, exertion: Exertion, exc: Overloaded, started: float,
               span) -> Exertion:

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.observability import HistoryStore
+from repro.observability import HistoryStore, HistoryStoreError
 from repro.observability.store import SCHEMA_VERSION
 from repro.observability.timeseries import Window
 
@@ -247,3 +247,33 @@ def test_schema_version_mismatch_refuses_to_open(tmp_path):
     conn.close()
     with pytest.raises(ValueError, match="schema"):
         HistoryStore(path)
+
+
+def test_unreadable_file_closes_its_connection_and_raises_typed(
+        tmp_path, monkeypatch):
+    opened = []
+    connect = sqlite3.connect
+
+    def recording_connect(path):
+        conn = connect(path)
+        opened.append(conn)
+        return conn
+
+    monkeypatch.setattr(sqlite3, "connect", recording_connect)
+    garbage = tmp_path / "garbage.db"
+    garbage.write_text("x\n")
+    future = tmp_path / "future.db"
+    HistoryStore(future).close()
+    conn = sqlite3.connect(future)
+    conn.execute(f"PRAGMA user_version={SCHEMA_VERSION + 1}")
+    conn.commit()
+    conn.close()
+    opened.clear()
+    for path, match in ((garbage, "not a history database"),
+                        (future, "schema")):
+        with pytest.raises(HistoryStoreError, match=match):
+            HistoryStore(path)
+    assert len(opened) == 2
+    for conn in opened:
+        with pytest.raises(sqlite3.ProgrammingError, match="closed"):
+            conn.execute("SELECT 1")

@@ -75,6 +75,33 @@ def test_disabled_tracer_hands_out_null_span(tracer):
     assert len(tracer) == 0
 
 
+def test_span_is_a_context_manager(tracer):
+    env = tracer.env
+    # An exception leaving the block ends an open span as "error" at the
+    # current instant, and propagates.
+    with pytest.raises(KeyError):
+        with tracer.start_span("escaped") as escaped:
+            env.run(until=1.5)
+            raise KeyError("unmodelled")
+    assert (escaped.status, escaped.ended_at) == ("error", 1.5)
+    # A span the body already ended keeps its status and end time.
+    with tracer.start_span("done") as done:
+        done.end("ok")
+        env.run(until=2.0)
+    assert (done.status, done.ended_at) == ("ok", 1.5)
+    with pytest.raises(KeyError):
+        with tracer.start_span("failed") as failed:
+            failed.end("failed")
+            raise KeyError("after end")
+    assert (failed.status, failed.ended_at) == ("failed", 2.0)
+    # The null span takes part too, and still lets the exception through.
+    with pytest.raises(KeyError):
+        with NULL_SPAN as null:
+            assert null is NULL_SPAN
+            raise KeyError("null")
+    assert NULL_SPAN.status == "null" and NULL_SPAN.ended_at is None
+
+
 def test_find_and_open_spans(tracer):
     a = tracer.start_span("a", kind="exert")
     b = tracer.start_span("b", kind="rpc")

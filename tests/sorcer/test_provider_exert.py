@@ -260,6 +260,33 @@ def test_failed_operation_returns_its_admission_slot(grid):
     assert result.get_return_value() == 5
 
 
+def test_exert_span_closed_when_a_failure_escapes_a_yield(grid):
+    # An unmodelled failure thrown in while exert() awaits a hop must not
+    # leave its "exert:*" span open: the `with` ends it as "error".
+    env, net, lus = grid
+    exerter = Exerter(Host(net, "requestor"))
+    gen = exerter.exert(add_task())
+    next(gen)  # suspended at the first yield; the span is open
+    [span] = exerter.tracer.find(kind="exert")
+    assert span.ended_at is None
+    with pytest.raises(KeyError):
+        gen.throw(KeyError("unmodelled"))
+    assert (span.status, span.ended_at) == ("error", env.now)
+
+
+def test_serve_span_closed_when_a_failure_escapes_a_yield(grid):
+    env, net, lus = grid
+    provider = AdderProvider(Host(net, "provider-host"), max_concurrency=1)
+    gen = provider.service(add_task())
+    next(gen)  # suspended on the concurrency gate; the span is open
+    [span] = provider.tracer.find(kind="serve")
+    assert span.ended_at is None
+    with pytest.raises(KeyError):
+        gen.throw(KeyError("unmodelled"))
+    assert (span.status, span.ended_at) == ("error", env.now)
+    assert provider._gate.count == 0  # the grant went back too
+
+
 def test_wrong_service_type_rejected(grid):
     env, net, lus = grid
     start_provider(net)

@@ -375,6 +375,43 @@ def test_history_missing_db_and_run_error_cleanly(tmp_path):
     assert code == 2 and "no run" in output
 
 
+def _cli_over_history(verb, tmp_path, db):
+    """argv for ``verb`` with ``db`` as its history database."""
+    if verb == "history":
+        return ["history", "--db", db, "list"]
+    if verb == "profile":
+        return ["profile", "six-steps", "--until", "5", "--spill", db]
+    snap = str(tmp_path / "lab.snap")
+    assert run_cli("snapshot", "--at", "12", "--out", snap)[0] == 0
+    return ["restore", snap, "--spill", db]
+
+
+@pytest.mark.parametrize("verb", ["history", "profile", "restore"])
+def test_a_file_that_is_not_a_history_database_errors_cleanly(tmp_path,
+                                                               verb):
+    # Regression: sqlite's "file is not a database" used to escape all
+    # three verbs as a traceback.
+    db = tmp_path / "not-a.db"
+    db.write_text("x\n")
+    code, output = run_cli(*_cli_over_history(verb, tmp_path, str(db)))
+    assert code == 2
+    assert output == (f"error: {db}: not a history database "
+                      "(file is not a database)\n")
+    assert db.read_text() == "x\n"
+
+
+def test_a_newer_history_schema_errors_cleanly(tmp_path):
+    import sqlite3
+    db = tmp_path / "future.db"
+    conn = sqlite3.connect(db)
+    conn.execute("PRAGMA user_version=99")
+    conn.commit()
+    conn.close()
+    code, output = run_cli("history", "--db", str(db), "list")
+    assert code == 2
+    assert output.startswith(f"error: {db}: history schema v99")
+
+
 def test_load_curve_smoke_is_deterministic():
     _, first = run_cli("load", "--curve", "--smoke", "--duration", "2",
                        "--json")
