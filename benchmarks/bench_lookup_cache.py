@@ -1,23 +1,24 @@
-"""E-CACHE — ablation: lookup caching in the service accessor.
+"""E-CACHE — ablation: the accessor's event-driven lookup cache.
 
-SORCER caches provider proxies; our ServiceAccessor optionally caches
-lookup results per template (``cache_ttl``). A client issues 50 queries
-against one provider; reported: mean query latency and LUS lookup requests,
-without caching, with a 5 s TTL, and with a 60 s TTL — plus the staleness
-cost: the provider is restarted mid-run (new service id, new host) and the
-cached proxy goes stale until the TTL expires.
+SORCER binds providers at runtime through the lookup service. Our
+ServiceAccessor keeps one lookup per template, kept current by LUS service
+events (Jini's LookupCache). A client issues 50 queries against one
+provider; reported: mean query latency and LUS lookup requests with the
+event cache, and with a bench-local accessor that looks up live before
+every query (what every query paid before the cache) — plus the staleness
+cost: the provider is restarted mid-run (new service id, new host).
 
-Expected shape: caching removes the LUS round trip from the hot path
-(~30-40% lower query latency on an idle LAN, 50x fewer registry requests);
-the staleness cost after churn is bounded by one failed attempt round,
-because the exerter invalidates the cache when every candidate fails.
+Expected shape: the cache removes the LUS round trip from the hot path
+(~40% lower query latency on an idle LAN, no registry request after the
+warm-up); churn costs no failed query, because the replacement's arrival
+event adds it to the entry and the dead provider's lease lapse evicts it.
 """
 
 import numpy as np
 
 from repro.util.table import render_table
 from repro.sim import Environment
-from repro.net import FixedLatency, Host, Network
+from repro.net import FixedLatency, Host, Network, rpc_endpoint
 from repro.jini import LookupService
 from repro.sorcer import (
     Exerter,
@@ -39,7 +40,24 @@ class PingProvider(Tasker):
         self.add_operation("ping", lambda ctx: 1)
 
 
-def run_steady(cache_ttl):
+class UncachedAccessor(ServiceAccessor):
+    """One direct ``lookup`` call per query, at the first registrar."""
+
+    def find_items(self, template, max_matches=16, wait=0.0):
+        deadline = self.env.now + wait
+        while True:
+            items = []
+            registrars = list(self.discovery.registrars.values())
+            if registrars:
+                items = yield rpc_endpoint(self.host).call(
+                    registrars[0], "lookup", template, max_matches,
+                    kind="lus-lookup", timeout=3.0)
+            if items or self.env.now >= deadline:
+                return items
+            yield self.env.timeout(0.5)
+
+
+def run_steady(accessor_class):
     env = Environment()
     net = Network(env, rng=np.random.default_rng(51),
                   latency=FixedLatency(0.001))
@@ -47,7 +65,7 @@ def run_steady(cache_ttl):
     PingProvider(Host(net, "p-host")).start()
     env.run(until=5.0)
     client = Host(net, "client")
-    accessor = ServiceAccessor(client, cache_ttl=cache_ttl)
+    accessor = accessor_class(client)
     exerter = Exerter(client, accessor=accessor)
     latencies = []
 
@@ -68,7 +86,7 @@ def run_steady(cache_ttl):
     return float(np.mean(latencies)), lookups
 
 
-def run_churn(cache_ttl):
+def run_churn(accessor_class):
     """Provider restarts mid-run; measure failed queries until recovery."""
     env = Environment()
     net = Network(env, rng=np.random.default_rng(52),
@@ -78,7 +96,7 @@ def run_churn(cache_ttl):
     provider.start()
     env.run(until=5.0)
     client = Host(net, "client")
-    accessor = ServiceAccessor(client, cache_ttl=cache_ttl)
+    accessor = accessor_class(client)
     exerter = Exerter(client, accessor=accessor)
     failures = 0
 
@@ -105,10 +123,10 @@ def run_churn(cache_ttl):
 
 def test_lookup_cache_ablation(report):
     rows = []
-    for ttl, label in ((0.0, "no cache"), (5.0, "TTL 5s"),
-                       (60.0, "TTL 60s")):
-        latency, lookups = run_steady(ttl)
-        failures = run_churn(ttl)
+    for accessor_class, label in ((UncachedAccessor, "lookup per query"),
+                                  (ServiceAccessor, "event cache")):
+        latency, lookups = run_steady(accessor_class)
+        failures = run_churn(accessor_class)
         rows.append([label, latency, lookups, failures])
     report(render_table(
         ["configuration", "query latency (s)", "LUS lookups / 50 queries",
@@ -116,11 +134,10 @@ def test_lookup_cache_ablation(report):
         rows,
         title="E-CACHE — accessor lookup caching ablation"))
     by_label = {row[0]: row for row in rows}
-    # Caching removes the registry round trip from the hot path.
-    assert by_label["TTL 60s"][1] < by_label["no cache"][1]
-    assert by_label["TTL 60s"][2] <= 2
-    assert by_label["no cache"][2] == QUERIES
-    # Churn: the exerter invalidates a stale cache after a full round of
-    # failures, so even TTL 60s loses at most the in-flight queries.
-    assert by_label["no cache"][3] == 0
-    assert by_label["TTL 60s"][3] <= 2
+    # The cache removes the registry round trip from the hot path.
+    assert by_label["event cache"][1] < by_label["lookup per query"][1]
+    assert by_label["event cache"][2] == 0
+    assert by_label["lookup per query"][2] == QUERIES
+    # Churn: service events replace the restarted provider in the entry.
+    assert by_label["lookup per query"][3] == 0
+    assert by_label["event cache"][3] == 0

@@ -5,17 +5,18 @@ motivation; this bench quantifies what it buys. A consumer wants one fresh
 reading every D seconds from one ESP for 60 s:
 
 * **poll** — exert ``getValue`` every D seconds (request + reply, each an
-  exertion round trip);
+  exertion round trip; the provider comes from the consumer's lookup
+  cache, so a reading pays no LUS lookup);
 * **push** — one ``subscribe`` exertion, then leased events at
   ``min_interval=D``: one one-way ``notify`` message per delivery, plus
-  half-life lease renewals on a 60 s lease (1.34 messages per reading at
+  half-life lease renewals on a 60 s lease (1.27 messages per reading at
   D = 1 s in the committed table).
 
 Reported: network messages and bytes per delivered reading. Expected
-shape: at D = 1 s push costs about a third of polling's messages (no
-exertion round trip, no acknowledgement) and under a fifth of its bytes
-(events are smaller than exertion round trips); the advantage shrinks as
-D grows because lease renewals amortize worse.
+shape: at D = 1 s push costs under three fifths of polling's messages (no
+exertion round trip, no acknowledgement) and under two sevenths of its
+bytes (events are smaller than exertion round trips); the advantage
+shrinks as D grows because lease renewals amortize worse.
 """
 
 import numpy as np
@@ -146,5 +147,5 @@ def test_push_vs_poll(report):
         assert push_msgs < poll_msgs
         assert push_bytes < poll_bytes / 2
     _, poll_msgs, poll_bytes, push_msgs, push_bytes = rows[0]
-    assert push_msgs < poll_msgs / 3
-    assert push_bytes < poll_bytes / 5
+    assert push_msgs < poll_msgs * 3 / 5
+    assert push_bytes < poll_bytes * 2 / 7

@@ -48,7 +48,7 @@ class Lease:
         return now >= self.expiration
 
 
-@dataclass
+@dataclass(slots=True)
 class _LeaseRecord:
     lease_id: int
     resource_id: Any

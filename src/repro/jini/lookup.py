@@ -47,6 +47,9 @@ class ServiceRegistration:
 class _Interest:
     """One event registration: template + transitions + listener."""
 
+    __slots__ = ("event_id", "template", "transitions", "listener",
+                 "handback", "sequence")
+
     def __init__(self, event_id: int, template: ServiceTemplate,
                  transitions: int, listener: RemoteRef, handback: Any):
         self.event_id = event_id
@@ -76,6 +79,9 @@ class LookupService:
         self.env = host.env
         self.name = name
         self.lus_id = host.network.ids.uuid()
+        #: Bumped by each crash: the registry and every event interest died
+        #: with it, so discovery must treat the recovered LUS as new.
+        self.incarnation = 0
         self.announce_interval = announce_interval
         #: Administrative groups this registrar serves (Jini group scoping).
         self.groups = frozenset(groups)
@@ -139,7 +145,8 @@ class LookupService:
         return count
 
     def _announce_payload(self):
-        return (self.lus_id, self.ref, tuple(sorted(self.groups)))
+        return (self.lus_id, self.ref, tuple(sorted(self.groups)),
+                self.incarnation)
 
     def _announcer(self):
         while True:
@@ -160,6 +167,7 @@ class LookupService:
 
     def _on_host_fail(self, host: Host) -> None:
         # In-memory registry dies with the process.
+        self.incarnation += 1
         self._items.clear()
         self._interests.clear()
         self._landlord.clear()

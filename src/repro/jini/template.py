@@ -35,7 +35,7 @@ class ServiceItem:
         return replace(self, attributes=tuple(attributes))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ServiceTemplate:
     """Matching rule for lookups.
 

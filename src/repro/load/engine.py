@@ -24,7 +24,6 @@ from typing import Optional
 
 from ..core.interfaces import FACADE
 from ..observability import metrics_registry
-from ..sorcer.accessor import ServiceAccessor
 from ..sorcer.exerter import Exerter, ExertionFailed
 from ..sorcer.rejection import Overloaded
 from ..sorcer.signature import Signature
@@ -74,9 +73,7 @@ class OpenLoopEngine:
         self.scale = float(scale)
         self.facade_name = facade_name
         self.trace = dict(trace or {})
-        #: The facade lookup is identical for every request — cache it so
-        #: the LUS is not itself an (unmetered) overload victim.
-        self.exerter = Exerter(host, ServiceAccessor(host, cache_ttl=5.0))
+        self.exerter = Exerter(host)
         #: tenant -> (factor, until): a chaos-injected offered-load spike.
         self._bursts: dict[str, tuple] = {}
         self.inflight = 0

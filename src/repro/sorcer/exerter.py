@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional, Union
 
+from ..jini.template import ServiceTemplate
 from ..net.errors import HostDownError, NetworkError, RpcTimeout, UnreachableError
 from ..net.host import Host
 from ..net.rpc import rpc_endpoint
@@ -255,10 +256,11 @@ class Exerter:
         return True
 
     def _invoke_candidates(self, exertion, items, txn_id,
-                           failure_label: str, span=NULL_SPAN):
+                           failure_label: str, span, tried: list):
         """Shared attempt loop for tasks and jobs: breaker-aware candidate
         choice, deadline-clamped timeouts, backoff between attempts.
-        Returns the provider's result or raises the last failure."""
+        Returns the provider's result or raises the last failure; adds
+        each invoked provider's id to ``tried``."""
         control = exertion.control
         deadline = control.deadline
         policy = control.backoff if control.backoff is not None else self.DEFAULT_BACKOFF
@@ -284,6 +286,7 @@ class Exerter:
                 raise CircuitOpenError(
                     f"{failure_label}: all {len(items)} candidate provider(s) "
                     "open-circuit")
+            tried.append(item.service_id)
             timeout = control.invocation_timeout
             if deadline is not None:
                 timeout = deadline.clamp(timeout, now)
@@ -319,23 +322,11 @@ class Exerter:
         raise last_error if last_error is not None else RpcTimeout(
             f"{failure_label}: no attempt completed")
 
-    def _exert_task(self, task: Task, txn_id: Optional[int],
-                    span=NULL_SPAN, _fresh_lookup: bool = False):
-        signature = task.signature
+    def _exert_task(self, task: Task, txn_id: Optional[int], span=NULL_SPAN):
         result, last_error = yield from self._bind_and_invoke(
-            task, signature, txn_id, span, f"task {task.name!r}",
+            task, task.signature, txn_id, span, f"task {task.name!r}",
             "no provider for {signature} within {wait}s")
         if last_error is None:
-            return result
-        deadline = task.control.deadline
-        if not _fresh_lookup and getattr(self.accessor, "cache_ttl", 0) > 0 \
-                and not (deadline is not None and deadline.expired(self.env.now)):
-            # Every candidate failed: the accessor's cache may be stale
-            # (provider churn). Invalidate and retry once with a live lookup.
-            self.accessor.invalidate(signature.template())
-            span.annotate("cache_invalidated")
-            result = yield from self._exert_task(task, txn_id, span,
-                                                 _fresh_lookup=True)
             return result
         return self._fail(task, f"all candidate providers failed: {last_error!r}")
 
@@ -354,9 +345,11 @@ class Exerter:
                          txn_id: Optional[int], span, label: str, nobody: str):
         """What tasks and jobs share: refuse a spent deadline, find providers
         within the clamped wait (none: fail with ``nobody``, a template
-        over ``signature`` and ``wait``), invoke them. Returns ``(result,
-        None)`` — ``result`` possibly a failed copy of ``exertion`` — or
-        ``(None, error)`` when every attempt ended in a network error."""
+        over ``signature`` and ``wait``), invoke them — and, when they all
+        failed on a cache hit, the providers one live lookup newly names.
+        Returns ``(result, None)`` — ``result`` possibly a failed copy of
+        ``exertion`` — or ``(None, error)`` when every attempt ended in a
+        network error."""
         deadline = exertion.control.deadline
         wait = exertion.control.provider_wait
         if deadline is not None:
@@ -367,25 +360,46 @@ class Exerter:
                 return self._fail(exertion, "deadline expired before exerting "
                                             f"{exertion.name!r}"), None
             wait = deadline.clamp(wait, now)
-        items = yield from self._find_providers(signature, wait)
+        template = signature.template()
+        # A hit is answered without yielding, so this is the answer the
+        # lookup below is about to give.
+        hit = self.accessor.is_cached(template)
+        items = yield from self._find_providers(signature, template, wait)
         if not items:
             return self._fail(exertion, nobody.format(signature=signature,
                                                       wait=wait)), None
-        try:
-            result = yield from self._invoke_candidates(
-                exertion, items, txn_id, failure_label=label, span=span)
-            return result, None
-        except (CircuitOpenError, DeadlineExceeded) as exc:
-            return self._fail(exertion, str(exc)), None
-        except NetworkError as exc:
-            return None, exc
+        tried: list = []
+        while True:
+            try:
+                result = yield from self._invoke_candidates(
+                    exertion, items, txn_id, label, span, tried)
+                return result, None
+            except (CircuitOpenError, DeadlineExceeded) as exc:
+                return self._fail(exertion, str(exc)), None
+            except NetworkError as exc:
+                error = exc
+            if not hit or (deadline is not None
+                           and deadline.expired(self.env.now)):
+                return None, error
+            # Every candidate of a cache hit failed: the entry may be stale
+            # (a provider died before its lease lapsed, or an event was
+            # lost). Distrust it and look up live once; only a provider not
+            # just tried earns another round, so none is retried twice.
+            hit = False
+            self.accessor.invalidate(template)
+            span.annotate("cache_invalidated")
+            items = yield from self.accessor.find_items(template)
+            items = [item for item in items if item.service_id not in tried]
+            if not items:
+                return None, error
 
-    def _find_providers(self, signature: Signature, wait: float):
-        items = yield from self.accessor.find_for(signature, wait=wait)
+    def _find_providers(self, signature: Signature,
+                        template: ServiceTemplate, wait: float):
+        items = yield from self.accessor.find_items(template, wait=wait)
         if not items and signature.provision and self.provisioner is not None:
             provisioned = yield self.env.process(self.provisioner(signature))
             if provisioned:
-                items = yield from self.accessor.find_for(signature, wait=wait)
+                items = yield from self.accessor.find_items(template, wait=wait)
         if len(items) > 1:
             # Round-robin over equivalent providers (stable id order), so
             # concurrent tasks of a parallel job spread across the grid.

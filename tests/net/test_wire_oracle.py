@@ -143,7 +143,11 @@ def test_classification_is_per_class_not_per_first_instance():
 def test_canonical_message_bytes():
     """A 4-sensor, fan-out-2 grid read through the Façade (seed 2009): the
     ESP ``getValue`` exertion request, its reply and the LUS lookup reply
-    naming an ESP. Byte counts were read off the recursive estimator."""
+    naming an ESP. Byte counts were read off the recursive estimator. The
+    read is each hop's first, so each also registers interest in its
+    template (``lus-notify``) before it looks it up: 9 hops, 18 of the 52
+    messages; the LUS's answer to a composite's registration is pinned
+    too."""
     grid = build_sensorcer_grid(4, seed=2009, tree_fanout=2,
                                 discovery="locator", fixed_latency=0.001)
     SensorcerFacade(seed_locator_discovery(Host(grid.net, "facade-host"))).start()
@@ -154,19 +158,22 @@ def test_canonical_message_bytes():
     grid.net.tap(seen.append)
     value = grid.env.run(until=grid.env.process(browser.get_value("Root")))
     assert value == 16.046875
-    assert len(seen) == 34
+    assert len(seen) == 52
 
     esp_requests = [m for m in seen if m.kind == "exertion"
                     and m.dst.startswith("esp-")]
     esp_replies = [m for m in seen if m.kind == "rpc-reply"
                    and m.src.startswith("esp-")]
-    esp_lookups = [m for m in seen if m.kind == "rpc-reply"
+    lus_replies = [m for m in seen if m.kind == "rpc-reply"
                    and m.src == "lus-host" and m.dst.startswith("Group-")]
+    esp_lookups = [m for m in lus_replies if isinstance(m.payload[2], list)]
+    registrations = [m for m in lus_replies if m not in esp_lookups]
     assert [m.payload_bytes for m in esp_requests] == [843] * 4
     assert [m.payload_bytes for m in esp_replies] == [846] * 4
     assert [m.payload_bytes for m in esp_lookups] == [317] * 4
+    assert [m.payload_bytes for m in registrations] == [129] * 4
     assert {m.header_bytes for m in seen} == {148}
-    assert sum(m.payload_bytes for m in seen) == 17188
+    assert sum(m.payload_bytes for m in seen) == 21860
     for message in seen:
         assert (reference_wire.estimate_size(message.payload)
                 == message.payload_bytes)

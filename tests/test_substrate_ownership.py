@@ -114,7 +114,10 @@ def test_one_function_pushes_events():
     ``jini/events.py`` (the one-way best-effort push) and
     ``<endpoint>.call(<ref>, "notify", ...)`` in ``jini/mailbox.py`` (the
     store-and-forward relay, which needs the answer to requeue on failure),
-    and neither anywhere else."""
+    and neither anywhere else — except one *registration* site: the lookup
+    cache in ``sorcer/accessor.py`` calls a registrar's ``notify`` (the
+    LUS's remote method of that name, which registers interest in a
+    template) and pushes nothing."""
     sites = set()
     for path in sorted(REPRO.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -125,4 +128,5 @@ def test_one_function_pushes_events():
                     and isinstance(node.args[1], ast.Constant)
                     and node.args[1].value == "notify"):
                 sites.add((str(path.relative_to(REPRO)), node.func.attr))
-    assert sites == {("jini/events.py", "cast"), ("jini/mailbox.py", "call")}
+    assert sites == {("jini/events.py", "cast"), ("jini/mailbox.py", "call"),
+                     ("sorcer/accessor.py", "call")}
