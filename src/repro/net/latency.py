@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..util.rng import child_stream
+
 __all__ = ["LatencyModel", "LanLatency", "FixedLatency"]
 
 
@@ -37,6 +39,12 @@ class LanLatency(LatencyModel):
     ``delay = base + size/bandwidth + jitter`` where jitter is drawn from an
     exponential distribution with mean ``jitter_mean`` (heavy-ish tail, like
     switch queueing).
+
+    Each directed link draws its jitter from its own stream, derived from
+    ``rng``'s seed (:func:`~repro.util.rng.child_stream`). One shared stream
+    would hand out draws in send order, and two processes sending at the
+    same instant run in kernel tie-break order: which of them got which
+    delay would depend on it (DESIGN §8.3).
     """
 
     def __init__(self, rng: np.random.Generator,
@@ -47,8 +55,16 @@ class LanLatency(LatencyModel):
         self.base = base
         self.bandwidth_bps = bandwidth_bps
         self.jitter_mean = jitter_mean
+        #: (src, dst) -> that link's jitter stream, created on first use.
+        self._links: dict = {}
 
     def delay(self, src: str, dst: str, size_bytes: int) -> float:
         serialization = size_bytes * 8.0 / self.bandwidth_bps
-        jitter = float(self.rng.exponential(self.jitter_mean)) if self.jitter_mean > 0 else 0.0
-        return self.base + serialization + jitter
+        if self.jitter_mean <= 0:
+            return self.base + serialization
+        link = self._links.get((src, dst))
+        if link is None:
+            link = self._links[(src, dst)] = child_stream(
+                self.rng, "latency", src, dst)
+        return (self.base + serialization
+                + float(link.exponential(self.jitter_mean)))

@@ -136,8 +136,12 @@ class ProvisionMonitor:
             Deployment(opstring=opstring.name, element=element.name),))
 
     def _converge(self, opstring: OperationalString, element: ServiceElement):
-        live = yield from self.accessor.find_items(
-            self._element_template(opstring, element), max_matches=64)
+        # Count live instances at the registrars, not from the lookup
+        # cache: service events are sent once, and one lost departure
+        # would hide a dead instance until the event lease lapsed.
+        template = self._element_template(opstring, element)
+        self.accessor.invalidate(template)
+        live = yield from self.accessor.find_items(template, max_matches=64)
         live_ids = {item.service_id for item in live}
         # Prune stale records for instances that are gone.
         for service_id in [sid for sid, rec in self._records.items()
@@ -220,8 +224,9 @@ class ProvisionMonitor:
         self._m_managed.set(len(self._records))
 
     def _eligible_cybernodes(self, element: ServiceElement):
-        items = yield from self.accessor.find_items(
-            ServiceTemplate.by_type(CYBERNODE_TYPE), max_matches=64)
+        template = ServiceTemplate.by_type(CYBERNODE_TYPE)
+        self.accessor.invalidate(template)  # placement reads the registry
+        items = yield from self.accessor.find_items(template, max_matches=64)
         candidates: list[Candidate] = []
         for item in items:
             try:

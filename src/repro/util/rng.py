@@ -23,7 +23,7 @@ import zlib
 
 import numpy as np
 
-__all__ = ["substream", "stream_hash"]
+__all__ = ["child_stream", "substream", "stream_hash"]
 
 #: Domain-separation constant so ``substream(s)`` differs from a plain
 #: ``default_rng(s)``.
@@ -54,3 +54,15 @@ def substream(seed: int, *names) -> np.random.Generator:
         digest = zlib.crc32(str(name).encode("utf-8"), digest)
         entropy.append(digest & _MASK)
     return np.random.default_rng(entropy)
+
+
+def child_stream(rng: np.random.Generator, *names) -> np.random.Generator:
+    """An independent generator for stream ``names`` under ``rng``'s seed.
+
+    Derived from the seed sequence ``rng`` was built from, never drawn
+    from ``rng`` itself: ``rng``'s own sequence is untouched, so adding a
+    child stream perturbs no other consumer of it.
+    """
+    seq = rng.bit_generator.seed_seq
+    return np.random.default_rng(np.random.SeedSequence(
+        seq.entropy, spawn_key=(*seq.spawn_key, stream_hash(*names))))

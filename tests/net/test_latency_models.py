@@ -29,6 +29,20 @@ def test_lan_latency_jitter_positive_and_seeded():
     assert d1 > 0.0005  # base plus something
 
 
+def test_lan_latency_link_draws_do_not_depend_on_send_order():
+    """Each directed link draws from its own stream: which link sends
+    first (for same-instant sends, the kernel's tie-break) moves no
+    delay, and the caller's generator is not drawn from."""
+    rng = np.random.default_rng(5)
+    forward, backward = LanLatency(rng), LanLatency(np.random.default_rng(5))
+    first = [forward.delay("x", "lus", 100), forward.delay("y", "lus", 100)]
+    second = [backward.delay("y", "lus", 100),
+              backward.delay("x", "lus", 100)]
+    assert first == second[::-1]
+    assert first[0] != first[1]
+    assert rng.random() == np.random.default_rng(5).random()
+
+
 def test_bernoulli_validation():
     with pytest.raises(ValueError):
         BernoulliLoss(np.random.default_rng(0), 1.5)

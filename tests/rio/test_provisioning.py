@@ -3,8 +3,10 @@
 import pytest
 
 from repro.net import Host
+from repro.net.network import LinkDecision
 from repro.observability import metrics_registry
 from repro.jini import Name, ServiceTemplate
+from repro.jini.events import TRANSITION_MATCH_NOMATCH
 from repro.rio import (
     Cybernode,
     OperationalString,
@@ -221,6 +223,44 @@ def test_monitor_outage_delays_but_does_not_lose_repair(grid):
     items = lus.lookup(ServiceTemplate.by_type("Echo"), 10)
     assert len(items) == 1
     assert items[0].service.host != victim_host
+
+
+def lose_departure_event(net, dst, service_id):
+    """Drop the first MATCH_NOMATCH service event for ``service_id`` cast
+    to host ``dst``; returns the list the dropped event lands in."""
+    dropped = []
+
+    def link_filter(msg):
+        if msg.kind == "service-event" and msg.dst == dst and not dropped:
+            [event] = msg.payload[4]
+            if (event.service_id == service_id
+                    and event.transition == TRANSITION_MATCH_NOMATCH):
+                dropped.append(event)
+                return LinkDecision(drop=True)
+        return None
+
+    net.add_link_filter(link_filter)
+    return dropped
+
+
+def test_a_lost_departure_event_does_not_delay_repair(grid):
+    """Service events are sent once. The monitor counts live instances at
+    the registry on every poll, so losing a dead instance's MATCH_NOMATCH
+    costs no time: repair lands a few polls after its lease lapses."""
+    env, net, lus = grid
+    ha, node_a = make_cybernode(net, "Cybernode-A")
+    hb, node_b = make_cybernode(net, "Cybernode-B")
+    mh, monitor = make_monitor(net)
+    monitor.deploy(opstring_with())
+    env.run(until=10.0)
+    [victim] = lus.lookup(ServiceTemplate.by_type("Echo"), 10)
+    dropped = lose_departure_event(net, "monitor-host", victim.service_id)
+    (ha if victim.service.host == "Cybernode-A-host" else hb).fail()
+    env.run(until=20.0)  # lease lapse (5 s) + a poll + instantiate
+    assert len(dropped) == 1
+    items = lus.lookup(ServiceTemplate.by_type("Echo"), 10)
+    assert len(items) == 1
+    assert items[0].service.host != victim.service.host
 
 
 def test_multi_element_opstring(grid):
