@@ -106,8 +106,7 @@ def run_pull(n_workers, kill_one_at=None):
     for index in range(n_workers):
         host = Host(net, f"worker-{index}")
         provider = Cruncher(host, f"Cruncher-{index}")
-        worker = SpaceWorker(provider, space.ref, txn_manager_ref=tm.ref,
-                             poll_timeout=0.5, txn_duration=5.0)
+        worker = SpaceWorker(provider, space.ref, txn_manager_ref=tm.ref)
         worker.start()
         workers.append(host)
     env.run(until=6.0)

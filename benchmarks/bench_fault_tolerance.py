@@ -169,8 +169,7 @@ def scripted_partition(breaker_enabled, fault_policy, expression=None,
 
     def client_loop():
         exerter = Exerter(client_host)
-        poll_backoff = RetryPolicy(base_delay=0.5, multiplier=2.0,
-                                   max_delay=8.0, jitter=0.5)
+        poll_backoff = RetryPolicy(base_delay=0.5, max_delay=8.0)
         poll_rng = backoff_rng(client_host.name, salt=3)
         consecutive_failures = 0
         yield env.timeout(3.0)  # join/discovery settle

@@ -33,7 +33,7 @@ def run_partition_timeline(seed=2009):
     lab = build_paper_lab(seed=seed)
     lab.health.engine.add(Slo(
         "neem-node-health", "health.status{entity=node:neem-host}",
-        1.0, kind="value", window=1, for_windows=1, clear_windows=2))
+        1.0, kind="value", window=1, for_windows=1))
     lab.settle(6.0)
     others = [name for name in lab.hosts if name != "neem-host"]
     partitioned_at = lab.env.now

@@ -39,7 +39,7 @@ ROUNDS = 10
 
 
 def measure_direct(n):
-    grid = build_direct_grid(n, seed=11, fixed_latency=0.001)
+    grid = build_direct_grid(n, seed=11)
     env, net = grid.env, grid.net
     client = Host(net, "client")
     collector = DirectPollingCollector(
@@ -115,7 +115,7 @@ def test_overhead_streaming_goodput(report):
     host = Host(net, "node")
     probe = TemperatureProbe(env, "p", world, (0, 0),
                              rng=np.random.default_rng(0))
-    StreamingSensorNode(host, probe, "collector", interval=1.0).start()
+    StreamingSensorNode(host, probe, "collector").start()
     env.run(until=100.5)
     stream = net.stats.by_kind["direct-stream"]
     payload = stream["payload_bytes"]

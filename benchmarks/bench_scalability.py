@@ -38,7 +38,7 @@ QUERIES = 5
 
 
 def time_direct(n, sequential):
-    grid = build_direct_grid(n, seed=13, fixed_latency=0.001)
+    grid = build_direct_grid(n, seed=13)
     env, net = grid.env, grid.net
     collector = DirectPollingCollector(Host(net, "client"),
                                        [s.host.name for s in grid.sensors])

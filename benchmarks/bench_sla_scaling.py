@@ -71,8 +71,7 @@ def run():
     monitor.deploy(OperationalString("sla", [element]))
     scaler = SlaScaler(Host(net, "sla-host"), monitor.ref, "sla", "Worker",
                        load_metric=lambda: current_load(env.now),
-                       high_water=5.0, low_water=1.0,
-                       min_planned=1, max_planned=4, check_interval=2.0)
+                       high_water=5.0, low_water=1.0)
     scaler.start()
 
     timeline = []

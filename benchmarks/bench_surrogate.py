@@ -36,7 +36,7 @@ def base(seed=33):
                   latency=FixedLatency(0.001))
     world = PhysicalEnvironment(seed=seed)
     LookupService(Host(net, "lus-host")).start()
-    device = SunSpotDevice(env, "spot", battery_mah=720.0)
+    device = SunSpotDevice(env, "spot")
     probe = SunSpotTemperatureProbe(env, device, world, (0, 0),
                                     rng=np.random.default_rng(0))
     return env, net, world, device, probe
@@ -76,7 +76,7 @@ def run_esp(n_clients):
 def run_surrogate(n_clients):
     env, net, world, device, probe = base()
     sh = SurrogateHost(Host(net, "surrogate-host"))
-    link = DeviceLink(env, round_trip=0.08)
+    link = DeviceLink(env)
     surrogate = sh.activate("Spot", probe, link)
     env.run(until=5.0)
     reads_before = device.total_reads

@@ -9,12 +9,17 @@ committed result tables are not rewritten) and the four E-E2E workloads
 traced — with a ``sys.setprofile`` hook installed in every interpreter
 through a generated ``sitecustomize``. A function counts as reached when
 any of them calls it; its lines are its own span minus nested functions.
-Prints unreached/total function lines per module, worst first.
+Prints unreached/total function lines per module, worst first, beside
+the module's options: its defaulted parameters and defaulted dataclass
+fields, each a value a caller may set.
 Exits 1 when a module outside ``ALLOWED`` is wholly unreached, or when a
-module's unreached lines exceed its count in ``reach_baseline.json``
-(a ratchet: a module missing there has a baseline of 0). A path stays
-only if a verb, a workload or an experiment reaches it. After deleting
-unreached code, lower the baseline to the counts this prints.
+module's unreached lines or options exceed its count in
+``reach_baseline.json`` (two ratchets: a module missing there has a
+baseline of 0). A path stays only if a verb, a workload or an experiment
+reaches it; an option stays only if two shipped callers set it
+differently, it is a deployment setting or an ablation toggles it.
+After deleting code or options, lower the baseline to the counts this
+prints.
 """
 
 from __future__ import annotations
@@ -196,11 +201,35 @@ def function_lines(path: Path) -> dict:
     return dict(Counter(owner.values()))
 
 
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def option_count(path: Path) -> int:
+    """Defaulted parameters plus defaulted dataclass fields (``ClassVar``
+    constants excluded) in one module."""
+    count = 0
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            count += len(node.args.defaults)
+            count += sum(d is not None for d in node.args.kw_defaults)
+        elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            count += sum(isinstance(st, ast.AnnAssign) and st.value is not None
+                         and "ClassVar" not in ast.unparse(st.annotation)
+                         for st in node.body)
+    return count
+
+
 def report(hits: set) -> dict:
     modules = defaultdict(lambda: {"function_lines": 0, "unreached_lines": 0,
-                                   "unreached": []})
+                                   "unreached": [], "options": 0})
     for path in sorted((SRC / "repro").rglob("*.py")):
         rel = path.relative_to(SRC / "repro").as_posix()
+        modules[rel]["options"] = option_count(path)
         for (first, name), lines in function_lines(path).items():
             row = modules[rel]
             row["function_lines"] += lines
@@ -218,10 +247,14 @@ def main(argv=None) -> int:
     rows = sorted(modules.items(), key=lambda kv: -kv[1]["unreached_lines"])
     total = sum(row["function_lines"] for _, row in rows)
     unreached = sum(row["unreached_lines"] for _, row in rows)
-    print(f"{unreached} of {total} function lines in src/repro unreached")
+    options = sum(row["options"] for _, row in rows)
+    print(f"{unreached} of {total} function lines in src/repro unreached; "
+          f"{options} options")
+    print("unreached / lines  options  module")
     for rel, row in rows:
-        if row["unreached_lines"]:
-            print(f"{row['unreached_lines']:6d} / {row['function_lines']:5d}  {rel}")
+        if row["unreached_lines"] or row["options"]:
+            print(f"{row['unreached_lines']:9d} / {row['function_lines']:5d}"
+                  f"  {row['options']:7d}  {rel}")
     if args.out:
         Path(args.out).write_text(json.dumps(modules, indent=1, sort_keys=True) + "\n")
     dead = [rel for rel, row in rows if row["function_lines"]
@@ -229,11 +262,12 @@ def main(argv=None) -> int:
     for rel in dead:
         print(f"wholly unreached: {rel}", file=sys.stderr)
     baseline = json.loads(BASELINE.read_text())
-    grown = [(rel, row["unreached_lines"], baseline.get(rel, 0))
-             for rel, row in rows if row["unreached_lines"] > baseline.get(rel, 0)]
-    for rel, now, before in grown:
-        print(f"unreached lines grew: {rel} {now} > baseline {before}",
-              file=sys.stderr)
+    grown = [(what, rel, row[key], baseline[key].get(rel, 0))
+             for key, what in (("unreached_lines", "unreached lines"),
+                               ("options", "options"))
+             for rel, row in rows if row[key] > baseline[key].get(rel, 0)]
+    for what, rel, now, before in grown:
+        print(f"{what} grew: {rel} {now} > baseline {before}", file=sys.stderr)
     return 1 if dead or grown else 0
 
 

@@ -79,7 +79,7 @@ def main() -> None:
         # Save the logical network as a plan and let the façade keep the
         # network converged to it.
         plan = yield from browser.save_network_plan()
-        yield from browser.enable_self_healing(plan, interval=2.0)
+        yield from browser.enable_self_healing(plan)
         return created, assigned, value
 
     created, assigned, value = env.run(

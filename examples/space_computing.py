@@ -85,8 +85,7 @@ def main() -> None:
     for index in range(N_WORKERS):
         host = Host(net, f"worker-{index}")
         provider = AnalysisProvider(host, f"Analysis-{index}")
-        SpaceWorker(provider, space.ref, txn_manager_ref=tm.ref,
-                    poll_timeout=0.5, txn_duration=5.0).start()
+        SpaceWorker(provider, space.ref, txn_manager_ref=tm.ref).start()
         worker_hosts.append(host)
 
     env.run(until=20.0)  # accumulate sensor history

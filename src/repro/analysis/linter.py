@@ -105,9 +105,9 @@ def _sorted(findings: list) -> list:
     return sorted(findings, key=lambda f: (f.path, f.line, f.rule, f.message))
 
 
-def lint_source(source: str, path: str = "<string>") -> list:
+def lint_source(source: str) -> list:
     """Lint one module's source text; returns sorted :class:`Finding`s."""
-    return _sorted(_lint_file(source, path))
+    return _sorted(_lint_file(source, "<string>"))
 
 
 def _iter_py_files(paths: Iterable) -> list:

@@ -65,12 +65,13 @@ class DirectSensorNode:
 class DirectPollingCollector:
     """Polls a fixed list of sensor nodes by host address."""
 
-    def __init__(self, host: Host, node_addresses: list,
-                 reply_timeout: float = 2.0):
+    #: Seconds a poll waits for its reply before counting a timeout.
+    REPLY_TIMEOUT = 2.0
+
+    def __init__(self, host: Host, node_addresses: list):
         self.host = host
         self.env = host.env
         self.node_addresses = list(node_addresses)
-        self.reply_timeout = reply_timeout
         self._pending: dict[int, object] = {}
         self._seq = count(1)
         host.open_port(REPLY_PORT, self._on_reply)
@@ -89,7 +90,7 @@ class DirectPollingCollector:
         self._pending[seq] = event
         self.host.send(address, POLL_PORT, kind="direct-poll",
                        payload=(self.host.name, seq), protocol=Protocol.TCP)
-        timed = self.env.timeout(self.reply_timeout, value=None)
+        timed = self.env.timeout(self.REPLY_TIMEOUT, value=None)
         yield self.env.any_of([event, timed])
         if not event.triggered:
             self._pending.pop(seq, None)
@@ -126,13 +127,14 @@ class DirectPollingCollector:
 class StreamingSensorNode:
     """Pushes every sample to a hard-coded collector address (§II.4)."""
 
-    def __init__(self, host: Host, probe: SensorProbe, collector: str,
-                 interval: float = 1.0):
+    #: Seconds between pushed samples.
+    INTERVAL = 1.0
+
+    def __init__(self, host: Host, probe: SensorProbe, collector: str):
         self.host = host
         self.env = host.env
         self.probe = probe
         self.collector = collector
-        self.interval = interval
         self.sent = 0
         self._active = False
         if not probe.connected:
@@ -159,7 +161,7 @@ class StreamingSensorNode:
                     self.sent += 1
                 except ProbeError:
                     pass
-            yield self.env.timeout(self.interval)
+            yield self.env.timeout(self.INTERVAL)
 
 
 class StreamCollector:

@@ -32,14 +32,15 @@ __all__ = ["DeviceLink", "SurrogateHost", "DeviceSurrogate"]
 class DeviceLink:
     """The device-side interconnect the surrogate forwards over.
 
-    Models a low-rate radio: fixed round-trip latency, one request at a
+    Models a low-rate radio: a fixed ``ROUND_TRIP`` latency, one request at a
     time (the mote's single radio), and per-request energy cost charged to
     the device (if it exposes ``consume_read``-style accounting through its
     probe)."""
 
-    def __init__(self, env: Environment, round_trip: float = 0.08):
+    ROUND_TRIP = 0.08
+
+    def __init__(self, env: Environment):
         self.env = env
-        self.round_trip = round_trip
         self._radio = Resource(env, capacity=1)
         self.requests = 0
 
@@ -48,9 +49,9 @@ class DeviceLink:
         grant = self._radio.request()
         yield grant
         try:
-            yield self.env.timeout(self.round_trip / 2)
+            yield self.env.timeout(self.ROUND_TRIP / 2)
             reading = yield self.env.process(probe.read())
-            yield self.env.timeout(self.round_trip / 2)
+            yield self.env.timeout(self.ROUND_TRIP / 2)
             self.requests += 1
             return reading
         finally:

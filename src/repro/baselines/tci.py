@@ -164,7 +164,7 @@ class ApplicationServiceProvider:
             self._join = None
         self._endpoint.unexport(f"asp:{self.service_id}")
 
-    def query(self, operation: str = "mean"):
+    def query(self, operation: str):
         """Aggregate over the frozen sensor set (generator)."""
         if operation not in self.OPERATIONS:
             raise ValueError(

@@ -101,11 +101,11 @@ def _build_paper_lab_load(config: CampaignConfig) -> ScenarioContext:
     from ..scenarios.paper_lab import SENSOR_NAMES
     sensors = list(SENSOR_NAMES)
     tenants = (
-        TenantSpec("gold", rate=6.0, weight=3.0, deadline=2.0,
+        TenantSpec("gold", rate=6.0, weight=3.0,
                    targets=SENSOR_NAMES),
-        TenantSpec("silver", rate=4.0, weight=2.0, deadline=2.0,
+        TenantSpec("silver", rate=4.0, weight=2.0,
                    targets=SENSOR_NAMES),
-        TenantSpec("bronze", rate=2.0, weight=1.0, deadline=2.0,
+        TenantSpec("bronze", rate=2.0, weight=1.0,
                    targets=SENSOR_NAMES),
     )
     # The runner settles and starts the engine itself; arrivals stop at
@@ -204,7 +204,6 @@ class CampaignRunner:
         return self.run_plan(None, seed=seed)
 
     def run_plan(self, plan: Optional[ChaosPlan], seed: Optional[int] = None,
-                 invariants: Optional[list] = None,
                  checkpointer=None) -> dict:
         """Execute one campaign run; returns the verdict dict.
 
@@ -231,7 +230,7 @@ class CampaignRunner:
         if context.load_engine is not None:
             env.process(context.load_engine.run(), name="load-engine")
         env.run(until=plan.horizon)
-        return self._judge(context, plan, engine, counts, invariants)
+        return self._judge(context, plan, engine, counts)
 
     def _launch_faults(self, context: ScenarioContext,
                        plan: ChaosPlan) -> InjectorEngine:
@@ -244,8 +243,7 @@ class CampaignRunner:
         return engine
 
     def _judge(self, context: ScenarioContext, plan: ChaosPlan,
-               engine: InjectorEngine, counts: dict,
-               invariants: Optional[list]) -> dict:
+               engine: InjectorEngine, counts: dict) -> dict:
         """Judge a finished run: final health tick, invariants, verdict."""
         env = context.env
         if context.health is not None:
@@ -259,13 +257,10 @@ class CampaignRunner:
             tracer=context.tracer, txn_managers=context.txn_managers,
             spaces=context.spaces, issued=counts["issued"],
             completed=counts["completed"], failed=counts["failed"],
-            inflight=counts["inflight"],
-            health_interval=(context.health.interval
-                             if context.health is not None else 1.0))
+            inflight=counts["inflight"])
         if context.load_engine is not None:
             record.extra["load"] = context.load_engine.summary()
-        invariants = (invariants if invariants is not None
-                      else self._invariants)
+        invariants = self._invariants
         if invariants is None:
             invariants = builtin_invariants(
                 convergence_windows=self.config.convergence_windows)
@@ -290,8 +285,7 @@ class CampaignRunner:
             verdict["load"] = record.extra["load"]
         return verdict
 
-    def warm_session(self, plan: ChaosPlan,
-                     margin: float = 1.0) -> "WarmSession":
+    def warm_session(self, plan: ChaosPlan) -> "WarmSession":
         """A warm-restore probe session for shrinking ``plan``.
 
         Builds the scenario once, settles, starts the steady workload
@@ -304,7 +298,7 @@ class CampaignRunner:
         Requires ``os.fork`` (POSIX); callers gate on
         :func:`WarmSession.supported`.
         """
-        return WarmSession(self, plan, margin=margin)
+        return WarmSession(self, plan)
 
     def run(self, seeds) -> dict:
         """Run every seed; returns the campaign summary (JSON-ready)."""
@@ -377,8 +371,10 @@ class WarmSession:
     back to cold shrinking if the minimum does not reproduce.
     """
 
-    def __init__(self, runner: CampaignRunner, plan: ChaosPlan,
-                 margin: float = 1.0):
+    #: Seconds before the plan's earliest fault that the prefix stops.
+    MARGIN = 1.0
+
+    def __init__(self, runner: CampaignRunner, plan: ChaosPlan):
         if not self.supported():
             raise RuntimeError("warm sessions require os.fork (POSIX)")
         if not plan.events:
@@ -400,7 +396,7 @@ class WarmSession:
         first_fault = min(event.start for event in plan.events)
         #: Where the shared prefix stops: strictly before any fault can
         #: fire, but after as much settle/workload as possible.
-        self.fork_at = max(env.now, first_fault - margin)
+        self.fork_at = max(env.now, first_fault - self.MARGIN)
         env.run(until=self.fork_at)
         self.probes = 0
 
@@ -408,8 +404,7 @@ class WarmSession:
     def supported() -> bool:
         return hasattr(os, "fork")
 
-    def run_plan(self, candidate: ChaosPlan,
-                 invariants: Optional[list] = None) -> dict:
+    def run_plan(self, candidate: ChaosPlan) -> dict:
         """Probe one candidate subset; returns its verdict dict."""
         if candidate.events:
             earliest = min(event.start for event in candidate.events)
@@ -425,7 +420,7 @@ class WarmSession:
             status = 1
             try:
                 os.close(read_fd)
-                verdict = self._probe(candidate, invariants)
+                verdict = self._probe(candidate)
                 payload = canonical_json(verdict).encode("utf-8")
                 with os.fdopen(write_fd, "wb") as pipe:
                     pipe.write(payload)
@@ -446,10 +441,8 @@ class WarmSession:
                 f"(status {exit_status})")
         return json.loads(b"".join(chunks))
 
-    def _probe(self, candidate: ChaosPlan,
-               invariants: Optional[list]) -> dict:
+    def _probe(self, candidate: ChaosPlan) -> dict:
         runner, context = self.runner, self.context
         engine = runner._launch_faults(context, candidate)
         context.env.run(until=candidate.horizon)
-        return runner._judge(context, candidate, engine, self.counts,
-                             invariants)
+        return runner._judge(context, candidate, engine, self.counts)

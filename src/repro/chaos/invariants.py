@@ -27,6 +27,8 @@ from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
 from typing import Optional
 
+from ..observability.health import HealthMonitor
+
 __all__ = [
     "RunRecord", "InvariantResult", "Invariant", "OverloadGraceful",
     "builtin_invariants", "evaluate_invariants",
@@ -155,8 +157,6 @@ class RunRecord:
     completed: int = 0
     failed: int = 0
     inflight: int = 0
-    #: Evaluation window of the health model, for convergence bounds.
-    health_interval: float = 1.0
     extra: dict = field(default_factory=dict)
 
 
@@ -275,7 +275,7 @@ class HealthConvergence(Invariant):
             if status != "UP":
                 out.append(f"{entity} ended {status}")
         bound = (record.plan.last_fault_end
-                 + self.windows * record.health_interval)
+                 + self.windows * HealthMonitor.INTERVAL)
         for entity in sorted({t["entity"] for t in model.transitions}):
             last = [t for t in model.transitions if t["entity"] == entity][-1]
             if last["to"] == "UP" and last["t"] > bound:
@@ -326,7 +326,7 @@ class OverloadGraceful(Invariant):
       to a timeout beyond its deadline, while unbounded queueing shows
       up as tails of tens of seconds;
     * goodput floor — completed-within-deadline work never collapses
-      below ``goodput_floor`` of offered load, however hard the engine
+      below ``GOODPUT_FLOOR`` of offered load, however hard the engine
       pushed past saturation;
     * failure ceiling — shed load must be *rejected*, not failed: typed
       rejections are the control plane working, failures are not.
@@ -335,12 +335,8 @@ class OverloadGraceful(Invariant):
     name = "overload-graceful"
 
     FAILURE_CEILING = 0.25  # share of offered load that may fail
-    P99_SLACK = 5.0  # default p99 bound: this far past the longest deadline
-
-    def __init__(self, p99_bound: Optional[float] = None,
-                 goodput_floor: float = 0.3):
-        self.p99_bound = p99_bound
-        self.goodput_floor = goodput_floor
+    P99_SLACK = 5.0  # p99 bound: this far past the longest deadline
+    GOODPUT_FLOOR = 0.3  # share of offered load that must be goodput
 
     def violations(self, record: RunRecord) -> list:
         load = record.extra.get("load")
@@ -357,17 +353,16 @@ class OverloadGraceful(Invariant):
         if load.get("inflight"):
             out.append(f"{load['inflight']} load request(s) still in flight "
                        "after drain")
-        bound = (self.p99_bound if self.p99_bound is not None
-                 else load.get("deadline_max", 0.0) + self.P99_SLACK)
+        bound = load.get("deadline_max", 0.0) + self.P99_SLACK
         p99 = total["latency"].get("p99")
         if p99 is not None and p99 > bound:
             out.append(f"admitted-work p99 {p99:.3f}s exceeds bound "
                        f"{bound:.3f}s")
         if offered:
             goodput_rate = total["goodput"] / offered
-            if goodput_rate < self.goodput_floor:
+            if goodput_rate < self.GOODPUT_FLOOR:
                 out.append(f"goodput collapsed: {goodput_rate:.3f} of "
-                           f"offered load < floor {self.goodput_floor}")
+                           f"offered load < floor {self.GOODPUT_FLOOR}")
             failure_rate = total["failed"] / offered
             if failure_rate > self.FAILURE_CEILING:
                 out.append(f"failure rate {failure_rate:.3f} over ceiling "

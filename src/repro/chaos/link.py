@@ -23,13 +23,13 @@ __all__ = ["ChaosLink"]
 
 
 class ChaosLink:
-    """Callable link filter matching one host pair (optionally one-sided).
+    """Callable link filter matching one host pair, or one host.
 
     Parameters
     ----------
     a, b:
-        The endpoints. Messages between them (either direction, unless
-        ``directed``) are subject to chaos. ``b=None`` matches every
+        The endpoints. Messages between them (either direction) are
+        subject to chaos. ``b=None`` matches every
         message ``a`` sends or receives (used by ``slowdown``).
     drop_rate, dup_rate:
         Per-message probabilities (hash-derived).
@@ -45,15 +45,13 @@ class ChaosLink:
 
     def __init__(self, a: str, b=None, drop_rate: float = 0.0,
                  dup_rate: float = 0.0, delay: float = 0.0,
-                 jitter: float = 0.0, directed: bool = False,
-                 salt: str = "chaos-link"):
+                 jitter: float = 0.0, salt: str = "chaos-link"):
         self.a = a
         self.b = b
         self.drop_rate = drop_rate
         self.dup_rate = dup_rate
         self.delay = delay
         self.jitter = jitter
-        self.directed = directed
         self.salt = salt
         #: Disambiguates messages identical in every hashed attribute
         #: (same src/dst/port/kind at the same timestamp).
@@ -66,8 +64,6 @@ class ChaosLink:
     def _matches(self, msg) -> bool:
         if self.b is None:
             return self.a in (msg.src, msg.dst)
-        if self.directed:
-            return (msg.src, msg.dst) == (self.a, self.b)
         return {msg.src, msg.dst} == {self.a, self.b}
 
     def _unit(self, msg, occurrence: int, channel: str) -> float:

@@ -117,19 +117,18 @@ class ChaosPlan:
     @classmethod
     def generate(cls, seed: int, targets: "TargetCatalog",
                  scenario: str = "paper-lab", horizon: float = 90.0,
-                 min_events: int = 2, max_events: int = 5,
-                 fault_window: tuple = (10.0, 0.55)) -> "ChaosPlan":
+                 min_events: int = 2, max_events: int = 5) -> "ChaosPlan":
         """Derive a plan from ``seed`` alone.
 
         Every draw comes from the ``("chaos", "plan")`` substream in a
         fixed order, so the same seed always yields the same plan and the
         plan stream is independent of every other consumer of the seed.
-        Fault starts fall in ``[fault_window[0], horizon*fault_window[1]]``
-        — the tail of the horizon is a guaranteed recovery window, which
-        the convergence invariants rely on.
+        Fault starts fall in ``[10, 0.55 * horizon]`` — the tail of the
+        horizon is a guaranteed recovery window, which the convergence
+        invariants rely on.
         """
         rng = substream(seed, "chaos", "plan")
-        lo, hi = fault_window[0], horizon * fault_window[1]
+        lo, hi = 10.0, horizon * 0.55
         count = int(rng.integers(min_events, max_events + 1))
         events = []
         for _ in range(count):

@@ -168,9 +168,13 @@ class SensorBrowser:
         plan = yield from self._facade_call("saveNetworkPlan", {})
         return plan
 
-    def enable_self_healing(self, plan, interval: float = 5.0):
+    #: Seconds between the façade's convergence passes.
+    SELF_HEALING_INTERVAL = 2.0
+
+    def enable_self_healing(self, plan):
         result = yield from self._facade_call(
-            "enableSelfHealing", {"plan": plan, "interval": interval})
+            "enableSelfHealing",
+            {"plan": plan, "interval": self.SELF_HEALING_INTERVAL})
         return result
 
     def get_attributes(self, name: str):

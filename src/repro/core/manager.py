@@ -37,19 +37,9 @@ class SensorNetworkManager:
         self._services[service_id] = {"name": name, "kind": kind}
         self._children[service_id] = {}
 
-    def has_service(self, service_id: str) -> bool:
-        return service_id in self._services
-
     def name_of(self, service_id: str) -> str:
         self._require(service_id)
         return self._services[service_id]["name"]
-
-    def kind_of(self, service_id: str) -> str:
-        self._require(service_id)
-        return self._services[service_id]["kind"]
-
-    def services(self) -> list[str]:
-        return sorted(self._services)
 
     # -- composition edges ----------------------------------------------------------
 

@@ -8,7 +8,7 @@ sensor values on every query.
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, Optional, Union
+from typing import Callable, Mapping, Union
 
 from .errors import ExprEvalError, ExprNameError
 from .functions import BUILTINS
@@ -50,8 +50,7 @@ def _truthy(value: float) -> bool:
     return bool(value)
 
 
-def _eval(node: Node, resolver: Resolver,
-          functions: Mapping[str, Callable]) -> float:
+def _eval(node: Node, resolver: Resolver) -> float:
     if isinstance(node, Number):
         return node.value
     if isinstance(node, Variable):
@@ -63,35 +62,35 @@ def _eval(node: Node, resolver: Resolver,
                 f"variable {node.name!r} resolved to non-numeric {value!r}")
         return float(value)
     if isinstance(node, Unary):
-        operand = _eval(node.operand, resolver, functions)
+        operand = _eval(node.operand, resolver)
         if node.op == "-":
             return -operand
         if node.op == "!":
             return 0.0 if _truthy(operand) else 1.0
         raise ExprEvalError(f"unknown unary operator {node.op!r}")
     if isinstance(node, Conditional):
-        condition = _eval(node.condition, resolver, functions)
+        condition = _eval(node.condition, resolver)
         branch = node.if_true if _truthy(condition) else node.if_false
-        return _eval(branch, resolver, functions)
+        return _eval(branch, resolver)
     if isinstance(node, Call):
-        fn = functions.get(node.func)
+        fn = BUILTINS.get(node.func)
         if fn is None:
             raise ExprNameError(f"unknown function {node.func!r}")
-        args = [_eval(arg, resolver, functions) for arg in node.args]
+        args = [_eval(arg, resolver) for arg in node.args]
         return float(fn(*args))
     if isinstance(node, Binary):
         if node.op == "&&":
-            left = _eval(node.left, resolver, functions)
+            left = _eval(node.left, resolver)
             if not _truthy(left):
                 return 0.0
-            return 1.0 if _truthy(_eval(node.right, resolver, functions)) else 0.0
+            return 1.0 if _truthy(_eval(node.right, resolver)) else 0.0
         if node.op == "||":
-            left = _eval(node.left, resolver, functions)
+            left = _eval(node.left, resolver)
             if _truthy(left):
                 return 1.0
-            return 1.0 if _truthy(_eval(node.right, resolver, functions)) else 0.0
-        left = _eval(node.left, resolver, functions)
-        right = _eval(node.right, resolver, functions)
+            return 1.0 if _truthy(_eval(node.right, resolver)) else 0.0
+        left = _eval(node.left, resolver)
+        right = _eval(node.right, resolver)
         op = node.op
         if op == "+":
             return left + right
@@ -134,19 +133,15 @@ def _eval(node: Node, resolver: Resolver,
 class Expression:
     """A compiled compute-expression."""
 
-    def __init__(self, text: str,
-                 functions: Optional[Mapping[str, Callable]] = None):
+    def __init__(self, text: str):
         self.text = text
         self.ast = parse(text)
-        self.functions = dict(BUILTINS)
-        if functions:
-            self.functions.update(functions)
         #: Free variables (constants excluded), sorted.
         self.variables = tuple(sorted(
             self.ast.free_variables() - set(CONSTANTS)))
 
     def evaluate(self, bindings: Union[Mapping, Resolver, None] = None) -> float:
-        return _eval(self.ast, _as_resolver(bindings), self.functions)
+        return _eval(self.ast, _as_resolver(bindings))
 
     def __call__(self, **bindings) -> float:
         return self.evaluate(bindings)
@@ -155,9 +150,8 @@ class Expression:
         return f"<Expression {self.text!r} vars={self.variables}>"
 
 
-def compile_expression(text: str,
-                       functions: Optional[Mapping[str, Callable]] = None) -> Expression:
-    return Expression(text, functions)
+def compile_expression(text: str) -> Expression:
+    return Expression(text)
 
 
 def evaluate(text: str, bindings: Union[Mapping, Resolver, None] = None) -> float:

@@ -36,6 +36,9 @@ DISCOVERY_GROUP = "jini.discovery"
 ANNOUNCE_PORT = "discovery.announce"
 #: Port where lookup services listen for probes.
 PROBE_PORT = "discovery.probe"
+#: The administrative groups every probe and announcement names. Nothing
+#: scopes discovery by group, but the tuple still rides the wire.
+PUBLIC_GROUPS = ("public",)
 
 
 @dataclass
@@ -49,26 +52,15 @@ class _RegistrarInfo:
 class LookupDiscovery:
     """Client-side discovery: track live lookup services on this host."""
 
-    #: Default administrative discovery group.
-    PUBLIC_GROUP = "public"
-
     PROBE_INTERVAL = 1.0  # seconds between multicast probes
     ANNOUNCE_TIMEOUT = 30.0  # a registrar silent this long is discarded
     REAP_INTERVAL = 5.0  # seconds between sweeps for silent registrars
 
-    def __init__(self, host: Host,
-                 probe_count: int = 3,
-                 groups: tuple = ("public",)):
+    def __init__(self, host: Host, probe_count: int = 3):
         self.host = host
         self.env = host.env
         self.probe_count = probe_count
-        #: Administrative groups of interest: only registrars serving an
-        #: overlapping group set are discovered (Jini's group scoping).
-        self.groups = frozenset(groups)
         self._registrars: dict[str, _RegistrarInfo] = {}
-        #: Hosts targeted by unicast locator discovery: announcements from
-        #: them bypass group filtering (Jini locator semantics).
-        self._locator_hosts: set[str] = set()
         self._discovered_cbs: list[Callable[[str, RemoteRef], None]] = []
         self._discarded_cbs: list[Callable[[str], None]] = []
         self._started = False
@@ -120,11 +112,7 @@ class LookupDiscovery:
 
     def add_locator(self, lus_host: str) -> None:
         """Unicast discovery of a known host (LookupLocator equivalent).
-
-        Locator discovery bypasses group scoping, like Jini's: the caller
-        names the host explicitly, so the probe advertises interest in any
-        group."""
-        self._locator_hosts.add(lus_host)
+        The probe advertises interest in any group, as Jini's does."""
         if self.host.up:
             self.host.send(lus_host, PROBE_PORT, kind="discovery-probe",
                            payload=(self.host.name, ("*",)))
@@ -144,7 +132,7 @@ class LookupDiscovery:
                     self.host.multicast(DISCOVERY_GROUP, PROBE_PORT,
                                         kind="discovery-probe",
                                         payload=(self.host.name,
-                                                 tuple(sorted(self.groups))))
+                                                 PUBLIC_GROUPS))
                 yield self.env.timeout(self.PROBE_INTERVAL)
         finally:
             self._probing = False
@@ -161,11 +149,7 @@ class LookupDiscovery:
                 self.discard(lus_id)
 
     def _on_announce(self, msg: Message) -> None:
-        lus_id, ref, lus_groups, incarnation = msg.payload
-        if (msg.src not in self._locator_hosts
-                and "*" not in self.groups
-                and not (self.groups & frozenset(lus_groups))):
-            return  # a registrar for groups we don't care about
+        lus_id, ref, _groups, incarnation = msg.payload
         info = self._registrars.get(lus_id)
         if info is not None and info.incarnation != incarnation:
             # The registrar restarted: same id, but its registrations and

@@ -34,16 +34,17 @@ class _Registration:
 class JoinManager:
     """Maintains registrations of one service item across all LUSs."""
 
+    #: Seconds between passes that register, renew and re-register.
+    MAINTENANCE_INTERVAL = 2.0
+
     def __init__(self, host: Host, item: ServiceItem,
-                 lease_duration: float = 30.0,
-                 maintenance_interval: float = 2.0):
+                 lease_duration: float = 30.0):
         if not item.service_id:
             raise ValueError("service item needs a service_id before joining")
         self.host = host
         self.env = host.env
         self.item = item
         self.lease_duration = lease_duration
-        self.maintenance_interval = maintenance_interval
         self.discovery: LookupDiscovery = lookup_discovery(host)
         self._endpoint = rpc_endpoint(host)
         self._registrations: dict[str, _Registration] = {}
@@ -122,7 +123,7 @@ class JoinManager:
         while self._active:
             if self.host.up:
                 yield from self._round()
-            yield self.env.timeout(self.maintenance_interval)
+            yield self.env.timeout(self.MAINTENANCE_INTERVAL)
 
     def _round(self):
         # Register with any registrar we somehow missed the callback for,

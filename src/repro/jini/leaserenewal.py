@@ -47,8 +47,7 @@ class LeaseRenewalService:
 
     #: Backoff between failed renewal attempts; capped well below typical
     #: lease durations so several retries fit before expiry.
-    RETRY_POLICY = RetryPolicy(base_delay=0.25, multiplier=2.0,
-                               max_delay=4.0, jitter=0.5)
+    RETRY_POLICY = RetryPolicy(base_delay=0.25, max_delay=4.0)
 
     def __init__(self, host: Host, check_interval: float = 1.0):
         self.host = host

@@ -20,7 +20,8 @@ from ..net.host import Host
 from ..net.message import Message
 from ..net.rpc import RemoteRef, rpc_endpoint
 from ..sim import sanitizer as _san
-from .discovery import ANNOUNCE_PORT, DISCOVERY_GROUP, PROBE_PORT
+from .discovery import (ANNOUNCE_PORT, DISCOVERY_GROUP, PROBE_PORT,
+                        PUBLIC_GROUPS)
 from .events import (
     EventRegistration,
     ServiceEvent,
@@ -73,8 +74,7 @@ class LookupService:
     SWEEP_INTERVAL = 1.0
 
     def __init__(self, host: Host, name: str = "Lookup Service",
-                 announce_interval: float = 10.0,
-                 groups: tuple = ("public",)):
+                 announce_interval: float = 10.0):
         self.host = host
         self.env = host.env
         self.name = name
@@ -83,8 +83,6 @@ class LookupService:
         #: with it, so discovery must treat the recovered LUS as new.
         self.incarnation = 0
         self.announce_interval = announce_interval
-        #: Administrative groups this registrar serves (Jini group scoping).
-        self.groups = frozenset(groups)
         self._items: dict[str, ServiceItem] = {}
         self._interests: dict[int, _Interest] = {}
         # One landlord, resources tagged ("reg", service_id) / ("event", event_id).
@@ -145,8 +143,7 @@ class LookupService:
         return count
 
     def _announce_payload(self):
-        return (self.lus_id, self.ref, tuple(sorted(self.groups)),
-                self.incarnation)
+        return (self.lus_id, self.ref, PUBLIC_GROUPS, self.incarnation)
 
     def _announcer(self):
         while True:
@@ -157,10 +154,7 @@ class LookupService:
             yield self.env.timeout(self.announce_interval)
 
     def _on_probe(self, msg: Message) -> None:
-        requester, requester_groups = msg.payload
-        wanted = frozenset(requester_groups)
-        if "*" not in wanted and not (wanted & self.groups):
-            return  # the prober is not interested in our groups
+        requester, _groups = msg.payload
         if self.host.up:
             self.host.send(requester, ANNOUNCE_PORT, kind="discovery-announce",
                            payload=self._announce_payload())
@@ -225,11 +219,9 @@ class LookupService:
                     break
         return out
 
-    def lookup_all(self, template: Optional[ServiceTemplate] = None) -> list[ServiceItem]:
+    def lookup_all(self) -> list[ServiceItem]:
         self._record_access("r")
-        if template is None:
-            return list(self._items.values())
-        return [item for item in self._items.values() if template.matches(item)]
+        return list(self._items.values())
 
     def leased_items(self) -> Iterator[tuple]:
         """Local read view: ``(item, lease)`` per registration, in

@@ -20,7 +20,7 @@ tie-break discipline.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import ClassVar, Optional
 
 from ..core.interfaces import FACADE
 from ..observability import metrics_registry
@@ -38,15 +38,16 @@ class TenantSpec:
 
     ``rate`` is requests/second into the facade (before any scale or
     burst factor); ``targets`` are the sensor names it reads, round-robin.
-    ``deadline`` is each request's end-to-end budget — a request that
+    ``DEADLINE`` is each request's end-to-end budget — a request that
     completes after it counts as offered and completed but not as goodput.
+    A request is never retried.
     """
+
+    DEADLINE: ClassVar[float] = 2.0
 
     name: str
     rate: float
     weight: float = 1.0
-    deadline: float = 2.0
-    retries: int = 0
     targets: tuple = ()
 
 
@@ -143,8 +144,8 @@ class OpenLoopEngine:
             yield from self.exerter.call(
                 Signature(FACADE, "getValue", provider_name=self.facade_name),
                 {"name": target}, name=label, context=label, principal=name,
-                budget=spec.deadline, retries=spec.retries,
-                provider_wait=min(1.0, spec.deadline))
+                budget=spec.DEADLINE, retries=0,
+                provider_wait=min(1.0, spec.DEADLINE))
         except Overloaded as shed:
             by_reason = self._rejected[name]
             by_reason[shed.reason] = by_reason.get(shed.reason, 0) + 1
@@ -158,7 +159,7 @@ class OpenLoopEngine:
         self._completed[name] += 1
         self._hist[name].observe(elapsed)
         self._hist_all.observe(elapsed)
-        if elapsed <= spec.deadline:
+        if elapsed <= spec.DEADLINE:
             self._goodput[name] += 1
             self._m_goodput[name].inc()
 
@@ -230,7 +231,7 @@ class OpenLoopEngine:
                 "rejected_total": sum(rejected.values()),
                 "rate": round(spec.rate * self.scale, 6),
                 "weight": spec.weight,
-                "deadline": spec.deadline,
+                "deadline": spec.DEADLINE,
                 "latency": self._quantiles(self._hist[name]),
             }
             tenants[name] = entry
@@ -248,7 +249,7 @@ class OpenLoopEngine:
             "scale": self.scale,
             "duration": self.duration,
             "inflight": self.inflight,
-            "deadline_max": max(spec.deadline for spec in self.tenants),
+            "deadline_max": max(spec.DEADLINE for spec in self.tenants),
             "tenants": dict(sorted(tenants.items())),
             "total": total,
         }

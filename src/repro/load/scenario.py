@@ -34,11 +34,11 @@ __all__ = ["LoadLab", "DEFAULT_TENANTS", "build_load_lab"]
 
 #: Three service classes, 3:2:1 weights, ~50 req/s offered at scale 1.0.
 DEFAULT_TENANTS = (
-    TenantSpec("gold", rate=25.0, weight=3.0, deadline=2.0,
+    TenantSpec("gold", rate=25.0, weight=3.0,
                targets=SENSOR_NAMES),
-    TenantSpec("silver", rate=15.0, weight=2.0, deadline=2.0,
+    TenantSpec("silver", rate=15.0, weight=2.0,
                targets=SENSOR_NAMES),
-    TenantSpec("bronze", rate=10.0, weight=1.0, deadline=2.0,
+    TenantSpec("bronze", rate=10.0, weight=1.0,
                targets=SENSOR_NAMES),
 )
 

@@ -36,9 +36,9 @@ class FixedLatency(LatencyModel):
 class LanLatency(LatencyModel):
     """Base propagation + serialization + lognormal-ish jitter.
 
-    ``delay = base + size/bandwidth + jitter`` where jitter is drawn from an
-    exponential distribution with mean ``jitter_mean`` (heavy-ish tail, like
-    switch queueing).
+    ``delay = BASE + size/BANDWIDTH_BPS + jitter`` where jitter is drawn from
+    an exponential distribution with mean ``JITTER_MEAN`` (heavy-ish tail,
+    like switch queueing).
 
     Each directed link draws its jitter from its own stream, derived from
     ``rng``'s seed (:func:`~repro.util.rng.child_stream`). One shared stream
@@ -47,24 +47,20 @@ class LanLatency(LatencyModel):
     delay would depend on it (DESIGN §8.3).
     """
 
-    def __init__(self, rng: np.random.Generator,
-                 base: float = 0.0005,
-                 bandwidth_bps: float = 100e6,
-                 jitter_mean: float = 0.0002):
+    BASE = 0.0005
+    BANDWIDTH_BPS = 100e6
+    JITTER_MEAN = 0.0002
+
+    def __init__(self, rng: np.random.Generator):
         self.rng = rng
-        self.base = base
-        self.bandwidth_bps = bandwidth_bps
-        self.jitter_mean = jitter_mean
         #: (src, dst) -> that link's jitter stream, created on first use.
         self._links: dict = {}
 
     def delay(self, src: str, dst: str, size_bytes: int) -> float:
-        serialization = size_bytes * 8.0 / self.bandwidth_bps
-        if self.jitter_mean <= 0:
-            return self.base + serialization
+        serialization = size_bytes * 8.0 / self.BANDWIDTH_BPS
         link = self._links.get((src, dst))
         if link is None:
             link = self._links[(src, dst)] = child_stream(
                 self.rng, "latency", src, dst)
-        return (self.base + serialization
-                + float(link.exponential(self.jitter_mean)))
+        return (self.BASE + serialization
+                + float(link.exponential(self.JITTER_MEAN)))

@@ -50,7 +50,7 @@ def dump_jsonl(path, tracer: Optional[Tracer] = None,
     return text.count("\n") + 1 if text else 0
 
 
-def render_metrics(snapshot: dict, title: str = "Metrics") -> str:
+def render_metrics(snapshot: dict) -> str:
     """Render a :meth:`MetricsRegistry.snapshot` mapping as a table.
 
     Counters/gauges show their value; histograms show count, mean and
@@ -68,4 +68,4 @@ def render_metrics(snapshot: dict, title: str = "Metrics") -> str:
             p95 = quantile_from_buckets(data["buckets"], data["counts"], 0.95)
             rows.append([name, kind, data["count"], mean, p95])
     return render_table(["metric", "type", "value/count", "mean/max", "p95"],
-                        rows, title=title)
+                        rows, title="Metrics")

@@ -4,7 +4,7 @@ The paper's Sensor Browser exists so an operator can see whether the
 federation is healthy; PR 2 gave us the raw signals (spans, counters,
 resilience events) and this module turns them into that judgement. One
 :class:`HealthMonitor` runs per network (``health_monitor(net)``, like
-``tracer_of``): every ``interval`` simulated seconds it
+``tracer_of``): every ``INTERVAL`` simulated seconds it
 
 1. asks the :class:`HealthModel` to re-derive each entity's status and
    publish it as ``health.status{entity=...}`` gauges (0=UP, 1=DEGRADED,
@@ -90,11 +90,12 @@ class HealthModel:
     AT_RISK_TICKS = 2
     ERROR_RATE_THRESHOLD = 0.5  # windowed events/s that degrade an entity
     DEADLINE_RATE_THRESHOLD = 0.5
+    #: Rollup windows each windowed rate is averaged over.
+    WINDOW = 3
 
-    def __init__(self, network, store: TimeSeriesStore, window: int = 3):
+    def __init__(self, network, store: TimeSeriesStore):
         self.network = network
         self.store = store
-        self.window = window
         self.registry = metrics_registry(network)
         #: Started LUSs announce themselves on this list, in start order.
         self._luses: list = network.shared.setdefault("lookup_services", [])
@@ -206,7 +207,7 @@ class HealthModel:
         if breakers.get(tracked.service_id) in ("open", "half_open"):
             reasons.append(R_BREAKER_OPEN)
         failed = self.store.rate(
-            f"provider.failed{{provider={tracked.name}}}", self.window)
+            f"provider.failed{{provider={tracked.name}}}", self.WINDOW)
         if failed > self.ERROR_RATE_THRESHOLD:
             reasons.append(R_ERROR_RATE)
         return (DEGRADED, tuple(reasons)) if reasons else (UP, ())
@@ -222,7 +223,7 @@ class HealthModel:
         reasons = []
         if any(status != UP for status in statuses):
             reasons.append(R_PROVIDERS_DEGRADED)
-        if self.store.rate(f"rpc.timeouts{{host={node}}}", self.window) > 0:
+        if self.store.rate(f"rpc.timeouts{{host={node}}}", self.WINDOW) > 0:
             reasons.append(R_RPC_TIMEOUTS)
         return (DEGRADED, tuple(reasons)) if reasons else (UP, ())
 
@@ -234,10 +235,10 @@ class HealthModel:
             reasons.append(R_NODES_DOWN)
         elif any(status == DEGRADED for status in statuses):
             reasons.append(R_NODES_DEGRADED)
-        if (self.store.sum_rate("resilience.deadline_exceeded", self.window)
+        if (self.store.sum_rate("resilience.deadline_exceeded", self.WINDOW)
                 > self.DEADLINE_RATE_THRESHOLD):
             reasons.append(R_DEADLINE_MISSES)
-        if (self.store.sum_rate("exertion.failures", self.window)
+        if (self.store.sum_rate("exertion.failures", self.WINDOW)
                 > self.ERROR_RATE_THRESHOLD):
             reasons.append(R_EXERTION_ERRORS)
         shortfall = sum(
@@ -381,13 +382,13 @@ _KERNEL_GAUGES = ("pending",)
 class HealthMonitor:
     """The per-network driver: model + store + SLO engine on one clock."""
 
-    def __init__(self, network, interval: float = 1.0, retention: int = 120):
+    #: Seconds between rollups: one per time-series window.
+    INTERVAL = TimeSeriesStore.INTERVAL
+
+    def __init__(self, network):
         self.network = network
         self.env = network.env
-        self.interval = float(interval)
-        self.store = TimeSeriesStore(metrics_registry(network),
-                                     interval=self.interval,
-                                     retention=retention)
+        self.store = TimeSeriesStore(metrics_registry(network))
         self.model = HealthModel(network, self.store)
         self.engine = SloEngine(self.store)
         registry = self.store.registry
@@ -415,7 +416,7 @@ class HealthMonitor:
             # same-timestamp peers (the lease sweeper also runs on integer
             # seconds) and tie-break shuffling flips which tick first sees
             # an expiry — a one-window wobble in transition timestamps.
-            yield self.env.timeout(self.interval, priority=LOW)
+            yield self.env.timeout(self.INTERVAL, priority=LOW)
             if not self.enabled:
                 continue
             self.tick(self.env.now)
@@ -458,40 +459,39 @@ def default_slos() -> list:
     """
     return [
         Slo("federation-health", "health.status{entity=federation}", 1.0,
-            kind="value", window=1, for_windows=1, clear_windows=2,
+            kind="value", window=1, for_windows=1,
             description="federation must not be DOWN"),
         Slo("exertion-failure-rate", "exertion.failures", 0.5,
-            sum_prefix=True, window=3, for_windows=2, clear_windows=2,
+            window=3, for_windows=2,
             description="network-wide exertion failures per second"),
         Slo("deadline-miss-rate", "resilience.deadline_exceeded", 0.5,
-            sum_prefix=True, window=3, for_windows=2, clear_windows=2,
+            window=3, for_windows=2,
             description="exertions blowing their deadline budget"),
         Slo("rpc-timeout-rate", "rpc.timeouts", 1.0,
-            sum_prefix=True, window=3, for_windows=2, clear_windows=2,
+            window=3, for_windows=2,
             description="network-wide RPC timeouts per second"),
     ]
 
 
-def overload_slos(shed_rate: float = 5.0) -> list:
+def overload_slos() -> list:
     """SLOs for labs running an overload-control plane (installed by the
     load scenario, *not* part of :func:`default_slos` — a lab without
     admission control has no shed signal to watch).
 
     Shedding is the control plane working as designed; *sustained*
-    shedding above ``shed_rate``/s means offered load persistently exceeds
+    shedding above 5/s means offered load persistently exceeds
     provisioned capacity and someone should add capacity or fix a tenant.
     """
     return [
-        Slo("overload-shed-rate", "overload.rejected", shed_rate,
-            sum_prefix=True, window=3, for_windows=2, clear_windows=2,
+        Slo("overload-shed-rate", "overload.rejected", 5.0,
+            window=3, for_windows=2,
             description="requests shed by admission control per second"),
     ]
 
 
-def health_monitor(network, interval: float = 1.0) -> HealthMonitor:
+def health_monitor(network) -> HealthMonitor:
     """The network's shared health monitor (created on first use)."""
     monitor = network.shared.get("health_monitor")
     if monitor is None:
-        monitor = network.shared["health_monitor"] = HealthMonitor(
-            network, interval=interval)
+        monitor = network.shared["health_monitor"] = HealthMonitor(network)
     return monitor

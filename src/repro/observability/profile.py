@@ -292,8 +292,8 @@ def service_times(registry) -> dict:
     return out
 
 
-def _round(value, digits: int = 6):
-    return round(value, digits) if value is not None else None
+def _round(value):
+    return round(value, 6) if value is not None else None
 
 
 def _cold_target(cb, owner) -> str:

@@ -228,11 +228,11 @@ class MetricsRegistry:
         matter there: every key rolls into its own independent ring)."""
         return self._metrics.items()
 
-    def snapshot(self, prefix: str = "") -> dict:
+    def snapshot(self) -> dict:
         """Deterministic (sorted) dump of every instrument's state."""
         return {key: {"type": self._metrics[key].metric_type,
                       "data": self._metrics[key].snapshot()}
-                for key in self.names(prefix)}
+                for key in self.names()}
 
     def __len__(self) -> int:
         return len(self._metrics)

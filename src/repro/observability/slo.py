@@ -3,14 +3,14 @@
 An :class:`Slo` says what *good* looks like for one time-series signal
 ("exertion failure rate stays under 0.5/s", "the federation status gauge
 stays below DOWN") and how impatient the alerting should be (evaluation
-window, burn-rate multiplier, hysteresis). The :class:`SloEngine` evaluates
+window, firing streak). The :class:`SloEngine` evaluates
 every rule once per rollup window against the
 :class:`~repro.observability.timeseries.TimeSeriesStore` and emits
 :class:`Alert` events on the firing and resolved edges only.
 
 Flap control is structural, not statistical: a rule must breach
 ``for_windows`` consecutive evaluations before it fires and must then be
-healthy ``clear_windows`` consecutive evaluations before it resolves, so a
+healthy ``CLEAR_WINDOWS`` consecutive evaluations before it resolves, so a
 signal oscillating around the threshold produces one alert pair, not a
 stream. All timestamps are simulation seconds; with a fixed seed the alert
 sequence is byte-for-byte reproducible.
@@ -19,78 +19,50 @@ sequence is byte-for-byte reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, ClassVar, Optional
 
 from .timeseries import TimeSeriesStore
 
 __all__ = ["Slo", "Alert", "SloEngine"]
 
-_KINDS = ("rate", "value", "p50", "p95")
-_OPS = ("<=", ">=")
+_KINDS = ("rate", "value")
 
 
 @dataclass(frozen=True)
 class Slo:
-    """One declarative objective.
+    """One declarative objective: the signal must stay at or below
+    ``objective``.
 
-    ``metric`` names a time-series key (full key including labels); with
-    ``sum_prefix=True`` it is treated as a prefix and matching series'
-    rates are summed (collapsing per-host label fan-out). ``objective`` is
-    the boundary the signal must stay on the ``op`` side of; the effective
-    alert threshold is ``objective * burn_rate`` for ``<=`` objectives and
-    ``objective / burn_rate`` for ``>=`` ones, so ``burn_rate > 1`` gives
-    the system headroom before anyone is paged.
+    ``metric`` names a time-series key. A ``rate`` rule treats it as a
+    prefix and sums the matching series' rates (collapsing per-host label
+    fan-out); a ``value`` rule reads the latest value of that one gauge.
     """
+
+    #: Consecutive healthy evaluations before a firing rule resolves.
+    CLEAR_WINDOWS: ClassVar[int] = 2
 
     name: str
     metric: str
     objective: float
-    kind: str = "rate"          # rate | value | p50 | p95
-    op: str = "<="
+    kind: str = "rate"          # rate | value
     window: int = 3             # rollup windows aggregated per evaluation
-    burn_rate: float = 1.0
     for_windows: int = 2        # consecutive breaches before firing
-    clear_windows: int = 2      # consecutive healthy evaluations to resolve
-    sum_prefix: bool = False
     description: str = ""
 
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"slo {self.name!r}: unknown kind {self.kind!r}")
-        if self.op not in _OPS:
-            raise ValueError(f"slo {self.name!r}: op must be one of {_OPS}")
-        if self.window < 1 or self.for_windows < 1 or self.clear_windows < 1:
+        if self.window < 1 or self.for_windows < 1:
             raise ValueError(f"slo {self.name!r}: windows must be >= 1")
-        if self.burn_rate <= 0:
-            raise ValueError(f"slo {self.name!r}: burn_rate must be positive")
-        if self.sum_prefix and self.kind != "rate":
-            raise ValueError(
-                f"slo {self.name!r}: sum_prefix only makes sense for rates")
-
-    @property
-    def threshold(self) -> float:
-        if self.op == "<=":
-            return self.objective * self.burn_rate
-        return self.objective / self.burn_rate
 
     def signal(self, store: TimeSeriesStore) -> Optional[float]:
         if self.kind == "rate":
-            if self.sum_prefix:
-                return store.sum_rate(self.metric, self.window)
-            return store.rate(self.metric, self.window)
-        if self.kind == "value":
-            return store.value(self.metric)
-        return store.quantile(self.metric,
-                              0.5 if self.kind == "p50" else 0.95,
-                              self.window)
+            return store.sum_rate(self.metric, self.window)
+        return store.value(self.metric)
 
     def breached(self, signal: Optional[float]) -> bool:
         """No data is not a breach: an absent series has observed nothing."""
-        if signal is None:
-            return False
-        if self.op == "<=":
-            return signal > self.threshold
-        return signal < self.threshold
+        return signal is not None and signal > self.objective
 
 
 @dataclass(frozen=True)
@@ -158,14 +130,14 @@ class SloEngine:
                 if not state.firing and state.breach_streak >= slo.for_windows:
                     state.firing = True
                     emitted.append(Alert(now, slo.name, "firing", signal,
-                                         slo.threshold, slo.description))
+                                         slo.objective, slo.description))
             else:
                 state.clear_streak += 1
                 state.breach_streak = 0
-                if state.firing and state.clear_streak >= slo.clear_windows:
+                if state.firing and state.clear_streak >= Slo.CLEAR_WINDOWS:
                     state.firing = False
                     emitted.append(Alert(now, slo.name, "resolved", signal,
-                                         slo.threshold, slo.description))
+                                         slo.objective, slo.description))
         for alert in emitted:
             self.alerts.append(alert)
             for listener in self._listeners:
@@ -181,9 +153,9 @@ class SloEngine:
                 "name": slo.name,
                 "metric": slo.metric,
                 "kind": slo.kind,
-                "op": slo.op,
+                "op": "<=",
                 "objective": slo.objective,
-                "threshold": slo.threshold,
+                "threshold": slo.objective,
                 "window": slo.window,
                 "state": "firing" if state.firing else "ok",
                 "signal": state.last_signal,

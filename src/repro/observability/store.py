@@ -162,8 +162,7 @@ class HistoryStore:
     # -- writing ---------------------------------------------------------------
 
     def begin_run(self, run_id: str, scenario: str, seed: int,
-                  scheduler: str, meta: Optional[dict] = None,
-                  replace: bool = False,
+                  scheduler: str, replace: bool = False,
                   restored_from: Optional[str] = None) -> None:
         """Register a run. ``run_id`` must be new unless ``replace`` is
         set, in which case the previous run's rows are dropped first —
@@ -184,11 +183,10 @@ class HistoryStore:
             "INSERT INTO runs (run_id, scenario, seed, scheduler, meta, "
             "restored_from) VALUES (?,?,?,?,?,?)",
             (run_id, scenario, int(seed), scheduler,
-             json.dumps(meta or {}, sort_keys=True), restored_from))
+             "{}", restored_from))
         self._conn.commit()
 
-    def spill_windows(self, run_id: str, store: TimeSeriesStore,
-                      prefix: str = "") -> int:
+    def spill_windows(self, run_id: str, store: TimeSeriesStore) -> int:
         """Append every not-yet-spilled window; returns the row count.
 
         Watermarked per (run, key): only windows strictly newer than the
@@ -196,7 +194,7 @@ class HistoryStore:
         produce the same database.
         """
         rows = []
-        for key in store.names(prefix):
+        for key in store.names():
             mark = self._watermark(run_id, key)
             for window in store.series(key):
                 if mark is not None and window.t <= mark:

@@ -65,21 +65,18 @@ class Window:
 class TimeSeriesStore:
     """Bounded ring of per-window rollups for every registry instrument.
 
-    ``retention`` caps the number of windows kept per metric; older windows
-    fall off the ring. The store never creates metrics and never touches
-    the network — it reads instrument state in-process, which is free in
-    the simulation's management plane (the same privilege the tracer has).
+    A window spans ``INTERVAL`` simulated seconds. ``RETENTION`` caps the
+    number of windows kept per metric; older windows fall off the ring.
+    The store never creates metrics and never touches the network — it
+    reads instrument state in-process, which is free in the simulation's
+    management plane (the same privilege the tracer has).
     """
 
-    def __init__(self, registry: MetricsRegistry, interval: float = 1.0,
-                 retention: int = 120):
-        if interval <= 0:
-            raise ValueError("interval must be positive")
-        if retention < 1:
-            raise ValueError("retention must be >= 1")
+    INTERVAL = 1.0
+    RETENTION = 120
+
+    def __init__(self, registry: MetricsRegistry):
         self.registry = registry
-        self.interval = float(interval)
-        self.retention = retention
         self._series: dict[str, deque] = {}
         #: Cumulative state at the previous collection, per metric key:
         #: counters → value; histograms → (count, counts list copy).
@@ -98,7 +95,7 @@ class TimeSeriesStore:
     def _ring(self, key: str) -> deque:
         ring = self._series.get(key)
         if ring is None:
-            ring = deque(maxlen=self.retention)
+            ring = deque(maxlen=self.RETENTION)
             self._series[key] = ring
             self._sorted_names = None
             self._prefix_names.clear()
@@ -118,7 +115,7 @@ class TimeSeriesStore:
         # keeps attribute lookups out of the loop.
         series = self._series
         previous = self._previous
-        interval = self.interval
+        interval = self.INTERVAL
         for key, metric in self.registry.iter_items():
             cls = type(metric)
             if cls is Counter:
@@ -191,30 +188,13 @@ class TimeSeriesStore:
         ring = self._series.get(key)
         return ring[-1] if ring else None
 
-    def _recent(self, key: str, windows: int) -> list:
-        """Windows inside the last ``windows``-interval horizon, newest
-        first. Quiet intervals appended nothing, so the horizon — not the
-        ring position — decides membership; reading right-to-left keeps
-        this O(windows), never O(retention)."""
-        ring = self._series.get(key)
-        if not ring or self.last_collected_at is None:
-            return []
-        cutoff = self.last_collected_at - windows * self.interval
-        out = []
-        for window in reversed(ring):
-            if window.t <= cutoff + 1e-9 * self.interval:
-                break
-            out.append(window)
-        return out
-
-    def rate(self, key: str, windows: int = 1) -> float:
+    def rate(self, key: str, windows: int) -> float:
         """Mean per-second rate over the last ``windows`` windows (0.0 for
         unknown metrics: an absent counter has observed nothing)."""
-        # Inlined _recent: this is the health model's per-entity hot read.
         ring = self._series.get(key)
         if not ring or self.last_collected_at is None:
             return 0.0
-        interval = self.interval
+        interval = self.INTERVAL
         cutoff = (self.last_collected_at - windows * interval
                   + 1e-9 * interval)
         total = 0.0
@@ -225,38 +205,20 @@ class TimeSeriesStore:
                 total += window.delta
         return total / (windows * interval)
 
-    def delta(self, key: str, windows: int = 1) -> float:
-        """Total increase over the last ``windows`` windows."""
-        return sum(w.delta for w in self._recent(key, windows)
-                   if w.delta is not None)
-
     def value(self, key: str) -> Optional[float]:
         """Latest gauge value (``None`` for unknown/never-collected)."""
         window = self.latest(key)
         return window.value if window is not None else None
 
-    def quantile(self, key: str, q: float, windows: int = 1) -> Optional[float]:
-        """Worst (largest) per-window quantile across recent windows.
-
-        Windows are rolled independently, so cross-window quantiles cannot
-        be merged exactly; reporting the worst window is the conservative
-        choice an alert should act on."""
-        if q not in (0.5, 0.95):
-            raise ValueError("per-window rollups keep only p50 and p95")
-        field = "p50" if q == 0.5 else "p95"
-        values = [getattr(w, field) for w in self._recent(key, windows)]
-        values = [v for v in values if v is not None]
-        return max(values) if values else None
-
-    def sum_rate(self, prefix: str, windows: int = 1) -> float:
+    def sum_rate(self, prefix: str, windows: int) -> float:
         """Summed rate across every metric sharing ``prefix`` — collapses
         per-host/per-provider label fan-out into one network-wide signal."""
         return sum(self.rate(key, windows) for key in self.names(prefix))
 
-    def snapshot(self, prefix: str = "", windows: int = 1) -> dict:
-        """Deterministic dump of the last ``windows`` windows per metric."""
-        return {key: [w.to_dict() for w in self.series(key, windows)]
-                for key in self.names(prefix)}
+    def snapshot(self) -> dict:
+        """Deterministic dump of the last window of every metric."""
+        return {key: [w.to_dict() for w in self.series(key, 1)]
+                for key in self.names()}
 
     def __len__(self) -> int:
         return len(self._series)

@@ -54,10 +54,12 @@ class AdmissionController:
     wait queue is plain FIFO.
     """
 
+    #: Service time assumed before the first exertion is observed.
+    DEFAULT_SERVICE_TIME = 0.1
+
     def __init__(self, env, name: str, registry, events=None,
                  max_inflight: int = 8, max_queue: int = 32,
-                 fair: Optional[WeightedFairQueue] = None,
-                 default_service_time: float = 0.1):
+                 fair: Optional[WeightedFairQueue] = None):
         if max_inflight < 1 or max_queue < 0:
             raise ValueError("need max_inflight >= 1 and max_queue >= 0")
         self.env = env
@@ -69,7 +71,7 @@ class AdmissionController:
         self.inflight = 0
         self._fifo: deque = deque()
         #: EWMA of observed service time, seeding the retry-after hint.
-        self._service_ewma = float(default_service_time)
+        self._service_ewma = self.DEFAULT_SERVICE_TIME
         self._m_admitted = registry.counter("overload.admitted",
                                             provider=name)
         self._m_rejected = {

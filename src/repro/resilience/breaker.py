@@ -5,10 +5,10 @@ burns a full ``invocation_timeout`` before failing over; with many
 candidates behind the same partition a single query stalls for the *sum*
 of timeouts. A per-provider breaker remembers recent failures:
 
-* **closed** — calls flow; ``failure_threshold`` consecutive failures open it;
+* **closed** — calls flow; ``FAILURE_THRESHOLD`` consecutive failures open it;
 * **open** — calls are refused instantly until ``reset_timeout`` elapses;
-* **half-open** — up to ``half_open_probes`` trial calls are let through;
-  one success closes the breaker, one failure re-opens it.
+* **half-open** — one trial call is let through; its success closes the
+  breaker, its failure re-opens it.
 
 Providers are keyed by service id (stable across the provider's life and
 what the exerter's candidate items carry).
@@ -35,16 +35,16 @@ class BreakerState(Enum):
 class CircuitBreaker:
     """One provider's failure memory (closed → open → half-open)."""
 
-    def __init__(self, failure_threshold: int = 3, reset_timeout: float = 10.0,
-                 half_open_probes: int = 1,
+    #: Consecutive failures that open a closed breaker.
+    FAILURE_THRESHOLD = 3
+    #: Trial calls a half-open breaker lets through at once.
+    HALF_OPEN_PROBES = 1
+
+    def __init__(self, reset_timeout: float = 10.0,
                  on_transition: Optional[Callable] = None):
-        if failure_threshold < 1:
-            raise ValueError("failure_threshold must be >= 1")
         if reset_timeout < 0:
             raise ValueError("reset_timeout must be non-negative")
-        self.failure_threshold = failure_threshold
         self.reset_timeout = reset_timeout
-        self.half_open_probes = max(1, half_open_probes)
         self.on_transition = on_transition
         self.state = BreakerState.CLOSED
         self.consecutive_failures = 0
@@ -79,7 +79,7 @@ class CircuitBreaker:
                 self.refusals += 1
                 return False
         if self.state is BreakerState.HALF_OPEN:
-            if self._probes_in_flight >= self.half_open_probes:
+            if self._probes_in_flight >= self.HALF_OPEN_PROBES:
                 if self.pinned_probes(now):
                     self.refusals += 1
                     return False
@@ -96,7 +96,7 @@ class CircuitBreaker:
         skipped) must not pin its slot forever, so after a full
         ``reset_timeout`` of silence the slots count as free again."""
         if (self.state is not BreakerState.HALF_OPEN
-                or self._probes_in_flight < self.half_open_probes):
+                or self._probes_in_flight < self.HALF_OPEN_PROBES):
             return 0
         if (self._last_probe_at is not None
                 and now - self._last_probe_at >= self.reset_timeout):
@@ -112,26 +112,22 @@ class CircuitBreaker:
             self._transition(BreakerState.OPEN, now)
             return
         self.consecutive_failures += 1
-        if self.consecutive_failures >= self.failure_threshold:
+        if self.consecutive_failures >= self.FAILURE_THRESHOLD:
             self._transition(BreakerState.OPEN, now)
 
 
 class BreakerRegistry:
-    """Per-provider breakers sharing one configuration.
+    """Per-provider breakers sharing one ``reset_timeout``.
 
-    ``enabled=False`` turns the registry into a pass-through (for ablation
-    benchmarks: breaker-on vs breaker-off under the same fault script).
-    Transitions are reported to ``events`` (a
+    Setting ``enabled = False`` turns the registry into a pass-through (for
+    ablation benchmarks: breaker-on vs breaker-off under the same fault
+    script). Transitions are reported to ``events`` (a
     :class:`~repro.resilience.events.ResilienceEvents`) when attached.
     """
 
-    def __init__(self, failure_threshold: int = 3, reset_timeout: float = 10.0,
-                 half_open_probes: int = 1, enabled: bool = True,
-                 events=None):
-        self.failure_threshold = failure_threshold
-        self.reset_timeout = reset_timeout
-        self.half_open_probes = half_open_probes
-        self.enabled = enabled
+    def __init__(self, events=None):
+        self.reset_timeout = 10.0
+        self.enabled = True
         self.events = events
         self._breakers: dict[str, CircuitBreaker] = {}
 
@@ -142,10 +138,7 @@ class BreakerRegistry:
                 if self.events is not None:
                     self.events.emit(f"breaker_{new.value}", key=_key,
                                      was=old.value)
-            breaker = CircuitBreaker(self.failure_threshold,
-                                     self.reset_timeout,
-                                     self.half_open_probes,
-                                     on_transition=report)
+            breaker = CircuitBreaker(self.reset_timeout, on_transition=report)
             self._breakers[key] = breaker
         return breaker
 

@@ -4,10 +4,11 @@ Backoff spaces retries out in *time*; a retry budget caps them in
 *volume*. Without one, N requestors each retrying R times turn one
 provider brownout into ``N × (R+1)`` offered load — the classic retry
 storm that converts an overload into an outage. The budget is a token
-bucket refilled by *successes*: each success deposits ``deposit_ratio``
+bucket refilled by *successes*: each success deposits ``DEPOSIT_RATIO``
 tokens, each retry spends one. In steady state retries are thus bounded
 to a fraction of successful traffic; when nothing succeeds, the bucket
-drains and retries stop entirely instead of piling on.
+drains and retries stop entirely instead of piling on. A budget starts
+with ``INITIAL`` tokens and never holds more than ``CAP``.
 
 One budget is shared per host (all exerters on a requestor host draw
 from it), mirroring how circuit breakers attach via
@@ -22,21 +23,20 @@ __all__ = ["RetryBudget", "retry_budget_of"]
 class RetryBudget:
     """Token bucket refilled by successes, spent by retries."""
 
-    __slots__ = ("tokens", "deposit_ratio", "cap", "spent", "denied")
+    __slots__ = ("tokens", "spent", "denied")
 
-    def __init__(self, initial: float = 50.0, deposit_ratio: float = 0.1,
-                 cap: float = 100.0):
-        if initial < 0 or cap <= 0 or not 0.0 <= deposit_ratio <= 1.0:
-            raise ValueError("need initial >= 0, cap > 0, ratio in [0, 1]")
-        self.tokens = min(float(initial), float(cap))
-        self.deposit_ratio = float(deposit_ratio)
-        self.cap = float(cap)
+    INITIAL = 50.0
+    DEPOSIT_RATIO = 0.1
+    CAP = 100.0
+
+    def __init__(self):
+        self.tokens = self.INITIAL
         self.spent = 0
         self.denied = 0
 
     def deposit(self) -> None:
-        """Record one success; earns ``deposit_ratio`` of a retry token."""
-        self.tokens = min(self.cap, self.tokens + self.deposit_ratio)
+        """Record one success; earns ``DEPOSIT_RATIO`` of a retry token."""
+        self.tokens = min(self.CAP, self.tokens + self.DEPOSIT_RATIO)
 
     def try_spend(self) -> bool:
         """Take one retry token; ``False`` means the retry must be dropped."""
@@ -48,8 +48,8 @@ class RetryBudget:
         return False
 
     def snapshot(self) -> dict:
-        return {"tokens": round(self.tokens, 6), "cap": self.cap,
-                "deposit_ratio": self.deposit_ratio,
+        return {"tokens": round(self.tokens, 6), "cap": self.CAP,
+                "deposit_ratio": self.DEPOSIT_RATIO,
                 "spent": self.spent, "denied": self.denied}
 
 

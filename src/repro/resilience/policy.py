@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
@@ -29,35 +29,32 @@ def backoff_rng(name: str, salt: int = 0) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Exponential backoff: ``base_delay * multiplier**attempt``, capped.
+    """Exponential backoff: ``base_delay * MULTIPLIER**attempt``, capped.
 
-    ``jitter`` is the fraction of each delay that is randomized *downward*
-    (a "decorrelated shave"): with jitter 0.5 the actual delay lands
-    uniformly in ``[0.5 * d, d]``. Shaving down rather than up keeps the
-    policy's ``max_delay`` an honest upper bound for deadline math.
+    ``JITTER`` is the fraction of each delay that is randomized *downward*
+    (a "decorrelated shave"): the actual delay lands uniformly in
+    ``[0.5 * d, d]``. Shaving down rather than up keeps the policy's
+    ``max_delay`` an honest upper bound for deadline math.
     """
 
+    MULTIPLIER: ClassVar[float] = 2.0
+    JITTER: ClassVar[float] = 0.5
+
     base_delay: float = 0.2
-    multiplier: float = 2.0
     max_delay: float = 5.0
-    jitter: float = 0.5
 
     def __post_init__(self):
         if self.base_delay < 0 or self.max_delay < 0:
             raise ValueError("backoff delays must be non-negative")
-        if self.multiplier < 1.0:
-            raise ValueError("backoff multiplier must be >= 1")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ValueError("jitter must be a fraction in [0, 1]")
 
     def delay(self, attempt: int,
               rng: Optional[np.random.Generator] = None) -> float:
         """Delay before retry number ``attempt`` (0-based: the wait after
         the first failure is ``delay(0)``)."""
-        raw = min(self.max_delay, self.base_delay * self.multiplier ** max(0, attempt))
-        if self.jitter <= 0.0 or rng is None or raw <= 0.0:
+        raw = min(self.max_delay, self.base_delay * self.MULTIPLIER ** max(0, attempt))
+        if rng is None or raw <= 0.0:
             return raw
-        return raw * (1.0 - self.jitter * float(rng.random()))
+        return raw * (1.0 - self.JITTER * float(rng.random()))
 
     def delay_before_retry(self, attempt: int,
                            rng: Optional[np.random.Generator] = None,
@@ -82,5 +79,5 @@ class RetryPolicy:
 
     def total_budget(self, attempts: int) -> float:
         """Upper bound on the summed backoff across ``attempts`` retries."""
-        return sum(min(self.max_delay, self.base_delay * self.multiplier ** a)
+        return sum(min(self.max_delay, self.base_delay * self.MULTIPLIER ** a)
                    for a in range(max(0, attempts)))

@@ -50,8 +50,7 @@ class ProvisionMonitor:
 
     def __init__(self, host: Host, name: str = "Monitor",
                  policy: Optional[SelectionPolicy] = None,
-                 poll_interval: float = 1.0,
-                 lease_duration: float = 10.0):
+                 poll_interval: float = 1.0):
         self.host = host
         self.env = host.env
         self.name = name
@@ -65,7 +64,6 @@ class ProvisionMonitor:
         self.ref = self._endpoint.export(self, f"monitor:{self.monitor_id}",
                                          methods=self.REMOTE_METHODS)
         self._join: Optional[JoinManager] = None
-        self._lease_duration = lease_duration
         self.tracer = tracer_of(host.network)
         registry = metrics_registry(host.network)
         self._m_provisioned = registry.counter("monitor.provisioned",
@@ -87,7 +85,7 @@ class ProvisionMonitor:
         if self._join is None:
             self._join = join_service(self.host, self.ref, self.monitor_id,
                                       (Name(self.name),),
-                                      lease_duration=self._lease_duration)
+                                      lease_duration=10.0)
             self.env.process(self._control_loop(), name=f"monitor:{self.name}")
         return self
 

@@ -44,8 +44,7 @@ def probe_location(index: int) -> tuple:
 def _probe(env, world, index, seed):
     return TemperatureProbe(
         env, f"probe-{index}", world, probe_location(index),
-        rng=np.random.default_rng(seed + index), sensing_noise=0.0,
-        read_latency=0.01)
+        rng=np.random.default_rng(seed + index), sensing_noise=0.0)
 
 
 @dataclass
@@ -168,10 +167,10 @@ def build_sensorcer_grid(n_sensors: int, seed: int = 11,
                       composites=composites)
 
 
-def build_direct_grid(n_sensors: int, seed: int = 11,
-                      fixed_latency: Optional[float] = None) -> SensorGrid:
-    """N bare direct-IP sensor nodes (no registry, no services)."""
-    env, rng, net, world = _base(seed, fixed_latency)
+def build_direct_grid(n_sensors: int, seed: int = 11) -> SensorGrid:
+    """N bare direct-IP sensor nodes (no registry, no services) on a 1 ms
+    fixed-latency network."""
+    env, rng, net, world = _base(seed, 0.001)
     locations = grid_locations(n_sensors)
     sensors = []
     for index in range(n_sensors):

@@ -17,7 +17,6 @@ benchmarks drive the very same deployment.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -92,11 +91,10 @@ class PaperLab:
         names = names if names is not None else list(self.sensors)
         return [SENSOR_LOCATIONS[name] for name in names]
 
-    def ground_truth_mean(self, names, t: Optional[float] = None) -> float:
-        """Environment-truth average temperature across named sensors."""
-        at = t if t is not None else self.env.now
+    def ground_truth_mean(self, names) -> float:
+        """Environment-truth average temperature across named sensors, now."""
         return self.world.mean_over("temperature",
-                                    self.sensor_locations(names), at)
+                                    self.sensor_locations(names), self.env.now)
 
 
 def six_step_experiment(browser):

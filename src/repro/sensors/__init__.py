@@ -1,8 +1,7 @@
-"""Sensor substrate: synthetic environment, TEDS, calibration, probe
+"""Sensor substrate: synthetic environment, TEDS, probe
 drivers (incl. the simulated Sun SPOT) and the local reading store."""
 
 from .buffer import ReadingBuffer
-from .calibration import Calibration
 from .drivers import EnvironmentProbe, HumidityProbe, TemperatureProbe
 from .environment import FieldEvent, FieldSpec, PhysicalEnvironment
 from .probe import BaseProbe, ProbeError, ProbeNotConnected, Reading, SensorProbe
@@ -12,7 +11,6 @@ from .teds import TransducerTEDS
 __all__ = [
     "BaseProbe",
     "BatteryExhausted",
-    "Calibration",
     "EnvironmentProbe",
     "FieldEvent",
     "FieldSpec",

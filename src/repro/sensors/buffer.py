@@ -43,6 +43,5 @@ class ReadingBuffer:
         items = list(self._readings)
         return items[-n:]
 
-    def values(self, n: Optional[int] = None) -> np.ndarray:
-        source = self.window(n) if n is not None else list(self._readings)
-        return np.array([r.value for r in source], dtype=float)
+    def values(self) -> np.ndarray:
+        return np.array([r.value for r in self._readings], dtype=float)

@@ -15,7 +15,6 @@ from typing import Optional
 import numpy as np
 
 from ..sim import Environment
-from .calibration import Calibration
 from .environment import PhysicalEnvironment
 from .probe import BaseProbe
 from .teds import TransducerTEDS
@@ -32,11 +31,8 @@ class EnvironmentProbe(BaseProbe):
                  environment: PhysicalEnvironment, location: tuple,
                  teds: TransducerTEDS,
                  rng: Optional[np.random.Generator] = None,
-                 sensing_noise: float = 0.0,
-                 calibration: Optional[Calibration] = None,
-                 read_latency: float = 0.01):
-        super().__init__(env, sensor_id, teds, calibration=calibration,
-                         read_latency=read_latency)
+                 sensing_noise: float = 0.0):
+        super().__init__(env, sensor_id, teds)
         self.environment = environment
         self.location = tuple(location)
         self.rng = rng if rng is not None else np.random.default_rng(0)
@@ -49,11 +45,10 @@ class EnvironmentProbe(BaseProbe):
         return truth
 
 
-def _teds(model: str, serial: str, quantity: str, unit: str,
-          lo: float, hi: float, accuracy: float, resolution: float,
-          manufacturer: str = "SimuSense") -> TransducerTEDS:
+def _teds(model: str, serial: str, quantity: str, unit: str, lo: float,
+          hi: float, accuracy: float, resolution: float) -> TransducerTEDS:
     return TransducerTEDS(
-        manufacturer=manufacturer, model=model, serial_number=serial,
+        manufacturer="SimuSense", model=model, serial_number=serial,
         version="1.0", quantity=quantity, unit=unit, min_range=lo,
         max_range=hi, accuracy=accuracy, resolution=resolution)
 

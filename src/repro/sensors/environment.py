@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -86,11 +85,9 @@ class PhysicalEnvironment:
                               noise_tau=600.0),
     }
 
-    def __init__(self, seed: int = 0, fields: Optional[dict] = None):
+    def __init__(self, seed: int = 0):
         self.seed = seed
         self.fields: dict[str, FieldSpec] = dict(self.DEFAULT_FIELDS)
-        if fields:
-            self.fields.update(fields)
         self.events: list[FieldEvent] = []
         # Noise knots keyed quantity -> knot index -> (x, y) -> value.
         # Knot RNG construction dominates scalar sampling cost; knots only

@@ -2,19 +2,17 @@
 
 §V.B: "A Sensor Probe ... contains sensor specific driver code ... but hides
 these details from sensor service providers." :class:`BaseProbe` owns the
-common pipeline — connect state, read latency, error counting, calibration,
-range clamping, quantization — and concrete drivers supply ``_sense()``
+common pipeline — connect state, read latency, error counting, range
+clamping, quantization — and concrete drivers supply ``_sense()``
 (how to get a raw number from *their* technology).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from ..net.wire import WireSized
 from ..sim import Environment
-from .calibration import Calibration
 from .teds import TransducerTEDS
 
 __all__ = ["Reading", "ProbeError", "ProbeNotConnected", "SensorProbe",
@@ -31,7 +29,7 @@ class ProbeNotConnected(ProbeError):
 
 @dataclass(frozen=True)
 class Reading(WireSized):
-    """One calibrated measurement."""
+    """One measurement, clamped and quantized to the TEDS."""
 
     value: float
     unit: str
@@ -70,12 +68,10 @@ class BaseProbe(SensorProbe):
     """Shared probe machinery; drivers implement :meth:`_sense`."""
 
     def __init__(self, env: Environment, sensor_id: str, teds: TransducerTEDS,
-                 calibration: Optional[Calibration] = None,
                  read_latency: float = 0.01):
         self.env = env
         self.sensor_id = sensor_id
         self._teds = teds
-        self.calibration = calibration if calibration is not None else Calibration()
         self.read_latency = read_latency
         self._connected = False
         self.reads = 0
@@ -113,11 +109,10 @@ class BaseProbe(SensorProbe):
             yield self.env.timeout(self.read_latency)
         t = self.env.now
         try:
-            raw = self._sense(t)
+            value = self._sense(t)
         except ProbeError:
             self.read_errors += 1
             raise
-        value = self.calibration.apply(raw)
         quality = "good"
         if not self._teds.in_range(value):
             value = self._teds.clamp(value)
@@ -130,5 +125,5 @@ class BaseProbe(SensorProbe):
     # -- driver hook ----------------------------------------------------------------
 
     def _sense(self, t: float) -> float:  # pragma: no cover - abstract
-        """Return the raw (pre-calibration) transducer output at time t."""
+        """Return the raw transducer output at time t."""
         raise NotImplementedError

@@ -15,7 +15,6 @@ from typing import Optional
 import numpy as np
 
 from ..sim import Environment
-from .calibration import Calibration
 from .environment import PhysicalEnvironment
 from .probe import BaseProbe, ProbeError
 from .teds import TransducerTEDS
@@ -30,18 +29,16 @@ class BatteryExhausted(ProbeError):
 class SunSpotDevice:
     """Shared device state for probes riding the same SPOT."""
 
-    def __init__(self, env: Environment, device_id: str,
-                 battery_mah: float = 720.0,
-                 idle_drain_ma: float = 0.2,
-                 read_cost_mah: float = 0.005,
-                 radio_cost_mah: float = 0.002):
+    BATTERY_MAH = 720.0
+    IDLE_DRAIN_MA = 0.2
+    READ_COST_MAH = 0.005
+    RADIO_COST_MAH = 0.002
+
+    def __init__(self, env: Environment, device_id: str):
         self.env = env
         self.device_id = device_id
-        self.capacity_mah = battery_mah
-        self.charge_mah = battery_mah
-        self.idle_drain_ma = idle_drain_ma
-        self.read_cost_mah = read_cost_mah
-        self.radio_cost_mah = radio_cost_mah
+        self.capacity_mah = self.BATTERY_MAH
+        self.charge_mah = self.BATTERY_MAH
         self.radio_on = True
         self._last_idle_update = env.now
         self.total_reads = 0
@@ -51,7 +48,7 @@ class SunSpotDevice:
     def _apply_idle_drain(self) -> None:
         elapsed_hours = (self.env.now - self._last_idle_update) / 3600.0
         self.charge_mah = max(0.0, self.charge_mah
-                              - self.idle_drain_ma * elapsed_hours)
+                              - self.IDLE_DRAIN_MA * elapsed_hours)
         self._last_idle_update = self.env.now
 
     @property
@@ -71,7 +68,7 @@ class SunSpotDevice:
         self._apply_idle_drain()
         if self.charge_mah <= 0.0:
             raise BatteryExhausted(f"SPOT {self.device_id}: battery flat")
-        cost = self.read_cost_mah + (self.radio_cost_mah if self.radio_on else 0.0)
+        cost = self.READ_COST_MAH + (self.RADIO_COST_MAH if self.radio_on else 0.0)
         self.charge_mah = max(0.0, self.charge_mah - cost)
         self.total_reads += 1
 
@@ -83,15 +80,14 @@ class SunSpotTemperatureProbe(BaseProbe):
 
     def __init__(self, env: Environment, device: SunSpotDevice,
                  environment: PhysicalEnvironment, location: tuple,
-                 rng: Optional[np.random.Generator] = None,
-                 calibration: Optional[Calibration] = None):
+                 rng: Optional[np.random.Generator] = None):
         teds = TransducerTEDS(
             manufacturer="Sun Microsystems", model="SunSPOT/ADT7411",
             serial_number=device.device_id, version="purple-5.0",
             quantity="temperature", unit="celsius",
             min_range=-40.0, max_range=125.0, accuracy=0.5, resolution=0.25)
         super().__init__(env, f"spot-{device.device_id}", teds,
-                         calibration=calibration, read_latency=0.02)
+                         read_latency=0.02)
         self.device = device
         self.environment = environment
         self.location = tuple(location)

@@ -340,10 +340,9 @@ class Environment:
     variable is consulted so whole suites can be shuffled externally.
     """
 
-    def __init__(self, initial_time: float = 0.0,
-                 sanitize: bool | str = False,
+    def __init__(self, sanitize: bool | str = False,
                  tie_break_seed: Optional[int] = None):
-        self._now = float(initial_time)
+        self._now = 0.0
         self._scheduler = HeapScheduler()
         self._seq = count()
         self._active_process: Optional[Process] = None

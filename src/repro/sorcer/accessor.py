@@ -73,7 +73,7 @@ _PENDING = _Registration(None, math.inf, None)
 class _Entry:
     """One template's matches and the event registrations keeping them."""
 
-    __slots__ = ("expires", "items", "limit", "regs", "stirs")
+    __slots__ = ("expires", "fills", "items", "limit", "regs", "stirs")
 
     def __init__(self):
         #: service_id -> (item, ids of the registrars naming it), in match
@@ -88,6 +88,14 @@ class _Entry:
         #: Counts events and distrusts: a fill in flight while it moved
         #: may predate a transition, so it stores nothing.
         self.stirs = 0
+        #: Fills in flight on this entry: it is not pruned under them.
+        self.fills = 0
+
+    def lapses_at(self) -> float:
+        """When the last of its registrations lapses (``inf`` while one is
+        pending; ``-inf`` when it holds none)."""
+        return max((reg.expires for reg in self.regs.values()),
+                   default=-math.inf)
 
 
 class LookupCache:
@@ -112,6 +120,10 @@ class LookupCache:
     of the same incarnation is not asked again — but a restarted LUS comes
     back with a new incarnation and no interests, so a registration made
     at an older one is replaced.
+
+    A miss prunes every entry whose registrations have all lapsed: nothing
+    can keep it current any more, and looking its template up again
+    registers anew whether or not the entry is still there.
     """
 
     #: Matches a fill asks each registrar for, whatever the caller wants.
@@ -128,6 +140,8 @@ class LookupCache:
         self._listener = self._endpoint.export(self, "lookup-cache",
                                               methods=("notify",))
         self._entries: dict[ServiceTemplate, _Entry] = {}
+        #: No entry can be pruned before this time.
+        self._prune_at = 0.0
         host.on_fail(lambda _host: self._distrust())
         self.discovery.on_discovered(lambda _lus_id, _ref: self._distrust())
         self.discovery.on_discarded(lambda _lus_id: self._distrust())
@@ -190,6 +204,32 @@ class LookupCache:
         entry = self._entries.get(template)
         if entry is None:
             entry = self._entries[template] = _Entry()
+        entry.fills += 1
+        try:
+            self._prune()
+            return (yield from self._fill(entry, template, max_matches, wait))
+        finally:
+            entry.fills -= 1
+            self._prune_at = min(self._prune_at, entry.lapses_at())
+
+    def _prune(self) -> None:
+        """Drop every entry, no fill in flight, whose registrations have
+        all lapsed."""
+        now = self.env.now
+        if now < self._prune_at:
+            return
+        self._prune_at = math.inf
+        for template, entry in list(self._entries.items()):
+            if entry.fills:
+                continue  # its fill's end bounds the next prune
+            lapses_at = entry.lapses_at()
+            if lapses_at <= now:
+                del self._entries[template]
+            else:
+                self._prune_at = min(self._prune_at, lapses_at)
+
+    def _fill(self, entry: _Entry, template: ServiceTemplate,
+              max_matches: int, wait: float):
         limit = max(max_matches, self.FILL_MATCHES)
         deadline = self.env.now + wait
         while True:
@@ -257,6 +297,9 @@ class ServiceAccessor:
     died before its lease lapsed; the exerter's failover and its one live
     lookup after a failed cache hit tolerate that."""
 
+    #: Matches :meth:`find_items` returns unless asked for another count.
+    MAX_MATCHES = 16
+
     def __init__(self, host: Host):
         self.host = host
         self.env = host.env
@@ -267,17 +310,17 @@ class ServiceAccessor:
         self.cache_hits = 0
         self.cache_misses = 0
 
-    def is_cached(self, template: ServiceTemplate,
-                  max_matches: int = 16) -> bool:
-        """Whether :meth:`find_items` would answer from the cache now."""
-        return self.cache.cached(template, max_matches) is not None
+    def is_cached(self, template: ServiceTemplate) -> bool:
+        """Whether :meth:`find_items` with its default ``max_matches``
+        would answer from the cache now."""
+        return self.cache.cached(template, self.MAX_MATCHES) is not None
 
     def invalidate(self, template: ServiceTemplate) -> None:
         """Distrust the cached matches for ``template``."""
         self.cache.invalidate(template)
 
-    def find_items(self, template: ServiceTemplate, max_matches: int = 16,
-                   wait: float = 0.0):
+    def find_items(self, template: ServiceTemplate,
+                   max_matches: int = MAX_MATCHES, wait: float = 0.0):
         """All matching service items across registrars (a generator —
         run inside a process). Waits up to ``wait`` for a first match."""
         items = self.cache.cached(template, max_matches)

@@ -3,9 +3,7 @@
 The requestor-side runtime: bind a task to any live provider matching its
 signature (trying alternates on failure — the paper's "request can be passed
 on to the equivalent available service provider"), or route a job to a
-rendezvous peer (Jobber for PUSH, Spacer for PULL). If nothing matches and
-the signature carries ``provision=True``, an attached provisioner is asked
-to instantiate a provider before giving up.
+rendezvous peer (Jobber for PUSH, Spacer for PULL).
 
 Failure handling is governed by the resilience layer:
 
@@ -23,7 +21,7 @@ Failure handling is governed by the resilience layer:
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 from ..jini.template import ServiceTemplate
 from ..net.errors import HostDownError, NetworkError, RpcTimeout, UnreachableError
@@ -76,18 +74,12 @@ class Exerter:
     """Requestor-side exertion runtime bound to one host."""
 
     #: Default backoff between retries when the control context names none.
-    DEFAULT_BACKOFF = RetryPolicy(base_delay=0.2, multiplier=2.0,
-                                  max_delay=5.0, jitter=0.5)
+    DEFAULT_BACKOFF = RetryPolicy(base_delay=0.2, max_delay=5.0)
 
-    def __init__(self, host: Host, accessor: Optional[ServiceAccessor] = None,
-                 provisioner: Optional[Callable] = None):
-        """``provisioner``, if given, is a generator function
-        ``provisioner(signature)`` that tries to instantiate a matching
-        provider (returns truthy on success)."""
+    def __init__(self, host: Host, accessor: Optional[ServiceAccessor] = None):
         self.host = host
         self.env = host.env
         self.accessor = accessor if accessor is not None else ServiceAccessor(host)
-        self.provisioner = provisioner
         self._endpoint = rpc_endpoint(host)
         #: Per-provider circuit breakers, shared host-wide via the accessor.
         self.breakers = self.accessor.breakers
@@ -364,7 +356,7 @@ class Exerter:
         # A hit is answered without yielding, so this is the answer the
         # lookup below is about to give.
         hit = self.accessor.is_cached(template)
-        items = yield from self._find_providers(signature, template, wait)
+        items = yield from self._find_providers(template, wait)
         if not items:
             return self._fail(exertion, nobody.format(signature=signature,
                                                       wait=wait)), None
@@ -393,13 +385,8 @@ class Exerter:
             if not items:
                 return None, error
 
-    def _find_providers(self, signature: Signature,
-                        template: ServiceTemplate, wait: float):
+    def _find_providers(self, template: ServiceTemplate, wait: float):
         items = yield from self.accessor.find_items(template, wait=wait)
-        if not items and signature.provision and self.provisioner is not None:
-            provisioned = yield self.env.process(self.provisioner(signature))
-            if provisioned:
-                items = yield from self.accessor.find_items(template, wait=wait)
         if len(items) > 1:
             # Round-robin over equivalent providers (stable id order), so
             # concurrent tasks of a parallel job spread across the grid.

@@ -39,25 +39,20 @@ class ServiceProvider:
 
     def __init__(self, host: Host, name: str,
                  attributes: Iterable[Entry] = (),
-                 service_types: Iterable[str] = (),
-                 op_overhead: float = 0.0005,
                  lease_duration: float = 30.0,
-                 max_concurrency: Optional[int] = None,
-                 admission=None):
+                 max_concurrency: Optional[int] = None):
         self.host = host
         self.env = host.env
         self.name = name
         self.service_id = host.network.ids.uuid()
-        self.op_overhead = op_overhead
-        # Collect types: Servicer + class-level + instance-level extras.
+        #: Seconds of local work per operation (the load lab raises it).
+        self.op_overhead = 0.0005
+        # Collect types: Servicer + class-level extras.
         types: list[str] = ["Servicer"]
         for klass in type(self).__mro__:
             for t in klass.__dict__.get("SERVICE_TYPES", ()):
                 if t not in types:
                     types.append(t)
-        for t in service_types:
-            if t not in types:
-                types.append(t)
         self.service_types = tuple(types)
         #: Instance-level remote types picked up by the RPC export.
         self.REMOTE_TYPES = self.service_types
@@ -71,10 +66,10 @@ class ServiceProvider:
         #: Optional cap on in-flight exertions (a provider's thread pool).
         self._gate = (Resource(host.env, max_concurrency)
                       if max_concurrency else None)
-        #: Optional :class:`~repro.overload.AdmissionController`. None (the
-        #: default) means every request is admitted — existing labs keep
-        #: their exact behaviour.
-        self.admission = admission
+        #: Optional :class:`~repro.overload.AdmissionController`, attached
+        #: after construction. None (the default) means every request is
+        #: admitted — existing labs keep their exact behaviour.
+        self.admission = None
         self.tracer = tracer_of(host.network)
         registry = metrics_registry(host.network)
         self._m_served = registry.counter("provider.served", provider=name)

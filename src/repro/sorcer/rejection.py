@@ -42,17 +42,14 @@ class Overloaded(Exception):
     """
 
     def __init__(self, reason: str, retry_after: float = 0.0,
-                 tenant: str = "anonymous", provider: str = "",
-                 message: Optional[str] = None):
+                 tenant: str = "anonymous", provider: str = ""):
         self.reason = reason
         self.retry_after = float(retry_after)
         self.tenant = tenant
         self.provider = provider
-        if message is None:
-            message = (f"{provider or 'provider'} shed request "
-                       f"({reason}, tenant={tenant!r}, "
-                       f"retry after {self.retry_after:.3f}s)")
-        super().__init__(message)
+        super().__init__(f"{provider or 'provider'} shed request "
+                         f"({reason}, tenant={tenant!r}, "
+                         f"retry after {self.retry_after:.3f}s)")
 
     def to_marker(self) -> dict:
         return {"reason": self.reason,

@@ -72,21 +72,21 @@ class Spacer(Rendezvous):
 class SpaceWorker:
     """Pulls envelopes matching a provider's capabilities and executes them.
 
-    ``use_transactions=True`` wraps each take in a transaction from the
-    given transaction manager so a crash restores the envelope.
+    With a ``txn_manager_ref`` each take runs in a ``TXN_DURATION``
+    transaction from that manager, so a crash restores the envelope. A take
+    waits up to ``POLL_TIMEOUT`` for a matching envelope.
     """
 
+    POLL_TIMEOUT = 0.5
+    TXN_DURATION = 5.0
+
     def __init__(self, provider: ServiceProvider, space_ref: RemoteRef,
-                 txn_manager_ref: Optional[RemoteRef] = None,
-                 poll_timeout: float = 5.0,
-                 txn_duration: float = 30.0):
+                 txn_manager_ref: Optional[RemoteRef] = None):
         self.provider = provider
         self.host = provider.host
         self.env = provider.env
         self.space_ref = space_ref
         self.txn_manager_ref = txn_manager_ref
-        self.poll_timeout = poll_timeout
-        self.txn_duration = txn_duration
         self._endpoint = rpc_endpoint(self.host)
         self._active = False
         self.executed = 0
@@ -119,15 +119,15 @@ class SpaceWorker:
         try:
             if self.txn_manager_ref is not None:
                 created = yield self._endpoint.call(
-                    self.txn_manager_ref, "create", self.txn_duration,
+                    self.txn_manager_ref, "create", self.TXN_DURATION,
                     kind="txn-create")
                 txn_id = created.txn_id
                 yield self._endpoint.call(
                     self.txn_manager_ref, "join", txn_id, self.space_ref,
                     kind="txn-join")
             envelope = yield self._endpoint.call(
-                self.space_ref, "take", template, txn_id, self.poll_timeout,
-                kind="space-take", timeout=self.poll_timeout + 5.0)
+                self.space_ref, "take", template, txn_id, self.POLL_TIMEOUT,
+                kind="space-take", timeout=self.POLL_TIMEOUT + 5.0)
             if envelope is None:
                 if txn_id is not None:
                     yield self._endpoint.call(self.txn_manager_ref, "abort",

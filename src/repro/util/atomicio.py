@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import os
 from pathlib import Path
-from typing import Optional, Union
+from typing import Union
 
 __all__ = ["AtomicFile", "atomic_write_bytes", "atomic_write_text"]
 
@@ -48,7 +48,8 @@ def _fsync_dir(directory: Path) -> None:
 
 
 class AtomicFile:
-    """A write handle whose content appears atomically on ``close()``.
+    """A binary write handle whose content appears atomically on
+    ``close()``.
 
     Writes accumulate in a same-directory temp file; ``close()`` fsyncs
     and renames it over ``path``; ``abort()`` (or ``close(commit=False)``)
@@ -57,15 +58,11 @@ class AtomicFile:
     publishes the file, an exception aborts it.
     """
 
-    def __init__(self, path: Union[str, Path], mode: str = "w",
-                 encoding: Optional[str] = "utf-8"):
-        if mode not in ("w", "wb"):
-            raise ValueError(f"AtomicFile mode must be 'w' or 'wb', got {mode!r}")
+    def __init__(self, path: Union[str, Path]):
         self.path = Path(path)
         self._tmp = self.path.with_name(
             f"{self.path.name}.tmp.{os.getpid()}")
-        kwargs = {} if mode == "wb" else {"encoding": encoding}
-        self._fh = open(self._tmp, mode, **kwargs)
+        self._fh = open(self._tmp, "wb")
         self._done = False
 
     def write(self, data) -> int:
@@ -102,7 +99,7 @@ class AtomicFile:
 
 def atomic_write_bytes(path: Union[str, Path], data: bytes) -> None:
     """Write ``data`` to ``path`` crash-safely (tmp + fsync + rename)."""
-    handle = AtomicFile(path, mode="wb")
+    handle = AtomicFile(path)
     try:
         handle.write(data)
     except BaseException:
@@ -111,7 +108,7 @@ def atomic_write_bytes(path: Union[str, Path], data: bytes) -> None:
     handle.close()
 
 
-def atomic_write_text(path: Union[str, Path], text: str,
-                      encoding: str = "utf-8") -> None:
-    """Write ``text`` to ``path`` crash-safely (tmp + fsync + rename)."""
-    atomic_write_bytes(path, text.encode(encoding))
+def atomic_write_text(path: Union[str, Path], text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8, crash-safely (tmp + fsync +
+    rename)."""
+    atomic_write_bytes(path, text.encode("utf-8"))

@@ -7,8 +7,6 @@ like the uuids in the paper's Fig 2 (e.g.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 __all__ = ["IdSource"]
@@ -17,8 +15,8 @@ __all__ = ["IdSource"]
 class IdSource:
     """Produces unique, reproducible identifier strings."""
 
-    def __init__(self, rng: Optional[np.random.Generator] = None):
-        self._rng = rng if rng is not None else np.random.default_rng(0xCAFE)
+    def __init__(self, rng: np.random.Generator):
+        self._rng = rng
         # A plain int rather than itertools.count: the snapshot capture
         # reads the position without consuming a value.
         self._next = 1

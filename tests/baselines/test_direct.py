@@ -87,8 +87,7 @@ def test_dead_node_times_out(setup):
     env, net, world = setup
     addresses = add_nodes(env, net, world, 2)
     net.hosts["node-1"].fail()
-    collector = DirectPollingCollector(Host(net, "collector"), addresses,
-                                       reply_timeout=0.5)
+    collector = DirectPollingCollector(Host(net, "collector"), addresses)
 
     def proc():
         values = yield from collector.collect_all()
@@ -120,8 +119,7 @@ def test_all_dead_raises(setup):
     addresses = add_nodes(env, net, world, 2)
     for address in addresses:
         net.hosts[address].fail()
-    collector = DirectPollingCollector(Host(net, "collector"), addresses,
-                                       reply_timeout=0.5)
+    collector = DirectPollingCollector(Host(net, "collector"), addresses)
 
     def proc():
         try:
@@ -140,7 +138,7 @@ def test_streaming_pushes_samples(setup):
         host = Host(net, f"node-{i}")
         probe = TemperatureProbe(env, f"p{i}", world, (i * 5.0, 0.0),
                                  rng=np.random.default_rng(i))
-        StreamingSensorNode(host, probe, "collector", interval=1.0).start()
+        StreamingSensorNode(host, probe, "collector").start()
     env.run(until=10.5)
     assert collector.received >= 27  # ~10 samples x 3 nodes
     assert len(collector.latest) == 3
@@ -153,7 +151,7 @@ def test_streaming_traffic_grows_per_sample(setup):
     host = Host(net, "node-0")
     probe = TemperatureProbe(env, "p0", world, (0, 0),
                              rng=np.random.default_rng(0))
-    StreamingSensorNode(host, probe, "collector", interval=1.0).start()
+    StreamingSensorNode(host, probe, "collector").start()
     env.run(until=20.5)
     stream = net.stats.by_kind["direct-stream"]
     assert stream["messages"] >= 19

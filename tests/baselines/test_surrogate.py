@@ -41,7 +41,7 @@ def test_surrogate_registers_as_sensor_accessor(stack):
 
 def test_every_read_crosses_the_device_link(stack):
     env, net, world, lus, sh, client = stack
-    link = DeviceLink(env, round_trip=0.1)
+    link = DeviceLink(env)
     surrogate = sh.activate("Device-0", make_probe(env, world), link)
 
     def proc():
@@ -61,7 +61,7 @@ def test_every_read_crosses_the_device_link(stack):
 def test_device_link_serializes_concurrent_requests(stack):
     """The mote's single radio is the §III.B bottleneck."""
     env, net, world, lus, sh, client = stack
-    link = DeviceLink(env, round_trip=0.2)
+    link = DeviceLink(env)
     probe = make_probe(env, world)
     probe.read_latency = 0.0
     surrogate = sh.activate("Device-0", probe, link)
@@ -76,14 +76,14 @@ def test_device_link_serializes_concurrent_requests(stack):
         yield env.all_of(procs)
 
     env.run(until=env.process(proc()))
-    # 4 requests x 0.2s of radio each, serialized: last finishes >= 0.8s.
-    assert max(finish_times) >= 0.8
+    # 4 requests x one radio round trip each, serialized.
+    assert max(finish_times) >= 4 * DeviceLink.ROUND_TRIP
     assert link.requests == 4
 
 
 def test_surrogate_charges_the_device_battery(stack):
     env, net, world, lus, sh, client = stack
-    device = SunSpotDevice(env, "spot", battery_mah=720.0)
+    device = SunSpotDevice(env, "spot")
     probe = SunSpotTemperatureProbe(env, device, world, (0, 0),
                                     rng=np.random.default_rng(1))
     surrogate = sh.activate("Spot-0", probe)

@@ -61,7 +61,7 @@ def test_candidate_before_fork_point_rejected():
     runner = _runner()
     plan = ChaosPlan(seed=0, scenario="paper-lab", horizon=HORIZON, events=[
         FaultEvent("slowdown", "facade-host", 30.0, 5.0)])
-    session = runner.warm_session(plan, margin=1.0)
+    session = runner.warm_session(plan)
     early = plan.replace([FaultEvent("slowdown", "facade-host", 10.0, 5.0)])
     with pytest.raises(ValueError, match="predates the warm prefix"):
         session.run_plan(early)

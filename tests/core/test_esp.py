@@ -86,7 +86,8 @@ def test_get_info_shape(grid):
 def test_probe_faults_counted_not_fatal(grid):
     env, net, world, lus = grid
     # Four reads' worth of charge: the battery is flat within ~2 s.
-    device = SunSpotDevice(env, "t1", battery_mah=0.028)
+    device = SunSpotDevice(env, "t1")
+    device.charge_mah = 0.028
     probe = SunSpotTemperatureProbe(env, device, world, (0, 0),
                                     rng=np.random.default_rng(1))
     esp = make_esp(net, world, "T1", sample_interval=0.5, probe=probe)

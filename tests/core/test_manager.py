@@ -16,16 +16,15 @@ def manager():
 
 
 def test_register_and_lookup(manager):
-    assert manager.has_service("s1")
     assert manager.name_of("s1") == "Sensor-1"
-    assert manager.kind_of("c1") == "COMPOSITE"
-    assert manager.services() == ["c1", "c2", "s1", "s2"]
+    assert sorted(manager.composites_leaves_first()) == ["c1", "c2"]
+    with pytest.raises(NetworkModelError):
+        manager.name_of("nope")
 
 
 def test_reregister_updates_metadata(manager):
     manager.register_service("s1", "Renamed", "ELEMENTARY")
     assert manager.name_of("s1") == "Renamed"
-    assert len(manager.services()) == 4
 
 
 def test_compose_and_children(manager):

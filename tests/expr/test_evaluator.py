@@ -7,7 +7,6 @@ import pytest
 from repro.expr import (
     ExprEvalError,
     ExprNameError,
-    Expression,
     compile_expression,
     evaluate,
 )
@@ -114,12 +113,6 @@ def test_compiled_expression_reuse():
     assert expr.evaluate({"a": 2, "b": 4}) == 3
     assert expr.evaluate({"a": 10, "b": 20}) == 15
     assert expr(a=1, b=3) == 2
-
-
-def test_custom_function_table():
-    expr = Expression("celsius_to_f(c)", functions={
-        "celsius_to_f": lambda c: c * 9 / 5 + 32})
-    assert expr.evaluate({"c": 100}) == 212
 
 
 def test_variables_sorted_and_deduped():

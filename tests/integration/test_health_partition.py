@@ -16,7 +16,7 @@ def partitioned_lab(seed=11):
     lab = build_paper_lab(seed=seed)
     lab.health.engine.add(Slo(
         "neem-node-health", "health.status{entity=node:neem-host}",
-        1.0, kind="value", window=1, for_windows=1, clear_windows=2,
+        1.0, kind="value", window=1, for_windows=1,
         description="neem node must not be DOWN"))
     return lab
 

@@ -77,7 +77,7 @@ def test_save_plan_captures_live_state(lab):
 
 def heal_once(lab, plan):
     """Enable self-healing and let exactly one healing pass run."""
-    run(lab, lab.browser.enable_self_healing(plan, interval=2.0))
+    run(lab, lab.browser.enable_self_healing(plan))
     lab.env.run(until=lab.env.now + 3.0)
     return lab.facade.healing_actions
 
@@ -121,7 +121,7 @@ def test_self_healing_after_cybernode_crash(lab):
     env, browser = lab.env, lab.browser
     build_fig3_network(lab)
     plan = run(lab, lab.browser.save_network_plan())
-    run(lab, browser.enable_self_healing(plan, interval=2.0))
+    run(lab, browser.enable_self_healing(plan))
 
     # Find and kill the cybernode hosting the provisioned composite.
     def host_of():

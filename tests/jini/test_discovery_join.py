@@ -111,7 +111,7 @@ def test_join_manager_registers_service(env, net):
 def test_join_manager_renews_lease(env, net):
     lus_host, lus = make_lus(net)
     svc_host, ep, item = make_service(net, "svc-host")
-    jm = JoinManager(svc_host, item, lease_duration=4.0, maintenance_interval=1.0)
+    jm = JoinManager(svc_host, item, lease_duration=4.0)
     jm.start()
     env.run(until=60.0)  # many lease periods
     assert len(lus.lookup(ServiceTemplate.by_name("Svc"), 10)) == 1
@@ -120,7 +120,7 @@ def test_join_manager_renews_lease(env, net):
 def test_service_disappears_when_host_dies(env, net):
     lus_host, lus = make_lus(net)
     svc_host, ep, item = make_service(net, "svc-host")
-    jm = JoinManager(svc_host, item, lease_duration=4.0, maintenance_interval=1.0)
+    jm = JoinManager(svc_host, item, lease_duration=4.0)
     jm.start()
     env.run(until=5.0)
     assert len(lus.lookup_all()) == 1
@@ -132,7 +132,7 @@ def test_service_disappears_when_host_dies(env, net):
 def test_join_manager_reregisters_after_lus_restart(env, net):
     lus_host, lus = make_lus(net, announce_interval=2.0)
     svc_host, ep, item = make_service(net, "svc-host")
-    jm = JoinManager(svc_host, item, lease_duration=10.0, maintenance_interval=1.0)
+    jm = JoinManager(svc_host, item, lease_duration=10.0)
     jm.start()
     env.run(until=5.0)
     lus_host.fail()   # registry wiped
@@ -161,7 +161,7 @@ def test_join_manager_terminate_cancels_registration(env, net):
 def test_join_manager_update_attributes(env, net):
     lus_host, lus = make_lus(net)
     svc_host, ep, item = make_service(net, "svc-host", "Before")
-    jm = JoinManager(svc_host, item, maintenance_interval=1.0)
+    jm = JoinManager(svc_host, item)
     jm.start()
     env.run(until=5.0)
     jm.update_attributes((Name("After"),))
@@ -191,7 +191,7 @@ def test_join_manager_requires_service_id(env, net):
 
 def test_late_lus_gets_existing_services(env, net):
     svc_host, ep, item = make_service(net, "svc-host")
-    jm = JoinManager(svc_host, item, maintenance_interval=1.0)
+    jm = JoinManager(svc_host, item)
     jm.start()
     env.run(until=5.0)
     lus_host, lus = make_lus(net, announce_interval=2.0)

@@ -14,7 +14,7 @@ from repro.observability.health import (
     R_LEASE_EXPIRED,
     R_BREAKER_OPEN,
 )
-from repro.resilience import BreakerRegistry
+from repro.resilience import BreakerRegistry, CircuitBreaker
 from repro.sim import Environment
 
 
@@ -37,13 +37,12 @@ def net(env):
 
 
 def build_service(net, name="Svc", host_name="svc-host",
-                  lease_duration=4.0):
+                  lease_duration=6.0):
     host = Host(net, host_name)
     ref = rpc_endpoint(host).export(DummyService(), f"svc:{host_name}")
     item = ServiceItem(service_id=net.ids.uuid(), service=ref,
                        attributes=(Name(name),))
-    jm = JoinManager(host, item, lease_duration=lease_duration,
-                     maintenance_interval=1.0)
+    jm = JoinManager(host, item, lease_duration=lease_duration)
     jm.start()
     return host, item, jm
 
@@ -64,20 +63,20 @@ def test_healthy_federation_is_up(env, net):
 
 def test_partition_walks_up_degraded_down_and_back(env, net):
     LookupService(Host(net, "lus-host"), announce_interval=2.0).start()
-    build_service(net, lease_duration=4.0)
+    build_service(net)
     monitor = health_monitor(net)
     env.run(until=5.0)
     assert monitor.model.status_of("provider:Svc") == UP
 
     net.partition(["svc-host"], ["lus-host"])
-    env.run(until=7.0)  # renewals fail; lease is at risk but not yet expired
+    env.run(until=10.0)  # renewals fail; lease is at risk but not yet expired
     assert monitor.model.status_of("provider:Svc") == DEGRADED
-    env.run(until=12.0)  # lease lapsed, LUS reaped the registration
+    env.run(until=14.0)  # lease lapsed, LUS reaped the registration
     assert monitor.model.status_of("provider:Svc") == DOWN
     assert monitor.model.status_of("node:svc-host") == DOWN
 
     net.heal_partition(["svc-host"], ["lus-host"])
-    env.run(until=20.0)  # rediscovery + re-registration
+    env.run(until=24.0)  # rediscovery + re-registration
     assert monitor.model.status_of("provider:Svc") == UP
     assert monitor.model.status_of("node:svc-host") == UP
 
@@ -126,10 +125,11 @@ def test_open_breaker_degrades_provider(env, net):
     _host, item, _jm = build_service(net)
     monitor = health_monitor(net)
     caller = Host(net, "caller")
-    breakers = BreakerRegistry(failure_threshold=1)
+    breakers = BreakerRegistry()
     caller.shared["breaker_registry"] = breakers
     env.run(until=5.0)
-    breakers.record_failure(item.service_id, env.now)  # opens immediately
+    for _ in range(CircuitBreaker.FAILURE_THRESHOLD):  # opens now
+        breakers.record_failure(item.service_id, env.now)
     env.run(until=6.5)
     snap = monitor.snapshot()
     assert snap["providers"]["Svc"]["status"] == DEGRADED

@@ -24,7 +24,7 @@ def run_schedule(seed, victim, partition_at, heal_after):
     lab = build_paper_lab(seed=seed, sensor_names=SENSORS)
     lab.health.engine.add(Slo(
         f"{victim}-node-health", f"health.status{{entity=node:{victim}}}",
-        1.0, kind="value", window=1, for_windows=1, clear_windows=2))
+        1.0, kind="value", window=1, for_windows=1))
     lab.settle(5.0)
     others = [name for name in lab.hosts if name != victim]
     lab.env.run(until=partition_at)

@@ -30,13 +30,12 @@ def net(env):
 
 
 def build_service(net, name="Svc", host_name="svc-host",
-                  lease_duration=4.0, host=None):
+                  lease_duration=6.0, host=None):
     host = host if host is not None else Host(net, host_name)
     ref = rpc_endpoint(host).export(DummyService(), f"svc:{host.name}")
     item = ServiceItem(service_id=net.ids.uuid(), service=ref,
                        attributes=(Name(name),))
-    jm = JoinManager(host, item, lease_duration=lease_duration,
-                     maintenance_interval=1.0)
+    jm = JoinManager(host, item, lease_duration=lease_duration)
     jm.start()
     return host, item, jm
 
@@ -108,7 +107,7 @@ def test_node_entity_recovers_with_replacement_host(env, net):
 
 def test_alert_clear_ordering(env, net):
     """Alert edges must come out in (time, registration) order, resolve
-    only after clear_windows healthy evaluations, and reach subscribers
+    only after Slo.CLEAR_WINDOWS healthy evaluations, and reach subscribers
     in exactly the emission order the alerts list records."""
     LookupService(Host(net, "lus-host"), announce_interval=2.0).start()
     host_a, _item, _jm = build_service(net, name="Rio-Svc",
@@ -118,7 +117,7 @@ def test_alert_clear_ordering(env, net):
         monitor.engine.add(slo)
     monitor.engine.add(Slo(
         "svc-health", "health.status{entity=provider:Rio-Svc}", 1.0,
-        kind="value", window=1, for_windows=1, clear_windows=2,
+        kind="value", window=1, for_windows=1,
         description="Rio-Svc must not be DOWN"))
     seen = []
     monitor.engine.subscribe(lambda alert: seen.append(alert))
@@ -136,11 +135,11 @@ def test_alert_clear_ordering(env, net):
     assert [a.state for a in health_alerts] == ["firing", "resolved"]
     firing, resolved = health_alerts
     assert resolved.t > firing.t
-    # clear_windows=2: the resolve lags recovery by at least one extra
+    # CLEAR_WINDOWS=2: the resolve lags recovery by at least one extra
     # evaluation window beyond the first healthy one.
     recovery_t = [t["t"] for t in monitor.model.transitions
                   if t["entity"] == "federation" and t["to"] == UP][-1]
-    assert resolved.t >= recovery_t + monitor.interval
+    assert resolved.t >= recovery_t + monitor.INTERVAL
     # Subscribers saw exactly what the log recorded, in order.
     assert seen == monitor.engine.alerts
     # Nothing is left firing after recovery.

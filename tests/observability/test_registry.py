@@ -80,15 +80,14 @@ def test_snapshot_is_sorted_and_complete(registry):
     assert snap["b.count"] == {"type": "counter", "data": 1.0}
     assert snap["c.lat"]["data"]["counts"] == [1, 0]
     assert registry.names(prefix="a") == ["a.depth"]
-    assert list(registry.snapshot(prefix="c")) == ["c.lat"]
 
 
 def test_render_metrics_table(registry):
     registry.counter("rpc.calls", host="h1").inc(3)
     registry.gauge("depth").set(2)
     registry.histogram("lat").observe(0.004)
-    text = render_metrics(registry.snapshot(), title="After run")
-    assert "After run" in text
+    text = render_metrics(registry.snapshot())
+    assert "Metrics" in text
     assert "rpc.calls{host=h1}" in text
     assert "3" in text and "depth" in text and "lat" in text
 

@@ -151,13 +151,13 @@ def test_begin_run_rejects_duplicates_unless_replaced():
 
 def test_finish_run_merges_meta_and_seals():
     with HistoryStore(":memory:") as store:
-        store.begin_run("r", "soak", 7, "heap", meta={"a": 1})
+        store.begin_run("r", "soak", 7, "heap")
         store.finish_run("r", sim_end=21600.0, events=1_000_000,
                          meta={"b": 2})
         entry = store.run("r")
         assert entry["finished"] and entry["events"] == 1_000_000
         assert entry["sim_end"] == 21600.0
-        assert entry["meta"] == {"a": 1, "b": 2}
+        assert entry["meta"] == {"b": 2}
 
 
 def test_delete_run_drops_all_tables_and_watermarks():

@@ -169,8 +169,10 @@ def test_jobber_components_nest_under_its_serve_span():
                   latency=FixedLatency(0.001))
     LookupService(Host(net, "lus-host")).start()
     Jobber(Host(net, "jobber-host")).start()
-    worker = ServiceProvider(Host(net, "worker-host"), "Worker",
-                             service_types=("Doubler",))
+    class Doubler(ServiceProvider):
+        SERVICE_TYPES = ("Doubler",)
+
+    worker = Doubler(Host(net, "worker-host"), "Worker")
     worker.add_operation("double", lambda ctx: ctx.get_value("arg/x") * 2)
     worker.start()
     env.run(until=3.0)

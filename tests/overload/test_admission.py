@@ -131,8 +131,7 @@ def test_weighted_fair_queue_drains_by_weight(env):
 
 
 def test_service_ewma_tracks_observed_service_time(env):
-    admission = make_admission(env, max_inflight=1,
-                               default_service_time=0.1)
+    admission = make_admission(env, max_inflight=1)
     results = []
     env.process(worker(env, admission, results, hold=1.0))
     env.run()

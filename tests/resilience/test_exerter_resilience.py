@@ -155,15 +155,17 @@ def test_retries_back_off_exponentially(grid):
         yield env.timeout(2.0)
         host.fail()
         task = echo_task(retries=3, timeout=1.0)
-        task.control.backoff = RetryPolicy(base_delay=0.5, multiplier=2.0,
-                                           max_delay=8.0, jitter=0.0)
+        task.control.backoff = RetryPolicy(base_delay=0.5, max_delay=8.0)
         yield env.process(exerter.exert(task))
 
     env.run(until=env.process(proc()))
     delays = [dict(fields)["delay"]
               for (_t, kind, fields) in events.trace
               if kind == "retry_scheduled"]
-    assert delays[:3] == [0.5, 1.0, 2.0]
+    assert len(delays) >= 3
+    for attempt, delay in enumerate(delays[:3]):
+        raw = 0.5 * RetryPolicy.MULTIPLIER ** attempt  # jitter shaves down
+        assert (1 - RetryPolicy.JITTER) * raw <= delay <= raw
 
 
 def test_identical_seeds_identical_event_traces():
@@ -301,4 +303,4 @@ def test_successes_fund_the_retry_budget(grid):
     exerter = Exerter(client)
     result = exert_after_settle(env, exerter, echo_task())
     assert result.is_done
-    assert budget.tokens == pytest.approx(budget.deposit_ratio)
+    assert budget.tokens == pytest.approx(budget.DEPOSIT_RATIO)

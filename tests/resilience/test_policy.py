@@ -6,8 +6,7 @@ from repro.resilience import RetryPolicy, backoff_rng
 
 
 def test_delay_grows_exponentially_without_jitter():
-    policy = RetryPolicy(base_delay=0.1, multiplier=2.0, max_delay=10.0,
-                         jitter=0.0)
+    policy = RetryPolicy(base_delay=0.1, max_delay=10.0)
     assert policy.delay(0) == pytest.approx(0.1)
     assert policy.delay(1) == pytest.approx(0.2)
     assert policy.delay(2) == pytest.approx(0.4)
@@ -15,14 +14,12 @@ def test_delay_grows_exponentially_without_jitter():
 
 
 def test_delay_capped_at_max():
-    policy = RetryPolicy(base_delay=1.0, multiplier=3.0, max_delay=5.0,
-                         jitter=0.0)
+    policy = RetryPolicy(base_delay=1.0, max_delay=5.0)
     assert policy.delay(10) == 5.0
 
 
 def test_jitter_shaves_down_never_up():
-    policy = RetryPolicy(base_delay=1.0, multiplier=2.0, max_delay=8.0,
-                         jitter=0.5)
+    policy = RetryPolicy(base_delay=1.0, max_delay=8.0)
     rng = backoff_rng("jitter-host")
     for attempt in range(6):
         raw = min(8.0, 1.0 * 2.0 ** attempt)
@@ -31,14 +28,14 @@ def test_jitter_shaves_down_never_up():
 
 
 def test_jitter_deterministic_for_same_name():
-    policy = RetryPolicy(jitter=0.5)
+    policy = RetryPolicy()
     a = [policy.delay(i, backoff_rng("host-a")) for i in range(8)]
     b = [policy.delay(i, backoff_rng("host-a")) for i in range(8)]
     assert a == b
 
 
 def test_jitter_differs_across_names_and_salts():
-    policy = RetryPolicy(jitter=0.5)
+    policy = RetryPolicy()
     a = [policy.delay(i, backoff_rng("host-a")) for i in range(8)]
     b = [policy.delay(i, backoff_rng("host-b")) for i in range(8)]
     c = [policy.delay(i, backoff_rng("host-a", salt=1)) for i in range(8)]
@@ -47,14 +44,12 @@ def test_jitter_differs_across_names_and_salts():
 
 
 def test_no_rng_means_full_delay():
-    policy = RetryPolicy(base_delay=0.5, multiplier=2.0, max_delay=4.0,
-                         jitter=0.9)
+    policy = RetryPolicy(base_delay=0.5, max_delay=4.0)
     assert policy.delay(1) == pytest.approx(1.0)
 
 
 def test_total_budget_bounds_sum_of_delays():
-    policy = RetryPolicy(base_delay=0.2, multiplier=2.0, max_delay=2.0,
-                         jitter=0.5)
+    policy = RetryPolicy(base_delay=0.2, max_delay=2.0)
     rng = backoff_rng("budget-host")
     total = sum(policy.delay(i, rng) for i in range(5))
     assert total <= policy.total_budget(5)
@@ -64,9 +59,7 @@ def test_validation():
     with pytest.raises(ValueError):
         RetryPolicy(base_delay=-1.0)
     with pytest.raises(ValueError):
-        RetryPolicy(multiplier=0.5)
-    with pytest.raises(ValueError):
-        RetryPolicy(jitter=1.5)
+        RetryPolicy(max_delay=-1.0)
 
 
 # -- delay_before_retry: deadline checked before the sleep ---------------------
@@ -74,7 +67,7 @@ def test_validation():
 
 def test_delay_before_retry_passes_through_with_room():
     from repro.resilience import Deadline
-    policy = RetryPolicy(base_delay=0.5, jitter=0.0)
+    policy = RetryPolicy(base_delay=0.5)
     deadline = Deadline(expires_at=10.0)
     assert policy.delay_before_retry(0, deadline=deadline, now=0.0) == 0.5
 
@@ -87,7 +80,7 @@ def test_delay_before_retry_abandons_when_sleep_overruns_deadline():
     answer nobody could use.
     """
     from repro.resilience import Deadline
-    policy = RetryPolicy(base_delay=1.0, jitter=0.0)
+    policy = RetryPolicy(base_delay=1.0)
     # 0.4s left, 1.0s backoff: pointless.
     assert policy.delay_before_retry(
         0, deadline=Deadline(expires_at=1.0), now=0.6) is None
@@ -100,7 +93,7 @@ def test_delay_before_retry_abandons_when_sleep_overruns_deadline():
 
 
 def test_delay_before_retry_without_deadline_never_abandons():
-    policy = RetryPolicy(base_delay=1.0, jitter=0.0)
+    policy = RetryPolicy(base_delay=1.0)
     assert policy.delay_before_retry(3) == pytest.approx(5.0)
 
 
@@ -108,7 +101,7 @@ def test_abandoned_retry_still_consumes_the_jitter_draw():
     """Abandoning a retry must not reshuffle later jitter: the RNG is
     advanced whether or not the deadline kills the sleep."""
     from repro.resilience import Deadline
-    policy = RetryPolicy(base_delay=1.0, jitter=0.5)
+    policy = RetryPolicy(base_delay=1.0)
     tight = Deadline(expires_at=0.0)   # every retry abandoned
 
     with_abandons = backoff_rng("stream-host")

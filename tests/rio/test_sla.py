@@ -54,10 +54,6 @@ def test_scaler_validation(grid):
     with pytest.raises(ValueError):
         SlaScaler(Host(net, "sla-host"), monitor.ref, "sla-os", "Worker",
                   lambda: 0.0, high_water=1.0, low_water=2.0)
-    with pytest.raises(ValueError):
-        SlaScaler(Host(net, "sla-host-2"), monitor.ref, "sla-os", "Worker",
-                  lambda: 0.0, high_water=2.0, low_water=1.0,
-                  min_planned=5, max_planned=2)
 
 
 def test_scale_out_under_load_and_back(grid):
@@ -66,8 +62,7 @@ def test_scale_out_under_load_and_back(grid):
     load = {"value": 0.0}
     scaler = SlaScaler(Host(net, "sla-host"), monitor.ref, "sla-os", "Worker",
                        load_metric=lambda: load["value"],
-                       high_water=5.0, low_water=1.0,
-                       min_planned=1, max_planned=4, check_interval=1.0)
+                       high_water=5.0, low_water=1.0)
     scaler.start()
     env.run(until=10.0)
     assert count_workers(lus) == 1
@@ -91,82 +86,11 @@ def test_scaler_respects_bounds(grid):
     monitor = deploy_stack(net)
     scaler = SlaScaler(Host(net, "sla-host"), monitor.ref, "sla-os", "Worker",
                        load_metric=lambda: 100.0,
-                       high_water=5.0, low_water=1.0,
-                       min_planned=1, max_planned=2, check_interval=1.0)
+                       high_water=5.0, low_water=1.0)
     scaler.start()
-    env.run(until=30.0)
-    assert scaler.planned == 2
-    assert count_workers(lus) == 2
-
-
-def test_scaler_reads_registry_gauge(grid):
-    """load_metric may be a metric-key prefix: the scaler sums matching
-    gauges straight out of the shared MetricsRegistry."""
-    env, net, lus = grid
-    monitor = deploy_stack(net)
-    registry = metrics_registry(net)
-    depth = registry.gauge("worker.queue_depth", element="Worker")
-    scaler = SlaScaler(Host(net, "sla-host"), monitor.ref, "sla-os", "Worker",
-                       load_metric="worker.queue_depth",
-                       high_water=5.0, low_water=1.0,
-                       min_planned=1, max_planned=4, check_interval=1.0)
-    scaler.start()
-    env.run(until=10.0)
-    assert count_workers(lus) == 1
-
-    depth.set(10.0)  # sustained backlog
-    env.run(until=30.0)
-    assert scaler.planned == 4
-    assert count_workers(lus) == 4
-
-    depth.set(0.0)
-    env.run(until=80.0)
-    assert scaler.planned == 1
-    assert count_workers(lus) == 1
-
-
-def test_scaler_reads_counter_rate(grid):
-    """metric_kind='rate' turns a monotonic counter into a windowed
-    per-second rate over the check interval."""
-    env, net, lus = grid
-    monitor = deploy_stack(net)
-    registry = metrics_registry(net)
-    requests = registry.counter("worker.requests", element="Worker")
-    busy = {"on": False}
-
-    def traffic():
-        while True:
-            if busy["on"]:
-                requests.inc(10)  # 10 req/s while the burst lasts
-            yield env.timeout(1.0)
-
-    env.process(traffic())
-    scaler = SlaScaler(Host(net, "sla-host"), monitor.ref, "sla-os", "Worker",
-                       load_metric="worker.requests", metric_kind="rate",
-                       high_water=5.0, low_water=1.0,
-                       min_planned=1, max_planned=3, check_interval=1.0)
-    scaler.start()
-    env.run(until=10.0)
-    assert scaler.planned == 1  # idle counter: rate 0
-
-    busy["on"] = True
-    env.run(until=30.0)
-    assert scaler.planned == 3
-    assert count_workers(lus) == 3
-
-    busy["on"] = False
-    env.run(until=70.0)
-    assert scaler.planned == 1
-    assert count_workers(lus) == 1
-
-
-def test_scaler_rejects_bad_metric_kind(grid):
-    env, net, lus = grid
-    monitor = deploy_stack(net)
-    with pytest.raises(ValueError):
-        SlaScaler(Host(net, "sla-host"), monitor.ref, "sla-os", "Worker",
-                  "worker.requests", high_water=5.0, low_water=1.0,
-                  metric_kind="p99")
+    env.run(until=40.0)
+    assert scaler.planned == SlaScaler.MAX_PLANNED
+    assert count_workers(lus) == SlaScaler.MAX_PLANNED
 
 
 def test_monitor_reports_provision_shortfall(grid):
@@ -199,8 +123,7 @@ def test_scaler_stop_freezes_plan(grid):
     load = {"value": 10.0}
     scaler = SlaScaler(Host(net, "sla-host"), monitor.ref, "sla-os", "Worker",
                        load_metric=lambda: load["value"],
-                       high_water=5.0, low_water=1.0,
-                       min_planned=1, max_planned=8, check_interval=1.0)
+                       high_water=5.0, low_water=1.0)
     scaler.start()
     env.run(until=12.0)
     frozen = scaler.planned

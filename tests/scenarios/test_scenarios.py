@@ -73,7 +73,7 @@ def test_sensorcer_grid_tree_value_matches_truth():
 
 
 def test_direct_grid_builds_nodes():
-    grid = build_direct_grid(5, seed=3, fixed_latency=0.001)
+    grid = build_direct_grid(5, seed=3)
     assert len(grid.sensors) == 5
     assert grid.lus is None
 

@@ -33,40 +33,44 @@ def test_unknown_quantity_raises():
 
 
 def test_gradient_shifts_by_location():
-    env = PhysicalEnvironment(seed=0, fields={
-        "flat": FieldSpec(base=10.0, unit="x", gradient=(1.0, 0.0))})
+    env = PhysicalEnvironment(seed=0)
+    env.define_field("flat", FieldSpec(base=10.0, unit="x",
+                                       gradient=(1.0, 0.0)))
     v0 = env.sample("flat", (0.0, 0.0), 0.0)
     v5 = env.sample("flat", (5.0, 0.0), 0.0)
     assert v5 - v0 == pytest.approx(5.0)
 
 
 def test_diurnal_cycle():
-    env = PhysicalEnvironment(seed=0, fields={
-        "wave": FieldSpec(base=0.0, unit="x", amplitude=10.0, period=100.0)})
+    env = PhysicalEnvironment(seed=0)
+    env.define_field("wave", FieldSpec(base=0.0, unit="x", amplitude=10.0,
+                                       period=100.0))
     assert env.sample("wave", (0, 0), 25.0) == pytest.approx(10.0)
     assert env.sample("wave", (0, 0), 75.0) == pytest.approx(-10.0)
     assert env.sample("wave", (0, 0), 50.0) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_noise_is_continuous():
-    env = PhysicalEnvironment(seed=7, fields={
-        "noisy": FieldSpec(base=0.0, unit="x", noise_sigma=1.0, noise_tau=60.0)})
+    env = PhysicalEnvironment(seed=7)
+    env.define_field("noisy", FieldSpec(base=0.0, unit="x", noise_sigma=1.0,
+                                        noise_tau=60.0))
     a = env.sample("noisy", (0, 0), 100.0)
     b = env.sample("noisy", (0, 0), 100.5)
     assert abs(a - b) < 0.2  # within one knot, near-linear
 
 
 def test_noise_bounded_statistics():
-    env = PhysicalEnvironment(seed=7, fields={
-        "noisy": FieldSpec(base=0.0, unit="x", noise_sigma=1.0, noise_tau=10.0)})
+    env = PhysicalEnvironment(seed=7)
+    env.define_field("noisy", FieldSpec(base=0.0, unit="x", noise_sigma=1.0,
+                                        noise_tau=10.0))
     samples = [env.sample("noisy", (0, 0), t * 10.0) for t in range(500)]
     mean = sum(samples) / len(samples)
     assert abs(mean) < 0.3
 
 
 def test_event_applies_within_radius_and_window():
-    env = PhysicalEnvironment(seed=0, fields={
-        "flat": FieldSpec(base=0.0, unit="x")})
+    env = PhysicalEnvironment(seed=0)
+    env.define_field("flat", FieldSpec(base=0.0, unit="x"))
     env.add_event(FieldEvent("flat", center=(0, 0), radius=10.0, delta=5.0,
                              start=100.0, end=200.0))
     assert env.sample("flat", (0, 0), 150.0) == pytest.approx(5.0)

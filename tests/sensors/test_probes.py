@@ -1,4 +1,4 @@
-"""Probe drivers, calibration, TEDS, read errors, Sun SPOT device."""
+"""Probe drivers, TEDS, read errors, Sun SPOT device."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ import pytest
 from repro.sim import Environment
 from repro.sensors import (
     BatteryExhausted,
-    Calibration,
     HumidityProbe,
     PhysicalEnvironment,
     ProbeNotConnected,
@@ -53,10 +52,11 @@ def test_temperature_read_close_to_ground_truth(sim_env, world):
 
 
 def test_read_takes_latency(sim_env, world):
-    probe = TemperatureProbe(sim_env, "t1", world, (0, 0), read_latency=0.5)
+    probe = TemperatureProbe(sim_env, "t1", world, (0, 0))
     probe.connect()
     reading = read_once(sim_env, probe)
-    assert reading.timestamp == pytest.approx(0.5)
+    assert probe.read_latency > 0
+    assert reading.timestamp == pytest.approx(probe.read_latency)
 
 
 def test_quantization_to_resolution(sim_env, world):
@@ -69,12 +69,13 @@ def test_quantization_to_resolution(sim_env, world):
 
 
 def test_out_of_range_clamped(sim_env, world):
-    # Gain of 100 pushes everything far beyond the 85C limit.
-    probe = TemperatureProbe(sim_env, "t1", world, (0, 0),
-                             calibration=Calibration(gain=100.0))
+    # A thermometer topping out at -30 C reads any room at its limit.
+    cold = TransducerTEDS("m", "m", "s", "v", "temperature", "celsius",
+                          -40.0, -30.0, 0.5, 0.0625)
+    probe = TemperatureProbe(sim_env, "t1", world, (0, 0), teds=cold)
     probe.connect()
     reading = read_once(sim_env, probe)
-    assert reading.value == 85.0
+    assert reading.value == -30.0
     assert reading.quality == "clamped"
 
 
@@ -91,14 +92,6 @@ def test_all_driver_quantities(sim_env, world):
     assert units == ["celsius", "percent"]
 
 
-def test_affine_calibration():
-    cal = Calibration(gain=2.0, offset=1.0)
-    assert cal.apply(10.0) == 21.0
-    assert cal.invert(21.0) == 10.0
-    with pytest.raises(ValueError):
-        Calibration(gain=0.0)
-
-
 def test_teds_validation():
     with pytest.raises(ValueError):
         TransducerTEDS("m", "m", "s", "v", "q", "u", 10.0, 5.0, 0.1, 0.1)
@@ -107,7 +100,7 @@ def test_teds_validation():
 
 
 def test_sunspot_reads_and_drains_battery(sim_env, world):
-    device = SunSpotDevice(sim_env, "neem", battery_mah=720.0)
+    device = SunSpotDevice(sim_env, "neem")
     probe = SunSpotTemperatureProbe(sim_env, device, world, (1, 1),
                                     rng=np.random.default_rng(5))
     probe.connect()
@@ -120,8 +113,8 @@ def test_sunspot_reads_and_drains_battery(sim_env, world):
 
 
 def test_sunspot_battery_exhaustion(sim_env, world):
-    device = SunSpotDevice(sim_env, "tiny", battery_mah=0.01,
-                           read_cost_mah=0.005, radio_cost_mah=0.0)
+    device = SunSpotDevice(sim_env, "tiny")
+    device.charge_mah = 0.01  # two reads' worth: 0.007 mAh each, radio on
     probe = SunSpotTemperatureProbe(sim_env, device, world, (0, 0))
     probe.connect()
 
@@ -142,7 +135,8 @@ def test_sunspot_battery_exhaustion(sim_env, world):
 
 
 def test_flat_battery_read_counts_as_read_error(sim_env, world):
-    device = SunSpotDevice(sim_env, "flat", battery_mah=0.0)
+    device = SunSpotDevice(sim_env, "flat")
+    device.charge_mah = 0.0
     probe = SunSpotTemperatureProbe(sim_env, device, world, (0, 0))
     probe.connect()
     with pytest.raises(BatteryExhausted):
@@ -153,10 +147,11 @@ def test_flat_battery_read_counts_as_read_error(sim_env, world):
 
 
 def test_sunspot_idle_drain(sim_env):
-    device = SunSpotDevice(sim_env, "idle", battery_mah=1.0, idle_drain_ma=1.0)
+    device = SunSpotDevice(sim_env, "idle")
 
     def proc():
-        yield sim_env.timeout(1800.0)  # half an hour -> 0.5 mAh gone
+        yield sim_env.timeout(1800.0)  # half an hour at 0.2 mA -> 0.1 mAh
 
     sim_env.run(until=sim_env.process(proc()))
-    assert device.battery_fraction == pytest.approx(0.5)
+    assert device.battery_fraction == pytest.approx(
+        (SunSpotDevice.BATTERY_MAH - 0.1) / SunSpotDevice.BATTERY_MAH)

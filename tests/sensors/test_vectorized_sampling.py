@@ -100,9 +100,9 @@ def test_sin_term_matches_math_module():
     t = 4321.0
     expected = spec.base + spec.amplitude * math.sin(
         2.0 * math.pi * (t + spec.phase) / spec.period)
-    no_noise = PhysicalEnvironment(seed=0, fields={
-        "light": type(spec)(base=spec.base, unit=spec.unit,
-                            amplitude=spec.amplitude, period=spec.period,
-                            phase=spec.phase)})
+    no_noise = PhysicalEnvironment(seed=0)
+    no_noise.define_field("light", type(spec)(
+        base=spec.base, unit=spec.unit, amplitude=spec.amplitude,
+        period=spec.period, phase=spec.phase))
     got = no_noise.sample_many("light", [(0.0, 0.0)], t)[0]
     assert got.hex() == float(expected).hex()

@@ -341,3 +341,23 @@ def test_a_registration_survives_a_discard_of_a_live_registrar(grid):
     env.run(until=env.now + 2.0)
     assert len(find(env, accessor)) == 2
     assert sent(net, "lus-lookup") == lookups
+
+
+def test_a_miss_prunes_entries_whose_registrations_lapsed(grid):
+    """Entries do not pile up: once every registration of an entry has
+    lapsed, the next miss on any template drops it."""
+    env, net, lus = grid
+    PingProvider(Host(net, "p-host")).start()
+    env.run(until=3.0)
+    accessor, _ = client_of(net)
+    for index in range(4):
+        find(env, accessor, ServiceTemplate.by_name(f"Gone-{index}"))
+    assert len(accessor.cache._entries) == 4
+    env.run(until=env.now + accessor.cache.EVENT_LEASE + 1.0)
+    assert len(find(env, accessor)) == 1
+    assert list(accessor.cache._entries) == [PING]
+    # A pruned template is looked up as any miss is: register, then look up.
+    notifies, lookups = sent(net, "lus-notify"), sent(net, "lus-lookup")
+    find(env, accessor, ServiceTemplate.by_name("Gone-0"))
+    assert sent(net, "lus-notify") == notifies + 1
+    assert sent(net, "lus-lookup") > lookups

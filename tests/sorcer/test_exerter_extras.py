@@ -1,11 +1,8 @@
-"""Exerter load-spreading, provider concurrency caps, and provisioning hook."""
-
-import pytest
+"""Exerter load-spreading and provider concurrency caps."""
 
 from repro.net import Host
 from repro.sorcer import (
     Exerter,
-    ExertionStatus,
     ServiceContext,
     Signature,
     Task,
@@ -88,46 +85,11 @@ def test_uncapped_provider_overlaps_requests(grid):
     assert elapsed < 2.0
 
 
-def test_provisioner_hook_invoked_when_no_provider(grid):
-    env, net, lus = grid
-    client_host = Host(net, "client")
-    spawned = []
-
-    def provisioner(signature):
-        # Instantiate a matching provider on demand, like Rio would.
-        provider = SlowProvider(Host(net, "spawned"), "Spawned-Slow")
-        provider.start()
-        spawned.append(provider)
-        yield env.timeout(1.0)  # let it join
-        return True
-
-    exerter = Exerter(client_host, provisioner=provisioner)
-
-    def proc():
-        yield env.timeout(2.0)
-        task = Task("w", Signature("Slow", "work", provision=True),
-                    ServiceContext())
-        task.control.provider_wait = 5.0
-        task.control.invocation_timeout = 60.0
-        result = yield env.process(exerter.exert(task))
-        return result
-
-    result = env.run(until=env.process(proc()))
-    assert len(spawned) == 1
-    assert result.status is ExertionStatus.DONE
-    assert result.get_return_value() == "Spawned-Slow"
-
-
 def test_no_provision_without_flag(grid):
+    """No provider and nothing to provision one: the task fails once the
+    provider wait runs out."""
     env, net, lus = grid
-    spawned = []
-
-    def provisioner(signature):
-        spawned.append(signature)
-        return True
-        yield
-
-    exerter = Exerter(Host(net, "client"), provisioner=provisioner)
+    exerter = Exerter(Host(net, "client"))
 
     def proc():
         yield env.timeout(2.0)
@@ -138,4 +100,3 @@ def test_no_provision_without_flag(grid):
 
     result = env.run(until=env.process(proc()))
     assert result.is_failed
-    assert spawned == []

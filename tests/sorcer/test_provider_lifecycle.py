@@ -24,8 +24,10 @@ def test_operations_listing(grid):
 
 def test_service_types_mro_and_extras(grid):
     env, net, lus = grid
-    provider = MiniProvider(Host(net, "p-host"), "Mini-1",
-                            service_types=("Extra",))
+    class ExtraProvider(MiniProvider):
+        SERVICE_TYPES = ("Extra",)
+
+    provider = ExtraProvider(Host(net, "p-host"), "Mini-1")
     assert provider.service_types[0] == "Servicer"
     assert "Tasker" in provider.service_types
     assert "Mini" in provider.service_types

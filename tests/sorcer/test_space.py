@@ -198,8 +198,7 @@ def spacer_stack(env, net, workers=1, use_txn=False):
         provider = MathProvider(host, f"Math-{i}")
         # Short take-transactions: a crashed worker's envelopes come back
         # well before the spacer's result timeout.
-        worker = SpaceWorker(provider, space.ref, txn_manager_ref=tm_ref,
-                             poll_timeout=1.0, txn_duration=5.0)
+        worker = SpaceWorker(provider, space.ref, txn_manager_ref=tm_ref)
         worker.start()
         worker_objs.append((host, provider, worker))
     exerter = Exerter(Host(net, "requestor"))

@@ -148,7 +148,7 @@ def _outcome(build, access):
     join_service(space.host, space.ref, net.ids.uuid(),
                  (Name("Exertion Space"),))
     provider = MathProvider(Host(net, "math-host"), delay=0.2).start()
-    SpaceWorker(provider, space.ref, poll_timeout=1.0).start()
+    SpaceWorker(provider, space.ref).start()
     exerter = Exerter(Host(net, "requestor"))
     job = build(access)
     job.control.invocation_timeout = 120.0

@@ -30,7 +30,7 @@ def test_abort_preserves_existing_content(tmp_path):
     target = tmp_path / "artifact.txt"
     atomic_write_text(target, "original\n")
     handle = AtomicFile(target)
-    handle.write("half-writ")
+    handle.write(b"half-writ")
     handle.abort()
     assert target.read_text(encoding="utf-8") == "original\n"
     assert _temp_files(tmp_path) == []
@@ -48,7 +48,7 @@ def test_failed_write_keeps_old_content_and_no_temp_file(tmp_path):
 def test_abort_without_existing_leaves_nothing(tmp_path):
     target = tmp_path / "never.txt"
     handle = AtomicFile(target)
-    handle.write("discarded")
+    handle.write(b"discarded")
     handle.abort()
     assert not target.exists()
     assert _temp_files(tmp_path) == []
@@ -57,7 +57,7 @@ def test_abort_without_existing_leaves_nothing(tmp_path):
 def test_context_manager_commits_on_success(tmp_path):
     target = tmp_path / "ok.txt"
     with AtomicFile(target) as handle:
-        handle.write("done\n")
+        handle.write(b"done\n")
     assert target.read_text(encoding="utf-8") == "done\n"
 
 
@@ -66,7 +66,7 @@ def test_context_manager_aborts_on_exception(tmp_path):
     atomic_write_text(target, "before\n")
     with pytest.raises(RuntimeError):
         with AtomicFile(target) as handle:
-            handle.write("partial")
+            handle.write(b"partial")
             raise RuntimeError("writer died")
     assert target.read_text(encoding="utf-8") == "before\n"
     assert _temp_files(tmp_path) == []
@@ -75,7 +75,7 @@ def test_context_manager_aborts_on_exception(tmp_path):
 def test_content_invisible_until_close(tmp_path):
     target = tmp_path / "staged.txt"
     handle = AtomicFile(target)
-    handle.write("staged")
+    handle.write(b"staged")
     assert not target.exists()
     handle.close()
     assert target.read_text(encoding="utf-8") == "staged"
@@ -84,7 +84,7 @@ def test_content_invisible_until_close(tmp_path):
 def test_close_is_idempotent(tmp_path):
     target = tmp_path / "twice.txt"
     handle = AtomicFile(target)
-    handle.write("x")
+    handle.write(b"x")
     handle.close()
     handle.close()
     handle.abort()  # after a commit, abort is a no-op too
@@ -93,11 +93,6 @@ def test_close_is_idempotent(tmp_path):
 
 def test_binary_mode(tmp_path):
     target = tmp_path / "raw.bin"
-    with AtomicFile(target, mode="wb") as handle:
+    with AtomicFile(target) as handle:
         handle.write(b"\x00\xff")
     assert target.read_bytes() == b"\x00\xff"
-
-
-def test_bad_mode_rejected(tmp_path):
-    with pytest.raises(ValueError):
-        AtomicFile(tmp_path / "x", mode="a")
