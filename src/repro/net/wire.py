@@ -14,7 +14,8 @@ import dataclasses
 from enum import Enum
 from typing import Any
 
-__all__ = ["Protocol", "estimate_size", "header_size", "WireSized"]
+__all__ = ["Protocol", "estimate_size", "header_size", "WireSized",
+           "slot_names", "slots_wire_size"]
 
 
 class Protocol(Enum):
@@ -94,10 +95,6 @@ def _size_bytes(obj) -> int:
     return _ITEM_OVERHEAD + len(obj)
 
 
-def _size_wire_sized(obj: WireSized) -> int:
-    return obj.wire_size()
-
-
 def _size_enum(obj: Enum) -> int:
     return _ITEM_OVERHEAD + len(str(obj.value))
 
@@ -139,6 +136,39 @@ def _size_object(obj: Any) -> int:
     return _OBJECT_OVERHEAD
 
 
+def slot_names(cls: type) -> tuple:
+    """Every ``__slots__`` name of ``cls``, base classes' first."""
+    return tuple(name for klass in reversed(cls.__mro__)
+                 for name in klass.__dict__.get("__slots__", ()))
+
+
+def slots_wire_size(obj: Any) -> int:
+    """Size a ``__slots__`` instance exactly as :func:`_size_object` charged
+    its ``__dict__`` before the class had slots. A :class:`WireSized` class
+    with slots takes this as its ``wire_size``."""
+    names, fixed = _SLOT_PLANS[type(obj)]
+    sizers = _SIZERS
+    total = fixed
+    for name in names:
+        value = getattr(obj, name)
+        total += sizers[type(value)](value)
+    return total
+
+
+class _SlotPlans(dict):
+    """``type -> (slot names, fixed charge)``: the object, the dict and, per
+    slot, the name and the item overhead. A miss classifies the class once."""
+
+    def __missing__(self, cls: type) -> tuple:
+        names = slot_names(cls)
+        plan = self[cls] = (names, _OBJECT_OVERHEAD + _ITEM_OVERHEAD + sum(
+            _size_str(name) + _ITEM_OVERHEAD for name in names))
+        return plan
+
+
+_SLOT_PLANS = _SlotPlans()
+
+
 def _sizer_for(cls: type):
     """Classify ``cls``. The order is the estimator's precedence: an
     ``IntEnum`` is an int, a ``str``-mixin enum a str, a dataclass that is
@@ -152,7 +182,7 @@ def _sizer_for(cls: type):
     if issubclass(cls, (bytes, bytearray)):
         return _size_bytes
     if issubclass(cls, WireSized):
-        return _size_wire_sized
+        return cls.wire_size
     if issubclass(cls, Enum):
         return _size_enum
     if issubclass(cls, dict):

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Optional
 
+from ..net.wire import WireSized, slots_wire_size
 from ..resilience import Deadline, RetryPolicy
 from .context import ServiceContext, register_plain_shapes, structural_copy
 from .signature import Signature
@@ -45,7 +46,7 @@ class Access(Enum):
     PULL = "pull"
 
 
-@dataclass
+@dataclass(slots=True)
 class ControlContext:
     strategy: Strategy = Strategy.SEQUENTIAL
     access: Access = Access.PUSH
@@ -66,7 +67,7 @@ class ControlContext:
     backoff: Optional[RetryPolicy] = None
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceRecord:
     """Who executed what, where and when — the exertion's audit trail."""
 
@@ -78,8 +79,14 @@ class TraceRecord:
     note: str = ""
 
 
-class Exertion:
+class Exertion(WireSized):
     """Common behaviour of tasks and jobs."""
+
+    __slots__ = ("name", "context", "control", "status", "exceptions",
+                 "trace", "principal")
+
+    #: Charged as the ``__dict__`` it had before it grew ``__slots__``.
+    wire_size = slots_wire_size
 
     def __init__(self, name: str, context: Optional[ServiceContext] = None,
                  principal: str = "anonymous"):
@@ -119,6 +126,8 @@ class Exertion:
 class Task(Exertion):
     """Elementary exertion: one signature, one provider."""
 
+    __slots__ = ("signature",)
+
     def __init__(self, name: str, signature: Signature,
                  context: Optional[ServiceContext] = None,
                  principal: str = "anonymous"):
@@ -132,6 +141,8 @@ class Job(Exertion):
     The job's own context aggregates component results: when component ``c``
     finishes, its return value lands at job path ``c/<return_path>``.
     """
+
+    __slots__ = ("exertions",)
 
     def __init__(self, name: str, exertions: Optional[list[Exertion]] = None,
                  context: Optional[ServiceContext] = None,

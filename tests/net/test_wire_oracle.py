@@ -42,10 +42,12 @@ def test_remote_ref_remembers_what_it_would_compute(ref):
 
 @given(st.one_of(tasks(), jobs()))
 def test_exertions_size_as_the_reference(exertion):
-    assert estimate_size(exertion) == reference_wire.estimate_size(exertion)
+    assert exertion.wire_size() == reference_wire.exertion_wire_size(exertion)
+    assert estimate_size(exertion) == reference_wire.exertion_wire_size(exertion)
     # ... and inside an RPC request tuple, as they really travel.
     request = (7, "host", "provider:x", "service", (exertion, None), {})
-    assert estimate_size(request) == reference_wire.estimate_size(request)
+    assert estimate_size(request) == reference_wire.estimate_size(
+        reference_wire.unslotted(request))
 
 
 # -- precedence of the old isinstance ladder -----------------------------------------
@@ -175,5 +177,6 @@ def test_canonical_message_bytes():
     assert {m.header_bytes for m in seen} == {148}
     assert sum(m.payload_bytes for m in seen) == 21860
     for message in seen:
-        assert (reference_wire.estimate_size(message.payload)
+        assert (reference_wire.estimate_size(
+            reference_wire.unslotted(message.payload))
                 == message.payload_bytes)

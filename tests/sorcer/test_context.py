@@ -94,7 +94,7 @@ def test_len():
     assert len(ctx) == 1
 
 
-def test_constructor_data():
-    ctx = ServiceContext(data={"a/b": 1, "c": 2})
+def test_put_value_chains():
+    ctx = ServiceContext().put_value("a/b", 1).put_value("c", 2)
     assert ctx.get_value("a/b") == 1
     assert ctx.get_value("c") == 2
