@@ -223,7 +223,8 @@ class ServiceProvider:
             yield self.env.timeout(self.op_overhead)
         value = op(exertion.context)
         if inspect.isgenerator(value):
-            value = yield self.env.process(value)
+            # Runs inside the serving process: no process of its own.
+            value = yield from value
         if value is not None:
             exertion.context.set_return_value(value)
         return exertion
