@@ -71,7 +71,7 @@ class _Delivery(Timeout):
         super().__init__(network.env, delay)
         self.msg = msg
         self.name = name
-        self.callbacks.append(network._arrive)
+        self.callbacks.append(network._arrive_callback)
 
 
 @dataclass
@@ -161,6 +161,8 @@ class Network:
         #: loss, chaos links); each returns ``None`` or a
         #: :class:`LinkDecision`.
         self._link_filters: list = []
+        # Every delivery shares one bound method, made here once.
+        self._arrive_callback = self._arrive
         #: Per-network components, keyed by a public name and created on
         #: first use by their owner's accessor (``tracer_of(net)``, ...); a
         #: reader that must not create one looks the key up.

@@ -121,7 +121,22 @@ class _ServeHop(Timeout):
         super().__init__(endpoint.env, 0.0, priority=URGENT)
         self.name = name
         self.request = request
-        self.callbacks.append(endpoint._serve)
+        self.callbacks.append(endpoint._serve_callback)
+
+
+class _Watchdog(Timeout):
+    """An outbound call's timer: a bare Timeout, not a process, which would
+    stay alive until the full timeout even after the reply arrives. The
+    reply cancels it, so it is never dispatched. ``delay`` is the call's
+    timeout."""
+
+    __slots__ = ("request_id",)
+
+    def __init__(self, endpoint: "RpcEndpoint", request_id: int,
+                 timeout: float):
+        super().__init__(endpoint.env, timeout)
+        self.request_id = request_id
+        self.callbacks.append(endpoint._expire_callback)
 
 
 class RpcEndpoint:
@@ -146,6 +161,9 @@ class RpcEndpoint:
         self._m_calls = registry.counter("rpc.calls", host=host.name)
         self._m_timeouts = registry.counter("rpc.timeouts", host=host.name)
         self._m_rtt = registry.histogram("rpc.rtt", host=host.name)
+        # Every hop and watchdog shares one bound method, made here once.
+        self._serve_callback = self._serve
+        self._expire_callback = self._expire
         host.open_port(REQUEST_PORT, self._on_request)
         host.open_port(CAST_PORT, self._on_request)
         host.open_port(REPLY_PORT, self._on_reply)
@@ -262,10 +280,7 @@ class RpcEndpoint:
                                            peer=ref.host, msg_kind=kind)
         else:
             span = NULL_SPAN
-        # The watchdog is a bare Timeout with a callback — not a process,
-        # which would stay alive until the full timeout even after the
-        # reply arrives. The reply cancels it, so it is never dispatched.
-        timer = self.env.timeout(timeout)
+        timer = _Watchdog(self, request_id, timeout)
         self._pending[request_id] = _PendingCall(event, self.env.now, timer,
                                                  span)
         payload = (request_id, self.host.name, ref.object_id, method, args, kwargs)
@@ -277,8 +292,6 @@ class RpcEndpoint:
             timer.cancel()
             span.end("send_failed")
             event.fail(exc)
-            return event
-        timer.callbacks.append(lambda _ev: self._expire(request_id, timeout))
         return event
 
     def cast(self, ref: RemoteRef, method: str, *args,
@@ -301,13 +314,14 @@ class RpcEndpoint:
         except NetworkError:
             pass
 
-    def _expire(self, request_id: int, timeout: float) -> None:
-        pending = self._pending.pop(request_id, None)
+    def _expire(self, timer: _Watchdog) -> None:
+        pending = self._pending.pop(timer.request_id, None)
         if pending is not None and not pending.event.triggered:
             self._m_timeouts.inc()
             pending.span.end("timeout")
             pending.event.fail(RpcTimeout(
-                f"no reply for request {request_id} within {timeout}s"))
+                f"no reply for request {timer.request_id} "
+                f"within {timer.delay}s"))
 
     def _on_reply(self, msg: Message) -> None:
         request_id, ok, value = msg.payload
