@@ -15,8 +15,11 @@ priority, tie, seq, event)`` tuples: O(log n) per operation through C
 ``heapq``, and :meth:`~HeapScheduler.cancel` as a lazy tombstone —
 what :meth:`Timeout.cancel <repro.sim.core.Timeout.cancel>` calls, so a
 withdrawn timer (an answered RPC's watchdog) is discarded when it
-surfaces instead of being dispatched. It is the only implementation; why
-is recorded in EXPERIMENTS.md E-KERNEL.
+surfaces instead of being dispatched. Once tombstones pass a floor and
+outnumber the live entries, the heap is rebuilt without them, as asyncio's
+event loop does with cancelled timer handles; the key is a strict total
+order, so the rebuilt heap pops exactly what the old one would have. It is
+the only implementation; why is recorded in EXPERIMENTS.md E-KERNEL.
 """
 
 from __future__ import annotations
@@ -35,6 +38,8 @@ class HeapScheduler:
     __slots__ = ("_heap", "_dead", "pushes", "pops", "cancels")
 
     kind = "heap"
+    #: Fewest tombstones that make a rebuild worth its O(n).
+    COMPACT_FLOOR = 100
 
     def __init__(self):
         self._heap: list[tuple] = []
@@ -82,9 +87,16 @@ class HeapScheduler:
         return _INF
 
     def cancel(self, seq: int) -> None:
-        """Tombstone the occurrence scheduled under ``seq`` (lazy removal)."""
+        """Tombstone the occurrence scheduled under ``seq`` (lazy removal);
+        drop every tombstone at once when they outnumber the live entries."""
         self.cancels += 1
-        self._dead.add(seq)
+        dead = self._dead
+        dead.add(seq)
+        heap = self._heap
+        if len(dead) > self.COMPACT_FLOOR and 2 * len(dead) > len(heap):
+            heap[:] = [entry for entry in heap if entry[3] not in dead]
+            heapq.heapify(heap)
+            dead.clear()
 
     def entries(self) -> list:
         """Every live pending occurrence in pop order, *without* popping.

@@ -13,6 +13,7 @@ Invariants under load:
 """
 
 import os
+import random
 from bisect import bisect_left, insort
 
 import numpy as np
@@ -116,6 +117,76 @@ def test_entries_is_non_mutating_under_cancels(program, cancelled):
         for seq, (time, priority, tie) in enumerate(program)
         if seq not in cancelled)
     assert [heap.pop() for _ in range(heap.size)] == listed
+
+
+class _LowFloor(HeapScheduler):
+    """Rebuilds after a handful of tombstones, so short programs cross the
+    floor many times."""
+
+    __slots__ = ()
+    COMPACT_FLOOR = 3
+
+
+@given(st.lists(st.tuples(st.sampled_from(("push", "push", "cancel", "pop")),
+                          st.integers(0, 4), st.integers(0, 2),
+                          st.integers(0, 999)), max_size=150),
+       st.none() | st.integers(0, 2**32 - 1))
+def test_compaction_changes_nothing_a_caller_can_see(program, tie_seed):
+    """Push/cancel/pop programs against a sorted list of live keys, with
+    ties all 0.0 or drawn as the shuffle harness draws them: pop order,
+    ``size``, ``entries()`` and ``stats()`` agree after every operation,
+    across the rebuilds, and a cancel never leaves more tombstones than
+    the floor or the live entries allow."""
+    heap = _LowFloor()
+    ties = None if tie_seed is None else random.Random(tie_seed)
+    oracle: list[tuple] = []
+    live: dict[int, tuple] = {}
+    seq = pops = cancels = 0
+    now = 0.0
+    for op, delay, priority, pick in program:
+        if op == "push" or not live:
+            key = (now + delay, priority,
+                   0.0 if ties is None else ties.random(), seq)
+            heap.push(*key, f"ev{seq}")
+            insort(oracle, key)
+            live[seq] = key
+            seq += 1
+        elif op == "cancel":
+            victim = sorted(live)[pick % len(live)]
+            del oracle[bisect_left(oracle, live.pop(victim))]
+            heap.cancel(victim)
+            cancels += 1
+            tombstones = len(heap._heap) - heap.size
+            assert tombstones <= max(_LowFloor.COMPACT_FLOOR, heap.size)
+        else:
+            entry = heap.pop()
+            assert entry[:4] == oracle.pop(0)
+            assert entry[4] == f"ev{entry[3]}"
+            del live[entry[3]]
+            now = entry[0]
+            pops += 1
+        assert heap.size == len(oracle)
+        assert [entry[:4] for entry in heap.entries()] == oracle
+        assert heap.stats() == {"kind": "heap", "pending": len(oracle),
+                                "pushes": seq, "pops": pops,
+                                "cancels": cancels}
+    while oracle:
+        assert heap.pop()[:4] == oracle.pop(0)
+    assert heap.peek_time() == float("inf")
+
+
+def test_cancelled_watchdogs_do_not_pile_up():
+    """An answered call's watchdog is cancelled long before it would fire:
+    the heap holds about as many entries as are live, not every timer
+    withdrawn since."""
+    heap = HeapScheduler()
+    for seq in range(5000):
+        heap.push(30.0 + seq, 1, 0.0, seq, None)
+        if seq >= 40:
+            heap.cancel(seq - 40)
+    assert heap.size == 40
+    assert len(heap._heap) <= 2 * HeapScheduler.COMPACT_FLOOR
+    assert [entry[3] for entry in heap.entries()] == list(range(4960, 5000))
 
 
 @pytest.mark.slow
