@@ -41,7 +41,6 @@ BASELINE = Path(__file__).resolve().with_name("reach_baseline.json")
 
 #: Modules that may be wholly unreached by the shipped entry points.
 ALLOWED = {
-    "sim/sanitizer.py": "a test oracle: the suites run it over their own labs",
     "chaos/testing.py": "a pytest helper for chaos-plane tests",
 }
 

@@ -17,8 +17,7 @@ The built-ins cover the guarantees PRs 1–4 claim:
 * ``breaker-liberation`` — no circuit breaker is wedged: after heal +
   quiesce every breaker would admit a call (the half-open probe-leak
   class of bug).
-* ``sim-sanity`` — no recorded sanitizer violations, sim time within
-  the horizon.
+* ``sim-sanity`` — sim time within the horizon.
 """
 
 from __future__ import annotations
@@ -372,8 +371,7 @@ class OverloadGraceful(Invariant):
 
 
 class SimSanity(Invariant):
-    """The kernel's own contract: time inside the horizon, no recorded
-    race-sanitizer violations."""
+    """The kernel's own contract: time inside the horizon."""
 
     name = "sim-sanity"
 
@@ -382,11 +380,6 @@ class SimSanity(Invariant):
         if record.env.now > record.plan.horizon + 1e-6:
             out.append(f"sim time {record.env.now} ran past horizon "
                        f"{record.plan.horizon}")
-        sanitizer = getattr(record.env, "sanitizer", None)
-        recorded = getattr(sanitizer, "violations", None) if sanitizer else None
-        if recorded:
-            out.append(f"{len(recorded)} sanitizer violation(s), first: "
-                       f"{recorded[0]}")
         return out
 
 

@@ -19,7 +19,6 @@ from typing import Any, Iterator, Optional
 from ..net.host import Host
 from ..net.message import Message
 from ..net.rpc import RemoteRef, rpc_endpoint
-from ..sim import sanitizer as _san
 from .discovery import (ANNOUNCE_PORT, DISCOVERY_GROUP, PROBE_PORT,
                         PUBLIC_GROUPS)
 from .events import (
@@ -168,19 +167,10 @@ class LookupService:
 
     # -- remote API -------------------------------------------------------------
 
-    def _record_access(self, kind: str) -> None:
-        """Report a registry read/write to the race sanitizer. The whole
-        item table is one key: a same-timestamp register racing any lookup
-        genuinely makes the lookup's answer tie-break dependent."""
-        if _san._active is not None:
-            _san._active.record(("lus", self.lus_id), kind,
-                                f"lookup registry of {self.name!r}")
-
     def register(self, item: ServiceItem, lease_duration: float) -> ServiceRegistration:
         """Register (or re-register) a service item."""
         if not item.service_id:
             raise ValueError("ServiceItem.service_id must be set")
-        self._record_access("w")
         previous = self._items.get(item.service_id)
         # Replace any existing lease for this service.
         old_lease = self._landlord.lease_of(("reg", item.service_id))
@@ -201,7 +191,6 @@ class LookupService:
     def lookup(self, template: ServiceTemplate,
                max_matches: int = 1) -> list[ServiceItem]:
         """Return up to ``max_matches`` matching items (registration order)."""
-        self._record_access("r")
         if template.service_id is not None:
             # Exact-id template: the item table is keyed by service id, so
             # answer from the index. This is the resolver hot path — every
@@ -220,7 +209,6 @@ class LookupService:
         return out
 
     def lookup_all(self) -> list[ServiceItem]:
-        self._record_access("r")
         return list(self._items.values())
 
     def leased_items(self) -> Iterator[tuple]:
@@ -262,7 +250,6 @@ class LookupService:
     def _release_resource(self, resource, expired: bool) -> None:
         kind, key = resource
         if kind == "reg":
-            self._record_access("w")
             item = self._items.pop(key, None)
             if item is not None:
                 # Expiry means the holder went silent (crash/partition);

@@ -62,7 +62,7 @@ class BernoulliLoss:
 class _Delivery(Timeout):
     """One message in flight: the single kernel event that fires at its
     arrival instant. ``name`` (``deliver:<kind>``) is what the flight
-    recorder and the sanitizer call it."""
+    recorder calls it."""
 
     __slots__ = ("msg", "name")
 

@@ -31,7 +31,6 @@ from ..observability.registry import metrics_registry
 from ..observability.span import NULL_SPAN
 from ..observability.tracer import tracer_of
 from ..sim import URGENT, Event, Timeout
-from ..sim import sanitizer as _san
 from .errors import NetworkError, NoSuchObjectError, RemoteError, RpcTimeout
 from .host import Host
 from .message import Message
@@ -179,18 +178,12 @@ class RpcEndpoint:
         """
         if object_id in self._objects:
             raise ValueError(f"object id {object_id!r} already exported on {self.host.name}")
-        if _san._active is not None:
-            _san._active.record(("rpc-exports", self.host.name), "w",
-                                f"RPC export table of host {self.host.name!r}")
         self._objects[object_id] = obj
         self._allowed[object_id] = frozenset(methods) if methods is not None else None
         return RemoteRef(host=self.host.name, object_id=object_id,
                          type_names=_remote_type_names(obj))
 
     def unexport(self, object_id: str) -> None:
-        if _san._active is not None:
-            _san._active.record(("rpc-exports", self.host.name), "w",
-                                f"RPC export table of host {self.host.name!r}")
         self._objects.pop(object_id, None)
         self._allowed.pop(object_id, None)
 
@@ -206,9 +199,6 @@ class RpcEndpoint:
         self._seen_order.append(dedup_key)
         if len(self._seen_order) > self._seen_limit:
             self._seen_requests.discard(self._seen_order.popleft())
-        if _san._active is not None:
-            _san._active.record(("rpc-exports", self.host.name), "r",
-                                f"RPC export table of host {self.host.name!r}")
         obj = self._objects.get(object_id)
         if obj is None:
             self._reply(reply_to, request_id, False,

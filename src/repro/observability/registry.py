@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from ..sim import sanitizer as _san
 from .quantiles import max_from_buckets, quantile_from_buckets
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry",
@@ -52,11 +51,6 @@ class Counter:
     def inc(self, amount: float = 1.0) -> None:
         if amount < 0:
             raise ValueError(f"counter {self.name!r} cannot decrease")
-        if _san._active is not None:
-            # Increments commute: a "cw" access races with same-time reads
-            # and plain writes, but not with other increments.
-            _san._active.record(("metric", self.name), "cw",
-                                f"counter {self.name!r}")
         self.value += amount
 
     def snapshot(self):
@@ -76,21 +70,12 @@ class Gauge:
         self.max_value = 0.0
 
     def set(self, value: float) -> None:
-        if _san._active is not None:
-            _san._active.record(("metric", self.name), "w",
-                                f"gauge {self.name!r}")
         self._apply(float(value))
 
     def inc(self, amount: float = 1.0) -> None:
-        if _san._active is not None:
-            _san._active.record(("metric", self.name), "cw",
-                                f"gauge {self.name!r}")
         self._apply(self.value + amount)
 
     def dec(self, amount: float = 1.0) -> None:
-        if _san._active is not None:
-            _san._active.record(("metric", self.name), "cw",
-                                f"gauge {self.name!r}")
         self.value -= amount
 
     def _apply(self, value: float) -> None:
@@ -124,9 +109,6 @@ class Histogram:
         self.total = 0.0
 
     def observe(self, value: float) -> None:
-        if _san._active is not None:
-            _san._active.record(("metric", self.name), "cw",
-                                f"histogram {self.name!r}")
         value = float(value)
         lo, hi = 0, len(self.buckets)
         while lo < hi:
@@ -192,10 +174,7 @@ class MetricsRegistry:
     def value(self, name: str, **labels) -> float:
         """A counter/gauge's current value *without* creating the metric
         (querying an unknown name must not change the registry)."""
-        key = _key(name, labels)
-        if _san._active is not None:
-            _san._active.record(("metric", key), "r", f"metric {key!r}")
-        metric = self._metrics.get(key)
+        metric = self._metrics.get(_key(name, labels))
         if metric is None:
             return 0.0
         if isinstance(metric, Histogram):
@@ -216,11 +195,7 @@ class MetricsRegistry:
     def items(self, prefix: str = ""):
         """(key, instrument) pairs in sorted key order — the raw handles,
         for rollup machinery that needs more than :meth:`snapshot`."""
-        keys = self.names(prefix)
-        if _san._active is not None:
-            for key in keys:
-                _san._active.record(("metric", key), "r", f"metric {key!r}")
-        return [(key, self._metrics[key]) for key in keys]
+        return [(key, self._metrics[key]) for key in self.names(prefix)]
 
     def iter_items(self):
         """(key, instrument) pairs in registration order, unsorted — the

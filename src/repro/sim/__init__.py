@@ -14,7 +14,6 @@ from .core import (
     Timeout,
 )
 from .resources import Resource, Store
-from .sanitizer import RaceSanitizer, SanitizerViolation
 
 __all__ = [
     "LOW",
@@ -26,9 +25,7 @@ __all__ = [
     "Environment",
     "Event",
     "Process",
-    "RaceSanitizer",
     "Resource",
-    "SanitizerViolation",
     "SimulationError",
     "Store",
     "Timeout",

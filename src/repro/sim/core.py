@@ -26,8 +26,6 @@ import random as _random
 from itertools import count
 from typing import Any, Callable, Generator, Iterable, Optional
 
-from . import sanitizer as _san
-from .sanitizer import RaceSanitizer, SanitizerViolation  # noqa: F401 - re-export
 from .scheduler import HeapScheduler
 
 __all__ = [
@@ -38,8 +36,6 @@ __all__ = [
     "Condition",
     "AllOf",
     "AnyOf",
-    "RaceSanitizer",
-    "SanitizerViolation",
     "SimulationError",
     "StopSimulation",
 ]
@@ -170,7 +166,7 @@ class Timeout(Event):
     """An event that triggers ``delay`` simulated seconds after creation.
 
     A subclass may add a ``name`` slot (as :class:`Process` has): the
-    flight recorder and the sanitizer label a named event by it.
+    flight recorder labels a named event by it.
     """
 
     __slots__ = ("delay", "_seq")
@@ -327,10 +323,6 @@ class AnyOf(Condition):
 class Environment:
     """The simulation environment: clock plus event queue.
 
-    ``sanitize`` enables the same-timestamp race sanitizer (see
-    :mod:`repro.sim.sanitizer`); pass ``True`` for raise-on-violation or
-    ``"record"`` to accumulate violations in ``env.sanitizer.violations``.
-
     ``tie_break_seed`` enables the tie-break shuffle harness: ordering among
     events at identical ``(time, priority)`` is randomized by a
     seeded generator instead of strict scheduling order, while causal order
@@ -340,8 +332,7 @@ class Environment:
     variable is consulted so whole suites can be shuffled externally.
     """
 
-    def __init__(self, sanitize: bool | str = False,
-                 tie_break_seed: Optional[int] = None):
+    def __init__(self, tie_break_seed: Optional[int] = None):
         self._now = 0.0
         self._scheduler = HeapScheduler()
         self._seq = count()
@@ -355,10 +346,6 @@ class Environment:
         # scheme: it must not perturb (or be perturbed by) model RNG.
         self._tie_rng = (_random.Random(tie_break_seed)  # repro: allow[DET005]
                          if tie_break_seed is not None else None)
-        self.sanitizer: Optional[RaceSanitizer] = None
-        if sanitize:
-            mode = sanitize if isinstance(sanitize, str) else "raise"
-            self.sanitizer = RaceSanitizer(mode=mode)
         self._profiler = None
         #: Named state providers: section key -> zero-arg callable (see
         #: :meth:`register_state`).
@@ -398,8 +385,6 @@ class Environment:
         """Queue ``event``; returns the sequence number it is queued under."""
         seq = next(self._seq)
         tie = 0.0 if self._tie_rng is None else self._tie_rng.random()
-        if self.sanitizer is not None:
-            self.sanitizer.on_schedule(seq, event)
         self._scheduler.push(self._now + delay, priority, tie, seq, event)
         return seq
 
@@ -446,34 +431,22 @@ class Environment:
         """Process the next scheduled event."""
         if not self._scheduler.size:
             raise SimulationError("nothing scheduled")
-        when, prio, _tie, seq, event = self._scheduler.pop()
+        when, _prio, _tie, _seq, event = self._scheduler.pop()
         self._now = when
         profiler = self._profiler
-        if self.sanitizer is None:
-            if profiler is None:
-                event._run_callbacks()
-                return
+        if profiler is None:
+            event._run_callbacks()
+            return
         # Observed path: a flight recorder (``_profiler``, see
-        # :mod:`repro.observability.profile`), the sanitizer, or both. The
-        # recorder's ``enter``/``exit`` pair brackets the callbacks; the
-        # kernel itself never reads a wall clock and the recorder only
-        # observes, so event order is bit-identical with or without it.
-        # Sanitizing makes this environment's sanitizer visible to
-        # instrumented shared state for the duration of the callbacks.
-        sanitizer = self.sanitizer
-        if sanitizer is not None:
-            sanitizer.begin_event(when, prio, seq, event)
-            previous = _san._active
-            _san._active = sanitizer
-        if profiler is not None:
-            profiler.enter(event)
+        # :mod:`repro.observability.profile`). Its ``enter``/``exit`` pair
+        # brackets the callbacks; the kernel itself never reads a wall
+        # clock and the recorder only observes, so event order is
+        # bit-identical with or without it.
+        profiler.enter(event)
         try:
             event._run_callbacks()
         finally:
-            if sanitizer is not None:
-                _san._active = previous
-            if profiler is not None:
-                profiler.exit(event)
+            profiler.exit(event)
 
     def run(self, until: float | Event | None = None) -> Any:
         """Run the simulation.
@@ -516,15 +489,10 @@ class Environment:
                 self.step()
         except StopSimulation:
             ev = stop_value[0]
-            if self.sanitizer is not None:
-                self.sanitizer.flush()
             if not ev._ok:
                 ev._defused = True
                 raise ev._value
             return ev._value
-        if self.sanitizer is not None:
-            # The final tie group has no successor to trigger its analysis.
-            self.sanitizer.flush()
         if target is not None:
             raise SimulationError("run(until=event): queue drained before event triggered")
         if deadline != float("inf"):

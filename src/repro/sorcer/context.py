@@ -16,7 +16,6 @@ from enum import Enum
 from typing import Any, Callable, Iterator, Optional
 
 from ..net.wire import WireSized, slot_names, slots_wire_size
-from ..sim import sanitizer as _san
 
 __all__ = ["ServiceContext", "ContextError", "structural_copy",
            "register_plain_shapes"]
@@ -51,16 +50,10 @@ class ServiceContext(WireSized):
     # -- core access -----------------------------------------------------------
 
     def put_value(self, path: str, value: Any) -> "ServiceContext":
-        if _san._active is not None:
-            _san._active.record(("ctx", id(self), path), "w",
-                                f"ServiceContext {self.name!r} path {path!r}")
         self._data[_validate_path(path)] = value
         return self
 
     def get_value(self, path: str, default: Any = _MISSING) -> Any:
-        if _san._active is not None:
-            _san._active.record(("ctx", id(self), path), "r",
-                                f"ServiceContext {self.name!r} path {path!r}")
         value = self._data.get(_validate_path(path), _MISSING)
         if value is _MISSING:
             if default is _MISSING:

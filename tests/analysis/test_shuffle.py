@@ -82,3 +82,105 @@ def test_paper_lab_status_invariant_under_shuffle(shuffle_seed, monkeypatch):
         monkeypatch.delenv(SHUFFLE_SEED_ENV)
         _baseline_cache["json"] = _status_json()
     assert shuffled == _baseline_cache["json"]
+
+
+#: The tree reads' fan-out. Readings are quantised, so the mean of a
+#: power-of-two number of them is exact in binary and every fan-in order
+#: gives the same bits: such a tree could not show a fan-in race.
+#: ``test_tree_check_catches_arrival_order_fan_in`` fails if this goes back
+#: to a power of two.
+TREE_FANOUT = 7
+
+#: Where the planted fan-in mutant keeps its arrival-ordered values.
+_ARRIVALS = "mutant/arrivals"
+
+
+def _tree_reads(fixed_latency, tie_break_seed):
+    """Three root reads of a 64-sensor CSP tree, built under the tie-break
+    shuffle seed ``tie_break_seed`` (``None``: unshuffled)."""
+    from repro.core import SENSOR_DATA_ACCESSOR
+    from repro.net import Host
+    from repro.scenarios import build_sensorcer_grid
+    from repro.sorcer import Exerter, Signature
+
+    with pytest.MonkeyPatch.context() as patch:
+        if tie_break_seed is None:
+            patch.delenv(SHUFFLE_SEED_ENV, raising=False)
+        else:
+            patch.setenv(SHUFFLE_SEED_ENV, str(tie_break_seed))
+        grid = build_sensorcer_grid(64, seed=11, tree_fanout=TREE_FANOUT,
+                                    fixed_latency=fixed_latency)
+    grid.settle(6.0)
+    exerter = Exerter(Host(grid.net, "requestor"))
+    root = Signature(SENSOR_DATA_ACCESSOR, "getValue",
+                     service_id=grid.root.service_id)
+    values = []
+
+    def reads():
+        for index in range(3):
+            values.append((yield from exerter.call(
+                root, {}, name=f"read-{index}", context="tree-read")))
+
+    grid.env.run(until=grid.env.process(reads()))
+    return tuple(values)
+
+
+_clean_reads = {}
+
+
+def _clean_tree_reads(fixed_latency, tie_break_seed):
+    """:func:`_tree_reads` of the unmodified code, computed once."""
+    key = (fixed_latency, tie_break_seed)
+    if key not in _clean_reads:
+        _clean_reads[key] = _tree_reads(fixed_latency, tie_break_seed)
+    return _clean_reads[key]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("fixed_latency", [0.001, None],
+                         ids=["fixed-latency", "lan-latency"])
+def test_tree_reads_invariant_under_shuffle(shuffle_seed, fixed_latency):
+    """A CSP tree's fan-in meets 1,024-wide same-instant bursts: the values
+    its root reads must be bit-equal whatever the tie-break order."""
+    assert _clean_tree_reads(fixed_latency, shuffle_seed) \
+        == _clean_tree_reads(fixed_latency, None)
+
+
+def _plant_arrival_order_fan_in(monkeypatch):
+    """Plant a fan-in race: each child's completion callback appends its
+    value to a list in the request context, and the composite's mean is
+    summed in arrival order instead of child order."""
+    from repro.core.csp import CompositeSensorProvider
+
+    ask = CompositeSensorProvider._ask
+    get_value = CompositeSensorProvider._op_get_value
+
+    def racy_ask(self, child, visited, parent_ctx, parallel):
+        done = ask(self, child, visited, parent_ctx, parallel)
+        arrivals = parent_ctx.get_value(_ARRIVALS, None)
+        if arrivals is None:
+            arrivals = []
+            parent_ctx.put_value(_ARRIVALS, arrivals)
+        done.callbacks.append(
+            lambda event: arrivals.append(event.value.get_return_value()))
+        return done
+
+    def racy_get_value(self, ctx):
+        value = yield from get_value(self, ctx)
+        arrivals = ctx.get_value(_ARRIVALS, None)
+        if arrivals:
+            value = sum(arrivals) / len(arrivals)
+        return value
+
+    monkeypatch.setattr(CompositeSensorProvider, "_ask", racy_ask)
+    monkeypatch.setattr(CompositeSensorProvider, "_op_get_value",
+                        racy_get_value)
+
+
+@pytest.mark.slow
+def test_tree_check_catches_arrival_order_fan_in(monkeypatch):
+    """The tree check can see a fan-in race: with one planted, a tie seed
+    moves the root's reads, and without it they stay bit-equal."""
+    assert _clean_tree_reads(0.001, 11) == _clean_tree_reads(0.001, None)
+    _plant_arrival_order_fan_in(monkeypatch)
+    assert _tree_reads(0.001, 11) != _tree_reads(0.001, None)

@@ -15,7 +15,7 @@ from repro.chaos.invariants import (
 def make_record(**overrides):
     plan = ChaosPlan(seed=1, scenario="unit", horizon=60.0,
                      events=[FaultEvent("crash", "a", 10.0, 5.0)])
-    env = SimpleNamespace(now=60.0, sanitizer=None)
+    env = SimpleNamespace(now=60.0)
     net = SimpleNamespace(hosts={})
     defaults = dict(env=env, net=net, plan=plan, issued=4, completed=3,
                     failed=1, inflight=0)
@@ -40,13 +40,6 @@ def test_sim_sanity_flags_horizon_overrun():
     record.env.now = 120.0
     result = SimSanity().check(record)
     assert not result.ok and "past horizon" in result.violations[0]
-
-
-def test_sim_sanity_flags_sanitizer_violations():
-    record = make_record()
-    record.env.sanitizer = SimpleNamespace(violations=["race at t=3"])
-    result = SimSanity().check(record)
-    assert not result.ok and "sanitizer" in result.violations[0]
 
 
 class _FakeModel:

@@ -18,7 +18,6 @@ from repro.observability import (FlightRecorder, MetricsRegistry,
 from repro.observability.profile import SAMPLE_EVERY
 from repro.scenarios import build_paper_lab
 from repro.sim import Environment
-from repro.sim import sanitizer as _san
 
 
 class FakeClock:
@@ -180,28 +179,13 @@ def test_reattach_accumulates_without_double_counting():
     assert report["attributed_share"] <= 1.0
 
 
-# -- the observed path with the sanitizer on -----------------------------------
+# -- the observed path ---------------------------------------------------------
 
 
-def racy_env() -> Environment:
-    """Tickers plus two same-instant writers of one gauge, so record-mode
-    sanitizing has a finding to report."""
-    env = ticker_env(rounds=10, procs=2, sanitize="record")
-    gauge = MetricsRegistry().gauge("depth")
-
-    def writer(value):
-        yield env.timeout(5.0)
-        gauge.set(value)
-
-    env.process(writer(1), name="writer-1")
-    env.process(writer(2), name="writer-2")
-    return env
-
-
-def test_recorder_and_sanitizer_share_the_observed_path():
-    bare = racy_env()
+def test_recorder_keeps_the_observed_path_exact():
+    bare = ticker_env(rounds=10, procs=2)
     bare.run()
-    env = racy_env()
+    env = ticker_env(rounds=10, procs=2)
     recorder = FlightRecorder(clock=FakeClock()).attach(env)
     env.run()
     recorder.detach()
@@ -209,24 +193,16 @@ def test_recorder_and_sanitizer_share_the_observed_path():
     assert report["events"] == events_of(env) == events_of(bare)
     rows = {(r["event_type"], r["target"]): r for r in report["attribution"]}
     assert rows[("kernel", "scheduler+dispatch")]["count"] == events_of(env)
-    findings = [str(v) for v in env.sanitizer.violations]
-    assert findings and findings == [str(v) for v in bare.sanitizer.violations]
 
 
-def test_raising_callback_still_exits_and_restores_sanitizer():
-    env = Environment(sanitize="record")
+def test_raising_callback_still_exits_the_recorder():
+    env = Environment()
     boom = env.event()
     boom.callbacks.append(lambda ev: 1 / 0)
     boom.succeed()
     recorder = FlightRecorder(clock=FakeClock()).attach(env)
-    sentinel = object()
-    previous, _san._active = _san._active, sentinel
-    try:
-        with pytest.raises(ZeroDivisionError):
-            env.step()
-        assert _san._active is sentinel
-    finally:
-        _san._active = previous
+    with pytest.raises(ZeroDivisionError):
+        env.step()
     recorder.detach()
     report = recorder.report()
     assert report["events"] == 1

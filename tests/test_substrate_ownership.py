@@ -17,7 +17,6 @@ REPRO = SRC / "repro"
 #: directly because a call per event or per span is what they exist to avoid
 #: (each is commented where it is used).
 SEAMS = {
-    "_active": "sim.sanitizer's current-event slot, tested per access",
     "_now": "the kernel clock, read per span without the property call",
     "_profiler": "the kernel's observer slot the flight recorder installs",
     "_tie_rng": "the kernel's tie-break stream position, for snapshots",
