@@ -9,7 +9,7 @@ and is what makes traces diffable artifacts.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterator, Optional
 
 from ..util.canonical import canonical_json
 from ..util.table import render_table
@@ -17,14 +17,20 @@ from .quantiles import quantile_from_buckets
 from .registry import MetricsRegistry
 from .tracer import Tracer
 
-__all__ = ["trace_to_jsonl", "metrics_to_jsonl", "dump_jsonl",
-           "render_metrics"]
+__all__ = ["trace_lines", "trace_to_jsonl", "metrics_to_jsonl",
+           "dump_jsonl", "render_metrics"]
+
+
+def trace_lines(tracer: Tracer) -> Iterator[str]:
+    """Every span as one ``{"record": "span", ...}`` JSON line, streamed
+    in creation order (no trailing newlines)."""
+    for span in tracer:
+        yield canonical_json({"record": "span", **span.to_dict()})
 
 
 def trace_to_jsonl(tracer: Tracer) -> str:
-    """Every span as one ``{"record": "span", ...}`` JSON line."""
-    return "\n".join(canonical_json({"record": "span", **span.to_dict()})
-                     for span in tracer.spans)
+    """The whole trace: :func:`trace_lines` joined by newlines."""
+    return "\n".join(trace_lines(tracer))
 
 
 def metrics_to_jsonl(registry: MetricsRegistry) -> str:
@@ -37,17 +43,19 @@ def metrics_to_jsonl(registry: MetricsRegistry) -> str:
 
 def dump_jsonl(path, tracer: Optional[Tracer] = None,
                registry: Optional[MetricsRegistry] = None) -> int:
-    """Write trace and/or metrics lines to ``path``; returns line count."""
-    parts = []
-    if tracer is not None and len(tracer):
-        parts.append(trace_to_jsonl(tracer))
-    if registry is not None and len(registry):
-        parts.append(metrics_to_jsonl(registry))
-    text = "\n".join(p for p in parts if p)
+    """Write trace and/or metrics lines to ``path``; returns line count.
+    The trace is written a line at a time, never joined whole."""
+    written = 0
     with open(path, "w", encoding="utf-8") as fh:
-        if text:
+        if tracer is not None:
+            for line in trace_lines(tracer):
+                fh.write(line + "\n")
+                written += 1
+        if registry is not None and len(registry):
+            text = metrics_to_jsonl(registry)
             fh.write(text + "\n")
-    return text.count("\n") + 1 if text else 0
+            written += text.count("\n") + 1
+    return written
 
 
 def render_metrics(snapshot: dict) -> str:

@@ -29,11 +29,15 @@ TRACE_PARENT_PATH = "trace/parent"
 class Span:
     """One timed, annotated node of the trace tree.
 
-    Mutable while open; :meth:`end` freezes the end time and status. A
-    span is its own context manager (``with tracer.start_span(...) as
-    span:``), so no exit from the block leaves it open. Kept
-    deliberately slim (``__slots__``, plain tuples for annotations) — spans
-    are allocated on the hot path of every RPC call.
+    Mutable while open; :meth:`end` freezes it whole — end time, status,
+    attributes and annotations — and hands it to its tracer, which folds
+    closed spans into columns in batches and rebuilds them as views on
+    demand (:class:`~repro.observability.tracer.Tracer`). A view equals
+    the object its creator held: spans compare and hash on (tracer,
+    ``span_id``). A span is its own context manager (``with
+    tracer.start_span(...) as span:``), so no exit from the block leaves
+    it open. Kept deliberately slim (``__slots__``, plain tuples for
+    annotations) — spans are allocated on the hot path of every RPC call.
     """
 
     __slots__ = ("span_id", "trace_id", "parent_id", "name", "kind", "host",
@@ -65,6 +69,9 @@ class Span:
     def annotate(self, name: str, **fields) -> "Span":
         """Attach a clock-stamped event to this span (a retry scheduled, a
         breaker skipped, a stale value substituted, ...)."""
+        if self.ended_at is not None:
+            raise ValueError(f"span {self.span_id} ({self.name!r}) has "
+                             "ended: annotate it before end()")
         if self._annotations is None:
             self._annotations = []
         self._annotations.append((float(self._tracer.env.now), str(name),
@@ -72,6 +79,9 @@ class Span:
         return self
 
     def set_attribute(self, key: str, value) -> "Span":
+        if self.ended_at is not None:
+            raise ValueError(f"span {self.span_id} ({self.name!r}) has "
+                             "ended: set attributes before end()")
         if self._attributes is None:
             self._attributes = {}
         self._attributes[key] = value
@@ -80,9 +90,14 @@ class Span:
     def end(self, status: str = "ok") -> "Span":
         """Close the span; idempotent (the first close wins)."""
         if self.ended_at is None:
+            tracer = self._tracer
             # _now instead of the .now property: end() runs once per hop.
-            self.ended_at = self._tracer.env._now
+            self.ended_at = tracer.env._now
             self.status = status
+            closed = tracer._closed
+            closed.append(self)
+            if len(closed) >= tracer.COMPACT_BATCH:
+                tracer._fold()
         return self
 
     def __enter__(self) -> "Span":
@@ -133,6 +148,15 @@ class Span:
                 {"time": t, "name": n, "fields": dict(f)}
                 for t, n, f in self.annotations],
         }
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not Span:
+            return NotImplemented
+        return (self.span_id == other.span_id
+                and self._tracer is other._tracer)
+
+    def __hash__(self) -> int:
+        return hash(self.span_id)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<Span {self.span_id} {self.name!r} {self.status} "

@@ -111,11 +111,46 @@ def test_find_and_open_spans(tracer):
     assert tracer.open_spans() == [a]
 
 
+def test_an_ended_span_refuses_writes(tracer):
+    span = tracer.start_span("work", peer="h2")
+    span.annotate("note")
+    span.end()
+    with pytest.raises(ValueError, match="has ended"):
+        span.annotate("late")
+    with pytest.raises(ValueError, match="has ended"):
+        span.set_attribute("peer", "h3")
+    assert span.attributes == {"peer": "h2"}
+    assert [name for _t, name, _f in span.annotations] == ["note"]
+
+
+def test_a_folded_span_reads_back_equal_to_the_one_its_creator_held(tracer):
+    tracer.COMPACT_BATCH = 2
+    root = tracer.start_span("exert:q", kind="exert", host="h1", peer="h2")
+    root.annotate("retry_scheduled", attempt=0)
+    tracer.env.run(until=1.0)
+    root.end("failed")
+    tracer.start_span("other").end()  # the second closed span: a fold
+    view = tracer.get(root.span_id)
+    assert view is not root
+    assert view == root and hash(view) == hash(root) and {view} == {root}
+    assert view.to_dict() == root.to_dict()
+    # A child of a folded span joins its trace.
+    child = tracer.start_span("rpc:service", parent_id=root.span_id)
+    assert (child.parent_id, child.trace_id) == (root.span_id, root.trace_id)
+    assert tracer.children(root) == [child]
+    # Another tracer's span 1 is another span.
+    assert Tracer(tracer.env).start_span("exert:q") != root
+
+
 def test_reset_restarts_id_counters(tracer):
-    tracer.start_span("a")
+    stale = tracer.start_span("a")
     tracer.reset()
     assert len(tracer) == 0
-    assert tracer.start_span("b").span_id == 1
+    fresh = tracer.start_span("b")
+    assert fresh.span_id == 1 and fresh != stale
+    # The span opened before the reset ends into nothing.
+    stale.end()
+    assert tracer.open_spans() == [fresh]
 
 
 def test_tracer_of_is_a_per_network_singleton():

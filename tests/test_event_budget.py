@@ -7,10 +7,13 @@ push or per probe read (DESIGN §11). These literals are the
 gate on that — a process creeping back onto the path moves them.
 """
 
+import gc
+
 import numpy as np
 
 from repro.core.interfaces import SENSOR_DATA_ACCESSOR
 from repro.net import FixedLatency, Host, Network, rpc_endpoint
+from repro.observability import Span, Tracer, tracer_of
 from repro.scenarios.grids import build_sensorcer_grid, seed_locator_discovery
 from repro.sim import Environment
 from repro.sorcer import Exerter, ServiceContext, Signature, Task
@@ -133,3 +136,38 @@ def test_a_warmed_tree_read_costs_no_lookup():
     assert lookups == 0
     assert messages == 42
     assert pops == 196
+
+
+def test_tree_reads_leave_no_more_live_spans_than_a_batch():
+    """Reads of a 64-ESP tree (fan-out 4): the tracer counts every span,
+    but after each read the live ``Span`` objects it owns (a gc census)
+    number at most one fold batch plus the spans still open, however many
+    reads have run. Closed spans live on as column rows. When every span
+    stayed a live object, the census grew by one read's spans per read."""
+    grid = build_sensorcer_grid(64, seed=11, tree_fanout=4,
+                                discovery="locator", fixed_latency=0.001,
+                                sample_interval=1e9)
+    env, net = grid.env, grid.net
+    exerter = Exerter(seed_locator_discovery(Host(net, "reader-host")))
+    tracer = tracer_of(net)
+    grid.settle(6.0)
+
+    def read():
+        value = yield from exerter.call(
+            Signature(SENSOR_DATA_ACCESSOR, "getValue",
+                      service_id=grid.root.service_id),
+            name="read", context="read")
+        return value
+
+    recorded = []
+    for _ in range(6):
+        env.run(until=env.process(read()))
+        gc.collect()
+        live = sum(1 for obj in gc.get_objects()
+                   if type(obj) is Span and obj._tracer is tracer)
+        assert live <= Tracer.COMPACT_BATCH + len(tracer.open_spans())
+        recorded.append(len(tracer))
+    # Every read is still counted: six reads, six times the spans.
+    per_read = recorded[1] - recorded[0]
+    assert per_read > Tracer.COMPACT_BATCH // 2
+    assert [b - a for a, b in zip(recorded, recorded[1:])] == [per_read] * 5
