@@ -84,8 +84,6 @@ class ElementarySensorProvider(ServiceProvider):
             if not self.probe.connected:
                 self.probe.connect()
             self.env.process(self._sampler(), name=f"esp-sample:{self.name}")
-            self.env.process(self._sub_landlord.sweeper(1.0),
-                             name=f"esp-subs:{self.name}")
         return self
 
     def destroy(self):
@@ -110,10 +108,13 @@ class ElementarySensorProvider(ServiceProvider):
 
     def _publish(self, reading: Reading) -> None:
         # Subscribers push in subscription order (insertion-ordered dict).
+        # No sweeper runs per ESP: a lapsed lease is reaped when a reading
+        # first meets it, and renewSubscription refuses it before that.
         for event_id, sub in list(  # repro: allow[DET003]
                 self._subscribers.items()):
             lease = self._sub_landlord.lease_of(event_id)
             if lease is None or lease.expiration <= self.env.now:
+                self._sub_landlord.reap()
                 continue
             if reading.timestamp - sub["last_pushed"] < sub["min_interval"]:
                 continue

@@ -77,10 +77,6 @@ class Landlord:
         #: resource -> lease id map beside the landlord.
         self._by_resource: dict[Any, _LeaseRecord] = {}
         self._next_id = 1
-        #: Parked sweeper's wakeup event (None while the sweeper is ticking
-        #: or absent). Triggered by :meth:`grant`, the only way an empty
-        #: lease table can become non-empty.
-        self._stirred = None
 
     def __len__(self) -> int:
         return len(self._leases)
@@ -114,8 +110,6 @@ class Landlord:
                               duration)
         self._leases[lease_id] = record
         self._by_resource[resource_id] = record
-        if self._stirred is not None and not self._stirred.triggered:
-            self._stirred.succeed()
         return Lease(lease_id=lease_id, expiration=record.expiration,
                      duration=duration)
 
@@ -184,30 +178,10 @@ class Landlord:
             self.on_expire(record.resource_id)
 
     def sweeper(self, interval: float):
-        """A kernel process that reaps periodically; run it with
-        ``env.process(landlord.sweeper(1.0))``.
-
-        While the lease table is empty the sweeper parks on an event that
-        :meth:`grant` triggers, instead of ticking uselessly — with one
-        sub-landlord per ESP, a 16k-sensor fleet would otherwise spend 16k
-        kernel events per simulated second reaping nothing. On wake-up it
-        re-aligns to the tick grid the always-on sweeper would be on
-        (repeated ``+= interval`` from the last tick, matching how
-        consecutive ``timeout(interval)`` wakeups accumulate) so reap
-        timestamps are unchanged by the optimization.
-        """
-        tick = self.env.now
+        """A kernel process that reaps every ``interval``, empty table or
+        not; run it with ``env.process(landlord.sweeper(1.0))``. Owners
+        with many landlords and few leases (an ESP's subscriptions) run no
+        sweeper and call :meth:`reap` where a lapsed lease shows up."""
         while True:
-            if not self._leases:
-                self._stirred = self.env.event()
-                yield self._stirred
-                self._stirred = None
-                now = self.env.now
-                tick += interval
-                while tick <= now:
-                    tick += interval
-                yield self.env.timeout(tick - now)
-            else:
-                yield self.env.timeout(interval)
-                tick = self.env.now
+            yield self.env.timeout(interval)
             self.reap()

@@ -15,6 +15,11 @@ Failure semantics match the real thing: lost requests or replies surface as
 :class:`RpcTimeout`; a server-side exception surfaces as
 :class:`RemoteError` wrapping the cause.
 
+A request is served inside the callback that delivers it, once the dedup,
+export-table and method checks pass: two requests arriving at one host at
+the same instant run delivery and serve 1, then delivery and serve 2. Only
+a generator method becomes a kernel process, ``rpc:<host>.<method>``.
+
 :meth:`RpcEndpoint.cast` is the one-way form: the same request message,
 sent to the cast port, served by the same checks, answered by nothing.
 """
@@ -30,7 +35,7 @@ from typing import Any, Iterable, Optional
 from ..observability.registry import metrics_registry
 from ..observability.span import NULL_SPAN
 from ..observability.tracer import tracer_of
-from ..sim import URGENT, Event, Timeout
+from ..sim import Event, Timeout
 from .errors import NetworkError, NoSuchObjectError, RemoteError, RpcTimeout
 from .host import Host
 from .message import Message
@@ -104,25 +109,6 @@ class _PendingCall:
         self.span = span
 
 
-class _ServeHop(Timeout):
-    """The one URGENT step between a request's delivery and its execution.
-
-    Deliveries are NORMAL events, so two requests arriving at one host at
-    the same instant run delivery 1, serve 1, delivery 2, serve 2: each is
-    served before the next is looked at, and the serves stay out of the
-    deliveries' ``(time, priority)`` tie group (DESIGN §8.2). ``name``
-    (``rpc:<host>.<method>``) labels it for the flight recorder.
-    """
-
-    __slots__ = ("name", "request")
-
-    def __init__(self, endpoint: "RpcEndpoint", name: str, request: tuple):
-        super().__init__(endpoint.env, 0.0, priority=URGENT)
-        self.name = name
-        self.request = request
-        self.callbacks.append(endpoint._serve_callback)
-
-
 class _Watchdog(Timeout):
     """An outbound call's timer: a bare Timeout, not a process, which would
     stay alive until the full timeout even after the reply arrives. The
@@ -160,8 +146,7 @@ class RpcEndpoint:
         self._m_calls = registry.counter("rpc.calls", host=host.name)
         self._m_timeouts = registry.counter("rpc.timeouts", host=host.name)
         self._m_rtt = registry.histogram("rpc.rtt", host=host.name)
-        # Every hop and watchdog shares one bound method, made here once.
-        self._serve_callback = self._serve
+        # Every watchdog shares one bound method, made here once.
         self._expire_callback = self._expire
         host.open_port(REQUEST_PORT, self._on_request)
         host.open_port(CAST_PORT, self._on_request)
@@ -215,11 +200,6 @@ class RpcEndpoint:
             self._reply(reply_to, request_id, False,
                         NoSuchObjectError(f"{type(obj).__name__} has no method {method!r}"))
             return
-        _ServeHop(self, f"rpc:{self.host.name}.{method}",
-                  (reply_to, request_id, target, args, kwargs))
-
-    def _serve(self, hop: "_ServeHop") -> None:
-        reply_to, request_id, target, args, kwargs = hop.request
         try:
             result = target(*args, **kwargs)
         except BaseException as exc:  # noqa: BLE001 - crosses the RPC boundary
@@ -233,8 +213,8 @@ class RpcEndpoint:
             process.defuse()  # a failure is the caller's to see, not run()'s
             self._reply(reply_to, request_id, process.ok, process.value)
 
-        self.env.process(result, name=hop.name).callbacks.append(
-            reply_when_done)
+        self.env.process(result, name=f"rpc:{self.host.name}.{method}"
+                         ).callbacks.append(reply_when_done)
 
     def _reply(self, reply_to: Optional[str], request_id: int, ok: bool,
                value: Any) -> None:
@@ -291,7 +271,7 @@ class RpcEndpoint:
 
         The request is the one :meth:`call` sends, addressed to
         :data:`CAST_PORT`; the server runs it through the same dedup,
-        export-table and method checks and the same URGENT hop. A request
+        export-table and method checks and serves it on delivery. A request
         that cannot be sent (this host down, an unknown destination) is
         dropped like one lost on the wire.
         """

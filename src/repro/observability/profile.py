@@ -138,8 +138,9 @@ class FlightRecorder:
                     label = (event.__class__, owner.name)
                 else:
                     # No process resumes on it: an event that carries a
-                    # name (a message delivery, an RPC serve hop, a finished
-                    # process someone watches) is that row.
+                    # name (a message delivery, which also serves an RPC
+                    # request, or a finished process someone watches) is
+                    # that row.
                     name = getattr(event, "name", None)
                     label = (event.__class__,
                              name if name is not None

@@ -320,9 +320,9 @@ def test_watchdog_still_fires_without_reply():
 
 
 def test_same_instant_requests_are_served_in_delivery_order():
-    """Delivery 1, serve 1, delivery 2, serve 2: a request is executed one
-    URGENT hop after it arrives, before the next same-instant arrival is
-    looked at — the order every golden was recorded under."""
+    """Delivery 1, serve 1, delivery 2, serve 2: a request is executed
+    inside the event that delivers it, before the next same-instant arrival
+    is looked at — the order every golden was recorded under."""
     env, net, sh, ch, server, client = setup()
     other = rpc_endpoint(Host(net, "client-2"))
     served = []
@@ -337,10 +337,10 @@ def test_same_instant_requests_are_served_in_delivery_order():
     env.run(until=0.0009)
     assert env.peek() == pytest.approx(0.001)   # both requests land here
     after_each_event = []
-    for _ in range(4):
+    for _ in range(2):
         env.step()
         after_each_event.append(list(served))
-    assert after_each_event == [[], [1], [1], [1, 2]]
+    assert after_each_event == [[1], [1, 2]]
     assert env.now == pytest.approx(0.001)
 
 
@@ -368,7 +368,7 @@ def test_duplicated_request_executes_once():
     assert net.stats.by_kind["rpc-reply"]["messages"] == 1
 
 
-def test_a_cast_is_one_message_two_events_and_nothing_pending():
+def test_a_cast_is_one_message_one_event_and_nothing_pending():
     env, net, sh, ch, server, client = setup()
     added = []
     ref = server.export(added, "list", methods=("append",))
@@ -378,8 +378,9 @@ def test_a_cast_is_one_message_two_events_and_nothing_pending():
     env.run()
     after = env.scheduler_stats()
     assert added == [7]
-    # Request delivery and serve hop; no watchdog to cancel, no reply.
-    assert after["pops"] - before["pops"] == 2
+    # The request's delivery, which serves it; no watchdog to cancel, no
+    # reply. With a serve hop after each delivery this was two events.
+    assert after["pops"] - before["pops"] == 1
     assert after["cancels"] - before["cancels"] == 0
     assert after["pending"] == 0
     assert net.stats.messages == 1

@@ -1,9 +1,9 @@
 """What a message costs the kernel, as exact counts (no wall clock).
 
 The message path runs on kernel callbacks, not kernel processes: one event
-per delivery, one URGENT hop per served call, a cancelled watchdog per
+per delivery, which also serves an RPC request, a cancelled watchdog per
 answered call, no reply and no watchdog for a one-way push, no process per
-push or per probe read (DESIGN §11). These literals are the
+push or per probe read, no subscription sweeper per ESP (DESIGN §11). These literals are the
 gate on that — a process creeping back onto the path moves them.
 """
 
@@ -30,7 +30,9 @@ class Collector:
         self.stamps.append(event.reading.timestamp)
 
 
-def test_one_answered_call_is_four_events_and_a_cancelled_watchdog():
+def test_one_answered_call_is_three_events_and_a_cancelled_watchdog():
+    """Request delivery (which serves it), reply delivery, the caller's
+    event. With a serve hop between delivery and serve this was four."""
     env = Environment()
     net = Network(env, rng=np.random.default_rng(1),
                   latency=FixedLatency(0.001))
@@ -42,18 +44,18 @@ def test_one_answered_call_is_four_events_and_a_cancelled_watchdog():
     env.run()
     after = env.scheduler_stats()
     assert call.ok
-    # Request delivery, serve hop, reply delivery, the caller's event.
-    assert after["pops"] - before["pops"] == 4
+    assert after["pops"] - before["pops"] == 3
     assert after["cancels"] - before["cancels"] == 1
     assert after["pending"] == 0
 
 
-def test_a_pushed_reading_costs_at_most_seven_kernel_events():
+def test_a_pushed_reading_costs_at_most_five_kernel_events():
     """16 ESPs sampling at 1 Hz and pushing to one subscriber, whole ticks:
-    kernel events and messages per tick, measured on this tree. With the
-    push still a round trip these ten ticks took 1,350 events (8.4 per
-    reading) and 375 messages; with processes on the message path as
-    well, 3,078 events (19.2 per reading)."""
+    kernel events and messages per tick, measured on this tree. With a
+    serve hop per push and a subscription sweeper per ESP these ten ticks
+    took 1,030 events; with the push still a round trip as well, 1,350
+    (8.4 per reading) and 375 messages; with processes on the message path
+    as well, 3,078 events (19.2 per reading)."""
     grid = build_sensorcer_grid(SENSORS, seed=11, discovery="locator",
                                 fixed_latency=0.001, sample_interval=1.0)
     env, net = grid.env, grid.net
@@ -92,13 +94,13 @@ def test_a_pushed_reading_costs_at_most_seven_kernel_events():
         messages.append(net.stats.messages - before[1])
         delivered.append(len(collector.stamps) - before[2])
     assert delivered == [SENSORS] * TICKS
-    # A quiet tick is 5 events per reading (sampler wake, read latency,
-    # notify delivery, serve hop, the ESP's 1 Hz subscription sweeper) plus
-    # one LUS sweep, and one message per reading: the push is one-way. The
-    # busier ticks add lease renewals and join polls.
-    assert pops == [81, 138, 81, 99, 81, 99, 100, 171, 81, 99]
+    # A quiet tick is 3 events per reading (sampler wake, read latency,
+    # the notify's delivery, which serves it) plus one LUS sweep, and one
+    # message per reading: the push is one-way. The busier ticks add lease
+    # renewals and join polls.
+    assert pops == [49, 106, 49, 67, 49, 67, 68, 121, 49, 67]
     assert messages == [16, 35, 16, 16, 16, 16, 16, 52, 16, 16]
-    assert sum(pops) <= 7 * SENSORS * TICKS
+    assert sum(pops) <= 5 * SENSORS * TICKS
 
 
 def test_a_warmed_tree_read_costs_no_lookup():
@@ -106,12 +108,13 @@ def test_a_warmed_tree_read_costs_no_lookup():
     over four ESPs each), after a first read filled every lookup cache on
     the way: kernel events and messages, measured on this tree. Every hop
     binds its provider from its host's lookup cache, so the read is the
-    21 exertion round trips and nothing else. Each provider runs its
-    operation inside the process serving the hop; when the operation was a
-    process of its own, each of the 21 hops also paid its start and its
-    finish: 238 events. When each hop looked its provider up first, this
-    read took 84 messages, 42 of them lookups and their replies, and 322
-    events."""
+    21 exertion round trips and nothing else. Each request is served
+    inside its delivery; with a serve hop after each of the 21 request
+    deliveries this read took 196 events. Each provider runs its operation
+    inside the process serving the hop; when the operation was a process of
+    its own, each of the 21 hops also paid its start and its finish: 238
+    events. When each hop looked its provider up first, this read took 84
+    messages, 42 of them lookups and their replies, and 322 events."""
     grid = build_sensorcer_grid(SENSORS, seed=11, tree_fanout=4,
                                 discovery="locator", fixed_latency=0.001,
                                 sample_interval=1e9)
@@ -135,7 +138,7 @@ def test_a_warmed_tree_read_costs_no_lookup():
     pops, messages, lookups = (b - a for a, b in zip(before, after))
     assert lookups == 0
     assert messages == 42
-    assert pops == 196
+    assert pops == 175
 
 
 def test_tree_reads_leave_no_more_live_spans_than_a_batch():
