@@ -103,7 +103,9 @@ class Histogram:
         if not bounds or sorted(bounds) != list(bounds) or len(set(bounds)) != len(bounds):
             raise ValueError(f"histogram {name!r} needs strictly increasing buckets")
         self.name = name
-        self.buckets = bounds
+        # Default-bucket histograms share one bounds tuple.
+        self.buckets = (DEFAULT_LATENCY_BUCKETS
+                        if bounds == DEFAULT_LATENCY_BUCKETS else bounds)
         self.counts = [0] * (len(bounds) + 1)  # last slot = +inf
         self.count = 0
         self.total = 0.0

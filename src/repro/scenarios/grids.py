@@ -41,10 +41,9 @@ def probe_location(index: int) -> tuple:
     return ((index % side) * SPACING, (index // side) * SPACING)
 
 
-def _probe(env, world, index, seed):
-    return TemperatureProbe(
-        env, f"probe-{index}", world, probe_location(index),
-        rng=np.random.default_rng(seed + index), sensing_noise=0.0)
+def _probe(env, world, index):
+    return TemperatureProbe(env, f"probe-{index}", world,
+                            probe_location(index), sensing_noise=0.0)
 
 
 @dataclass
@@ -124,7 +123,7 @@ def build_sensorcer_grid(n_sensors: int, seed: int = 11,
         name = f"Sensor-{index:03d}"
         esp = ElementarySensorProvider(
             make_host(f"esp-{index}"), name,
-            _probe(env, world, index, seed),
+            _probe(env, world, index),
             sample_interval=sample_interval)
         esp.start()
         sensors.append(esp)
@@ -175,6 +174,6 @@ def build_direct_grid(n_sensors: int, seed: int = 11) -> SensorGrid:
     sensors = []
     for index in range(n_sensors):
         host = Host(net, f"node-{index}")
-        sensors.append(DirectSensorNode(host, _probe(env, world, index, seed)))
+        sensors.append(DirectSensorNode(host, _probe(env, world, index)))
     return SensorGrid(env=env, net=net, world=world, lus=None,
                       sensors=sensors, locations=locations)

@@ -35,13 +35,13 @@ class EnvironmentProbe(BaseProbe):
         super().__init__(env, sensor_id, teds)
         self.environment = environment
         self.location = tuple(location)
-        self.rng = rng if rng is not None else np.random.default_rng(0)
+        self._rng = rng
         self.sensing_noise = sensing_noise
 
     def _sense(self, t: float) -> float:
         truth = self.environment.sample(self.teds.quantity, self.location, t)
         if self.sensing_noise:
-            truth += float(self.rng.normal(0.0, self.sensing_noise))
+            truth += self._noise(self.sensing_noise)
         return truth
 
 

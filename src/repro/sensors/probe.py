@@ -10,6 +10,9 @@ clamping, quantization — and concrete drivers supply ``_sense()``
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
+
+import numpy as np
 
 from ..net.wire import WireSized
 from ..sim import Environment
@@ -67,6 +70,11 @@ class SensorProbe:
 class BaseProbe(SensorProbe):
     """Shared probe machinery; drivers implement :meth:`_sense`."""
 
+    #: The driver's noise generator, if it was given one. A driver given
+    #: none gets ``default_rng(0)`` on its first :meth:`_noise` draw, so a
+    #: probe that never draws builds no generator.
+    _rng: Optional[np.random.Generator] = None
+
     def __init__(self, env: Environment, sensor_id: str, teds: TransducerTEDS,
                  read_latency: float = 0.01):
         self.env = env
@@ -122,7 +130,13 @@ class BaseProbe(SensorProbe):
         return Reading(value=value, unit=self._teds.unit, timestamp=t,
                        sensor_id=self.sensor_id, quality=quality)
 
-    # -- driver hook ----------------------------------------------------------------
+    # -- driver hooks ---------------------------------------------------------------
+
+    def _noise(self, sigma: float) -> float:
+        """One zero-mean Gaussian sensing-noise draw of deviation ``sigma``."""
+        if self._rng is None:
+            self._rng = np.random.default_rng(0)
+        return float(self._rng.normal(0.0, sigma))
 
     def _sense(self, t: float) -> float:  # pragma: no cover - abstract
         """Return the raw transducer output at time t."""

@@ -91,10 +91,10 @@ class SunSpotTemperatureProbe(BaseProbe):
         self.device = device
         self.environment = environment
         self.location = tuple(location)
-        self.rng = rng if rng is not None else np.random.default_rng(0)
+        self._rng = rng
 
     def _sense(self, t: float) -> float:
         self.device.consume_read()
         truth = self.environment.sample("temperature", self.location, t)
         # Board self-heating plus ADC noise.
-        return truth + 0.2 + float(self.rng.normal(0.0, 0.15))
+        return truth + 0.2 + self._noise(0.15)

@@ -15,6 +15,7 @@ from repro.core.interfaces import SENSOR_DATA_ACCESSOR
 from repro.net import FixedLatency, Host, Network, rpc_endpoint
 from repro.observability import Span, Tracer, tracer_of
 from repro.scenarios.grids import build_sensorcer_grid, seed_locator_discovery
+from repro.sensors import Reading
 from repro.sim import Environment
 from repro.sorcer import Exerter, ServiceContext, Signature, Task
 
@@ -28,6 +29,34 @@ class Collector:
 
     def notify(self, event):
         self.stamps.append(event.reading.timestamp)
+
+
+def subscribe_collector(grid) -> Collector:
+    """Settle ``grid``, then subscribe one :class:`Collector` to every ESP
+    with a 600 s lease."""
+    env = grid.env
+    host = seed_locator_discovery(Host(grid.net, "collector-host"))
+    collector = Collector()
+    listener = rpc_endpoint(host).export(collector, "collector",
+                                         methods=("notify",))
+    exerter = Exerter(host)
+    grid.settle(6.0)
+
+    def subscribe_all():
+        procs = []
+        for esp in grid.sensors:
+            ctx = ServiceContext(f"subscribe-{esp.name}")
+            ctx.put_in_value("arg/listener", listener)
+            ctx.put_in_value("arg/lease_duration", 600.0)
+            task = Task(f"subscribe-{esp.name}",
+                        Signature(SENSOR_DATA_ACCESSOR, "subscribe",
+                                  service_id=esp.service_id), ctx)
+            procs.append(env.process(exerter.exert(task)))
+        results = yield env.all_of(procs)
+        return sum(result.is_done for result in results)
+
+    assert env.run(until=env.process(subscribe_all())) == len(grid.sensors)
+    return collector
 
 
 def test_one_answered_call_is_three_events_and_a_cancelled_watchdog():
@@ -59,27 +88,7 @@ def test_a_pushed_reading_costs_at_most_five_kernel_events():
     grid = build_sensorcer_grid(SENSORS, seed=11, discovery="locator",
                                 fixed_latency=0.001, sample_interval=1.0)
     env, net = grid.env, grid.net
-    host = seed_locator_discovery(Host(net, "collector-host"))
-    collector = Collector()
-    listener = rpc_endpoint(host).export(collector, "collector",
-                                         methods=("notify",))
-    exerter = Exerter(host)
-    grid.settle(6.0)
-
-    def subscribe_all():
-        procs = []
-        for esp in grid.sensors:
-            ctx = ServiceContext(f"subscribe-{esp.name}")
-            ctx.put_in_value("arg/listener", listener)
-            ctx.put_in_value("arg/lease_duration", 600.0)
-            task = Task(f"subscribe-{esp.name}",
-                        Signature(SENSOR_DATA_ACCESSOR, "subscribe",
-                                  service_id=esp.service_id), ctx)
-            procs.append(env.process(exerter.exert(task)))
-        results = yield env.all_of(procs)
-        return sum(result.is_done for result in results)
-
-    assert env.run(until=env.process(subscribe_all())) == SENSORS
+    collector = subscribe_collector(grid)
     # Let one full burst through, then open the first tick 5 ms before the
     # samplers next wake, so no boundary splits a sample from its delivery.
     env.run(until=env.now + 1.5)
@@ -101,6 +110,29 @@ def test_a_pushed_reading_costs_at_most_five_kernel_events():
     assert pops == [49, 106, 49, 67, 49, 67, 68, 121, 49, 67]
     assert messages == [16, 35, 16, 16, 16, 16, 16, 52, 16, 16]
     assert sum(pops) <= 5 * SENSORS * TICKS
+
+
+def test_buffered_readings_are_not_live_objects():
+    """64 ESPs sampling at 1 Hz and pushing to one subscriber, 40 ticks:
+    the live ``Reading`` objects (a gc census) stay flat and number at
+    most two per ESP. Each local store keeps only its newest reading as an
+    object; the older ones are column rows. When every buffered reading
+    stayed a live object, the census grew by 64 per tick."""
+    grid = build_sensorcer_grid(64, seed=11, discovery="locator",
+                                fixed_latency=0.001, sample_interval=1.0)
+    env = grid.env
+    collector = subscribe_collector(grid)
+    env.run(until=env.now + 1.5)
+    start = collector.stamps[-1] + grid.sensors[0].sample_interval - 0.005
+    census = []
+    for tick in range(40):
+        env.run(until=start + tick + 1)
+        gc.collect()
+        census.append(sum(1 for obj in gc.get_objects()
+                          if type(obj) is Reading))
+    assert len(collector.stamps) > 40 * 64
+    assert census == [census[0]] * 40
+    assert census[0] <= 2 * 64
 
 
 def test_a_warmed_tree_read_costs_no_lookup():
