@@ -208,7 +208,8 @@ def test_tracing_overhead_under_five_percent(report):
     Beside the wall-clock ratio the table reports the ratio of Python
     calls, one counting pass per mode: a 2-core box's run-to-run noise is
     about as wide as the 5% budget, and the call ratio does not move with
-    it. It is reported, not gated.
+    it. The call ratio is gated at the same 5% in every mode, smoke too,
+    so the budget resolves on every run; the wall gate stays beside it.
     """
     smoke = bool(os.environ.get("REPRO_BENCH_SMOKE"))
     n, rounds, repeats = 16, 15, (4 if smoke else 36)
@@ -233,6 +234,7 @@ def test_tracing_overhead_under_five_percent(report):
     overhead = enabled / disabled - 1.0
     calls_on = _python_calls(n, tracing=True, rounds=rounds)
     calls_off = _python_calls(n, tracing=False, rounds=rounds)
+    call_overhead = calls_on / calls_off - 1.0
     report(render_table(
         ["metric", "value"],
         [["fleet size", n],
@@ -242,10 +244,12 @@ def test_tracing_overhead_under_five_percent(report):
          ["overhead", overhead],
          ["Python calls, tracing on", calls_on],
          ["Python calls, tracing off", calls_off],
-         ["call overhead", calls_on / calls_off - 1.0]],
+         ["call overhead", call_overhead]],
         title="E-OBS — wall-clock cost of always-on exertion tracing"))
     assert spans > 100  # the traced runs actually recorded the workload
     assert calls_on > calls_off
+    assert call_overhead <= 0.05, \
+        f"tracing adds {call_overhead:.1%} Python calls (budget: 5%)"
     if not smoke:
         assert overhead <= 0.05, \
             f"tracing costs {overhead:.1%} wall clock (budget: 5%)"

@@ -21,6 +21,7 @@ Design notes
 
 from __future__ import annotations
 
+import gc
 import os
 import random as _random
 from itertools import count
@@ -458,6 +459,13 @@ class Environment:
           to exactly ``until`` even if no event lands there);
         * an :class:`Event` — run until that event is processed, returning
           its value (or raising its exception).
+
+        The cyclic garbage collector is paused while the dispatch loop
+        runs and is re-enabled on every exit, however the run ends, if it
+        was enabled on entry. A nested run leaves it paused, and a caller
+        that had disabled it finds it still disabled. Reference counting
+        still frees acyclic garbage at once; a cycle made during the run
+        is collected by the first collection after it returns.
         """
         stop_value: list[Any] = []
         if isinstance(until, Event):
@@ -483,6 +491,8 @@ class Environment:
                 raise SimulationError(
                     f"until={deadline} is in the past (now={self._now})")
 
+        collecting = gc.isenabled()
+        gc.disable()
         try:
             scheduler = self._scheduler
             while scheduler.size and scheduler.peek_time() <= deadline:
@@ -493,6 +503,13 @@ class Environment:
                 ev._defused = True
                 raise ev._value
             return ev._value
+        finally:
+            if collecting:
+                gc.enable()
+            # A run that ends before its target fires must not leave its
+            # stop callback behind for a later run to trip over.
+            if target is not None and target.callbacks is not None:
+                target.callbacks.remove(_stop)
         if target is not None:
             raise SimulationError("run(until=event): queue drained before event triggered")
         if deadline != float("inf"):

@@ -290,7 +290,9 @@ class Exerter:
                 self.breakers.record_success(item.service_id, self.env.now)
                 return result
             except NetworkError as exc:
-                last_error = exc
+                # Kept as a value: its traceback holds this frame, which
+                # holds ``last_error`` — a cycle once a retry succeeds.
+                last_error = exc.with_traceback(None)
                 if isinstance(exc, _BREAKER_FAILURES):
                     self.breakers.record_failure(item.service_id, self.env.now)
                 else:
@@ -369,7 +371,9 @@ class Exerter:
             except (CircuitOpenError, DeadlineExceeded) as exc:
                 return self._fail(exertion, str(exc)), None
             except NetworkError as exc:
-                error = exc
+                # A value from here on; its traceback would hold this frame
+                # and the attempt loop's, which both hold the error.
+                error = exc.with_traceback(None)
             if not hit or (deadline is not None
                            and deadline.expired(self.env.now)):
                 return None, error

@@ -11,9 +11,13 @@ import gc
 
 import numpy as np
 
+from repro.chaos import CampaignRunner
+from repro.core import SensorBrowser, SensorcerFacade
 from repro.core.interfaces import SENSOR_DATA_ACCESSOR
+from repro.load import build_load_lab
 from repro.net import FixedLatency, Host, Network, rpc_endpoint
-from repro.observability import Span, Tracer, tracer_of
+from repro.observability import Span, Tracer, metrics_registry, tracer_of
+from repro.scenarios import SENSOR_NAMES, build_paper_lab
 from repro.scenarios.grids import build_sensorcer_grid, seed_locator_discovery
 from repro.sensors import Reading
 from repro.sim import Environment
@@ -206,3 +210,108 @@ def test_tree_reads_leave_no_more_live_spans_than_a_batch():
     per_read = recorded[1] - recorded[0]
     assert per_read > Tracer.COMPACT_BATCH // 2
     assert [b - a for a, b in zip(recorded, recorded[1:])] == [per_read] * 5
+
+
+def cyclic_garbage(op, ops: int) -> int:
+    """Run ``op(i)`` for ``i`` in ``range(ops)`` with the cyclic collector
+    off; return the unreachable objects the next collection finds."""
+    gc.collect()
+    gc.disable()
+    try:
+        for index in range(ops):
+            op(index)
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+def test_warmed_tree_reads_leave_no_cyclic_garbage():
+    """Façade reads of a 64-ESP tree (fan-out 4), after a first read."""
+    grid = build_sensorcer_grid(64, seed=11, tree_fanout=4,
+                                discovery="locator", fixed_latency=0.001,
+                                sample_interval=1e9)
+    env, net = grid.env, grid.net
+    SensorcerFacade(seed_locator_discovery(Host(net, "facade-host"))).start()
+    browser = SensorBrowser(seed_locator_discovery(Host(net, "browser-host")))
+    grid.settle(6.0)
+    first = env.run(until=env.process(browser.get_value("Root")))
+
+    def read(_):
+        assert env.run(until=env.process(browser.get_value("Root"))) == first
+
+    assert cyclic_garbage(read, 8) == 0
+
+
+def test_warmed_push_ticks_leave_no_cyclic_garbage():
+    """64 ESPs sampling at 1 Hz and pushing to one subscriber."""
+    grid = build_sensorcer_grid(64, seed=11, discovery="locator",
+                                fixed_latency=0.001, sample_interval=1.0)
+    env = grid.env
+    collector = subscribe_collector(grid)
+    env.run(until=env.now + 1.5)
+    start = env.now
+    assert cyclic_garbage(lambda tick: env.run(until=start + tick + 1), 10) == 0
+    assert len(collector.stamps) > 10 * 64
+
+
+def test_warmed_paper_lab_reads_leave_no_cyclic_garbage():
+    """Browser reads of each SPOT and of the averaging composite."""
+    lab = build_paper_lab(seed=2009)
+    env, browser = lab.env, lab.browser
+    lab.settle(6.0)
+    names = list(SENSOR_NAMES) + ["Composite-Service"]
+
+    def compose():
+        yield from browser.compose_service("Composite-Service",
+                                           list(SENSOR_NAMES))
+        yield from browser.add_expression("Composite-Service",
+                                          "(a+b+c+d)/4")
+        for name in names:
+            yield from browser.get_value(name)
+
+    env.run(until=env.process(compose()))
+
+    def read(index):
+        env.run(until=env.process(browser.get_value(names[index % 5])))
+
+    assert cyclic_garbage(read, 10) == 0
+
+
+def test_open_load_slices_leave_no_cyclic_garbage():
+    """One-second slices of the saturated load lab: admission, queueing,
+    shedding and coalescing beside serving."""
+    load_lab = build_load_lab(seed=2009, scale=2.0, duration=6.0)
+    env = load_lab.env
+    engine = env.process(load_lab.engine.run(), name="load-engine")
+    start = env.now
+    env.run(until=start + 1.0)
+    assert cyclic_garbage(lambda s: env.run(until=start + s + 2.0), 4) == 0
+    assert load_lab.engine.summary()["total"]["rejected"] > 0
+    env.run(until=engine)
+
+
+def test_a_chaos_horizon_run_leaves_no_cyclic_garbage():
+    """Seed 7 of the paper-lab chaos campaign, from the end of its settle
+    to its 90 s horizon. Its timed-out hops that were retried held their
+    ``RpcTimeout`` in the attempt loop's frame, which the error's own
+    traceback held: 76 cyclic objects here until the exerter kept
+    network errors without their tracebacks."""
+    runner = CampaignRunner("paper-lab")
+    config = runner.config
+    context = runner._factory(config)
+    env = context.env
+    plan = runner._generate(7, context.catalog)
+    env.run(until=env.now + config.settle)
+    counts = {"issued": 0, "completed": 0, "failed": 0, "inflight": 0}
+
+    def horizon(_):
+        runner._launch_faults(context, plan)
+        env.process(runner._workload(context, counts,
+                                     stop_at=plan.horizon - config.stop_margin))
+        env.run(until=plan.horizon)
+
+    assert cyclic_garbage(horizon, 1) == 0
+    timeouts = sum(metric.value for key, metric
+                   in metrics_registry(context.net).iter_items()
+                   if key.startswith("rpc.timeouts"))
+    assert counts["completed"] > 0 and timeouts > 0
