@@ -1,4 +1,4 @@
-"""E-SNAP — snapshot round-trip cost and warm-restore shrink speedup.
+"""E-SNAP — snapshot round-trip cost and the cost of shrinking a plan.
 
 Two claims from DESIGN.md §14, measured:
 
@@ -7,15 +7,11 @@ Two claims from DESIGN.md §14, measured:
   the digest costs a small fraction of simply re-running the scenario,
   and the restored continuation's ``status --json`` is byte-identical to
   the uninterrupted run;
-* **warm probes pay off** — ddmin over a 50-event late-fault plan (one
+* **ddmin finds the culprit** — over a 50-event late-fault plan (one
   culprit partition hidden behind 49 harmless slowdowns, all past t=100
-  of a 120s horizon) runs >= 2x faster with fork-based warm-restore
-  probes than with cold full re-runs, because every probe skips the
-  settled 100s prefix; the warm minimum is cold-validated and must equal
-  the cold minimum exactly.
-
-``REPRO_BENCH_SMOKE=1`` runs the same plan with the speedup gate relaxed
-to 1.3x (CI runners share cores; the equality gates stay exact).
+  of a 120s horizon) every probe is a full campaign re-run, and the
+  minimum is the one partition. The table reports its wall time and
+  run count; only the one-event minimum is gated.
 """
 
 # repro: allow-file[DET001] - benchmarks time real work on the wall clock
@@ -30,13 +26,9 @@ from repro.snapshot.format import read_snapshot
 from repro.snapshot.programs import run_program, status_spec
 from repro.snapshot.restore import restore_run
 
-SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
-#: Warm ddmin must beat cold by this factor on the late-fault plan.
-MIN_SPEEDUP = 1.3 if SMOKE else 2.0
-
 HORIZON = 120.0
 #: All 50 events land in [100, 116): the settled prefix dominates the
-#: run, which is exactly when warm-restore probes should pay off.
+#: run, so most of every probe is the same fault-free 100 s.
 FAULT_WINDOW_START = 100.0
 PLAN_EVENTS = 50
 SHRINK_BUDGET = 60
@@ -47,8 +39,8 @@ def late_fault_plan() -> ChaosPlan:
     """One convergence-breaking partition plus 49 harmless 1s slowdowns.
 
     The culprit leads the event list, which is the adversarial ordering
-    for ddmin (every complement that drops the head passes), so both
-    probe modes do the full ~11-run reduction rather than getting lucky.
+    for ddmin (every complement that drops the head passes), so the
+    shrink does the full ~11-run reduction rather than getting lucky.
     """
     # Ends at t=116 with only 4s of horizon left: health cannot converge.
     events = [FaultEvent("partition", "composite-host|facade-host",
@@ -102,45 +94,28 @@ def _round_trip(tmp: str) -> dict:
     }
 
 
-def _shrink_both_ways() -> dict:
+def _shrink() -> dict:
     plan = late_fault_plan()
     failed = {"health-convergence"}
-    verdict = _runner().run_plan(plan)
+    runner = _runner()
+    verdict = runner.run_plan(plan)
     assert not verdict["ok"], "the late-fault plan must fail unshrunk"
 
-    cold_runner = _runner()
-
-    def cold_fails(candidate: ChaosPlan) -> bool:
-        return _matches_failure(cold_runner.run_plan(candidate), failed)
+    def fails(candidate: ChaosPlan) -> bool:
+        return _matches_failure(runner.run_plan(candidate), failed)
 
     t0 = time.perf_counter()
-    cold = shrink_plan(plan, cold_fails, max_runs=SHRINK_BUDGET)
-    cold_s = time.perf_counter() - t0
-
-    warm_runner = _runner()
-    t0 = time.perf_counter()
-    session = warm_runner.warm_session(plan)
-
-    def warm_fails(candidate: ChaosPlan) -> bool:
-        return _matches_failure(session.run_plan(candidate), failed)
-
-    warm = shrink_plan(plan, warm_fails, max_runs=SHRINK_BUDGET)
-    validated = _matches_failure(_runner().run_plan(warm.plan), failed)
-    warm_s = time.perf_counter() - t0
-
+    result = shrink_plan(plan, fails, max_runs=SHRINK_BUDGET)
+    shrink_s = time.perf_counter() - t0
     return {
-        "cold_s": round(cold_s, 3), "cold_runs": cold.runs,
-        "warm_s": round(warm_s, 3), "warm_runs": warm.runs,
-        "speedup": round(cold_s / warm_s, 2),
-        "validated": validated,
-        "cold_plan": cold.plan.to_json(),
-        "warm_plan": warm.plan.to_json(),
-        "minimal_events": len(cold.plan.events),
+        "shrink_s": round(shrink_s, 3), "runs": result.runs,
+        "plan": result.plan.to_json(),
+        "minimal_events": len(result.plan.events),
     }
 
 
-def test_snapshot_round_trip_and_warm_shrink(report, tmp_path):
-    trip, shrink = _round_trip(str(tmp_path)), _shrink_both_ways()
+def test_snapshot_round_trip_and_cold_shrink(report, tmp_path):
+    trip, shrink = _round_trip(str(tmp_path)), _shrink()
     report(render_table(
         ["quantity", "value"],
         [["snapshot bytes", trip["bytes"]],
@@ -149,12 +124,10 @@ def test_snapshot_round_trip_and_warm_shrink(report, tmp_path):
          ["run + capture (s)", trip["run_and_capture_s"]],
          ["verify-only restore (s)", trip["verify_s"]],
          ["restore + continue (s)", trip["restore_s"]],
-         ["cold ddmin (s)", f"{shrink['cold_s']} ({shrink['cold_runs']} runs)"],
-         ["warm ddmin (s)", f"{shrink['warm_s']} ({shrink['warm_runs']} runs)"],
-         ["warm speedup", f"{shrink['speedup']}x (gate {MIN_SPEEDUP}x)"],
+         ["cold ddmin (s)", f"{shrink['shrink_s']} ({shrink['runs']} runs)"],
          ["minimal plan events",
           f"{shrink['minimal_events']} (from {PLAN_EVENTS})"]],
-        title="E-SNAP — snapshot round trip + warm-restore shrink "
+        title="E-SNAP — snapshot round trip + cold ddmin shrink "
               f"({PLAN_EVENTS}-event plan, {HORIZON:g}s horizon)"),
         e_snap={"round_trip": trip, "shrink": shrink})
 
@@ -165,11 +138,5 @@ def test_snapshot_round_trip_and_warm_shrink(report, tmp_path):
         f"capture overhead {overhead:.3f}s exceeds a full run")
     assert trip["bytes"] > 1024, "snapshot is implausibly small"
 
-    # Warm probes found the same one-event minimum, cold-validated...
-    assert shrink["validated"], "warm minimum failed cold validation"
-    assert shrink["warm_plan"] == shrink["cold_plan"]
+    # ddmin isolated the one culprit partition out of 50 events.
     assert shrink["minimal_events"] == 1
-    # ...at a real speedup: every probe skipped the settled prefix.
-    assert shrink["speedup"] >= MIN_SPEEDUP, (
-        f"warm ddmin only {shrink['speedup']}x faster "
-        f"(needed {MIN_SPEEDUP}x)")

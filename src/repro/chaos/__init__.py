@@ -14,7 +14,6 @@ from .campaign import (
     CampaignConfig,
     CampaignRunner,
     ScenarioContext,
-    WarmSession,
     mttr_from_transitions,
 )
 from .injectors import InjectorEngine
@@ -32,7 +31,7 @@ from .shrink import ShrinkResult, shrink_failing_seed, shrink_plan
 
 __all__ = [
     "CampaignConfig", "CampaignRunner", "ScenarioContext", "SCENARIOS",
-    "WarmSession", "mttr_from_transitions",
+    "mttr_from_transitions",
     "InjectorEngine", "ChaosLink",
     "Invariant", "InvariantResult", "OverloadGraceful", "RunRecord",
     "builtin_invariants", "evaluate_invariants",

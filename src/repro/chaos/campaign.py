@@ -13,18 +13,15 @@ the *campaign* seed varies and fully determines the fault schedule.
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass
 from typing import Optional
 
-from ..util.canonical import canonical_json
 from .injectors import InjectorEngine
 from .invariants import RunRecord, builtin_invariants, evaluate_invariants
 from .plan import ChaosPlan, TargetCatalog
 
 __all__ = ["CampaignConfig", "CampaignRunner", "ScenarioContext",
-           "SCENARIOS", "WarmSession", "mttr_from_transitions"]
+           "SCENARIOS", "mttr_from_transitions"]
 
 
 @dataclass
@@ -223,7 +220,12 @@ class CampaignRunner:
             checkpointer(env)
         env.run(until=env.now + config.settle)
         counts = {"issued": 0, "completed": 0, "failed": 0, "inflight": 0}
-        engine = self._launch_faults(context, plan)
+        engine = InjectorEngine(context.net, lus=context.lus,
+                                txn_manager=(context.txn_managers[0]
+                                             if context.txn_managers else None),
+                                seed=plan.seed,
+                                load_engine=context.load_engine)
+        engine.apply(plan)
         env.process(self._workload(context, counts,
                                    stop_at=plan.horizon - config.stop_margin),
                     name="chaos-workload")
@@ -231,16 +233,6 @@ class CampaignRunner:
             env.process(context.load_engine.run(), name="load-engine")
         env.run(until=plan.horizon)
         return self._judge(context, plan, engine, counts)
-
-    def _launch_faults(self, context: ScenarioContext,
-                       plan: ChaosPlan) -> InjectorEngine:
-        engine = InjectorEngine(context.net, lus=context.lus,
-                                txn_manager=(context.txn_managers[0]
-                                             if context.txn_managers else None),
-                                seed=plan.seed,
-                                load_engine=context.load_engine)
-        engine.apply(plan)
-        return engine
 
     def _judge(self, context: ScenarioContext, plan: ChaosPlan,
                engine: InjectorEngine, counts: dict) -> dict:
@@ -284,21 +276,6 @@ class CampaignRunner:
             # (scenarios without an engine keep the stock byte shape).
             verdict["load"] = record.extra["load"]
         return verdict
-
-    def warm_session(self, plan: ChaosPlan) -> "WarmSession":
-        """A warm-restore probe session for shrinking ``plan``.
-
-        Builds the scenario once, settles, starts the steady workload
-        and advances to just before the plan's earliest fault. Each
-        subsequent :meth:`WarmSession.run_plan` forks the process and
-        runs only the candidate's fault suffix in the child — ddmin only
-        ever *removes* events, so every candidate's earliest start is at
-        or after the full plan's and the shared prefix stays valid.
-
-        Requires ``os.fork`` (POSIX); callers gate on
-        :func:`WarmSession.supported`.
-        """
-        return WarmSession(self, plan)
 
     def run(self, seeds) -> dict:
         """Run every seed; returns the campaign summary (JSON-ready)."""
@@ -351,98 +328,3 @@ class CampaignRunner:
         else:
             counts["completed"] += 1
         counts["inflight"] -= 1
-
-
-class WarmSession:
-    """Fork-based warm-restore probes over one settled scenario prefix.
-
-    The expensive part of every shrink probe is identical: build the
-    federation, settle discovery/join, run the steady workload up to the
-    first fault. A warm session pays that once, then answers each "does
-    this fault subset still fail?" probe by forking — the child inherits
-    the settled simulation by copy-on-write, injects only the candidate
-    faults, runs to the horizon and ships the verdict back over a pipe.
-
-    Caveat honestly owned by the caller (:mod:`repro.chaos.shrink`):
-    fault processes are created at the fork point rather than at settle
-    time, so a warm probe's event interleaving is *not* guaranteed
-    byte-identical to a cold run of the same candidate. Shrinking
-    therefore re-validates its warm minimum with a cold probe and falls
-    back to cold shrinking if the minimum does not reproduce.
-    """
-
-    #: Seconds before the plan's earliest fault that the prefix stops.
-    MARGIN = 1.0
-
-    def __init__(self, runner: CampaignRunner, plan: ChaosPlan):
-        if not self.supported():
-            raise RuntimeError("warm sessions require os.fork (POSIX)")
-        if not plan.events:
-            raise ValueError("cannot warm-start an empty plan")
-        self.runner = runner
-        self.plan = plan
-        config = runner.config
-        self.context = runner._factory(config)
-        env = self.context.env
-        env.run(until=env.now + config.settle)
-        self.counts = {"issued": 0, "completed": 0, "failed": 0,
-                       "inflight": 0}
-        env.process(runner._workload(
-            self.context, self.counts,
-            stop_at=plan.horizon - config.stop_margin),
-            name="chaos-workload")
-        if self.context.load_engine is not None:
-            env.process(self.context.load_engine.run(), name="load-engine")
-        first_fault = min(event.start for event in plan.events)
-        #: Where the shared prefix stops: strictly before any fault can
-        #: fire, but after as much settle/workload as possible.
-        self.fork_at = max(env.now, first_fault - self.MARGIN)
-        env.run(until=self.fork_at)
-        self.probes = 0
-
-    @staticmethod
-    def supported() -> bool:
-        return hasattr(os, "fork")
-
-    def run_plan(self, candidate: ChaosPlan) -> dict:
-        """Probe one candidate subset; returns its verdict dict."""
-        if candidate.events:
-            earliest = min(event.start for event in candidate.events)
-            if earliest < self.fork_at:
-                raise ValueError(
-                    f"candidate fault at t={earliest} predates the warm "
-                    f"prefix (forked at t={self.fork_at})")
-        self.probes += 1
-        read_fd, write_fd = os.pipe()
-        pid = os.fork()
-        if pid == 0:
-            # Child: the settled federation is ours by copy-on-write.
-            status = 1
-            try:
-                os.close(read_fd)
-                verdict = self._probe(candidate)
-                payload = canonical_json(verdict).encode("utf-8")
-                with os.fdopen(write_fd, "wb") as pipe:
-                    pipe.write(payload)
-                status = 0
-            finally:
-                # Never fall through to the parent's stack/atexit state.
-                os._exit(status)
-        os.close(write_fd)
-        chunks = []
-        with os.fdopen(read_fd, "rb") as pipe:
-            # Drain to EOF *before* waitpid: a verdict larger than the
-            # pipe buffer would otherwise deadlock parent and child.
-            chunks.append(pipe.read())
-        _, exit_status = os.waitpid(pid, 0)
-        if os.waitstatus_to_exitcode(exit_status) != 0:
-            raise RuntimeError(
-                f"warm probe for seed {candidate.seed} died "
-                f"(status {exit_status})")
-        return json.loads(b"".join(chunks))
-
-    def _probe(self, candidate: ChaosPlan) -> dict:
-        runner, context = self.runner, self.context
-        engine = runner._launch_faults(context, candidate)
-        context.env.run(until=candidate.horizon)
-        return runner._judge(context, candidate, engine, self.counts)

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .campaign import WarmSession
 from .plan import ChaosPlan, FaultEvent
 
 __all__ = ["ShrinkResult", "shrink_plan", "shrink_failing_seed"]
@@ -28,11 +27,6 @@ class ShrinkResult:
     runs: int                 # predicate evaluations spent
     removed_events: int       # events dropped from the original
     exhausted: bool           # True if the run budget cut shrinking short
-    #: How the probes ran: "cold" (full re-run each), "warm" (forked from
-    #: a shared settled prefix, minimum cold-validated) or
-    #: "warm-fallback" (warm minimum failed cold validation; the result
-    #: is from a cold re-shrink).
-    mode: str = "cold"
 
 
 class _Budget:
@@ -145,41 +139,18 @@ def shrink_failing_seed(runner, seed: int, max_runs: int = 60) -> tuple:
     the seed passes and there is nothing to shrink. The shrink predicate
     demands the *same* invariant(s) keep failing, so the minimal plan
     reproduces the original violation class, not just any failure.
-
-    Where the platform can fork (:meth:`WarmSession.supported`) each
-    probe forks from one shared settled prefix
-    (:meth:`~repro.chaos.campaign.CampaignRunner.warm_session`) instead
-    of rebuilding the federation — same minimal plan at about a third of
-    the wall time (E-SNAP). Warm probes can interleave slightly
-    differently from cold runs (fault processes are created at the fork
-    point), so the warm minimum is re-validated with a cold run; if it
-    does not reproduce, shrinking falls back to cold probes.
-    ``ShrinkResult.mode`` reports which path ran.
+    Every probe is a full
+    :meth:`~repro.chaos.campaign.CampaignRunner.run_plan`, so a probe's
+    verdict is the verdict ``repro chaos replay`` gives.
     """
     verdict = runner.run_seed(seed)
     if verdict["ok"]:
         return None, verdict
     failed_names = {result["name"] for result in verdict["invariants"]
                     if not result["ok"]}
-    plan = ChaosPlan.from_dict(verdict["plan"])
 
-    def cold_fails(candidate: ChaosPlan) -> bool:
+    def fails(candidate: ChaosPlan) -> bool:
         return _matches_failure(runner.run_plan(candidate), failed_names)
 
-    if plan.events and WarmSession.supported():
-        session = runner.warm_session(plan)
-
-        def warm_fails(candidate: ChaosPlan) -> bool:
-            return _matches_failure(session.run_plan(candidate),
-                                    failed_names)
-
-        result = shrink_plan(plan, warm_fails, max_runs=max_runs)
-        if cold_fails(result.plan):
-            result.runs += 1  # the cold validation run
-            result.mode = "warm"
-            return result, verdict
-        result = shrink_plan(plan, cold_fails, max_runs=max_runs)
-        result.mode = "warm-fallback"
-        return result, verdict
-
-    return shrink_plan(plan, cold_fails, max_runs=max_runs), verdict
+    plan = ChaosPlan.from_dict(verdict["plan"])
+    return shrink_plan(plan, fails, max_runs=max_runs), verdict

@@ -105,7 +105,7 @@ def cmd_chaos(args, out) -> int:
                       f"{len(result.plan.events)} event(s) in "
                       f"{result.runs} re-run(s)"
                       + (" (budget exhausted)" if result.exhausted else "")
-                      + f" [probes: {result.mode}]\n")
+                      + "\n")
             for event in result.plan.events:
                 out.write(f"  {event.kind} {event.target} "
                           f"@{event.start:g}s for {event.duration:g}s"

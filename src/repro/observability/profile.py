@@ -299,7 +299,7 @@ def _round(value):
 
 def _cold_target(cb, owner) -> str:
     """Display target for the rare non-``Process._resume`` callbacks
-    (condition ``_check`` hooks, ``run()``'s stop closure, plain
+    (condition ``_check`` hooks, ``run()``'s stop hook, plain
     functions). Computed eagerly — this path fires a handful of times per
     run — and wrapped in a 1-tuple by the caller so report-time rendering
     can tell it from a process name."""

@@ -62,7 +62,10 @@ class SimulationError(Exception):
 
 
 class StopSimulation(Exception):
-    """Raised internally to halt :meth:`Environment.run` early."""
+    """Raised internally to halt :meth:`Environment.run` early.
+
+    Its one argument is the target event whose processing stops the run.
+    """
 
 
 #: Sentinel distinguishing "not yet set" from a ``None`` event value.
@@ -449,6 +452,11 @@ class Environment:
         finally:
             profiler.exit(event)
 
+    @staticmethod
+    def _stop(event: Event) -> None:
+        """The callback :meth:`run` puts on its target event."""
+        raise StopSimulation(event)
+
     def run(self, until: float | Event | None = None) -> Any:
         """Run the simulation.
 
@@ -467,19 +475,13 @@ class Environment:
         still frees acyclic garbage at once; a cycle made during the run
         is collected by the first collection after it returns.
         """
-        stop_value: list[Any] = []
         if isinstance(until, Event):
             target = until
-
-            def _stop(ev: Event) -> None:
-                stop_value.append(ev)
-                raise StopSimulation()
-
             if target.callbacks is None:
                 if not target._ok:
                     raise target._value
                 return target._value
-            target.callbacks.append(_stop)
+            target.callbacks.append(self._stop)
             deadline = float("inf")
         elif until is None:
             target = None
@@ -497,8 +499,12 @@ class Environment:
             scheduler = self._scheduler
             while scheduler.size and scheduler.peek_time() <= deadline:
                 self.step()
-        except StopSimulation:
-            ev = stop_value[0]
+        except StopSimulation as stop:
+            # A run nested in a callback may meet an outer run's stop:
+            # only the run whose target fired returns here.
+            ev = stop.args[0]
+            if ev is not target:
+                raise
             if not ev._ok:
                 ev._defused = True
                 raise ev._value
@@ -509,7 +515,7 @@ class Environment:
             # A run that ends before its target fires must not leave its
             # stop callback behind for a later run to trip over.
             if target is not None and target.callbacks is not None:
-                target.callbacks.remove(_stop)
+                target.callbacks.remove(self._stop)
         if target is not None:
             raise SimulationError("run(until=event): queue drained before event triggered")
         if deadline != float("inf"):

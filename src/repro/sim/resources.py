@@ -1,7 +1,7 @@
 """Shared-resource primitives built on the event kernel.
 
-:class:`Store` is an unbounded-or-bounded FIFO of items with blocking ``get``
-(used for mailboxes, work queues and the exertion space's waiter lists).
+:class:`Store` is an unbounded FIFO of items with blocking ``get`` (used
+for the exertion space's pool).
 :class:`Resource` models a counted resource with blocking ``request`` (used
 for cybernode capacity slots).
 """
@@ -17,14 +17,16 @@ __all__ = ["Store", "StoreGet", "StorePut", "Resource", "ResourceRequest"]
 
 
 class StorePut(Event):
-    """Event returned by :meth:`Store.put`; triggers once the item is stored."""
+    """Event returned by :meth:`Store.put`. The store is unbounded, so the
+    item is stored and the event triggered at once, before waiting gets
+    are served."""
 
-    __slots__ = ("item",)
+    __slots__ = ()
 
     def __init__(self, store: "Store", item: Any):
         super().__init__(store.env)
-        self.item = item
-        store._put_queue.append(self)
+        store.items.append(item)
+        self.succeed()
         store._dispatch()
 
 
@@ -56,13 +58,9 @@ class Store:
     waiter stay queued.
     """
 
-    def __init__(self, env: Environment, capacity: float = float("inf")):
-        if capacity <= 0:
-            raise SimulationError("capacity must be positive")
+    def __init__(self, env: Environment):
         self.env = env
-        self.capacity = capacity
         self.items: deque[Any] = deque()
-        self._put_queue: deque[StorePut] = deque()
         self._get_queue: deque[StoreGet] = deque()
 
     def __len__(self) -> int:
@@ -81,11 +79,6 @@ class Store:
         return list(self.items)
 
     def _dispatch(self) -> None:
-        # Admit pending puts while there is room.
-        while self._put_queue and len(self.items) < self.capacity:
-            put = self._put_queue.popleft()
-            self.items.append(put.item)
-            put.succeed()
         # Satisfy waiting gets in arrival order.
         progressed = True
         while progressed:
@@ -102,35 +95,17 @@ class Store:
                     self._get_queue.remove(get)
                     get.succeed(item)
                     progressed = True
-            # Released capacity may admit more puts.
-            while self._put_queue and len(self.items) < self.capacity:
-                put = self._put_queue.popleft()
-                self.items.append(put.item)
-                put.succeed()
-                progressed = True
 
 
 class ResourceRequest(Event):
     """Event returned by :meth:`Resource.request`; triggers when granted."""
 
-    __slots__ = ("resource",)
+    __slots__ = ()
 
     def __init__(self, resource: "Resource"):
         super().__init__(resource.env)
-        self.resource = resource
         resource._queue.append(self)
         resource._dispatch()
-
-    def release(self) -> None:
-        self.resource.release(self)
-
-    def cancel(self) -> None:
-        """Withdraw an ungranted request."""
-        if not self.triggered:
-            try:
-                self.resource._queue.remove(self)
-            except ValueError:
-                pass
 
 
 class Resource:
@@ -143,14 +118,6 @@ class Resource:
         self.capacity = capacity
         self.users: list[ResourceRequest] = []
         self._queue: deque[ResourceRequest] = deque()
-
-    @property
-    def count(self) -> int:
-        return len(self.users)
-
-    @property
-    def queued(self) -> int:
-        return len(self._queue)
 
     def request(self) -> ResourceRequest:
         return ResourceRequest(self)

@@ -2,6 +2,7 @@
 shrink of a real failing campaign down to a minimal replayable plan."""
 
 from repro.chaos import (
+    CampaignConfig,
     CampaignRunner,
     ChaosPlan,
     FaultEvent,
@@ -111,3 +112,22 @@ def test_passing_seed_returns_none():
     result, verdict = shrink_failing_seed(runner, 3, max_runs=5)
     assert result is None
     assert verdict["ok"]
+
+
+#: Seed 5 at a 45 s horizon fails health-convergence: the campaign ends
+#: before the partition's recovery window closes. Of its five events the
+#: partition alone is the cause.
+SEED_5_MINIMUM = ('{"events":[{"duration":10.708,"kind":"partition",'
+                  '"start":13.917,"target":"composite-host|facade-host"}],'
+                  '"horizon":45.0,"scenario":"paper-lab","seed":5}\n')
+
+
+def test_seed_5_shrinks_to_one_partition_in_four_runs():
+    runner = CampaignRunner("paper-lab", config=CampaignConfig(horizon=45.0))
+    result, verdict = shrink_failing_seed(runner, 5)
+    assert [r["name"] for r in verdict["invariants"] if not r["ok"]] == [
+        "health-convergence"]
+    assert len(verdict["plan"]["events"]) == 5
+    assert result.plan.to_json() == SEED_5_MINIMUM
+    assert result.runs == 4
+    assert result.exhausted is False

@@ -75,6 +75,20 @@ def test_a_run_nested_in_a_callback_leaves_the_collector_off():
     assert gc.isenabled()
 
 
+def test_a_run_nested_in_a_callback_passes_the_outer_stop_on():
+    """The outer target fires while a nested run dispatches: the nested
+    run re-raises that stop, and the outer run returns the target's value
+    at the target's instant. When both runs shared one stop exception,
+    the nested run read its own empty stop record and died with an
+    ``IndexError``."""
+    env = Environment()
+    target = env.timeout(2.0, value="outer")
+    env.timeout(1.0).callbacks.append(lambda _e: env.run(until=3.0))
+    assert env.run(until=target) == "outer"
+    assert env.now == 2.0
+    assert gc.isenabled()
+
+
 def test_a_caller_that_disabled_the_collector_finds_it_still_disabled():
     env = Environment()
 

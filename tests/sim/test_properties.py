@@ -88,7 +88,7 @@ def test_resource_never_exceeds_capacity(jobs, capacity):
     def worker(hold):
         request = resource.request()
         yield request
-        max_seen[0] = max(max_seen[0], resource.count)
+        max_seen[0] = max(max_seen[0], len(resource.users))
         yield env.timeout(hold)
         resource.release(request)
 
@@ -96,5 +96,5 @@ def test_resource_never_exceeds_capacity(jobs, capacity):
         env.process(worker(hold))
     env.run()
     assert max_seen[0] <= capacity
-    assert resource.count == 0
-    assert resource.queued == 0
+    assert resource.users == []
+    assert not resource._queue

@@ -90,33 +90,28 @@ def test_store_predicate_get_waits_for_match():
     assert env.run(until=p) == ("target", 3)
 
 
-def test_store_capacity_blocks_put():
+def test_store_put_triggers_at_once():
+    """The store is unbounded: ``put`` stores the item and triggers its
+    event before returning, whether or not a get is waiting."""
     env = Environment()
-    store = Store(env, capacity=1)
-    log = []
-
-    def putter():
-        yield store.put("a")
-        log.append(("a-in", env.now))
-        yield store.put("b")
-        log.append(("b-in", env.now))
+    store = Store(env)
+    got = []
 
     def getter():
-        yield env.timeout(10)
-        item = yield store.get()
-        log.append((item, env.now))
+        got.append((yield store.get()))
 
-    env.process(putter())
+    def putter():
+        yield env.timeout(1)
+        for item in ("a", "b"):
+            put = store.put(item)
+            assert put.triggered
+            yield put
+
     env.process(getter())
+    env.process(putter())
     env.run()
-    assert ("a-in", 0) in log
-    assert ("b-in", 10) in log
-
-
-def test_store_invalid_capacity():
-    env = Environment()
-    with pytest.raises(SimulationError):
-        Store(env, capacity=0)
+    assert got == ["a"]
+    assert list(store.items) == ["b"]
 
 
 def test_store_get_cancel():
@@ -189,61 +184,3 @@ def test_resource_release_unrequested_rejected():
     env.process(proc())
     with pytest.raises(SimulationError):
         env.run()
-
-
-def test_resource_counts():
-    env = Environment()
-    res = Resource(env, capacity=1)
-    snapshots = []
-
-    def holder():
-        req = res.request()
-        yield req
-        yield env.timeout(10)
-        res.release(req)
-
-    def observer():
-        yield env.timeout(1)
-        snapshots.append((res.count, res.queued))
-
-    def waiter():
-        req = res.request()
-        yield req
-        res.release(req)
-
-    env.process(holder())
-    env.process(waiter())
-    env.process(observer())
-    env.run()
-    assert snapshots == [(1, 1)]
-
-
-def test_resource_request_cancel():
-    env = Environment()
-    res = Resource(env, capacity=1)
-    order = []
-
-    def holder():
-        req = res.request()
-        yield req
-        yield env.timeout(10)
-        res.release(req)
-
-    def impatient():
-        req = res.request()
-        yield env.timeout(1)
-        req.cancel()
-        order.append("gave up")
-
-    def patient():
-        yield env.timeout(2)
-        req = res.request()
-        yield req
-        order.append(("granted", env.now))
-        res.release(req)
-
-    env.process(holder())
-    env.process(impatient())
-    env.process(patient())
-    env.run()
-    assert order == ["gave up", ("granted", 10)]

@@ -284,7 +284,7 @@ def test_serve_span_closed_when_a_failure_escapes_a_yield(grid):
     with pytest.raises(KeyError):
         gen.throw(KeyError("unmodelled"))
     assert (span.status, span.ended_at) == ("error", env.now)
-    assert provider._gate.count == 0  # the grant went back too
+    assert provider._gate.users == []  # the grant went back too
 
 
 def test_wrong_service_type_rejected(grid):

@@ -433,6 +433,20 @@ def test_load_curve_smoke_is_deterministic():
         [0.6, 1.2, 2.0]
 
 
+def test_chaos_shrink_reports_a_failing_seed_and_writes_its_minimum(
+        tmp_path):
+    target = tmp_path / "min.json"
+    code, output = run_cli("chaos", "shrink", "--chaos-seed", "5",
+                           "--horizon", "45", "--out", str(target))
+    assert code == 1
+    assert output.splitlines()[:2] == [
+        "seed 5 violates: health-convergence",
+        "shrunk 5 -> 1 event(s) in 4 re-run(s)"]
+    assert "[probes:" not in output
+    plan = json.loads(target.read_text())
+    assert [event["kind"] for event in plan["events"]] == ["partition"]
+
+
 @pytest.mark.parametrize("command", ["run", "shrink", "replay"])
 def test_chaos_unknown_scenario_is_a_usage_error(command, capsys):
     with pytest.raises(SystemExit) as exit_info:

@@ -11,7 +11,7 @@ import gc
 
 import numpy as np
 
-from repro.chaos import CampaignRunner
+from repro.chaos import CampaignRunner, InjectorEngine
 from repro.core import SensorBrowser, SensorcerFacade
 from repro.core.interfaces import SENSOR_DATA_ACCESSOR
 from repro.load import build_load_lab
@@ -305,7 +305,9 @@ def test_a_chaos_horizon_run_leaves_no_cyclic_garbage():
     counts = {"issued": 0, "completed": 0, "failed": 0, "inflight": 0}
 
     def horizon(_):
-        runner._launch_faults(context, plan)
+        InjectorEngine(context.net, lus=context.lus,
+                       txn_manager=context.txn_managers[0],
+                       seed=plan.seed).apply(plan)
         env.process(runner._workload(context, counts,
                                      stop_at=plan.horizon - config.stop_margin))
         env.run(until=plan.horizon)
